@@ -1,12 +1,10 @@
 #!/usr/bin/env python3
-"""Benchmark the numba kernels against their pure-numpy fallbacks.
+"""Benchmark the hot numpy kernels.
 
-Runs each hot kernel on a realistic workload with both implementations and
-prints per-call times and the speedup.  Invoke from the repo root:
+Runs each kernel on a realistic workload and prints the best per-call time.
+Invoke from the repo root:
 
     python3 benchmarks/bench_kernels.py [--repeats 5]
-
-Setting POLYWIDTH_NO_NUMBA=1 disables the numba column (fallback only).
 """
 
 import argparse
@@ -16,11 +14,10 @@ import numpy as np
 
 from polywidth import _kernels as kn
 from polywidth import mc
-from polywidth._accel import USING_NUMBA
 
 
 def timeit(fn, repeats):
-    fn()  # warmup / JIT compile
+    fn()  # warmup
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -37,8 +34,7 @@ def workloads():
     edges4 = np.arange(600, dtype=np.int64).reshape(150, 4)
     yield (
         "phi_batch (10k maps, n=600, r=2)",
-        lambda: kn.phi_batch_ref(maps, edges4, 600, 2),
-        (lambda: kn._phi_batch_jit(maps, edges4, 600, 2)) if USING_NUMBA else None,
+        lambda: kn.phi_batch(maps, edges4, 600, 2),
     )
 
     # occupancy-histogram scores, the Poisson-side workload
@@ -46,8 +42,7 @@ def workloads():
     edges2 = np.arange(100, dtype=np.int64).reshape(50, 2)
     yield (
         "phi_hist_batch (20k histograms, r=1)",
-        lambda: kn.phi_hist_batch_ref(hists, edges2, 1),
-        (lambda: kn._phi_hist_batch_jit(hists, edges2, 1)) if USING_NUMBA else None,
+        lambda: kn.phi_hist_batch(hists, edges2, 1),
     )
 
     # progression counting over 10^5 random subsets of Z/13Z
@@ -55,8 +50,7 @@ def workloads():
     ap_edges = gen.integers(0, 13, size=(78, 3)).astype(np.int64)
     yield (
         "contained_edges_batch (100k subsets)",
-        lambda: kn.contained_edges_batch_ref(bits, ap_edges),
-        (lambda: kn._contained_edges_batch_jit(bits, ap_edges)) if USING_NUMBA else None,
+        lambda: kn.contained_edges_batch(bits, ap_edges),
     )
 
     # sparse matvec at lift scale
@@ -67,16 +61,14 @@ def workloads():
     x = mc.normals(gen, dim)
     yield (
         "coo_matvec (200k entries, dim 1e6)",
-        lambda: kn.coo_matvec_ref(rows, cols, vals, x, dim),
-        (lambda: kn._coo_matvec_jit(rows, cols, vals, x, dim)) if USING_NUMBA else None,
+        lambda: kn.coo_matvec(rows, cols, vals, x, dim),
     )
 
     # exact sign-vector transform at the n=16 cap
     a = gen.integers(-100, 100, size=1 << 16).astype(np.int64)
     yield (
         "wht_inplace (2^16 int64)",
-        lambda: kn.wht_inplace_ref(a.copy()),
-        (lambda: kn._wht_inplace_jit(a.copy())) if USING_NUMBA else None,
+        lambda: kn.wht_inplace(a.copy()),
     )
 
 
@@ -85,20 +77,11 @@ def main():
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
 
-    print(f"numba available: {USING_NUMBA}")
-    header = f"{'kernel':42s} {'numpy':>10s} {'numba':>10s} {'speedup':>8s}"
+    header = f"{'kernel':42s} {'best':>10s}"
     print(header)
     print("-" * len(header))
-    for name, ref_fn, jit_fn in workloads():
-        t_ref = timeit(ref_fn, args.repeats)
-        if jit_fn is None:
-            print(f"{name:42s} {t_ref * 1e3:9.2f}ms {'-':>10s} {'-':>8s}")
-            continue
-        t_jit = timeit(jit_fn, args.repeats)
-        print(
-            f"{name:42s} {t_ref * 1e3:9.2f}ms {t_jit * 1e3:9.2f}ms "
-            f"{t_ref / t_jit:7.1f}x"
-        )
+    for name, fn in workloads():
+        print(f"{name:42s} {timeit(fn, args.repeats) * 1e3:9.2f}ms")
 
 
 if __name__ == "__main__":

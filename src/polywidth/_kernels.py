@@ -1,14 +1,9 @@
-"""Hot numeric kernels, each with a numba path and a pure-numpy fallback.
+"""Hot numeric kernels, vectorised with numpy.
 
-Public entry points dispatch on :data:`polywidth._accel.USING_NUMBA`; the
-``*_ref`` variants are the numpy fallbacks and are kept importable so the
-benchmark (and the dual-path tests) can compare both implementations.
 All kernels are exact integer computations apart from ``coo_matvec``.
 """
 
 import numpy as np
-
-from ._accel import USING_NUMBA, njit
 
 # --------------------------------------------------------------------------
 # phi over batches of maps / histograms.
@@ -18,16 +13,7 @@ from ._accel import USING_NUMBA, njit
 # per-vertex occurrence counts.
 
 
-def phi_batch_ref(maps, edges, n, r):
-    maps = np.ascontiguousarray(maps, dtype=np.int64)
-    nb = maps.shape[0]
-    flat = (maps + np.arange(nb, dtype=np.int64)[:, None] * n).ravel()
-    hists = np.bincount(flat, minlength=nb * n).reshape(nb, n)
-    return phi_hist_batch_ref(hists, edges, r)
-
-
-def phi_hist_batch_ref(hists, edges, r):
-    hists = np.ascontiguousarray(hists, dtype=np.int64)
+def _phi_of_hists(hists, edges, r):
     counts = hists[:, edges]  # (batch, |M|, 2r)
     e = np.zeros((r + 1,) + counts.shape[:2], dtype=np.int64)
     e[0] = 1
@@ -38,62 +24,16 @@ def phi_hist_batch_ref(hists, edges, r):
     return e[r].sum(axis=1)
 
 
-@njit(cache=True)
-def _phi_batch_jit(maps, edges, n, r):  # pragma: no cover - numba path
-    nb, m = maps.shape
-    ne, tr = edges.shape
-    out = np.zeros(nb, dtype=np.int64)
-    hist = np.zeros(n, dtype=np.int64)
-    e = np.zeros(r + 1, dtype=np.int64)
-    for b in range(nb):
-        for j in range(m):
-            hist[maps[b, j]] += 1
-        tot = 0
-        for s in range(ne):
-            e[:] = 0
-            e[0] = 1
-            for v in range(tr):
-                c = hist[edges[s, v]]
-                top = min(r, v + 1)
-                for jj in range(top, 0, -1):
-                    e[jj] += e[jj - 1] * c
-            tot += e[r]
-        out[b] = tot
-        for j in range(m):
-            hist[maps[b, j]] -= 1
-    return out
-
-
-@njit(cache=True)
-def _phi_hist_batch_jit(hists, edges, r):  # pragma: no cover - numba path
-    nb = hists.shape[0]
-    ne, tr = edges.shape
-    out = np.zeros(nb, dtype=np.int64)
-    e = np.zeros(r + 1, dtype=np.int64)
-    for b in range(nb):
-        tot = 0
-        for s in range(ne):
-            e[:] = 0
-            e[0] = 1
-            for v in range(tr):
-                c = hists[b, edges[s, v]]
-                top = min(r, v + 1)
-                for jj in range(top, 0, -1):
-                    e[jj] += e[jj - 1] * c
-            tot += e[r]
-        out[b] = tot
-    return out
-
-
 def phi_batch(maps, edges, n, r):
     """phi of each row of ``maps`` (values in [0, n)) against matching ``edges``."""
     maps = np.ascontiguousarray(maps, dtype=np.int64)
     edges = np.ascontiguousarray(edges, dtype=np.int64)
-    if maps.shape[0] == 0 or edges.shape[0] == 0:
-        return np.zeros(maps.shape[0], dtype=np.int64)
-    if USING_NUMBA:
-        return _phi_batch_jit(maps, edges, n, r)
-    return phi_batch_ref(maps, edges, n, r)
+    nb = maps.shape[0]
+    if nb == 0 or edges.shape[0] == 0:
+        return np.zeros(nb, dtype=np.int64)
+    flat = (maps + np.arange(nb, dtype=np.int64)[:, None] * n).ravel()
+    hists = np.bincount(flat, minlength=nb * n).reshape(nb, n)
+    return _phi_of_hists(hists, edges, r)
 
 
 def phi_hist_batch(hists, edges, r):
@@ -102,34 +42,11 @@ def phi_hist_batch(hists, edges, r):
     edges = np.ascontiguousarray(edges, dtype=np.int64)
     if hists.shape[0] == 0 or edges.shape[0] == 0:
         return np.zeros(hists.shape[0], dtype=np.int64)
-    if USING_NUMBA:
-        return _phi_hist_batch_jit(hists, edges, r)
-    return phi_hist_batch_ref(hists, edges, r)
+    return _phi_of_hists(hists, edges, r)
 
 
 # --------------------------------------------------------------------------
 # Counting edges fully contained in 0/1 subsets.
-
-
-def contained_edges_batch_ref(bits, edges):
-    bits = np.ascontiguousarray(bits, dtype=np.uint8)
-    return bits[:, edges].all(axis=2).sum(axis=1).astype(np.int64)
-
-
-@njit(cache=True)
-def _contained_edges_batch_jit(bits, edges):  # pragma: no cover - numba path
-    nb = bits.shape[0]
-    ne, k = edges.shape
-    out = np.zeros(nb, dtype=np.int64)
-    for b in range(nb):
-        tot = 0
-        for s in range(ne):
-            inside = np.uint8(1)  # branchless: an early exit would mispredict
-            for v in range(k):
-                inside &= bits[b, edges[s, v]]
-            tot += inside
-        out[b] = tot
-    return out
 
 
 def contained_edges_batch(bits, edges):
@@ -138,71 +55,25 @@ def contained_edges_batch(bits, edges):
     edges = np.ascontiguousarray(edges, dtype=np.int64)
     if bits.shape[0] == 0 or edges.shape[0] == 0:
         return np.zeros(bits.shape[0], dtype=np.int64)
-    if USING_NUMBA:
-        return _contained_edges_batch_jit(bits, edges)
-    return contained_edges_batch_ref(bits, edges)
+    return bits[:, edges].all(axis=2).sum(axis=1).astype(np.int64)
 
 
 # --------------------------------------------------------------------------
 # COO sparse matrix-vector product.
 
 
-def coo_matvec_ref(rows, cols, vals, x, nrows):
-    if len(rows) == 0:
-        return np.zeros(nrows, dtype=np.float64)
-    return np.bincount(rows, weights=vals * x[cols], minlength=nrows)
-
-
-@njit(cache=True)
-def _coo_matvec_jit(rows, cols, vals, x, nrows):  # pragma: no cover - numba path
-    out = np.zeros(nrows, dtype=np.float64)
-    for i in range(rows.shape[0]):
-        out[rows[i]] += vals[i] * x[cols[i]]
-    return out
-
-
 def coo_matvec(rows, cols, vals, x, nrows):
     """y = A @ x for A given by aligned (rows, cols, vals) entry arrays."""
     x = np.ascontiguousarray(x, dtype=np.float64)
-    if USING_NUMBA:
-        return _coo_matvec_jit(rows, cols, vals.astype(np.float64), x, nrows)
-    return coo_matvec_ref(rows, cols, vals.astype(np.float64), x, nrows)
+    if len(rows) == 0:
+        return np.zeros(nrows, dtype=np.float64)
+    return np.bincount(rows, weights=vals.astype(np.float64) * x[cols], minlength=nrows)
 
 
 # --------------------------------------------------------------------------
 # In-place Walsh-Hadamard transform on int64 (exact).
 #
 # Computes out[x] = sum_m a[m] * (-1)^popcount(m & x) for all x.
-
-
-def wht_inplace_ref(a):
-    n = a.shape[0]
-    h = 1
-    while h < n:
-        b = a.reshape(-1, 2 * h)
-        lo = b[:, :h].copy()
-        hi = b[:, h:].copy()
-        b[:, :h] = lo + hi
-        b[:, h:] = lo - hi
-        h *= 2
-    return a
-
-
-@njit(cache=True)
-def _wht_inplace_jit(a):  # pragma: no cover - numba path
-    n = a.shape[0]
-    h = 1
-    while h < n:
-        i = 0
-        while i < n:
-            for j in range(i, i + h):
-                lo = a[j]
-                hi = a[j + h]
-                a[j] = lo + hi
-                a[j + h] = lo - hi
-            i += 2 * h
-        h *= 2
-    return a
 
 
 def wht_inplace(a):
@@ -212,6 +83,12 @@ def wht_inplace(a):
     n = a.shape[0]
     if n & (n - 1):
         raise ValueError("length must be a power of two")
-    if USING_NUMBA:
-        return _wht_inplace_jit(a)
-    return wht_inplace_ref(a)
+    h = 1
+    while h < n:
+        b = a.reshape(-1, 2 * h)
+        lo = b[:, :h].copy()
+        hi = b[:, h:].copy()
+        b[:, :h] = lo + hi
+        b[:, h:] = lo - hi
+        h *= 2
+    return a

@@ -11,6 +11,7 @@ exceeded, 4 verification failure.
 """
 
 import argparse
+import csv
 import json
 import sys
 from dataclasses import dataclass
@@ -74,11 +75,10 @@ def _jsonable(value):
 
 def _emit(command, fieldnames, rows, args, stream):
     if args["format"] == "csv":
-        lines = [",".join(fieldnames)]
-        for row in rows:
-            lines.append(",".join(_fmt(row[f]) for f in fieldnames))
-        lines.append(f"# seed={args['seed']} version={__version__}")
-        stream.write("\n".join(lines) + "\n")
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(fieldnames)
+        writer.writerows([_fmt(row[f]) for f in fieldnames] for row in rows)
+        stream.write(f"# seed={args['seed']} version={__version__}\n")
     else:
         doc = {
             "command": command,

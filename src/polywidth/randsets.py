@@ -15,6 +15,7 @@ import numpy as np
 
 from . import _kernels, mc
 from .aps import ApParams, ap_hypergraph
+from .errors import BudgetExceededError
 
 __all__ = [
     "RandomSetParams",
@@ -285,10 +286,15 @@ def random_intersectivity_experiment(
 
     D is drawn either as the p-random subset of the nonzero residues or as
     k_draws uniform samples with replacement (exactly one model must be
-    given).  Each trial runs the exact intersectivity check.
+    given).  Each trial runs the exact intersectivity check, so N above
+    ``EXACT_SUBSET_LIMIT`` raises BudgetExceededError.
     """
     if (p is None) == (k_draws is None):
         raise ValueError("give exactly one of p or k_draws")
+    if N > EXACT_SUBSET_LIMIT:
+        raise BudgetExceededError(
+            f"N = {N} exceeds the exact intersectivity limit {EXACT_SUBSET_LIMIT}"
+        )
     nonzero = np.arange(1, N, dtype=np.int64)
 
     def value_fn(gen, count):

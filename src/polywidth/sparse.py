@@ -61,19 +61,6 @@ class SparseMatrix:
     def transposed(self) -> "SparseMatrix":
         return SparseMatrix.from_entries(self.dim, self.cols, self.rows, self.vals)
 
-    def add(self, other: "SparseMatrix") -> "SparseMatrix":
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        return SparseMatrix.from_entries(
-            self.dim,
-            np.concatenate([self.rows, other.rows]),
-            np.concatenate([self.cols, other.cols]),
-            np.concatenate([self.vals, other.vals]),
-        )
-
-    def __add__(self, other):
-        return self.add(other)
-
     def is_symmetric(self) -> bool:
         t = self.transposed()
         return (

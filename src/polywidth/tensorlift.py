@@ -20,6 +20,28 @@ bounds its spectral norm.
 
 Maps f are encoded as ranks in [0, n^m), little-endian base n: digit i of
 the rank is f(i).
+
+Complements are generated, never tested.  g complements f when exactly one
+r-set I of positions (the witness) has f(I) | g(I) equal to a family edge
+and g agrees with f outside I.  For each r-set P on which f is injective
+and each family edge S containing f(P), the candidates write the r
+vertices of S - f(P), in every order, onto the positions P.  Such a g is a
+complement with witness P and no other:
+
+* f(P) | g(P) = S by construction, and g = f outside P.
+* Let P' be another r-set, so |P' & P| < r.  Outside P, g agrees with
+  f, so f(P') | g(P') lies in f(P') | g(P' & P), and
+  |f(P') | g(P')| <= r + |P' & P| < 2r.  Then f(P') | g(P') is not a
+  family edge, and P is the only witness.
+* Every complement arises this way.  If I is its witness, then
+  f(I) | g(I) has 2r vertices from two images of size at most r.  So
+  f(I) is an r-subset of that edge and g(I) is the other half.
+* No g arises twice.  Each g(i) with i in P lies in S - f(P), so
+  g(i) != f(i).  The positions where g differs from f are therefore
+  exactly P, and they fix the edge S = f(P) | g(P).
+
+``tests/oracles.complements_direct`` checks the definition directly,
+against every map.
 """
 
 import itertools
@@ -162,18 +184,8 @@ def _matching_r(matching: Hypergraph) -> int:
     return size // 2
 
 
-def _cover_witness_count(f, g, edge_sets, r: int) -> int:
-    m = len(f)
-    count = 0
-    for positions in itertools.combinations(range(m), r):
-        union = {f[i] for i in positions} | {g[i] for i in positions}
-        if len(union) == 2 * r and frozenset(union) in edge_sets:
-            count += 1
-    return count
-
-
 def _complement_candidates(f, matching: Hypergraph, r: int):
-    """Candidate complements of f with the covered edge index, pre-uniqueness."""
+    """Complements of f, each mapped to the index of the edge it covers."""
     m = len(f)
     out = {}
     for positions in itertools.combinations(range(m), r):
@@ -196,12 +208,7 @@ def _complement_candidates(f, matching: Hypergraph, r: int):
 def complements(f, matching: Hypergraph):
     """All maps complementing f with respect to the matching, sorted."""
     r = _matching_r(matching)
-    edge_sets = {frozenset(e) for e in matching.edges}
-    out = []
-    for g in sorted(_complement_candidates(tuple(f), matching, r)):
-        if _cover_witness_count(f, g, edge_sets, r) == 1:
-            out.append(g)
-    return out
+    return sorted(_complement_candidates(tuple(f), matching, r))
 
 
 def _good_ranks(params: LiftParams, matching: Hypergraph, block: int = 1 << 15):
@@ -236,13 +243,10 @@ def enumerate_pairs(params: LiftParams, matching: Hypergraph):
     r = _matching_r(matching)
     if r != params.r:
         raise ValueError("matching edge size differs from 2r")
-    edge_sets = {frozenset(e) for e in matching.edges}
     f_ranks, g_ranks, covers = [], [], []
     for f_rank in _good_ranks(params, matching):
         f = map_digits(int(f_rank), params.m, params.n)
         for g, s_idx in sorted(_complement_candidates(f, matching, r).items()):
-            if _cover_witness_count(f, g, edge_sets, r) != 1:
-                continue
             f_ranks.append(int(f_rank))
             g_ranks.append(map_rank(g, params.n))
             covers.append(s_idx)
@@ -293,7 +297,8 @@ def build_matrix_lift(h: Hypergraph, params: LiftParams) -> LiftResult:
 
     coloring = greedy_edge_coloring(h)
     classes = color_classes(h, coloring)
-    rows, cols = [], []
+    empty = np.zeros(0, dtype=np.int64)
+    rows, cols = [empty], [empty]
     cover_counts, pair_sizes, matching_sizes = [], [], []
     for class_edges in classes:
         family = complete_to_maximal_matching(Hypergraph(h.n, class_edges), params.r)
@@ -318,12 +323,8 @@ def build_matrix_lift(h: Hypergraph, params: LiftParams) -> LiftResult:
         cover_count = len(f_ranks) // family.num_edges
         pair_sizes, matching_sizes = [len(f_ranks)], [family.num_edges]
 
-    b = SparseMatrix.from_entries(
-        dim,
-        np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64),
-        np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64),
-    )
-    a = b + b.transposed()
+    # A = B + B^T in one pass: every pair (f, g) enters as (f, g) and (g, f).
+    a = SparseMatrix.from_entries(dim, np.concatenate(rows + cols), np.concatenate(cols + rows))
     max_row_sum = int(a.row_value_sums().max()) if a.nnz else 0
     report = LiftReport(
         n=params.n,
@@ -370,8 +371,7 @@ def check_lift_identity(a: SparseMatrix, cover_count: int, h: Hypergraph, params
         masks = _parity_masks(a.rows, params.m, params.n) ^ _parity_masks(
             a.cols, params.m, params.n
         )
-        coeffs = np.bincount(masks, weights=a.vals.astype(np.float64), minlength=size)
-        coeffs = np.rint(coeffs).astype(np.int64)
+        np.add.at(coeffs, masks, a.vals)
     lhs = _kernels.wht_inplace(coeffs)
 
     pcoeffs = np.zeros(size, dtype=np.int64)

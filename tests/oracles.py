@@ -55,6 +55,21 @@ def quadratic_form_direct(a, y):
     return int(sum(int(v) * int(y[r]) * int(y[c]) for r, c, v in zip(a.rows, a.cols, a.vals)))
 
 
+def phi_direct(f, edges, r):
+    """Sum over edges of the r-sets of positions that f maps injectively into the edge."""
+    total = 0
+    for e in edges:
+        for I in itertools.combinations(range(len(f)), r):
+            image = {f[i] for i in I}
+            total += len(image) == r and image <= set(e)
+    return total
+
+
+def contained_edges_direct(bits, edges):
+    """Number of edges whose vertices all carry a 1 in ``bits``."""
+    return sum(1 for e in edges if all(bits[v] for v in e))
+
+
 def complements_direct(f, matching_edges, n):
     """All g satisfying the complement definition, by testing every map."""
     m = len(f)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special as scipy_special
 from scipy import stats as scipy_stats
 
 from polywidth import birthday as bd
@@ -116,6 +117,15 @@ def test_poisson_sum_chisquare_passes():
     rep = bd.poisson_sum_chisquare(1.3, 0.7, samples=100000, seed=4)
     assert rep.passed
     assert rep.p_value >= 1e-3
+
+
+def test_chi_square_survival_matches_scipy_stats():
+    # poisson_sum_chisquare uses scipy.special.chdtrc in place of scipy.stats
+    stat = np.linspace(0.0, 600.0, 61)
+    for dof in range(1, 400, 7):
+        assert np.array_equal(
+            scipy_special.chdtrc(dof, stat), scipy_stats.chi2.sf(stat, dof)
+        ), dof
 
 
 def test_poisson_sum_chisquare_detects_mismatch():

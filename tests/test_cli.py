@@ -1,9 +1,14 @@
+import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import polywidth
 from polywidth import tensorlift
-from polywidth.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_VERIFY, main
+from polywidth.cli import COMMANDS, EXIT_BUDGET, EXIT_INVALID, EXIT_VERIFY, main
 from polywidth.hypergraph import Hypergraph, save_hypergraph
 
 
@@ -187,3 +192,52 @@ def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
     assert main(["birthday", "--help"]) == 0
+
+
+def test_intersective_random_model_beyond_exact_limit(capsys):
+    code, _ = run_cli(
+        capsys, "intersective", "--N", "30", "--ell", "1", "--alpha", "0.5",
+        "--p", "0.3", "--trials", "2",
+    )
+    assert code == EXIT_BUDGET
+
+
+CSV_RUNS = [
+    ("gw-estimate", "--n", "4", "--samples", "50"),
+    ("matrix-verify", "--n", "4", "--m", "2", "--r", "1"),
+    ("birthday", "--r", "1", "--n", "20", "--samples", "200"),
+    ("poisson-check", "--r", "1", "--n", "20", "--samples", "2000"),
+    ("tj-ratio", "--N", "8", "--k", "2", "--samples", "3"),
+    ("ap-count", "--N", "5", "--k", "3"),
+    ("ap-structure", "--N", "7", "--k", "3", "--trials", "5"),
+    ("upper-tail", "--N", "7", "--k", "3", "--p", "0.5", "--delta", "1", "--samples", "200"),
+    ("intersective", "--N", "7", "--ell", "1", "--alpha", "0.5", "--diffs", "1,2"),
+    ("intersective", "--N", "7", "--ell", "1", "--alpha", "0.5", "--p", "0.3", "--trials", "5"),
+    ("bound-eval", "--n", "16", "--k", "4", "--d", "2", "--t", "1"),
+]
+
+
+def test_csv_runs_cover_every_subcommand():
+    assert {argv[0] for argv in CSV_RUNS} == set(COMMANDS)
+
+
+@pytest.mark.parametrize("argv", CSV_RUNS, ids=" ".join)
+def test_csv_rows_match_header_width(capsys, tmp_path, argv):
+    path = tmp_path / "report.csv"
+    code, _ = run_cli(capsys, *argv, "--output", str(path))
+    assert code == 0
+    with open(path, newline="") as fh:
+        lines = [line for line in fh if not line.startswith("#")]
+    header, *rows = list(csv.reader(lines))
+    assert rows
+    assert all(len(row) == len(header) for row in rows)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = os.path.dirname(os.path.dirname(polywidth.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, polywidth.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"

@@ -189,6 +189,18 @@ def test_perturbed_matrix_fails_with_witness():
     )
 
 
+def test_identity_check_is_exact_above_float_precision():
+    # A = V * (E_01 + E_10) on maps [1] -> [2] equals the lift of one edge with
+    # cover count V; 2V = 2^54 + 2 has no float64 representation.
+    h = Hypergraph(2, [(0, 1)])
+    big = 2**53 + 1
+    a = SparseMatrix.from_entries(2, [0, 1], [1, 0], [big, big])
+    params = tl.LiftParams(n=2, m=1, r=1)
+    assert tl.check_lift_identity(a, big, h, params) == (True, None)
+    ok, _ = tl.check_lift_identity(a, big - 1, h, params)
+    assert not ok
+
+
 def test_verify_single_edge_instances():
     # single 2r-edge hypergraphs across several parameterizations
     for r, n, m in [(1, 2, 1), (1, 3, 2), (1, 4, 3), (2, 4, 2), (2, 5, 3), (2, 6, 2)]:
