@@ -243,7 +243,8 @@ def poisson_sum_chisquare(
 ) -> ChiSquareReport:
     """Goodness-of-fit of sampled Y_a + Y_b against a single Poisson(mu_a+mu_b).
 
-    Bins with expected count below ``min_expected`` are lumped into the tail.
+    Bins with expected count below ``min_expected`` are lumped into the tail;
+    a sample count so small that fewer than two bins remain raises ValueError.
     """
     gen = mc.stream(seed, 0)
     draws = sample_poisson(gen, mu_a, samples) + sample_poisson(gen, mu_b, samples)
@@ -253,6 +254,10 @@ def poisson_sum_chisquare(
     cut = len(expected)
     while cut > 1 and expected[cut - 1 :].sum() < min_expected:
         cut -= 1
+    if cut < 2:
+        raise ValueError(
+            f"{samples} samples leave a single chi-square bin (0 degrees of freedom)"
+        )
     exp_binned = np.concatenate([expected[: cut - 1], [expected[cut - 1 :].sum()]])
     exp_binned[-1] += samples - expected.sum()  # truncated pmf mass
     obs = np.bincount(np.minimum(draws, cut - 1), minlength=cut).astype(np.float64)

@@ -319,13 +319,12 @@ def _run_intersective(args):
     fields = ["N", "ell", "alpha", "model", "param", "trials", "prob"]
     if args["diffs"] is not None:
         diffs = [int(tok) for tok in args["diffs"].split(",") if tok.strip() != ""]
-        res = randsets.intersectivity_check(n, ell, alpha, diffs, seed=args["seed"])
-        label = "exact" if res.exact else "heuristic (no witness found)"
+        res = randsets.intersectivity_check(n, ell, alpha, diffs)
         if res.intersective:
-            pre = [f"intersective: true [{label}]"]
+            pre = ["intersective: true [exact]"]
         else:
             witness = "".join(map(str, res.witness))
-            pre = [f"intersective: false [{label}], witness={witness}"]
+            pre = [f"intersective: false [exact], witness={witness}"]
         row = {
             "N": n,
             "ell": ell,

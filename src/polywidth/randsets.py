@@ -1,12 +1,16 @@
 """Random subsets of Z/NZ: AP-count statistics, upper-tail Monte Carlo, and
-intersectivity checking at desk scale.
+exact intersectivity checking.
 
 Upper-tail estimation is plain (unweighted) Monte Carlo; runs with zero
 observed hits report the rule-of-three 3/samples upper confidence bound
 instead of a point estimate.
+
+Intersectivity is decided exactly for N <= 63 by a pruned depth-first search
+for a progression-free witness.  The search may visit at most
+``SEARCH_NODE_BUDGET`` nodes; beyond that it raises BudgetExceededError
+rather than answer with a weaker method.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -30,7 +34,7 @@ __all__ = [
     "random_intersectivity_experiment",
 ]
 
-EXACT_SUBSET_LIMIT = 24
+SEARCH_NODE_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -138,7 +142,7 @@ class IntersectivityResult:
     exact: bool
 
 
-def _ap_masks(N: int, ell: int, diffs) -> np.ndarray:
+def _ap_masks(N: int, ell: int, diffs) -> list[int]:
     """Bitmasks of the proper (ell+1)-term progressions with difference in diffs."""
     masks = set()
     for d in diffs:
@@ -153,7 +157,7 @@ def _ap_masks(N: int, ell: int, diffs) -> np.ndarray:
             for v in terms:
                 mask |= 1 << v
             masks.add(mask)
-    return np.array(sorted(masks), dtype=np.int64)
+    return sorted(masks)
 
 
 def _required_size(N: int, alpha: float) -> int:
@@ -161,96 +165,61 @@ def _required_size(N: int, alpha: float) -> int:
     return min(N, max(0, math.ceil(alpha * N - 1e-9)))
 
 
-def _witness_vector(N: int, members) -> np.ndarray:
-    out = np.zeros(N, dtype=np.uint8)
-    out[list(members)] = 1
-    return out
-
-
-def _exact_witness_search(N, q, ap_masks, batch=4096):
-    """First q-subset (in lexicographic order) containing no progression.
+def _first_witness(N: int, q: int, ap_masks) -> int | None:
+    """Bitmask of the lexicographically first q-subset of {0, ..., N-1}
+    containing no progression in ``ap_masks``, or None if there is none.
 
     Only subsets of the minimum admissible size q need checking: supersets
-    contain every progression their subsets do.
+    contain every progression their subsets do.  The search is an
+    include-first depth-first search over the vertices in increasing order,
+    so the first q-subset it completes is the lexicographically first one.
+    Vertex v joins only if no progression whose largest vertex is v then lies
+    inside the set, and a branch is cut when the vertices left cannot reach
+    q.  Every visited branch costs one node of ``SEARCH_NODE_BUDGET``.
     """
-    combos = []
-    masks = []
-    for combo in itertools.combinations(range(N), q):
-        m = 0
-        for v in combo:
-            m |= 1 << v
-        combos.append(combo)
-        masks.append(m)
-        if len(masks) == batch:
-            hit = _first_progression_free(np.array(masks, dtype=np.int64), ap_masks)
-            if hit >= 0:
-                return combos[hit]
-            combos, masks = [], []
-    if masks:
-        hit = _first_progression_free(np.array(masks, dtype=np.int64), ap_masks)
-        if hit >= 0:
-            return combos[hit]
-    return None
-
-
-def _first_progression_free(subset_masks, ap_masks):
-    if len(ap_masks) == 0:
-        return 0 if len(subset_masks) else -1
-    contains = ((~subset_masks[:, None]) & ap_masks[None, :]) == 0
-    free = ~contains.any(axis=1)
-    idx = np.argmax(free)
-    return int(idx) if free[idx] else -1
-
-
-def _anneal_witness_search(N, q, ap_masks, gen, iters=20000, restarts=4):
-    """Simulated-annealing search for a progression-free q-subset."""
     if q == 0:
-        return ()
-    for _ in range(restarts):
-        members = list(gen.choice(N, size=q, replace=False))
-        outside = [v for v in range(N) if v not in set(members)]
-        mask = 0
-        for v in members:
-            mask |= 1 << v
+        return 0
+    ending = [[] for _ in range(N)]
+    for m in ap_masks:
+        ending[m.bit_length() - 1].append(m)
+    nodes = 0
 
-        def energy(m):
-            return int((((~m) & ap_masks) == 0).sum()) if len(ap_masks) else 0
-
-        cur = energy(mask)
-        temp = max(1.0, cur / 2.0)
-        for it in range(iters):
-            if cur == 0:
-                return tuple(members)
-            if not outside:
+    def extend(v, mask, size):
+        nonlocal nodes
+        if size == q:
+            return mask
+        if N - v < q - size:
+            return None
+        nodes += 1
+        if nodes > SEARCH_NODE_BUDGET:
+            raise BudgetExceededError(
+                f"intersectivity search exceeded {SEARCH_NODE_BUDGET} nodes"
+            )
+        grown = mask | (1 << v)
+        for m in ending[v]:
+            if grown & m == m:
                 break
-            i = int(gen.integers(len(members)))
-            j = int(gen.integers(len(outside)))
-            new_mask = (mask & ~(1 << members[i])) | (1 << outside[j])
-            new = energy(new_mask)
-            if new <= cur or gen.random() < math.exp((cur - new) / max(temp, 1e-9)):
-                members[i], outside[j] = outside[j], members[i]
-                mask, cur = new_mask, new
-            temp *= 0.9995
-        if cur == 0:
-            return tuple(members)
-    return None
+        else:
+            found = extend(v + 1, grown, size + 1)
+            if found is not None:
+                return found
+        return extend(v + 1, mask, size)
+
+    # The progressions are invariant under translation, so if S is a witness
+    # then so is S - min S: it contains 0 and is lexicographically no larger.
+    # The first witness therefore contains 0, and if no witness contains 0,
+    # none exists.
+    return extend(1, 1, 1)
 
 
-def intersectivity_check(
-    N: int,
-    ell: int,
-    alpha: float,
-    diffs,
-    exact_limit: int = EXACT_SUBSET_LIMIT,
-    seed: int = 0,
-    anneal_iters: int = 20000,
-) -> IntersectivityResult:
+def intersectivity_check(N: int, ell: int, alpha: float, diffs) -> IntersectivityResult:
     """Does every subset of density alpha contain a proper (ell+1)-term
     progression with common difference in ``diffs``?
 
-    Exact (exhaustive over minimum-size subsets) for N <= exact_limit;
-    beyond that a simulated-annealing witness search runs and a True answer
-    only means "no witness found".
+    The answer is exact: a pruned depth-first search looks for the
+    lexicographically first progression-free subset of size ceil(alpha N),
+    returned as the witness.  A search that would visit more than
+    ``SEARCH_NODE_BUDGET`` nodes raises BudgetExceededError.
     """
     if not 1 <= N <= 63:
         raise ValueError("N must lie in [1, 63] (bitmask representation)")
@@ -258,18 +227,11 @@ def intersectivity_check(
         raise ValueError("ell must be positive")
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    q = _required_size(N, alpha)
-    ap_masks = _ap_masks(N, ell, diffs)
-    if N <= exact_limit:
-        witness = _exact_witness_search(N, q, ap_masks)
-        if witness is None:
-            return IntersectivityResult(True, None, True)
-        return IntersectivityResult(False, _witness_vector(N, witness), True)
-    gen = mc.stream(seed, 0)
-    witness = _anneal_witness_search(N, q, ap_masks, gen, iters=anneal_iters)
-    if witness is None:
-        return IntersectivityResult(True, None, False)
-    return IntersectivityResult(False, _witness_vector(N, witness), False)
+    found = _first_witness(N, _required_size(N, alpha), _ap_masks(N, ell, diffs))
+    if found is None:
+        return IntersectivityResult(True, None, True)
+    witness = np.array([(found >> v) & 1 for v in range(N)], dtype=np.uint8)
+    return IntersectivityResult(False, witness, True)
 
 
 def random_intersectivity_experiment(
@@ -286,15 +248,11 @@ def random_intersectivity_experiment(
 
     D is drawn either as the p-random subset of the nonzero residues or as
     k_draws uniform samples with replacement (exactly one model must be
-    given).  Each trial runs the exact intersectivity check, so N above
-    ``EXACT_SUBSET_LIMIT`` raises BudgetExceededError.
+    given).  Each trial runs the exact intersectivity check, so a trial whose
+    search overruns ``SEARCH_NODE_BUDGET`` raises BudgetExceededError.
     """
     if (p is None) == (k_draws is None):
         raise ValueError("give exactly one of p or k_draws")
-    if N > EXACT_SUBSET_LIMIT:
-        raise BudgetExceededError(
-            f"N = {N} exceeds the exact intersectivity limit {EXACT_SUBSET_LIMIT}"
-        )
     nonzero = np.arange(1, N, dtype=np.int64)
 
     def value_fn(gen, count):

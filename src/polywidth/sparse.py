@@ -70,10 +70,16 @@ class SparseMatrix:
         )
 
     def row_value_sums(self) -> np.ndarray:
-        return np.bincount(self.rows, weights=self.vals, minlength=self.dim).astype(np.int64)
+        return self._value_sums(self.rows)
 
     def col_value_sums(self) -> np.ndarray:
-        return np.bincount(self.cols, weights=self.vals, minlength=self.dim).astype(np.int64)
+        return self._value_sums(self.cols)
+
+    def _value_sums(self, index) -> np.ndarray:
+        # int64 accumulation: float bincount weights round sums above 2^53
+        out = np.zeros(self.dim, dtype=np.int64)
+        np.add.at(out, index, self.vals)
+        return out
 
     def row_entry_counts(self) -> np.ndarray:
         return np.bincount(self.rows, minlength=self.dim).astype(np.int64)

@@ -149,6 +149,23 @@ def naive_intersective(N, ell, alpha, diffs):
     return True
 
 
+def first_witness_direct(N, ell, alpha, diffs):
+    """Lexicographically first ceil(alpha N)-subset containing no progression
+    (as a sorted tuple), or None: a plain scan of every subset of that size."""
+    q = min(N, max(0, math.ceil(alpha * N - 1e-9)))
+    aps = []
+    for d in diffs:
+        for x in range(N):
+            terms = {(x + t * d) % N for t in range(ell + 1)}
+            if len(terms) == ell + 1:
+                aps.append(terms)
+    for combo in itertools.combinations(range(N), q):
+        s = set(combo)
+        if not any(ap <= s for ap in aps):
+            return combo
+    return None
+
+
 def exact_intersective_probability(N, ell, alpha, p, check_fn):
     """Weighted truth of intersectivity over all 2^(N-1) difference subsets."""
     nonzero = list(range(1, N))

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import polywidth
-from polywidth import tensorlift
+from polywidth import randsets, tensorlift
 from polywidth.cli import COMMANDS, EXIT_BUDGET, EXIT_INVALID, EXIT_VERIFY, main
 from polywidth.hypergraph import Hypergraph, save_hypergraph
 
@@ -156,6 +156,17 @@ def test_poisson_check_runs(capsys):
     assert all(ln.endswith("true") for ln in lines[1:4])
 
 
+def test_poisson_check_rejects_single_bin_chi_square(capsys):
+    # 5 samples lump every Poisson bin into one: 0 degrees of freedom.
+    argv = ("poisson-check", "--r", "1", "--n", "10", "--samples")
+    code, _ = run_cli(capsys, *argv, "5")
+    assert code == EXIT_INVALID
+    code, out = run_cli(capsys, *argv, "6")
+    assert code == 0
+    row = next(ln for ln in out.splitlines() if ln.startswith("sum_chisquare,"))
+    assert row.split(",")[2] == "1"  # dof
+
+
 def test_tj_ratio_runs(capsys):
     code, out = run_cli(
         capsys, "tj-ratio", "--N", "32", "--k", "8", "--samples", "8", "--seed", "2"
@@ -194,10 +205,18 @@ def test_help_exits_cleanly(capsys):
     assert main(["birthday", "--help"]) == 0
 
 
-def test_intersective_random_model_beyond_exact_limit(capsys):
+def test_intersective_random_model_past_old_scan_limit(capsys):
     code, _ = run_cli(
         capsys, "intersective", "--N", "30", "--ell", "1", "--alpha", "0.5",
         "--p", "0.3", "--trials", "2",
+    )
+    assert code == 0
+
+
+def test_intersective_search_budget_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(randsets, "SEARCH_NODE_BUDGET", 100)
+    code, _ = run_cli(
+        capsys, "intersective", "--N", "31", "--ell", "1", "--alpha", "0.5", "--diffs", "1"
     )
     assert code == EXIT_BUDGET
 

@@ -162,6 +162,11 @@ def test_intersective_matches_naive_oracle():
         res = rs.intersectivity_check(N, ell, alpha, diffs)
         assert res.exact
         assert res.intersective == oracles.naive_intersective(N, ell, alpha, diffs)
+        first = oracles.first_witness_direct(N, ell, alpha, diffs)
+        if first is None:
+            assert res.witness is None
+        else:
+            assert tuple(np.flatnonzero(res.witness)) == first
         if res.witness is not None:
             support = {i for i, b in enumerate(res.witness) if b}
             assert len(support) == min(N, max(0, math.ceil(alpha * N - 1e-9)))
@@ -179,13 +184,15 @@ def _ap_sets(N, ell, diffs):
     return out
 
 
-def test_heuristic_mode_finds_witness():
-    res = rs.intersectivity_check(5, 2, 0.6, [1], exact_limit=3, seed=11)
-    assert not res.exact
-    assert not res.intersective
-    support = {i for i, b in enumerate(res.witness) if b}
-    for x in range(5):
-        assert not {x % 5, (x + 1) % 5, (x + 2) % 5} <= support
+def test_intersective_past_old_scan_limit():
+    # Closed forms on the cycle C_N (ell = 1, difference 1): the first
+    # independent 15-set of C_30 is the even residues, and C_31 has no
+    # independent 16-set.
+    res = rs.intersectivity_check(30, 1, 0.5, [1])
+    assert res.exact and not res.intersective
+    assert np.flatnonzero(res.witness).tolist() == list(range(0, 30, 2))
+    res = rs.intersectivity_check(31, 1, 0.5, [1])
+    assert res.exact and res.intersective and res.witness is None
 
 
 def test_random_experiment_p_one_like():

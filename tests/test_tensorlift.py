@@ -201,6 +201,13 @@ def test_identity_check_is_exact_above_float_precision():
     assert not ok
 
 
+def test_sparse_value_sums_are_exact_above_float_precision():
+    big = 2**53 + 1
+    a = SparseMatrix.from_entries(2, [0], [1], [big])
+    assert a.row_value_sums().tolist() == [big, 0]
+    assert a.col_value_sums().tolist() == [0, big]
+
+
 def test_verify_single_edge_instances():
     # single 2r-edge hypergraphs across several parameterizations
     for r, n, m in [(1, 2, 1), (1, 3, 2), (1, 4, 3), (2, 4, 2), (2, 5, 3), (2, 6, 2)]:
