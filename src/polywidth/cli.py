@@ -565,6 +565,7 @@ def run(argv=None) -> int:
     ns = parser.parse_args(argv)
     _, opts, runner = COMMANDS[ns.command]
     args = _merge_args(ns, opts)
+    _positive("threads", args["threads"])
     fieldnames, rows, code, pre_lines = runner(args)
     for line in pre_lines:
         print(line)

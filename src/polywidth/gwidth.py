@@ -3,9 +3,12 @@
 The Gaussian width of a point set is the expected supremum, over the set, of
 the inner product with a standard Gaussian vector.  Here the sets are either
 explicit point lists or images of the Boolean hypercube under a polynomial
-map whose coordinates are hypergraph polynomials; the inner supremum is
-computed exactly by exhaustive enumeration (hypercube dimension capped at
-24), never heuristically, and the outer expectation by seeded Monte Carlo.
+map whose coordinates are hypergraph polynomials.  The supremum depends only
+on the set of points, so either kind of domain is reduced once to its
+distinct points in lexicographic order (an image by exhaustive enumeration,
+hypercube dimension capped at 24); the inner supremum is then an exact
+maximum over those rows, never a heuristic, and the outer expectation is
+seeded Monte Carlo over the same rows.
 """
 
 import math
@@ -69,107 +72,86 @@ class PolyMap:
 
 
 def _edge_mask(edge, n: int) -> int:
-    # enumeration index i encodes x_j = (i >> (n-1-j)) & 1, so numeric order
-    # of indices is lexicographic order of the binary vectors
+    # enumeration index i encodes x_j = (i >> (n-1-j)) & 1
     mask = 0
     for v in edge:
         mask |= 1 << (n - 1 - v)
     return mask
 
 
-def _columns(pm: PolyMap, idx: np.ndarray) -> np.ndarray:
-    """Evaluate all components on the hypercube points with the given indices."""
-    out = np.zeros((len(idx), pm.k), dtype=np.float64)
+def _columns(pm: PolyMap) -> np.ndarray:
+    """The image of the hypercube, row i being psi of the point with index i.
+
+    Entries are big-endian unsigned integers of the narrowest width that
+    holds every component's edge count, so comparing rows as raw bytes
+    compares them lexicographically.
+    """
     n = pm.n
-    for c, h in enumerate(pm.components):
-        col = np.zeros(len(idx), dtype=np.int64)
-        for e in h.edges:
-            mask = _edge_mask(e, n)
-            col += (idx & mask) == mask
-        out[:, c] = col
+    dtype = np.min_scalar_type(max(h.num_edges for h in pm.components)).newbyteorder(">")
+    masks = [[_edge_mask(e, n) for e in h.edges] for h in pm.components]
+    total = 1 << n
+    step = 1 << min(_BLOCK_BITS, n)
+    out = np.empty((total, pm.k), dtype=dtype)
+    for start in range(0, total, step):
+        idx = np.arange(start, start + step, dtype=np.int64)
+        for c, component in enumerate(masks):
+            col = np.zeros(step, dtype=np.int64)
+            for mask in component:
+                col += (idx & mask) == mask
+            out[start : start + step, c] = col
     return out
 
 
-def _point_from_index(i: int, n: int) -> np.ndarray:
-    return np.array([(i >> (n - 1 - j)) & 1 for j in range(n)], dtype=np.uint8)
+def _points(domain) -> np.ndarray:
+    """The distinct points of the domain as rows, in lexicographic order.
 
-
-def _iter_blocks(domain, block_bits=_BLOCK_BITS):
-    """Yield (start_index, point matrix) blocks of the optimization domain."""
-    if isinstance(domain, PolyMap):
-        if domain.n > ENUM_BITS_LIMIT:
-            raise BudgetExceededError(
-                f"hypercube enumeration capped at n = {ENUM_BITS_LIMIT}"
-            )
-        total = 1 << domain.n
-        step = 1 << min(block_bits, domain.n)
-        for start in range(0, total, step):
-            idx = np.arange(start, min(start + step, total), dtype=np.int64)
-            yield start, _columns(domain, idx)
-    else:
+    The domain is a PolyMap (its image of {0,1}^n, by exhaustive
+    enumeration) or an explicit point array of shape (num_points, k).
+    """
+    if not isinstance(domain, PolyMap):
         pts = np.asarray(domain, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ValueError("explicit domain must be a nonempty 2d point array")
-        yield 0, pts
+        return np.unique(pts, axis=0)
+    if domain.n > ENUM_BITS_LIMIT:
+        raise BudgetExceededError(f"hypercube enumeration capped at n = {ENUM_BITS_LIMIT}")
+    image = _columns(domain)
+    rows = np.unique(image.view(np.dtype((np.void, image.strides[0]))).ravel())
+    return rows.view(image.dtype).reshape(-1, domain.k)
 
 
-def _domain_k(domain) -> int:
-    if isinstance(domain, PolyMap):
-        return domain.k
-    pts = np.asarray(domain, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ValueError("explicit domain must be a nonempty 2d point array")
-    return pts.shape[1]
+def _float_blocks(points):
+    """The rows of ``points`` in consecutive float64 blocks of 2^12 rows."""
+    step = 1 << _BLOCK_BITS
+    for start in range(0, len(points), step):
+        yield np.asarray(points[start : start + step], dtype=np.float64)
 
 
 def gw_exact_inner(domain, g):
-    """Exact sup over the domain of <psi(x), g>, with the maximizing point.
+    """Exact sup over the domain of <p, g>, with the maximizing point p.
 
-    Ties break to the lexicographically smallest point.  The domain is a
-    PolyMap (optimized over {0,1}^n by exhaustive enumeration) or an
-    explicit point array of shape (num_points, k).
+    The domain is a PolyMap, whose points are the images psi(x) of
+    x in {0,1}^n, or an explicit point array of shape (num_points, k).
+    Ties break to the lexicographically smallest point.
     """
+    points = _points(domain)
     g = np.asarray(g, dtype=np.float64)
-    is_map = isinstance(domain, PolyMap)
-    best_val = -math.inf
-    best_idx = -1
-    best_point = None
-    for start, block in _iter_blocks(domain):
-        scores = block @ g
-        # strict comparisons keep the first (lexicographically smallest) maximizer
-        local = int(np.argmax(scores))
-        if is_map:
-            if scores[local] > best_val:
-                best_val = float(scores[local])
-                best_idx = start + local
-        else:
-            ties = np.flatnonzero(scores == scores[local])
-            rows = block[ties]
-            order = np.lexsort(rows.T[::-1])
-            cand = rows[order[0]]
-            if scores[local] > best_val or (
-                scores[local] == best_val and tuple(cand) < tuple(best_point)
-            ):
-                best_val = float(scores[local])
-                best_point = cand
-    if is_map:
-        return best_val, _point_from_index(best_idx, domain.n)
-    return best_val, np.array(best_point, dtype=np.float64)
+    # on sorted distinct rows the first maximum is the smallest maximizer
+    scores = np.concatenate([block @ g for block in _float_blocks(points)])
+    best = int(np.argmax(scores))
+    return float(scores[best]), np.asarray(points[best], dtype=np.float64)
 
 
 def gw_estimate(domain, samples: int, seed: int, threads: int = 1) -> mc.McEstimate:
     """Monte-Carlo Gaussian width: average of the exact inner supremum over
     independent standard Gaussian directions."""
-    k = _domain_k(domain)
-    blocks = None
-    if not isinstance(domain, PolyMap):
-        blocks = [np.asarray(domain, dtype=np.float64)]
+    points = _points(domain)
+    k = points.shape[1]
 
     def value_fn(gen, count):
         g_mat = mc.normals(gen, (k, count))
         best = np.full(count, -np.inf)
-        iterator = blocks if blocks is not None else (b for _, b in _iter_blocks(domain))
-        for block in iterator:
+        for block in _float_blocks(points):
             np.maximum(best, (block @ g_mat).max(axis=0), out=best)
         return best
 

@@ -24,6 +24,17 @@ def eval_poly_direct(edges, x):
     return total
 
 
+def hypercube_image_direct(components, distinct=True):
+    """Image tuples (p_1(x), ..., p_k(x)) of every x in {0,1}^n, x in
+    lexicographic order; with ``distinct`` their sorted set instead."""
+    n = components[0].n
+    image = [
+        tuple(eval_poly_direct(h.edges, x) for h in components)
+        for x in itertools.product((0, 1), repeat=n)
+    ]
+    return sorted(set(image)) if distinct else image
+
+
 def proper_coloring_exists(edges, num_colors):
     """Exhaustive search for a proper edge coloring with num_colors colors."""
     m = len(edges)

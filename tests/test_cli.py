@@ -138,6 +138,16 @@ def test_invalid_value_names_field(capsys):
     assert "--r" in err
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_rejected(capsys, threads):
+    code = main(["bound-eval", "--n", "16", "--k", "4", "--d", "2", "--t", "1",
+                 "--threads", threads])
+    captured = capsys.readouterr()
+    assert code == EXIT_INVALID
+    assert captured.out == ""
+    assert "--threads" in captured.err
+
+
 def test_budget_exit_code(capsys):
     code, _ = run_cli(
         capsys, "matrix-verify", "--n", "10", "--m", "3", "--r", "1", "--budget", "10"

@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import oracles
 from polywidth import gwidth as gw
 from polywidth import mc
 from polywidth.errors import BudgetExceededError
@@ -18,12 +20,65 @@ def matching_map(n, k, seed):
     return gw.PolyMap(comps)
 
 
+def subsets_map(n, sizes):
+    """One component whose edges are all subsets of [n] with the given sizes,
+    next to the identity's first coordinate."""
+    edges = [e for size in sizes for e in itertools.combinations(range(n), size)]
+    return [Hypergraph(n, edges), Hypergraph(n, [(0,)])]
+
+
+@pytest.mark.parametrize(
+    "components",
+    [
+        gw.identity_map(5).components,
+        matching_map(8, 3, 4).components,
+        [Hypergraph(6, [(0, 1), (2, 3, 4)]), Hypergraph(6, ()), Hypergraph(6, [(5,)])],
+        subsets_map(12, (2, 3)),
+    ],
+    ids=["identity", "matchings", "edgeless-component", "uint16"],
+)
+def test_points_are_the_sorted_distinct_image(components):
+    points = gw._points(gw.PolyMap(components))
+    assert points.dtype.itemsize == (2 if len(components[0].edges) > 255 else 1)
+    assert [tuple(p) for p in points.tolist()] == oracles.hypercube_image_direct(components)
+
+
+def reference_estimate(seed, samples, k, statistic):
+    """Mean and standard error of ``statistic(g)`` over the k-dimensional
+    Gaussian columns of the same chunked streams gw_estimate draws from."""
+    values = []
+    for i, count in enumerate(mc.chunk_counts(samples, 1024)):
+        g_mat = mc.normals(mc.stream(seed, i), (k, count))
+        values.extend(statistic(g) for g in g_mat.T)
+    values = np.array(values)
+    return values.mean(), values.std(ddof=1) / math.sqrt(samples)
+
+
+def test_gw_estimate_identity_matches_closed_form():
+    n, samples, seed = 6, 2500, 8
+    mean, se = reference_estimate(seed, samples, n, lambda g: np.maximum(g, 0.0).sum())
+    est = gw.gw_estimate(gw.identity_map(n), samples, seed)
+    assert est.mean == pytest.approx(mean, rel=1e-12)
+    assert est.std_error == pytest.approx(se, rel=1e-12)
+
+
+def test_gw_estimate_matches_full_image_maximum():
+    pm = matching_map(8, 3, 4)
+    image = np.array(oracles.hypercube_image_direct(pm.components, distinct=False), float)
+    assert len(image) == 256
+    samples, seed = 2500, 12
+    mean, se = reference_estimate(seed, samples, 3, lambda g: (image @ g).max())
+    est = gw.gw_estimate(pm, samples, seed)
+    assert est.mean == pytest.approx(mean, rel=1e-12)
+    assert est.std_error == pytest.approx(se, rel=1e-12)
+
+
 def test_exact_inner_zero_map():
     pm = gw.PolyMap([Hypergraph(3, ())])
     for g in ([1.0], [-2.5], [0.0]):
         value, point = gw.gw_exact_inner(pm, g)
         assert value == 0.0
-        assert point.tolist() == [0, 0, 0]
+        assert point.tolist() == [0.0]
 
 
 def test_exact_inner_identity_map_is_separable():
@@ -40,7 +95,7 @@ def test_exact_inner_negative_weight_prefers_empty():
     pm = gw.PolyMap([Hypergraph(2, [(0, 1)])])
     value, point = gw.gw_exact_inner(pm, [-1.0])
     assert value == 0.0
-    assert point.tolist() == [0, 0]  # lexicographically smallest maximizer
+    assert point.tolist() == [0.0]  # the image point psi(0, 0)
 
 
 def test_exact_inner_explicit_list_ties_break_lexicographically():
