@@ -2,9 +2,10 @@
 """Benchmark the hot numpy kernels.
 
 Runs each kernel on a realistic workload and prints the best per-call time.
-Invoke from the repo root:
+Invoke from the repo root (``src`` must be importable unless the package
+is installed):
 
-    python3 benchmarks/bench_kernels.py [--repeats 5]
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeats 5]
 """
 
 import argparse

@@ -116,8 +116,11 @@ def _points(domain) -> np.ndarray:
     if domain.n > ENUM_BITS_LIMIT:
         raise BudgetExceededError(f"hypercube enumeration capped at n = {ENUM_BITS_LIMIT}")
     image = _columns(domain)
-    rows = np.unique(image.view(np.dtype((np.void, image.strides[0]))).ravel())
-    return rows.view(image.dtype).reshape(-1, domain.k)
+    rows = image.view(np.dtype((np.void, image.strides[0]))).ravel()
+    rows.sort()  # in place: byte order is lexicographic order
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = rows[1:] != rows[:-1]
+    return rows[first].view(image.dtype).reshape(-1, domain.k)
 
 
 def _float_blocks(points):

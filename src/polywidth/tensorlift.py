@@ -19,7 +19,9 @@ column of A carries at most 2 * max_degree(H) * s^2 * r! entries, which
 bounds its spectral norm.
 
 Maps f are encoded as ranks in [0, n^m), little-endian base n: digit i of
-the rank is f(i).
+the rank is f(i).  The lift works on arrays of ranks only: each block of
+ranks is decoded to digit rows once, scored for goodness by the phi
+kernel, and the complements of its good rows are generated as ranks.
 
 Complements are generated, never tested.  g complements f when exactly one
 r-set I of positions (the witness) has f(I) | g(I) equal to a family edge
@@ -39,6 +41,12 @@ complement with witness P and no other:
 * No g arises twice.  Each g(i) with i in P lies in S - f(P), so
   g(i) != f(i).  The positions where g differs from f are therefore
   exactly P, and they fix the edge S = f(P) | g(P).
+
+So complements come from rank arithmetic alone.  For each r-set P, the
+rows whose f(P) is r distinct vertices of one family edge S are found with
+a vertex -> edge lookup, and for each order pi of S - f(P)
+
+    rank(g) = rank(f) - sum_{i in P} f(i) * n^i + sum_{i in P} pi_i * n^i.
 
 ``tests/oracles.complements_direct`` checks the definition directly,
 against every map.
@@ -65,11 +73,6 @@ __all__ = [
     "LiftResult",
     "LiftVerification",
     "default_goodness_bound",
-    "map_rank",
-    "map_digits",
-    "half_cover_count",
-    "goodness_score",
-    "is_good",
     "complements",
     "enumerate_pairs",
     "build_pair_set",
@@ -81,6 +84,8 @@ __all__ = [
 DEFAULT_BUDGET = 10**6
 
 SIGN_ENUM_LIMIT = 16  # exhaustive sign-vector checks enumerate 2^n points
+
+_BLOCK = 1 << 15  # maps scored per phi_batch call
 
 
 def default_goodness_bound(r: int) -> int:
@@ -126,55 +131,6 @@ class LiftParams:
             )
 
 
-def map_rank(digits, n: int) -> int:
-    """Rank of a map given its digit sequence (digit i = f(i)), base n."""
-    rank = 0
-    for d in reversed(digits):
-        if not 0 <= d < n:
-            raise ValueError(f"digit {d} outside [0, {n})")
-        rank = rank * n + d
-    return rank
-
-
-def map_digits(rank: int, m: int, n: int):
-    """Inverse of map_rank."""
-    if not 0 <= rank < n**m:
-        raise ValueError(f"rank {rank} outside [0, {n}^{m})")
-    out = []
-    for _ in range(m):
-        rank, d = divmod(rank, n)
-        out.append(d)
-    return tuple(out)
-
-
-def half_cover_count(f, edge, r: int) -> int:
-    """Number of r-subsets I of positions with f(I) an r-subset of ``edge``.
-
-    Equals the elementary symmetric polynomial of degree r in the per-vertex
-    occurrence counts of f on the edge.
-    """
-    if len(edge) != 2 * r:
-        raise ValueError(f"edge must have exactly {2 * r} vertices")
-    counts = [sum(1 for v in f if v == u) for u in edge]
-    e = [1] + [0] * r
-    for c in counts:
-        for j in range(r, 0, -1):
-            e[j] += e[j - 1] * c
-    return e[r]
-
-
-def goodness_score(f, matching: Hypergraph) -> int:
-    """Sum of half-cover counts of f over the matching edges."""
-    r = _matching_r(matching)
-    return sum(half_cover_count(f, edge, r) for edge in matching.edges)
-
-
-def is_good(f, matching: Hypergraph, bound: int) -> bool:
-    """1 <= goodness_score <= bound."""
-    score = goodness_score(f, matching)
-    return 1 <= score <= bound
-
-
 def _matching_r(matching: Hypergraph) -> int:
     if not matching.edges:
         raise ValueError("matching has no edges")
@@ -184,58 +140,63 @@ def _matching_r(matching: Hypergraph) -> int:
     return size // 2
 
 
-def _complement_candidates(f, matching: Hypergraph, r: int):
-    """Complements of f, each mapped to the index of the edge it covers."""
-    m = len(f)
-    out = {}
+def _digits(ranks, m: int, n: int) -> np.ndarray:
+    """The (len(ranks), m) array of map digits: column i holds f(i)."""
+    rem = np.asarray(ranks, dtype=np.int64)
+    digits = np.empty((m, len(rem)), dtype=np.int64)  # each divmod fills a contiguous row
+    for i in range(m):
+        rem, digits[i] = np.divmod(rem, n)
+    return digits.T
+
+
+def _complements(f_ranks, digits, edges, n: int, r: int):
+    """Aligned (f_ranks, g_ranks, covered edge index) arrays of every g
+    complementing a map of ``f_ranks`` (digit rows ``digits``) with respect
+    to the matching ``edges``, by the rank formula of the module docstring."""
+    m = digits.shape[1]
+    edge_of = np.full(n, -1, dtype=np.int64)  # vertex -> matching edge
+    edge_of[edges] = np.arange(len(edges), dtype=np.int64)[:, None]
+    powers = n ** np.arange(m, dtype=np.int64)
+    out = [(np.zeros(0, dtype=np.int64),) * 3]
     for positions in itertools.combinations(range(m), r):
-        image = {f[i] for i in positions}
-        if len(image) != r:
-            continue
-        for s_idx, edge in enumerate(matching.edges):
-            edge_set = set(edge)
-            if not image <= edge_set:
-                continue
-            rest = sorted(edge_set - image)
-            for perm in itertools.permutations(rest):
-                g = list(f)
-                for pos, val in zip(positions, perm):
-                    g[pos] = val
-                out[tuple(g)] = s_idx
-    return out
+        positions = list(positions)
+        image = digits[:, positions]  # f(P)
+        covered = edge_of[image[:, 0]]
+        keep = (covered >= 0) & (edge_of[image] == covered[:, None]).all(axis=1)
+        for a, b in itertools.combinations(range(r), 2):
+            keep &= image[:, a] != image[:, b]
+        rows = np.flatnonzero(keep)
+        image, covered = image[rows], covered[rows]
+        members = edges[covered]
+        rest = members[(members[:, :, None] != image[:, None, :]).all(axis=2)].reshape(-1, r)
+        f = f_ranks[rows]
+        base = f - image @ powers[positions]
+        for order in itertools.permutations(range(r)):
+            out.append((f, base + rest[:, order] @ powers[positions], covered))
+    return tuple(np.concatenate(column) for column in zip(*out))
 
 
 def complements(f, matching: Hypergraph):
     """All maps complementing f with respect to the matching, sorted."""
     r = _matching_r(matching)
-    return sorted(_complement_candidates(tuple(f), matching, r))
-
-
-def _good_ranks(params: LiftParams, matching: Hypergraph, block: int = 1 << 15):
-    """Ranks of maps with goodness score in [1, s], by kernel-filtered blocks."""
-    n, m = params.n, params.m
-    edges = np.array(matching.edges, dtype=np.int64)
-    total = params.num_maps
-    good = []
-    for start in range(0, total, block):
-        ranks = np.arange(start, min(start + block, total), dtype=np.int64)
-        digits = np.empty((len(ranks), m), dtype=np.int64)
-        rem = ranks.copy()
-        for j in range(m):
-            rem, digits[:, j] = np.divmod(rem, n)
-        scores = _kernels.phi_batch(digits, edges, n, params.r)
-        mask = (scores >= 1) & (scores <= params.s)
-        good.append(ranks[mask])
-    return np.concatenate(good) if good else np.zeros(0, dtype=np.int64)
+    n, m = matching.n, len(f)
+    digits = np.array(f, dtype=np.int64).reshape(1, m)
+    if ((digits < 0) | (digits >= n)).any():
+        raise ValueError(f"digits of {tuple(f)} outside [0, {n})")
+    if n**m > np.iinfo(np.int64).max:
+        raise ValueError(f"{n}^{m} maps overflow int64 ranks")
+    f_rank = digits @ n ** np.arange(m, dtype=np.int64)
+    _, g_ranks, _ = _complements(f_rank, digits, np.array(matching.edges, dtype=np.int64), n, r)
+    return sorted(map(tuple, _digits(g_ranks, m, n).tolist()))
 
 
 def enumerate_pairs(params: LiftParams, matching: Hypergraph):
     """All ordered pairs (f, g) with f good and g complementing f.
 
-    Returns aligned arrays (f_ranks, g_ranks, covered_edge_index).  The
-    enumeration iterates f over [n]^m (kernel-filtered for goodness) and
-    generates complements directly, so its cost is linear in n^m plus the
-    output size rather than quadratic pair testing.
+    Returns aligned arrays (f_ranks, g_ranks, covered_edge_index).  Maps
+    are scored for goodness by the phi kernel in blocks of ranks, and the
+    complements of each block's good maps are generated by rank
+    arithmetic, so the cost is linear in n^m plus the output size.
     """
     params.check_budget()
     if matching.n != params.n:
@@ -243,18 +204,16 @@ def enumerate_pairs(params: LiftParams, matching: Hypergraph):
     r = _matching_r(matching)
     if r != params.r:
         raise ValueError("matching edge size differs from 2r")
-    f_ranks, g_ranks, covers = [], [], []
-    for f_rank in _good_ranks(params, matching):
-        f = map_digits(int(f_rank), params.m, params.n)
-        for g, s_idx in sorted(_complement_candidates(f, matching, r).items()):
-            f_ranks.append(int(f_rank))
-            g_ranks.append(map_rank(g, params.n))
-            covers.append(s_idx)
-    return (
-        np.array(f_ranks, dtype=np.int64),
-        np.array(g_ranks, dtype=np.int64),
-        np.array(covers, dtype=np.int64),
-    )
+    n, m, total = params.n, params.m, params.num_maps
+    edges = np.array(matching.edges, dtype=np.int64)
+    pairs = []
+    for start in range(0, total, _BLOCK):
+        ranks = np.arange(start, min(start + _BLOCK, total), dtype=np.int64)
+        digits = _digits(ranks, m, n)
+        scores = _kernels.phi_batch(digits, edges, n, r)
+        good = (scores >= 1) & (scores <= params.s)
+        pairs.append(_complements(ranks[good], digits[good], edges, n, r))
+    return tuple(np.concatenate(column) for column in zip(*pairs))
 
 
 def build_pair_set(params: LiftParams, matching: Hypergraph) -> SparseMatrix:
@@ -345,13 +304,9 @@ def build_matrix_lift(h: Hypergraph, params: LiftParams) -> LiftResult:
 
 def _parity_masks(ranks: np.ndarray, m: int, n: int) -> np.ndarray:
     """Per-rank XOR of vertex bits over the map's digits (occurrence parity)."""
-    masks = np.zeros(len(ranks), dtype=np.int64)
-    rem = ranks.astype(np.int64, copy=True)
-    one = np.int64(1)
-    for _ in range(m):
-        rem, digit = np.divmod(rem, n)
-        masks ^= one << digit
-    return masks
+    bits = _digits(ranks, m, n)
+    np.left_shift(1, bits, out=bits)
+    return np.bitwise_xor.reduce(bits, axis=1)
 
 
 def check_lift_identity(a: SparseMatrix, cover_count: int, h: Hypergraph, params: LiftParams):
@@ -401,6 +356,8 @@ class LiftVerification:
 
 def verify_lift_identity(h: Hypergraph, params: LiftParams) -> LiftVerification:
     """Build the lift for h and check the identity on all 2^n sign vectors."""
+    if h.n > SIGN_ENUM_LIMIT:
+        raise BudgetExceededError(f"sign enumeration capped at n = {SIGN_ENUM_LIMIT}")
     result = build_matrix_lift(h, params)
     ok, witness = check_lift_identity(result.a, result.cover_count, h, params)
     return LiftVerification(ok, witness, result.cover_count, result.report)

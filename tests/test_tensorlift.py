@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from polywidth import _kernels as kernels
 from polywidth import poly
 from polywidth import tensorlift as tl
 from polywidth.errors import BudgetExceededError
@@ -17,53 +18,54 @@ M4 = Hypergraph(4, [(0, 1), (2, 3)])
 P4 = tl.LiftParams(n=4, m=2, r=1)
 
 
+def phi(maps, matching, r):
+    """Goodness scores of map tuples against a matching, by the phi kernel."""
+    maps = np.array(maps, dtype=np.int64).reshape(len(maps), -1)
+    return kernels.phi_batch(maps, np.array(matching.edges), matching.n, r).tolist()
+
+
 @given(st.integers(2, 5), st.integers(1, 3), st.data())
 @settings(max_examples=60, deadline=None)
 def test_map_rank_roundtrip(n, m, data):
-    rank = data.draw(st.integers(0, n**m - 1))
-    digits = tl.map_digits(rank, m, n)
-    assert len(digits) == m
-    assert all(0 <= d < n for d in digits)
-    assert tl.map_rank(digits, n) == rank
+    ranks = data.draw(st.lists(st.integers(0, n**m - 1), min_size=1, max_size=5))
+    digits = tl._digits(ranks, m, n)
+    assert digits.shape == (len(ranks), m)
+    # the rank definition: little-endian base n, digit i = f(i)
+    assert [sum(d * n**i for i, d in enumerate(row)) for row in digits.tolist()] == ranks
+    assert ((digits >= 0) & (digits < n)).all()
 
 
 def test_half_cover_count_single_coordinate():
     # r=1, f=(1,3): exactly one coordinate lands in {1,2}
-    assert tl.half_cover_count((1, 3), (1, 2), 1) == 1
+    assert phi([(1, 3)], Hypergraph(4, [(1, 2)]), 1) == [1]
 
 
 def test_half_cover_count_r2():
     # r=2, f=(1,2,5): only the position pair mapping to {1,2} half-covers
-    assert tl.half_cover_count((1, 2, 5), (1, 2, 3, 4), 2) == 1
+    assert phi([(1, 2, 5)], Hypergraph(6, [(1, 2, 3, 4)]), 2) == [1]
 
 
 def test_half_cover_count_disjoint_is_zero():
-    assert tl.half_cover_count((4, 4, 4), (0, 1), 1) == 0
-
-
-def test_half_cover_count_edge_size_checked():
-    with pytest.raises(ValueError):
-        tl.half_cover_count((0,), (0, 1, 2), 1)
+    assert phi([(4, 4, 4)], Hypergraph(5, [(0, 1)]), 1) == [0]
 
 
 def test_goodness_score_counts_all_coordinates():
     # both coordinates always land in the union of M4's edges
-    for f in itertools.product(range(4), repeat=2):
-        assert tl.goodness_score(f, M4) == 2
+    assert phi(list(itertools.product(range(4), repeat=2)), M4, 1) == [2] * 16
 
 
 def test_goodness_score_outside_union_is_zero():
     m = Hypergraph(4, [(0, 1)])
-    assert tl.goodness_score((2, 3), m) == 0
-    assert not tl.is_good((2, 3), m, 800)
+    assert phi([(2, 3)], m, 1) == [0]
+    f_ranks, _, _ = tl.enumerate_pairs(P4, m)
+    assert 2 + 3 * 4 not in f_ranks  # (2, 3) is not good
 
 
 def test_goodness_invariant_under_matching_permutation():
     # swapping the two blocks of M4 preserves the score
     perm = {0: 2, 1: 3, 2: 0, 3: 1}
-    for f in itertools.product(range(4), repeat=2):
-        g = tuple(perm[v] for v in f)
-        assert tl.goodness_score(f, M4) == tl.goodness_score(g, M4)
+    maps = list(itertools.product(range(4), repeat=2))
+    assert phi(maps, M4, 1) == phi([tuple(perm[v] for v in f) for f in maps], M4, 1)
 
 
 def test_complements_worked_example():
@@ -84,6 +86,44 @@ def test_complements_match_brute_force_r2():
     m = Hypergraph(5, [(0, 1, 2, 3)])
     for f in itertools.product(range(5), repeat=2):
         assert tl.complements(f, m) == oracles.complements_direct(f, m.edges, 5)
+
+
+def test_complements_reject_digits_outside_range():
+    with pytest.raises(ValueError):
+        tl.complements((0, -1), M4)
+    with pytest.raises(ValueError):
+        tl.complements((0, 4), M4)
+    with pytest.raises(ValueError):
+        tl.complements((0,) * 32, M4)  # 4^32 ranks overflow int64
+
+
+@pytest.mark.parametrize(
+    "n, m, s, edges",
+    [
+        (5, 3, 2, [(0, 1), (2, 3)]),  # rejects phi = 3 and phi = 0
+        (5, 3, 1, [(0, 1, 2, 3)]),  # rejects phi >= 2 and phi = 0
+        (6, 3, 1, [(0, 1, 2, 3, 4, 5)]),  # six orders; rejects phi = 0
+    ],
+)
+def test_enumerate_pairs_match_oracle(n, m, s, edges):
+    r = len(edges[0]) // 2
+
+    def rank(h):
+        return sum(d * n**i for i, d in enumerate(h))
+
+    expected, rejected = [], 0
+    for f in itertools.product(range(n), repeat=m):
+        if not 1 <= oracles.phi_direct(f, edges, r) <= s:
+            rejected += 1
+            continue
+        for g in oracles.complements_direct(f, edges, n):
+            moved = {v for i in range(m) if f[i] != g[i] for v in (f[i], g[i])}
+            cover = next(j for j, e in enumerate(edges) if moved <= set(e))
+            expected.append((rank(f), rank(g), cover))
+    assert rejected
+    params = tl.LiftParams(n=n, m=m, r=r, s=s)
+    got = zip(*(a.tolist() for a in tl.enumerate_pairs(params, Hypergraph(n, edges))))
+    assert sorted(got) == sorted(expected)
 
 
 def test_complementarity_is_symmetric():
@@ -107,10 +147,8 @@ def test_equal_cover_exact():
 
 def test_every_complement_is_s_squared_good():
     _, g_ranks, _ = tl.enumerate_pairs(P4, M4)
-    for rank in g_ranks:
-        g = tl.map_digits(int(rank), 2, 4)
-        score = tl.goodness_score(g, M4)
-        assert 1 <= score <= P4.s**2
+    scores = np.array(phi(tl._digits(g_ranks, 2, 4), M4, 1))
+    assert ((scores >= 1) & (scores <= P4.s**2)).all()
 
 
 def test_pair_set_sparsity_bounds():
@@ -131,6 +169,16 @@ def test_pair_cover_product_identity():
             for v in M4.edges[ci]:
                 rhs *= bits[v]
             assert lhs == rhs
+
+
+def test_verify_rejects_large_n_before_building(monkeypatch):
+    def build(*args):
+        raise AssertionError("the lift was built")
+
+    monkeypatch.setattr(tl, "build_matrix_lift", build)
+    h = Hypergraph(tl.SIGN_ENUM_LIMIT + 1, [(0, 1)])
+    with pytest.raises(BudgetExceededError):
+        tl.verify_lift_identity(h, tl.LiftParams(n=h.n, m=1, r=1))
 
 
 def test_budget_guard():
