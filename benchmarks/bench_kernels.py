@@ -38,6 +38,14 @@ def workloads():
         lambda: kn.phi_batch(maps, edges4, 600, 2),
     )
 
+    # the r=3 birthday configuration: 580 positions, 333 six-vertex edges
+    maps3 = gen.integers(0, 2000, size=(4096, 580)).astype(np.int64)
+    edges6 = np.arange(1998, dtype=np.int64).reshape(333, 6)
+    yield (
+        "phi_batch (4096 maps, n=2000, r=3)",
+        lambda: kn.phi_batch(maps3, edges6, 2000, 3),
+    )
+
     # occupancy-histogram scores, the Poisson-side workload
     hists = gen.integers(0, 4, size=(20000, 100)).astype(np.int64)
     edges2 = np.arange(100, dtype=np.int64).reshape(50, 2)

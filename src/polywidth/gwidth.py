@@ -37,6 +37,9 @@ __all__ = [
 
 ENUM_BITS_LIMIT = 24
 _BLOCK_BITS = 12
+# rows per float block when gw_estimate scores a chunk of 1024 directions:
+# the (rows, 1024) float64 product takes 2 MiB per thread (32 MiB at 2^12)
+_SCORE_BITS = 8
 
 
 @dataclass(frozen=True)
@@ -123,9 +126,9 @@ def _points(domain) -> np.ndarray:
     return rows[first].view(image.dtype).reshape(-1, domain.k)
 
 
-def _float_blocks(points):
-    """The rows of ``points`` in consecutive float64 blocks of 2^12 rows."""
-    step = 1 << _BLOCK_BITS
+def _float_blocks(points, bits):
+    """The rows of ``points`` in consecutive float64 blocks of 2^bits rows."""
+    step = 1 << bits
     for start in range(0, len(points), step):
         yield np.asarray(points[start : start + step], dtype=np.float64)
 
@@ -140,7 +143,7 @@ def gw_exact_inner(domain, g):
     points = _points(domain)
     g = np.asarray(g, dtype=np.float64)
     # on sorted distinct rows the first maximum is the smallest maximizer
-    scores = np.concatenate([block @ g for block in _float_blocks(points)])
+    scores = np.concatenate([block @ g for block in _float_blocks(points, _BLOCK_BITS)])
     best = int(np.argmax(scores))
     return float(scores[best]), np.asarray(points[best], dtype=np.float64)
 
@@ -154,7 +157,7 @@ def gw_estimate(domain, samples: int, seed: int, threads: int = 1) -> mc.McEstim
     def value_fn(gen, count):
         g_mat = mc.normals(gen, (k, count))
         best = np.full(count, -np.inf)
-        for block in _float_blocks(points):
+        for block in _float_blocks(points, _SCORE_BITS):
             np.maximum(best, (block @ g_mat).max(axis=0), out=best)
         return best
 

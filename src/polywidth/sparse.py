@@ -39,9 +39,10 @@ class SparseMatrix:
         flat = flat[order]
         vals = vals[order]
         if len(flat):
-            uniq, inverse = np.unique(flat, return_inverse=True)
-            merged = np.zeros(len(uniq), dtype=np.int64)
-            np.add.at(merged, inverse, vals)
+            # the keys are sorted: merge each run of equal keys at its start
+            starts = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
+            uniq = flat[starts]
+            merged = np.add.reduceat(vals, starts)
             keep = merged != 0
             uniq, merged = uniq[keep], merged[keep]
         else:

@@ -62,15 +62,25 @@ def test_gw_estimate_identity_matches_closed_form():
     assert est.std_error == pytest.approx(se, rel=1e-12)
 
 
-def test_gw_estimate_matches_full_image_maximum():
-    pm = matching_map(8, 3, 4)
+def check_full_image_maximum(pm, samples, seed):
+    """gw_estimate against the per-sample maximum over the undeduplicated image."""
     image = np.array(oracles.hypercube_image_direct(pm.components, distinct=False), float)
-    assert len(image) == 256
-    samples, seed = 2500, 12
-    mean, se = reference_estimate(seed, samples, 3, lambda g: (image @ g).max())
+    assert len(image) == 2**pm.n
+    mean, se = reference_estimate(seed, samples, pm.k, lambda g: (image @ g).max())
     est = gw.gw_estimate(pm, samples, seed)
     assert est.mean == pytest.approx(mean, rel=1e-12)
     assert est.std_error == pytest.approx(se, rel=1e-12)
+
+
+def test_gw_estimate_matches_full_image_maximum():
+    check_full_image_maximum(matching_map(8, 3, 4), 2500, 12)
+
+
+def test_gw_estimate_max_spans_score_blocks():
+    pm = matching_map(12, 5, 3)
+    # more distinct points than one scoring block holds
+    assert len(gw._points(pm)) > 1 << gw._SCORE_BITS
+    check_full_image_maximum(pm, 2500, 13)
 
 
 def test_exact_inner_zero_map():

@@ -28,6 +28,49 @@ def test_phi_hist_batch_paths_agree():
     assert kn.phi_hist_batch(hists, edges, 1).tolist() == expected
 
 
+def matching_with_unmatched(n, r, num_edges, seed):
+    """``num_edges`` disjoint 2r-sets of a shuffled [n], leaving vertices unmatched."""
+    assert num_edges * 2 * r < n
+    perm = mc.stream(seed, 0).permutation(n)
+    return perm[: num_edges * 2 * r].reshape(num_edges, 2 * r).astype(np.int64)
+
+
+@pytest.mark.parametrize("r, n, m, num_edges", [(1, 11, 7, 4), (2, 13, 8, 2), (3, 14, 8, 2)])
+@pytest.mark.parametrize("block_cells", [1, 80], ids=["one-row", "ragged"])
+def test_phi_kernels_blocked(monkeypatch, r, n, m, num_edges, block_cells):
+    monkeypatch.setattr(kn, "_BLOCK_CELLS", block_cells)
+    gen = mc.stream(10 + r, 0)
+    edges = matching_with_unmatched(n, r, num_edges, r)
+    rows = 37
+    if block_cells > 1:
+        assert 1 < kn._block_rows(edges.size + 1) < rows and rows % kn._block_rows(edges.size + 1)
+        assert 1 < kn._block_rows(n) < rows and rows % kn._block_rows(n)
+    maps = gen.integers(0, n, size=(rows, m))
+    expected = [oracles.phi_direct(f.tolist(), edges.tolist(), r) for f in maps]
+    assert kn.phi_batch(maps, edges, n, r).tolist() == expected
+    hists = gen.integers(0, 3, size=(rows, n))
+    expected = [
+        oracles.phi_direct(np.repeat(np.arange(n), h).tolist(), edges.tolist(), r)
+        for h in hists
+    ]
+    assert kn.phi_hist_batch(hists, edges, r).tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "maps, edges",
+    [
+        ([[2, 2], [0, 0]], [[0, 1]]),  # a value n once spilled into the next row
+        ([[0, -1]], [[0, 1]]),
+        ([[0, 1]], [[0, 2]]),
+        ([[0, 1]], [[0, 1], [1, 0]]),
+    ],
+    ids=["value-n", "negative-value", "edge-vertex-n", "shared-vertex"],
+)
+def test_phi_batch_rejects_invalid_inputs(maps, edges):
+    with pytest.raises(ValueError):
+        kn.phi_batch(np.array(maps), np.array(edges), 2, 1)
+
+
 def test_phi_batch_empty_inputs():
     edges = np.zeros((0, 2), dtype=np.int64)
     maps = np.zeros((0, 3), dtype=np.int64)
@@ -43,6 +86,15 @@ def test_contained_edges_paths_agree():
     edges = gen.integers(0, 13, size=(40, 3)).astype(np.int64)
     expected = [oracles.contained_edges_direct(b.tolist(), edges.tolist()) for b in bits]
     assert kn.contained_edges_batch(bits, edges).tolist() == expected
+
+
+def test_contained_edges_bool_input_and_repeated_vertex():
+    gen = mc.stream(6, 0)
+    bits = gen.random((50, 9)) < 0.5
+    edges = np.array([[4, 4, 7], [2, 2, 2], [0, 1, 8], [8, 1, 0]], dtype=np.int64)
+    expected = [oracles.contained_edges_direct(b.tolist(), edges.tolist()) for b in bits]
+    assert kn.contained_edges_batch(bits, edges).tolist() == expected
+    assert kn.contained_edges_batch(bits.astype(np.uint8), edges).tolist() == expected
 
 
 def test_coo_matvec_paths_agree():

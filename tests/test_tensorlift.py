@@ -256,6 +256,22 @@ def test_sparse_value_sums_are_exact_above_float_precision():
     assert a.col_value_sums().tolist() == [0, big]
 
 
+def test_sparse_from_entries_merges_duplicates_and_drops_zeros():
+    gen = np.random.default_rng(7)
+    dim = 6
+    rows = gen.integers(0, dim, size=200)
+    cols = gen.integers(0, dim, size=200)
+    vals = gen.integers(-2, 3, size=200)
+    dense = np.zeros((dim, dim), dtype=np.int64)
+    np.add.at(dense, (rows, cols), vals)
+    a = SparseMatrix.from_entries(dim, rows, cols, vals)
+    nz_rows, nz_cols = np.nonzero(dense)  # row-major order
+    assert a.rows.tolist() == nz_rows.tolist()
+    assert a.cols.tolist() == nz_cols.tolist()
+    assert a.vals.tolist() == dense[nz_rows, nz_cols].tolist()
+    assert a.nnz < np.count_nonzero(np.bincount(rows * dim + cols))  # some sums cancel
+
+
 def test_verify_single_edge_instances():
     # single 2r-edge hypergraphs across several parameterizations
     for r, n, m in [(1, 2, 1), (1, 3, 2), (1, 4, 3), (2, 4, 2), (2, 5, 3), (2, 6, 2)]:
