@@ -165,10 +165,19 @@ def poisson_pmf_table(mu: float, tail: float = 1e-15) -> np.ndarray:
 
 
 def sample_poisson(gen: np.random.Generator, mu: float, size) -> np.ndarray:
-    """Poisson draws by inversion of the cumulative density."""
+    """Poisson draws by inversion of the cumulative density.
+
+    The uniforms are drawn and inverted in blocks of ``_kernels._BLOCK_CELLS``
+    straight into the output: the stream and the draws are those of one
+    ``gen.random(size)`` call, without its full-size temporaries.
+    """
     cdf = np.cumsum(poisson_pmf_table(mu))
-    u = gen.random(size)
-    return np.searchsorted(cdf, u).astype(np.int64)
+    out = np.empty(size, dtype=np.int64)
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, _kernels._BLOCK_CELLS):
+        stop = min(start + _kernels._BLOCK_CELLS, flat.size)
+        flat[start:stop] = np.searchsorted(cdf, gen.random(stop - start))
+    return out
 
 
 @dataclass(frozen=True)

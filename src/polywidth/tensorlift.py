@@ -50,6 +50,21 @@ a vertex -> edge lookup, and for each order pi of S - f(P)
 
 ``tests/oracles.complements_direct`` checks the definition directly,
 against every map.
+
+The report is computed from the kept pairs (f, g) of B; A is never
+assembled.  A = B + B^T is symmetric by construction, its diagonal is
+empty (g != f on the witness positions P, as shown above), and its entries
+are positive counts, so nothing cancels.  Hence:
+
+* row f of A sums to the number of kept pairs with first map f plus the
+  number with second map f;
+* A_fg != 0 exactly when (f, g) or (g, f) is kept, so nnz(A) is twice the
+  number of distinct unordered pairs {f, g}, parallel edges included;
+* <A x_tensor, x_tensor> = 2 * sum over kept pairs of x_tensor[f] *
+  x_tensor[g], and x_tensor[f] is the product of x over the vertices that
+  f hits an odd number of times.  With mask(f) that vertex set as a bit
+  mask, each pair adds 2 to the coefficient of mask(f) ^ mask(g), and a
+  Walsh-Hadamard transform evaluates both sides on every sign vector.
 """
 
 import itertools
@@ -66,7 +81,6 @@ from .hypergraph import (
     complete_to_maximal_matching,
     greedy_edge_coloring,
 )
-from .sparse import SparseMatrix
 
 __all__ = [
     "LiftParams",
@@ -75,7 +89,6 @@ __all__ = [
     "default_goodness_bound",
     "complements",
     "enumerate_pairs",
-    "build_pair_set",
     "build_matrix_lift",
     "check_lift_identity",
     "verify_lift_identity",
@@ -216,12 +229,6 @@ def enumerate_pairs(params: LiftParams, matching: Hypergraph):
     return tuple(np.concatenate(column) for column in zip(*pairs))
 
 
-def build_pair_set(params: LiftParams, matching: Hypergraph) -> SparseMatrix:
-    """Incidence matrix of the ordered pair set on [n]^m (unit entries)."""
-    f_ranks, g_ranks, _ = enumerate_pairs(params, matching)
-    return SparseMatrix.from_entries(params.num_maps, f_ranks, g_ranks)
-
-
 @dataclass(frozen=True)
 class LiftReport:
     n: int
@@ -240,13 +247,28 @@ class LiftReport:
 
 @dataclass(frozen=True)
 class LiftResult:
-    a: SparseMatrix
+    """The kept pairs (f, g) of B over all colours; A = B + B^T."""
+
+    f_ranks: np.ndarray
+    g_ranks: np.ndarray
     cover_count: int
     report: LiftReport
 
 
+def _distinct_unordered(f_ranks, g_ranks, dim: int) -> int:
+    """Number of distinct unordered pairs {f, g}: the keys min * dim + max
+    are sorted in place and their runs counted."""
+    if not len(f_ranks):
+        return 0
+    keys = np.minimum(f_ranks, g_ranks)
+    keys *= dim
+    keys += np.maximum(f_ranks, g_ranks)
+    keys.sort()
+    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
+
+
 def build_matrix_lift(h: Hypergraph, params: LiftParams) -> LiftResult:
-    """Assemble the symmetric lift matrix A for a 2r-uniform hypergraph."""
+    """The lift of a 2r-uniform hypergraph: the kept pairs of B and its report."""
     if h.n != params.n:
         raise ValueError("hypergraph vertex count differs from params.n")
     if h.edges and not h.is_uniform(2 * params.r):
@@ -282,9 +304,10 @@ def build_matrix_lift(h: Hypergraph, params: LiftParams) -> LiftResult:
         cover_count = len(f_ranks) // family.num_edges
         pair_sizes, matching_sizes = [len(f_ranks)], [family.num_edges]
 
-    # A = B + B^T in one pass: every pair (f, g) enters as (f, g) and (g, f).
-    a = SparseMatrix.from_entries(dim, np.concatenate(rows + cols), np.concatenate(cols + rows))
-    max_row_sum = int(a.row_value_sums().max()) if a.nnz else 0
+    f_ranks, g_ranks = np.concatenate(rows), np.concatenate(cols)
+    del rows, cols  # the per-class copies
+    # Row sums and nnz of A = B + B^T from the pairs (module docstring).
+    row_sums = np.bincount(f_ranks, minlength=dim) + np.bincount(g_ranks, minlength=dim)
     report = LiftReport(
         n=params.n,
         m=params.m,
@@ -295,11 +318,11 @@ def build_matrix_lift(h: Hypergraph, params: LiftParams) -> LiftResult:
         matching_size=matching_sizes[0],
         pair_set_size=pair_sizes[0],
         cover_count=cover_count,
-        nnz=a.nnz,
-        max_row_sum=max_row_sum,
+        nnz=2 * _distinct_unordered(f_ranks, g_ranks, dim),
+        max_row_sum=int(row_sums.max()),
         row_sum_bound=2 * h.max_degree * params.s**2 * math.factorial(params.r),
     )
-    return LiftResult(a, cover_count, report)
+    return LiftResult(f_ranks, g_ranks, cover_count, report)
 
 
 def _parity_masks(ranks: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -309,24 +332,23 @@ def _parity_masks(ranks: np.ndarray, m: int, n: int) -> np.ndarray:
     return np.bitwise_xor.reduce(bits, axis=1)
 
 
-def check_lift_identity(a: SparseMatrix, cover_count: int, h: Hypergraph, params: LiftParams):
+def check_lift_identity(f_ranks, g_ranks, cover_count: int, h: Hypergraph, params: LiftParams):
     """Exhaustive exact check of the lift identity over all sign vectors.
 
     Both sides are computed for all 2^n sign vectors at once in int64 via
-    Walsh-Hadamard transforms of the entries' occurrence-parity masks.
-    Returns (ok, witness) with witness the first failing sign vector.
+    Walsh-Hadamard transforms: the left side from the occurrence-parity
+    masks of the kept pairs (f, g) of B, looked up in one table over all
+    n^m ranks.  Returns (ok, witness) with witness the first failing sign
+    vector.
     """
     n = h.n
     if n > SIGN_ENUM_LIMIT:
         raise BudgetExceededError(f"sign enumeration capped at n = {SIGN_ENUM_LIMIT}")
     size = 1 << n
 
-    coeffs = np.zeros(size, dtype=np.int64)
-    if a.nnz:
-        masks = _parity_masks(a.rows, params.m, params.n) ^ _parity_masks(
-            a.cols, params.m, params.n
-        )
-        np.add.at(coeffs, masks, a.vals)
+    masks = _parity_masks(np.arange(params.num_maps, dtype=np.int64), params.m, params.n)
+    coeffs = np.bincount(masks[f_ranks] ^ masks[g_ranks], minlength=size).astype(np.int64)
+    coeffs *= 2
     lhs = _kernels.wht_inplace(coeffs)
 
     pcoeffs = np.zeros(size, dtype=np.int64)
@@ -359,5 +381,7 @@ def verify_lift_identity(h: Hypergraph, params: LiftParams) -> LiftVerification:
     if h.n > SIGN_ENUM_LIMIT:
         raise BudgetExceededError(f"sign enumeration capped at n = {SIGN_ENUM_LIMIT}")
     result = build_matrix_lift(h, params)
-    ok, witness = check_lift_identity(result.a, result.cover_count, h, params)
+    ok, witness = check_lift_identity(
+        result.f_ranks, result.g_ranks, result.cover_count, h, params
+    )
     return LiftVerification(ok, witness, result.cover_count, result.report)

@@ -61,9 +61,17 @@ def tensor_power_vector(x, m):
     return out
 
 
-def quadratic_form_direct(a, y):
-    """<A y, y> summed entry by entry (exact ints)."""
-    return int(sum(int(v) * int(y[r]) * int(y[c]) for r, c, v in zip(a.rows, a.cols, a.vals)))
+def quadratic_form_direct(f_ranks, g_ranks, y):
+    """<A y, y> for A = B + B^T with B the pair counts: 2 * sum of y_f y_g (exact ints)."""
+    return 2 * sum(int(y[f]) * int(y[g]) for f, g in zip(f_ranks, g_ranks))
+
+
+def lift_matrix_dense(f_ranks, g_ranks, dim):
+    """Dense A = B + B^T: each pair (f, g) adds 1 at (f, g) and 1 at (g, f)."""
+    a = np.zeros((dim, dim), dtype=np.int64)
+    np.add.at(a, (f_ranks, g_ranks), 1)
+    np.add.at(a, (g_ranks, f_ranks), 1)
+    return a
 
 
 def phi_direct(f, edges, r):

@@ -87,7 +87,7 @@ def lift_results():
     start = time.time()
     built = [(h, params, tl.build_matrix_lift(h, params)) for h, params in instances]
     checks = [
-        tl.check_lift_identity(res.a, res.cover_count, h, params)
+        tl.check_lift_identity(res.f_ranks, res.g_ranks, res.cover_count, h, params)
         for h, params, res in built
     ]
     elapsed = time.time() - start
@@ -124,15 +124,27 @@ def test_c03_sparsity_and_norm_bounds(lift_results):
             coloring = greedy_edge_coloring(h)
             for class_edges in color_classes(h, coloring):
                 family = complete_to_maximal_matching(Hypergraph(h.n, class_edges), params.r)
-                pair_set = tl.build_pair_set(params, family)
-                assert pair_set.row_entry_counts().max() <= params.s * r_fact
-                assert pair_set.col_entry_counts().max() <= params.s**2 * r_fact
-            if res.a.nnz:
-                max_row_sum = int(res.a.row_value_sums().max())
+                f_ranks, g_ranks, _ = tl.enumerate_pairs(params, family)
+                assert np.bincount(f_ranks).max() <= params.s * r_fact
+                assert np.bincount(g_ranks).max() <= params.s**2 * r_fact
+            if len(res.f_ranks):
+                a = oracles.lift_matrix_dense(res.f_ranks, res.g_ranks, params.num_maps)
+                max_row_sum = int(a.sum(axis=1).max())
                 bound = 2 * h.max_degree * params.s**2 * r_fact
                 assert max_row_sum <= bound
-                est = gw.spectral_norm(res.a)
+                est = gw.spectral_norm(a)
                 assert est.value <= max_row_sum + 1e-9
+
+
+def test_lift_report_matches_dense_oracle(lift_results):
+    built, _, _ = lift_results
+    parallel = 0
+    for h, params, res in built:
+        parallel += len(set(h.edges)) < h.num_edges
+        a = oracles.lift_matrix_dense(res.f_ranks, res.g_ranks, params.num_maps)
+        assert res.report.nnz == np.count_nonzero(a), h
+        assert res.report.max_row_sum == a.sum(axis=1).max(), h
+    assert parallel == 2  # both parallel-edge instances are covered
 
 
 @pytest.fixture(scope="session")

@@ -105,6 +105,18 @@ def test_sample_poisson_moments():
     assert draws.var() == pytest.approx(2.5, abs=0.05)
 
 
+def test_sample_poisson_blocks_match_one_draw():
+    # block-by-block inversion consumes the stream like one gen.random(size) call
+    size = (3, bd._kernels._BLOCK_CELLS // 2 + 1)  # crosses two block boundaries
+    cdf = np.cumsum(bd.poisson_pmf_table(1.7))
+    one, blocked = mc.stream(9, 0), mc.stream(9, 0)
+    want = np.searchsorted(cdf, one.random(size))
+    got = bd.sample_poisson(blocked, 1.7, size)
+    assert got.dtype == np.int64 and got.shape == size
+    assert np.array_equal(got, want)
+    assert one.random() == blocked.random()
+
+
 def test_poisson_domination_small_case():
     params = bd.BirthdayParams(r=1, n=50, m=10)
     report = bd.poisson_domination_check(params, samples=20000, seed=1)

@@ -179,7 +179,7 @@ def test_spectral_norm_all_ones():
 
 
 def test_spectral_norm_zero_and_validation():
-    assert gw.spectral_norm(SparseMatrix.zeros(3)).value == 0.0
+    assert gw.spectral_norm(SparseMatrix.from_entries(3, [], [])).value == 0.0
     with pytest.raises(ValueError):
         gw.spectral_norm(np.ones((4, 4)), tol=0.0)
     with pytest.raises(ValueError):
@@ -225,7 +225,8 @@ def test_tj_single_matrix_analytic():
 
 
 def test_tj_zero_matrices():
-    res = gw.tj_ratio_experiment([SparseMatrix.zeros(4), SparseMatrix.zeros(4)], 16, seed=1)
+    zero = SparseMatrix.from_entries(4, [], [])
+    res = gw.tj_ratio_experiment([zero, zero], 16, seed=1)
     assert res.lhs.mean == 0.0
     assert res.ratio == 0.0
 
@@ -233,7 +234,9 @@ def test_tj_zero_matrices():
 def test_tj_dimension_mismatch():
     with pytest.raises(ValueError):
         gw.tj_ratio_experiment(
-            [SparseMatrix.zeros(4), SparseMatrix.zeros(6)], 8, seed=1
+            [SparseMatrix.from_entries(4, [], []), SparseMatrix.from_entries(6, [], [])],
+            8,
+            seed=1,
         )
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from polywidth import _kernels as kernels
 from polywidth import poly
 from polywidth import tensorlift as tl
 from polywidth.errors import BudgetExceededError
-from polywidth.hypergraph import Hypergraph, complete_to_maximal_matching
+from polywidth.hypergraph import Hypergraph, complete_to_maximal_matching, load_hypergraph
 from polywidth.sparse import SparseMatrix
 
 M4 = Hypergraph(4, [(0, 1), (2, 3)])
@@ -133,9 +134,9 @@ def test_complementarity_is_symmetric():
 
 
 def test_pair_set_worked_example():
-    mat = tl.build_pair_set(P4, M4)
-    assert mat.nnz == 32  # 16 maps, 2 complements each
-    assert np.all(mat.vals == 1)
+    f_ranks, g_ranks, _ = tl.enumerate_pairs(P4, M4)
+    assert len(f_ranks) == 32  # 16 maps, 2 complements each
+    assert len(set(zip(f_ranks.tolist(), g_ranks.tolist()))) == 32  # no pair repeats
 
 
 def test_equal_cover_exact():
@@ -152,10 +153,10 @@ def test_every_complement_is_s_squared_good():
 
 
 def test_pair_set_sparsity_bounds():
-    mat = tl.build_pair_set(P4, M4)
+    f_ranks, g_ranks, _ = tl.enumerate_pairs(P4, M4)
     r_fact = math.factorial(P4.r)
-    assert mat.row_entry_counts().max() <= P4.s * r_fact
-    assert mat.col_entry_counts().max() <= P4.s**2 * r_fact
+    assert np.bincount(f_ranks).max() <= P4.s * r_fact
+    assert np.bincount(g_ranks).max() <= P4.s**2 * r_fact
 
 
 def test_pair_cover_product_identity():
@@ -193,67 +194,65 @@ def M4_big():
 def test_lift_worked_example():
     res = tl.build_matrix_lift(M4, P4)
     assert res.cover_count == 16
-    assert res.a.is_symmetric()
-    assert np.all(res.a.vals > 0)
+    a = oracles.lift_matrix_dense(res.f_ranks, res.g_ranks, P4.num_maps)
+    assert (a == a.T).all() and (a >= 0).all()
+    assert not a.diagonal().any()
     # identity over all 16 sign vectors, against the direct quadratic form
     for bits in itertools.product((1, -1), repeat=4):
         y = oracles.tensor_power_vector(bits, 2)
-        lhs = oracles.quadratic_form_direct(res.a, y)
-        assert lhs == 2 * 16 * poly.evaluate(M4, bits)
+        lhs = oracles.quadratic_form_direct(res.f_ranks, res.g_ranks, y)
+        assert lhs == 2 * 16 * poly.evaluate(M4, bits) == int(y @ a @ y)
     # the specific cancellation point
     bits = (1, 1, 1, -1)
     y = oracles.tensor_power_vector(bits, 2)
-    assert oracles.quadratic_form_direct(res.a, y) == 0
+    assert oracles.quadratic_form_direct(res.f_ranks, res.g_ranks, y) == 0
 
 
 def test_lift_all_ones_total():
     res = tl.build_matrix_lift(M4, P4)
-    assert res.a.total() == 2 * res.cover_count * M4.num_edges
+    a = oracles.lift_matrix_dense(res.f_ranks, res.g_ranks, P4.num_maps)
+    assert a.sum() == 2 * len(res.f_ranks) == 2 * res.cover_count * M4.num_edges
 
 
 def test_wht_check_agrees_with_direct_oracle():
     res = tl.build_matrix_lift(M4, P4)
-    ok, witness = tl.check_lift_identity(res.a, res.cover_count, M4, P4)
+    ok, witness = tl.check_lift_identity(res.f_ranks, res.g_ranks, res.cover_count, M4, P4)
     assert ok and witness is None
     # sanity: the WHT path detects a wrong constant
-    ok_bad, witness_bad = tl.check_lift_identity(res.a, res.cover_count + 1, M4, P4)
+    ok_bad, witness_bad = tl.check_lift_identity(
+        res.f_ranks, res.g_ranks, res.cover_count + 1, M4, P4
+    )
     assert not ok_bad and witness_bad is not None
 
 
 def test_perturbed_matrix_fails_with_witness():
     res = tl.build_matrix_lift(M4, P4)
-    rows = res.a.rows.copy()
-    cols = res.a.cols.copy()
-    vals = res.a.vals.copy()
-    vals[0] += 1  # flip one entry
-    bad = SparseMatrix(res.a.dim, rows, cols, vals)
-    ok, witness = tl.check_lift_identity(bad, res.cover_count, M4, P4)
+    # duplicate one pair: A gains 1 at (f, g) and at (g, f)
+    f_ranks = np.append(res.f_ranks, res.f_ranks[0])
+    g_ranks = np.append(res.g_ranks, res.g_ranks[0])
+    ok, witness = tl.check_lift_identity(f_ranks, g_ranks, res.cover_count, M4, P4)
     assert not ok
     assert witness is not None and set(witness) <= {-1, 1}
     # the witness really separates the two sides
     y = oracles.tensor_power_vector(witness, 2)
-    assert oracles.quadratic_form_direct(bad, y) != 2 * res.cover_count * poly.evaluate(
-        M4, witness
-    )
+    rhs = 2 * res.cover_count * poly.evaluate(M4, witness)
+    assert oracles.quadratic_form_direct(f_ranks, g_ranks, y) != rhs
 
 
-def test_identity_check_is_exact_above_float_precision():
-    # A = V * (E_01 + E_10) on maps [1] -> [2] equals the lift of one edge with
-    # cover count V; 2V = 2^54 + 2 has no float64 representation.
-    h = Hypergraph(2, [(0, 1)])
-    big = 2**53 + 1
-    a = SparseMatrix.from_entries(2, [0, 1], [1, 0], [big, big])
-    params = tl.LiftParams(n=2, m=1, r=1)
-    assert tl.check_lift_identity(a, big, h, params) == (True, None)
-    ok, _ = tl.check_lift_identity(a, big - 1, h, params)
-    assert not ok
+def test_verify_assembles_no_matrix(monkeypatch):
+    def assemble(*args, **kwargs):
+        raise AssertionError("a sparse matrix was assembled")
 
-
-def test_sparse_value_sums_are_exact_above_float_precision():
-    big = 2**53 + 1
-    a = SparseMatrix.from_entries(2, [0], [1], [big])
-    assert a.row_value_sums().tolist() == [big, 0]
-    assert a.col_value_sums().tolist() == [0, big]
+    monkeypatch.setattr(SparseMatrix, "from_entries", assemble)
+    k8 = load_hypergraph(Path(__file__).parents[1] / "perfbench" / "data" / "k8.hg")
+    cases = [
+        (M4, P4),
+        (k8, tl.LiftParams(n=8, m=4, r=1)),
+        (Hypergraph(4, [(0, 1), (0, 1), (2, 3)]), P4),
+    ]
+    for h, params in cases:
+        verdict = tl.verify_lift_identity(h, params)
+        assert verdict.ok, h
 
 
 def test_sparse_from_entries_merges_duplicates_and_drops_zeros():
@@ -305,16 +304,11 @@ def test_row_sums_within_degree_bound():
 
 def test_empty_hypergraph_lift():
     res = tl.build_matrix_lift(Hypergraph(4, ()), P4)
-    assert res.a.nnz == 0
-    ok, _ = tl.check_lift_identity(res.a, res.cover_count, Hypergraph(4, ()), P4)
+    assert len(res.f_ranks) == res.report.nnz == res.report.max_row_sum == 0
+    ok, _ = tl.check_lift_identity(
+        res.f_ranks, res.g_ranks, res.cover_count, Hypergraph(4, ()), P4
+    )
     assert ok
-
-
-def test_sparse_matrix_roundtrip(tmp_path):
-    res = tl.build_matrix_lift(M4, P4)
-    path = tmp_path / "a.txt"
-    res.a.save_text(path)
-    assert SparseMatrix.load_text(path) == res.a
 
 
 def test_lift_params_validation():
