@@ -60,8 +60,8 @@ class TailQuery:
     def __post_init__(self):
         if self.k < 3:
             raise ValueError("k must be at least 3")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not 0 < self.delta < math.inf:
+            raise ValueError("delta must be positive and finite")
 
 
 @lru_cache(maxsize=32)

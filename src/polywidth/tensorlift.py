@@ -203,12 +203,13 @@ def complements(f, matching: Hypergraph):
     return sorted(map(tuple, _digits(g_ranks, m, n).tolist()))
 
 
-def enumerate_pairs(params: LiftParams, matching: Hypergraph):
-    """All ordered pairs (f, g) with f good and g complementing f.
+def _pair_blocks(params: LiftParams, matching: Hypergraph):
+    """Yield aligned (f_ranks, g_ranks, covered_edge_index) arrays of the
+    pairs (f, g) with f good and g complementing f, one block of maps at a
+    time.
 
-    Returns aligned arrays (f_ranks, g_ranks, covered_edge_index).  Maps
-    are scored for goodness by the phi kernel in blocks of ranks, and the
-    complements of each block's good maps are generated by rank
+    Maps are scored for goodness by the phi kernel in blocks of ranks, and
+    the complements of each block's good maps are generated by rank
     arithmetic, so the cost is linear in n^m plus the output size.
     """
     params.check_budget()
@@ -219,14 +220,18 @@ def enumerate_pairs(params: LiftParams, matching: Hypergraph):
         raise ValueError("matching edge size differs from 2r")
     n, m, total = params.n, params.m, params.num_maps
     edges = np.array(matching.edges, dtype=np.int64)
-    pairs = []
     for start in range(0, total, _BLOCK):
         ranks = np.arange(start, min(start + _BLOCK, total), dtype=np.int64)
         digits = _digits(ranks, m, n)
         scores = _kernels.phi_batch(digits, edges, n, r)
         good = (scores >= 1) & (scores <= params.s)
-        pairs.append(_complements(ranks[good], digits[good], edges, n, r))
-    return tuple(np.concatenate(column) for column in zip(*pairs))
+        yield _complements(ranks[good], digits[good], edges, n, r)
+
+
+def enumerate_pairs(params: LiftParams, matching: Hypergraph):
+    """All ordered pairs (f, g) with f good and g complementing f, as
+    aligned arrays (f_ranks, g_ranks, covered_edge_index)."""
+    return tuple(np.concatenate(column) for column in zip(*_pair_blocks(params, matching)))
 
 
 @dataclass(frozen=True)
@@ -257,12 +262,13 @@ class LiftResult:
 
 def _distinct_unordered(f_ranks, g_ranks, dim: int) -> int:
     """Number of distinct unordered pairs {f, g}: the keys min * dim + max
-    are sorted in place and their runs counted."""
+    are built in one array, sorted in place and their runs counted."""
     if not len(f_ranks):
         return 0
-    keys = np.minimum(f_ranks, g_ranks)
-    keys *= dim
-    keys += np.maximum(f_ranks, g_ranks)
+    keys = np.minimum(f_ranks, g_ranks)  # min * dim + max = min * (dim - 1) + f + g
+    keys *= dim - 1
+    keys += f_ranks
+    keys += g_ranks
     keys.sort()
     return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
 
@@ -283,15 +289,17 @@ def build_matrix_lift(h: Hypergraph, params: LiftParams) -> LiftResult:
     cover_counts, pair_sizes, matching_sizes = [], [], []
     for class_edges in classes:
         family = complete_to_maximal_matching(Hypergraph(h.n, class_edges), params.r)
-        f_ranks, g_ranks, covers = enumerate_pairs(params, family)
-        if len(f_ranks) % family.num_edges:
+        pairs = 0
+        for f_ranks, g_ranks, covers in _pair_blocks(params, family):
+            pairs += len(f_ranks)
+            keep = covers < len(class_edges)  # drop pairs covering completion padding
+            rows.append(f_ranks[keep])
+            cols.append(g_ranks[keep])
+        if pairs % family.num_edges:
             raise RuntimeError("pair set size is not a multiple of the family size")
-        cover_counts.append(len(f_ranks) // family.num_edges)
-        pair_sizes.append(len(f_ranks))
+        cover_counts.append(pairs // family.num_edges)
+        pair_sizes.append(pairs)
         matching_sizes.append(family.num_edges)
-        keep = covers < len(class_edges)  # drop pairs covering completion padding
-        rows.append(f_ranks[keep])
-        cols.append(g_ranks[keep])
 
     if classes:
         if len(set(cover_counts)) != 1:
@@ -304,8 +312,10 @@ def build_matrix_lift(h: Hypergraph, params: LiftParams) -> LiftResult:
         cover_count = len(f_ranks) // family.num_edges
         pair_sizes, matching_sizes = [len(f_ranks)], [family.num_edges]
 
-    f_ranks, g_ranks = np.concatenate(rows), np.concatenate(cols)
-    del rows, cols  # the per-class copies
+    f_ranks = np.concatenate(rows)
+    del rows  # the per-block copies, before the second concatenation
+    g_ranks = np.concatenate(cols)
+    del cols
     # Row sums and nnz of A = B + B^T from the pairs (module docstring).
     row_sums = np.bincount(f_ranks, minlength=dim) + np.bincount(g_ranks, minlength=dim)
     report = LiftReport(
@@ -347,7 +357,11 @@ def check_lift_identity(f_ranks, g_ranks, cover_count: int, h: Hypergraph, param
     size = 1 << n
 
     masks = _parity_masks(np.arange(params.num_maps, dtype=np.int64), params.m, params.n)
-    coeffs = np.bincount(masks[f_ranks] ^ masks[g_ranks], minlength=size).astype(np.int64)
+    coeffs = np.zeros(size, dtype=np.int64)
+    for start in range(0, len(f_ranks), _BLOCK):  # per block: no full-length temporaries
+        stop = start + _BLOCK
+        pair_masks = masks[f_ranks[start:stop]] ^ masks[g_ranks[start:stop]]
+        coeffs += np.bincount(pair_masks, minlength=size)
     coeffs *= 2
     lhs = _kernels.wht_inplace(coeffs)
 

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special as scipy_special
 from scipy import stats as scipy_stats
 
 from polywidth import birthday as bd
@@ -132,12 +131,39 @@ def test_poisson_sum_chisquare_passes():
 
 
 def test_chi_square_survival_matches_scipy_stats():
-    # poisson_sum_chisquare uses scipy.special.chdtrc in place of scipy.stats
-    stat = np.linspace(0.0, 600.0, 61)
-    for dof in range(1, 400, 7):
-        assert np.array_equal(
-            scipy_special.chdtrc(dof, stat), scipy_stats.chi2.sf(stat, dof)
-        ), dof
+    # dof 1-1000, x 0-4000: relative error <= 1e-11 wherever the reference is
+    # >= 1e-300, and never 0 where it is positive (the naive sum underflows
+    # once x/2 > ~708: at dof 600, x 1600 the tail is 6.1e-92)
+    stat = np.concatenate([np.arange(0.0, 4000.0, 16.0), [1e-9, 0.5, 1416.5, 1490.0, 1600.0]])
+    for dof in [*range(1, 1001, 37), 600, 999, 1000]:
+        ref = scipy_stats.chi2.sf(stat, dof)
+        got = np.array([bd._chi_square_tail(dof, float(x)) for x in stat])
+        assert not (got == 0)[ref > 0].any(), dof
+        big = ref >= 1e-300
+        assert np.allclose(got[big], ref[big], rtol=1e-11, atol=0.0), dof
+
+
+def test_pmf_table_converges_where_the_tail_test_stalls():
+    # 1 - total can stall at 1 - 1.1e-15 > 1e-15: the first such mean on a
+    # 0.01 grid is 22.46
+    for mu in (22.46, 112.0, 112.7, 700.0):
+        table = bd.poisson_pmf_table(mu)
+        ref = scipy_stats.poisson.pmf(np.arange(len(table)), mu)
+        assert np.allclose(table, ref, rtol=1e-10, atol=0.0), mu
+        assert table.sum() == pytest.approx(1.0, abs=1e-12), mu
+
+
+def test_pmf_table_rejects_subnormal_start():
+    # e^-740 is subnormal: the recurrence from it summed to 1.0000783
+    for mu in (708.5, 740.0):
+        with pytest.raises(ValueError):
+            bd.poisson_pmf_table(mu)
+
+
+def test_pmf_table_rejects_nonfinite_mean():
+    for mu in (math.nan, math.inf, -math.inf, -1.0):
+        with pytest.raises(ValueError):
+            bd.poisson_pmf_table(mu)
 
 
 def test_poisson_sum_chisquare_detects_mismatch():

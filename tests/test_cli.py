@@ -177,6 +177,35 @@ def test_poisson_check_rejects_single_bin_chi_square(capsys):
     assert row.split(",")[2] == "1"  # dof
 
 
+@pytest.mark.parametrize("flags", [("--mu-a", "112"), ("--m", "1120")], ids=" ".join)
+def test_poisson_check_runs_at_large_means(capsys, flags):
+    # Poisson means 112.7 (chi-square side) and 112 (domination side, m/n)
+    code, out = run_cli(
+        capsys, "poisson-check", "--r", "1", "--n", "10", "--samples", "1000", *flags
+    )
+    assert code == 0
+    assert out.splitlines()[0] == "check,lhs,rhs,value,threshold,passed"
+
+
+@pytest.mark.parametrize("flags", [("--mu-b", "inf"), ("--mu-a", "nan")], ids=" ".join)
+def test_poisson_check_rejects_nonfinite_means(capsys, flags):
+    code = main(["poisson-check", "--r", "1", "--n", "10", "--samples", "1000", *flags])
+    out, err = capsys.readouterr()
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.startswith("error: Poisson mean")  # not a "single chi-square bin"
+
+
+@pytest.mark.parametrize("delta", ["nan", "inf"])
+def test_upper_tail_rejects_nonfinite_delta(capsys, delta):
+    code, out = run_cli(
+        capsys, "upper-tail", "--N", "7", "--k", "3", "--p", "0.5", "--delta", delta,
+        "--samples", "100", "--format", "json",
+    )
+    assert code == EXIT_INVALID
+    assert out == ""
+
+
 def test_tj_ratio_runs(capsys):
     code, out = run_cli(
         capsys, "tj-ratio", "--N", "32", "--k", "8", "--samples", "8", "--seed", "2"
@@ -262,11 +291,28 @@ def test_csv_rows_match_header_width(capsys, tmp_path, argv):
     assert all(len(row) == len(header) for row in rows)
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
+def _run_python(probe):
     src = os.path.dirname(os.path.dirname(polywidth.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
     probe = "import sys, polywidth.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == "False"
+    done = _run_python(probe)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+def test_every_subcommand_runs_without_scipy():
+    # numpy is the only runtime dependency; a None entry makes `import scipy` fail
+    probe = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from polywidth.cli import main\n"
+        f"codes = [main(list(argv)) for argv in {CSV_RUNS!r}]\n"
+        "sys.stderr.write(repr(codes))\n"
+        "sys.exit(any(codes))\n"
+    )
+    done = _run_python(probe)
+    assert done.returncode == 0, done.stderr[-2000:]
