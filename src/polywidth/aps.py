@@ -10,7 +10,9 @@ the polynomial of the hypergraph equals the ordered progression count).
 import math
 from dataclasses import dataclass
 
-from . import mc
+import numpy as np
+
+from . import _kernels, mc
 from .hypergraph import Hypergraph
 
 __all__ = [
@@ -101,16 +103,26 @@ def fixed_difference_hypergraph(params: ApParams, y: int) -> Hypergraph:
     return Hypergraph(N, edges)
 
 
-def ordered_ap_count(bits, k: int) -> int:
-    """Brute-force ordered count: pairs (a, b), b != 0, with the whole
-    progression a, a+b, ..., a+(k-1)b inside the support of ``bits``."""
-    N = len(bits)
-    count = 0
-    for b in range(1, N):
-        for a in range(N):
-            if all(bits[(a + t * b) % N] for t in range(k)):
-                count += 1
-    return count
+def ordered_ap_count(bits, k: int):
+    """Ordered count: pairs (a, b), b != 0, with the whole progression
+    a, a+b, ..., a+(k-1)b inside the support of ``bits``.
+
+    A 1-D ``bits`` gives an int; a 2-D ``(rows, N)`` array gives one count
+    per row.  The N(N-1) ordered progressions are index rows
+    (a + t*b) % N, built once and checked against row blocks of ``bits``.
+    """
+    bits = np.asarray(bits)
+    rows = bits.reshape(-1, bits.shape[-1])
+    N = rows.shape[1]
+    b = np.arange(1, N)[:, None, None]
+    terms = (np.arange(N)[:, None] + b * np.arange(k)) % N  # (N-1, N, k)
+    progressions = terms.reshape(-1, k)
+    counts = np.empty(len(rows), dtype=np.int64)
+    step = _kernels._block_rows(len(progressions))
+    for start in range(0, len(rows), step):
+        stop = start + step
+        counts[start:stop] = _kernels.contained_edges_batch(rows[start:stop], progressions)
+    return int(counts[0]) if bits.ndim == 1 else counts
 
 
 def pair_incidence_profile(h: Hypergraph):
@@ -126,23 +138,33 @@ def pair_incidence_profile(h: Hypergraph):
 
 def two_transitivity_check(params: ApParams, trials: int, seed: int) -> bool:
     """Random affine maps sending one vertex pair to another must map edges
-    to edges.  Returns True iff all trials pass."""
+    to edges.  Returns True iff all trials pass.
+
+    Each trial maps the whole edge array, sorts the mapped rows and looks
+    them up among the sorted edge rows, compared as whole-row byte strings.
+    """
     N = params.N
     if not _is_prime(N):
         raise ValueError("N must be prime")
     h = ap_hypergraph(params)
-    edge_sets = {e for e in h.edges}
+    edges = np.array(h.edges, dtype=np.int64)  # rows already sorted
+    row = np.dtype((np.void, edges.itemsize * edges.shape[1]))
+    edge_rows = np.sort(edges.view(row).ravel())
     gen = mc.stream(seed, 0)
     for _ in range(trials):
-        a, b = gen.choice(N, size=2, replace=False)
-        c, d = gen.choice(N, size=2, replace=False)
-        scale = ((int(d) - int(c)) * pow(int(b) - int(a), -1, N)) % N
-        mapped = {v: (int(c) + scale * (v - int(a))) % N for v in range(N)}
-        if mapped[int(a)] != int(c) or mapped[int(b)] != int(d):
+        a, b = (int(v) for v in gen.choice(N, size=2, replace=False))
+        c, d = (int(v) for v in gen.choice(N, size=2, replace=False))
+        scale = ((d - c) * pow(b - a, -1, N)) % N
+
+        def affine(v):
+            return (c + scale * (v - a)) % N
+
+        if affine(a) != c or affine(b) != d:
             return False
-        for e in h.edges:
-            if tuple(sorted(mapped[v] for v in e)) not in edge_sets:
-                return False
+        mapped = np.sort(affine(edges), axis=1).view(row).ravel()
+        at = np.minimum(np.searchsorted(edge_rows, mapped), len(edge_rows) - 1)
+        if not (edge_rows[at] == mapped).all():
+            return False
     return True
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, mc
-from .hypergraph import Hypergraph, complete_to_maximal_matching
+from .hypergraph import default_matching
 from .tensorlift import default_goodness_bound
 
 __all__ = [
@@ -106,11 +106,6 @@ class BirthdayParams:
     @property
     def n_0(self) -> float:
         return minimum_n(self.r)
-
-
-def default_matching(n: int, r: int) -> Hypergraph:
-    """Greedy maximal matching of 2r-blocks on [n]."""
-    return complete_to_maximal_matching(Hypergraph(n, ()), r)
 
 
 @dataclass(frozen=True)
@@ -286,30 +281,50 @@ class ChiSquareReport:
     passed: bool
 
 
-def poisson_sum_chisquare(
-    mu_a: float, mu_b: float, samples=100000, seed=0, significance=1e-3, min_expected=5.0
-) -> ChiSquareReport:
-    """Goodness-of-fit of sampled Y_a + Y_b against a single Poisson(mu_a+mu_b).
+def _chi_square_bins(expected, samples, min_expected):
+    """``(low, binned)``: the first bin holds the values <= low, the last
+    the values >= low + len(binned) - 1, every other bin one value, and
+    ``binned`` is their expected counts (truncated pmf mass in the last).
 
-    Bins with expected count below ``min_expected`` are lumped into the tail;
-    a sample count so small that fewer than two bins remain raises ValueError.
+    Each end is lumped until the lump and the value next to it expect at
+    least ``min_expected`` draws; as the pmf is unimodal, every bin between
+    them does too.  At least two bins are kept; a sample count so small
+    that the upper lump alone takes every value raises ValueError.
     """
-    gen = mc.stream(seed, 0)
-    draws = sample_poisson(gen, mu_a, samples) + sample_poisson(gen, mu_b, samples)
-    pmf = poisson_pmf_table(mu_a + mu_b)
-    expected = pmf * samples
-    # Lump the tail so every bin has enough mass.
-    cut = len(expected)
+    cut = len(expected)  # the last bin holds the values >= cut - 1
     while cut > 1 and expected[cut - 1 :].sum() < min_expected:
         cut -= 1
     if cut < 2:
         raise ValueError(
             f"{samples} samples leave a single chi-square bin (0 degrees of freedom)"
         )
-    exp_binned = np.concatenate([expected[: cut - 1], [expected[cut - 1 :].sum()]])
-    exp_binned[-1] += samples - expected.sum()  # truncated pmf mass
-    obs = np.bincount(np.minimum(draws, cut - 1), minlength=cut).astype(np.float64)
-    stat = float(((obs - exp_binned) ** 2 / exp_binned).sum())
-    dof = cut - 1
+    low = 0
+    while low < cut - 2 and min(expected[: low + 1].sum(), expected[low + 1]) < min_expected:
+        low += 1
+    while cut - low > 2 and expected[cut - 2] < min_expected:
+        cut -= 1
+    binned = np.concatenate(
+        [[expected[: low + 1].sum()], expected[low + 1 : cut - 1], [expected[cut - 1 :].sum()]]
+    )
+    binned[-1] += samples - expected.sum()
+    return low, binned
+
+
+def poisson_sum_chisquare(
+    mu_a: float, mu_b: float, samples=100000, seed=0, significance=1e-3, min_expected=5.0
+) -> ChiSquareReport:
+    """Goodness-of-fit of sampled Y_a + Y_b against a single Poisson(mu_a+mu_b).
+
+    Values whose expected count is below ``min_expected`` are lumped into
+    the first or the last bin (``_chi_square_bins``).
+    """
+    gen = mc.stream(seed, 0)
+    draws = sample_poisson(gen, mu_a, samples) + sample_poisson(gen, mu_b, samples)
+    expected = poisson_pmf_table(mu_a + mu_b) * samples
+    low, exp_binned = _chi_square_bins(expected, samples, min_expected)
+    bins = len(exp_binned)
+    obs = np.bincount(np.clip(draws, low, low + bins - 1) - low, minlength=bins)
+    stat = float(((obs.astype(np.float64) - exp_binned) ** 2 / exp_binned).sum())
+    dof = bins - 1
     p_value = _chi_square_tail(dof, stat)
     return ChiSquareReport(stat, dof, p_value, significance, p_value >= significance)

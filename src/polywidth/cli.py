@@ -18,11 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, birthday, gwidth, mc, poly, randsets, tensorlift
-from .aps import ApParams, ap_hypergraph, ordered_ap_count, pair_incidence_profile, two_transitivity_check
+from . import __version__
 from .errors import BudgetExceededError
-from .hypergraph import Hypergraph, load_hypergraph
-from .randsets import RandomSetParams, TailQuery
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -89,10 +86,14 @@ def _emit(command, fieldnames, rows, args, stream):
 
 
 # --------------------------------------------------------------------------
-# Subcommand runners.  Each returns (fieldnames, rows, exit_code, pre_lines).
+# Subcommand runners.  Each returns (fieldnames, rows, exit_code, pre_lines)
+# and imports only the layers it uses, so a run loads no other layer.
 
 
 def _run_gw_estimate(args):
+    from . import gwidth
+    from .hypergraph import Hypergraph
+
     n = _positive("n", args["n"])
     samples = _positive("samples", args["samples"])
     if args["map"] == "identity":
@@ -126,16 +127,20 @@ def _run_gw_estimate(args):
 
 
 def _run_matrix_verify(args):
+    from . import tensorlift
+    from .hypergraph import default_matching, load_hypergraph
+
     n = _positive("n", args["n"])
     m = _positive("m", args["m"])
     r = _positive("r", args["r"])
-    params = tensorlift.LiftParams(n=n, m=m, r=r, s=args["s"], budget=args["budget"])
+    budget = tensorlift.DEFAULT_BUDGET if args["budget"] is None else args["budget"]
+    params = tensorlift.LiftParams(n=n, m=m, r=r, s=args["s"], budget=budget)
     if args["hypergraph"]:
         h = load_hypergraph(args["hypergraph"])
         if h.n != n:
             raise ValueError(f"--n {n} does not match the file vertex count {h.n}")
     else:
-        h = birthday.default_matching(n, r)
+        h = default_matching(n, r)
     verdict = tensorlift.verify_lift_identity(h, params)
     rep = verdict.report
     status = "OK" if verdict.ok else f"FAIL at x={verdict.witness}"
@@ -157,6 +162,8 @@ def _run_matrix_verify(args):
 
 
 def _run_birthday(args):
+    from . import birthday
+
     params = birthday.BirthdayParams(
         r=_positive("r", args["r"]), n=_positive("n", args["n"]), m=args["m"], s=args["s"]
     )
@@ -180,6 +187,8 @@ def _run_birthday(args):
 
 
 def _run_poisson_check(args):
+    from . import birthday
+
     params = birthday.BirthdayParams(
         r=_positive("r", args["r"]), n=_positive("n", args["n"]), m=args["m"]
     )
@@ -219,6 +228,8 @@ def _run_poisson_check(args):
 
 
 def _run_tj_ratio(args):
+    from . import gwidth
+
     dim = _positive("N", args["N"], minimum=2)
     k = _positive("k", args["k"])
     samples = _positive("samples", args["samples"])
@@ -238,6 +249,8 @@ def _run_tj_ratio(args):
 
 
 def _ap_structure_stats(params):
+    from .aps import ap_hypergraph, pair_incidence_profile
+
     h = ap_hypergraph(params)
     degrees, max_deg = h.degrees(), h.max_degree
     max_pair, table = pair_incidence_profile(h)
@@ -245,6 +258,8 @@ def _ap_structure_stats(params):
 
 
 def _run_ap_count(args):
+    from .aps import ApParams
+
     params = ApParams(args["N"], args["k"])
     h, degrees, max_deg, max_pair, _ = _ap_structure_stats(params)
     pre = [f"edges={h.num_edges}"]
@@ -259,6 +274,9 @@ def _run_ap_count(args):
 
 
 def _run_ap_structure(args):
+    from . import mc, poly
+    from .aps import ApParams, ordered_ap_count, two_transitivity_check
+
     params = ApParams(args["N"], args["k"])
     trials = _positive("trials", args["trials"])
     h, degrees, _, _, table = _ap_structure_stats(params)
@@ -266,13 +284,10 @@ def _run_ap_structure(args):
     edges_ok = h.num_edges == N * (N - 1) // 2
     degree_ok = all(2 * d == k * (N - 1) for d in degrees)
     pair_ok = all(2 * c == k * (k - 1) for c in table.values()) and len(table) == N * (N - 1) // 2
-    gen = mc.stream(args["seed"], 0)
-    lambda_ok = True
-    for _ in range(trials):
-        bits = (gen.random(N) < 0.5).astype(np.uint8)
-        if 2 * poly.evaluate(h, bits) != ordered_ap_count(bits, k):
-            lambda_ok = False
-            break
+    # One draw for all subsets: the same stream as one gen.random(N) per trial.
+    subsets = (mc.stream(args["seed"], 0).random((trials, N)) < 0.5).astype(np.uint8)
+    counts = ordered_ap_count(subsets, k)
+    lambda_ok = all(2 * poly.evaluate(h, bits) == c for bits, c in zip(subsets, counts))
     transitive_ok = two_transitivity_check(params, trials, args["seed"] + 1)
     all_ok = edges_ok and degree_ok and pair_ok and lambda_ok and transitive_ok
     row = {
@@ -290,8 +305,10 @@ def _run_ap_structure(args):
 
 
 def _run_upper_tail(args):
-    params = RandomSetParams(args["N"], args["p"], args["seed"])
-    query = TailQuery(args["k"], args["delta"])
+    from . import randsets
+
+    params = randsets.RandomSetParams(args["N"], args["p"], args["seed"])
+    query = randsets.TailQuery(args["k"], args["delta"])
     samples = _positive("samples", args["samples"])
     res = randsets.upper_tail_mc(
         params, query, samples, seed=args["seed"], threads=args["threads"]
@@ -313,6 +330,8 @@ def _run_upper_tail(args):
 
 
 def _run_intersective(args):
+    from . import randsets
+
     n = args["N"]
     ell = _positive("ell", args["ell"])
     alpha = args["alpha"]
@@ -362,6 +381,8 @@ def _run_intersective(args):
 
 
 def _run_bound_eval(args):
+    from . import gwidth
+
     value = gwidth.width_bound(args["n"], args["k"], args["d"], args["t"])
     row = {"n": args["n"], "k": args["k"], "d": args["d"], "t": args["t"], "bound": value}
     return list(row), [row], EXIT_OK, [f"bound={_fmt(value)}"]
@@ -389,8 +410,8 @@ COMMANDS = {
             Opt("m", int, required=True, help="tensor power"),
             Opt("r", int, required=True, help="half edge size"),
             Opt("s", int, default=0, help="goodness threshold (0 = 200*4^r)"),
-            Opt("budget", int, default=tensorlift.DEFAULT_BUDGET,
-                help="cap on n^m enumeration size"),
+            Opt("budget", int,
+                help="cap on n^m enumeration size (default 10^6, tensorlift.DEFAULT_BUDGET)"),
             Opt("hypergraph", str, help="hypergraph file (default: full matching)"),
         ),
         _run_matrix_verify,

@@ -16,6 +16,7 @@ __all__ = [
     "greedy_edge_coloring",
     "color_classes",
     "complete_to_maximal_matching",
+    "default_matching",
     "homogenize",
     "save_hypergraph",
     "load_hypergraph",
@@ -145,6 +146,11 @@ def complete_to_maximal_matching(m: Hypergraph, r: int) -> Hypergraph:
     for i in range(0, len(free) - size + 1, size):
         edges.append(tuple(free[i : i + size]))
     return Hypergraph(m.n, edges)
+
+
+def default_matching(n: int, r: int) -> Hypergraph:
+    """Greedy maximal matching of 2r-blocks on [n]."""
+    return complete_to_maximal_matching(Hypergraph(n, ()), r)
 
 
 def homogenize(h: Hypergraph, d: int):

@@ -6,9 +6,14 @@ keyed by ``(seed, i)``.  Chunks may be evaluated on any number of worker
 threads; partial sums are merged in chunk order, so estimates are identical
 for any worker count.  Gaussians come from Box-Muller applied to the uniform
 stream, keeping the byte-level output independent of numpy's normal sampler.
+
+Importing this module loads neither ``numpy.random`` (annotations stay
+strings, and numpy loads it on first use) nor the thread pool (imported
+for ``threads > 1`` only), so commands that use neither do not pay for them.
 """
 
-from concurrent.futures import ThreadPoolExecutor
+from __future__ import annotations
+
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +81,8 @@ def run_chunked(value_fn, samples, seed, threads=1, chunk=CHUNK_SAMPLES):
 
     indices = range(len(counts))
     if threads and threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             partials = list(pool.map(work, indices))
     else:

@@ -335,11 +335,15 @@ def build_matrix_lift(h: Hypergraph, params: LiftParams) -> LiftResult:
     return LiftResult(f_ranks, g_ranks, cover_count, report)
 
 
-def _parity_masks(ranks: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Per-rank XOR of vertex bits over the map's digits (occurrence parity)."""
-    bits = _digits(ranks, m, n)
-    np.left_shift(1, bits, out=bits)
-    return np.bitwise_xor.reduce(bits, axis=1)
+def _parity_masks(m: int, n: int) -> np.ndarray:
+    """Occurrence-parity vertex mask of every rank 0..n^m-1: the XOR of
+    1 << f(i) over the digits of the map, one digit position at a time
+    (rank q*n + d has the mask of rank q with bit d flipped)."""
+    bits = np.left_shift(1, np.arange(n, dtype=np.int64))
+    masks = np.zeros(1, dtype=np.int64)
+    for _ in range(m):
+        masks = (masks[:, None] ^ bits).ravel()
+    return masks
 
 
 def check_lift_identity(f_ranks, g_ranks, cover_count: int, h: Hypergraph, params: LiftParams):
@@ -356,7 +360,7 @@ def check_lift_identity(f_ranks, g_ranks, cover_count: int, h: Hypergraph, param
         raise BudgetExceededError(f"sign enumeration capped at n = {SIGN_ENUM_LIMIT}")
     size = 1 << n
 
-    masks = _parity_masks(np.arange(params.num_maps, dtype=np.int64), params.m, params.n)
+    masks = _parity_masks(params.m, params.n)
     coeffs = np.zeros(size, dtype=np.int64)
     for start in range(0, len(f_ranks), _BLOCK):  # per block: no full-length temporaries
         stop = start + _BLOCK

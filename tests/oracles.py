@@ -126,6 +126,26 @@ def ap_edges_direct(N, k):
     return edges
 
 
+def ordered_ap_count_direct(bits, k):
+    """Pairs (a, b), b != 0, with a, a+b, ..., a+(k-1)b all in the support."""
+    N = len(bits)
+    count = 0
+    for b in range(1, N):
+        for a in range(N):
+            if all(bits[(a + t * b) % N] for t in range(k)):
+                count += 1
+    return count
+
+
+def edge_preserving_direct(edges, N, a, b, c, d):
+    """Whether the affine map of Z/NZ sending a -> c and b -> d (a != b)
+    sends every edge onto an edge."""
+    scale = ((d - c) * pow(b - a, -1, N)) % N
+    mapped = {v: (c + scale * (v - a)) % N for v in range(N)}
+    edge_sets = set(edges)
+    return all(tuple(sorted(mapped[v] for v in e)) in edge_sets for e in edges)
+
+
 def random_hypergraph(rng, n_max=10, d_max=4, max_edges=12):
     """Arbitrary small hypergraph with edge sizes up to d_max."""
     n = int(rng.integers(2, n_max + 1))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from polywidth import poly
+from polywidth import aps, mc, poly
 from polywidth.aps import (
     ApParams,
     ap_hypergraph,
@@ -128,6 +128,82 @@ def test_doubled_polynomial_equals_ordered_count(N, k):
 def test_two_transitivity():
     assert two_transitivity_check(ApParams(7, 3), 100, seed=1)
     assert two_transitivity_check(ApParams(11, 4), 50, seed=2)
+
+
+PRIMES_TO_31 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
+def _random_rows(rng, rows, N):
+    """0/1 rows of mixed densities, plus the empty and the full set."""
+    density = rng.uniform(0.2, 0.95, size=(rows, 1))
+    bits = (rng.random((rows, N)) < density).astype(np.uint8)
+    return np.vstack([bits, np.zeros(N, np.uint8), np.ones(N, np.uint8)])
+
+
+@pytest.mark.parametrize("N", PRIMES_TO_31 + [4, 6, 9, 12, 15])
+def test_ordered_ap_count_matches_direct(N):
+    # k = N (prime N <= 7) makes every edge the whole group; composite N
+    # repeats terms of progressions whose difference shares a factor with N
+    rng = np.random.default_rng(N)
+    for k in range(3, min(N, 7) + 1):
+        rows = _random_rows(rng, 12, N)
+        want = [oracles.ordered_ap_count_direct(list(row), k) for row in rows]
+        got = ordered_ap_count(rows, k)
+        assert got.shape == (len(rows),)
+        assert got.tolist() == want, k
+        singles = [ordered_ap_count(row, k) for row in rows]
+        assert all(type(c) is int for c in singles)
+        assert singles == want, k
+        assert want[-1] == N * (N - 1)  # the full set holds every progression
+
+
+def test_ordered_ap_count_takes_lists_and_row_blocks():
+    assert ordered_ap_count([1, 1, 1, 0, 0], 3) == 2  # 0,1,2 and 2,1,0
+    assert ordered_ap_count([True, False, True, True, False], 3) == 2  # 3,0,2 and 2,0,3
+    # more rows than one block of the kernel: blocks must not shift rows
+    rng = np.random.default_rng(2)
+    rows = (rng.random((300, 31)) < 0.6).astype(np.uint8)
+    want = [oracles.ordered_ap_count_direct(list(row), 5) for row in rows]
+    assert ordered_ap_count(rows, 5).tolist() == want
+
+
+def _transitivity_direct(edges, N, trials, seed):
+    """two_transitivity_check replayed map by map with the direct oracle."""
+    gen = mc.stream(seed, 0)
+    for _ in range(trials):
+        a, b = (int(v) for v in gen.choice(N, size=2, replace=False))
+        c, d = (int(v) for v in gen.choice(N, size=2, replace=False))
+        if not oracles.edge_preserving_direct(edges, N, a, b, c, d):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("N", PRIMES_TO_31)
+def test_two_transitivity_matches_direct(N):
+    for k in range(3, min(N, 7) + 1):
+        params = ApParams(N, k)
+        assert two_transitivity_check(params, 20, seed=N + k) is True
+        assert _transitivity_direct(ap_hypergraph(params).edges, N, 20, N + k)
+
+
+def _perturbed(params):
+    """The progression hypergraph with its first edge moved off a progression."""
+    h = ap_hypergraph(params)
+    edges = set(h.edges)
+    for v in range(params.N):
+        e = tuple(sorted({*h.edges[0][:-1], v}))
+        if len(e) == params.k and e not in edges:
+            return Hypergraph(params.N, (e,) + h.edges[1:])
+    raise AssertionError("no perturbation found")
+
+
+@pytest.mark.parametrize("N,k", [(7, 3), (11, 4), (13, 6), (31, 5)])
+def test_two_transitivity_rejects_a_perturbed_edge(N, k, monkeypatch):
+    params = ApParams(N, k)
+    h = _perturbed(params)
+    monkeypatch.setattr(aps, "ap_hypergraph", lambda p: h)
+    assert two_transitivity_check(params, 100, seed=3) is False
+    assert _transitivity_direct(h.edges, N, 100, 3) is False
 
 
 def test_squaring_map_is_not_edge_preserving():

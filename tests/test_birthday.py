@@ -130,6 +130,28 @@ def test_poisson_sum_chisquare_passes():
     assert rep.p_value >= 1e-3
 
 
+@pytest.mark.parametrize("mu,samples", [(112.7, 1000), (40.0, 3000), (2.0, 50000), (2.0, 1000)])
+def test_chi_square_bins_each_expect_five_draws(mu, samples):
+    # at mean 112.7 and 1000 draws a bin for 0 alone expected 1.1e-46 draws
+    expected = bd.poisson_pmf_table(mu) * samples
+    rep = bd.poisson_sum_chisquare(mu - 0.7, 0.7, samples=samples, seed=1)
+    # two lumps, and single values that each expect 5 draws or more
+    assert rep.dof + 1 <= 2 + np.count_nonzero(expected >= 5.0)
+    low, binned = bd._chi_square_bins(expected, samples, 5.0)
+    assert rep.dof == len(binned) - 1
+    assert binned.min() >= 5.0
+    assert binned.sum() == pytest.approx(samples, rel=1e-12)
+    assert (binned[1:-1] == expected[low + 1 : low + len(binned) - 1]).all()
+
+
+def test_chi_square_bins_unchanged_where_every_bin_already_held_five():
+    # the bench default (mean 2, 50k draws) expects 6767 draws of 0: no low lump
+    expected = bd.poisson_pmf_table(2.0) * 50000
+    low, binned = bd._chi_square_bins(expected, 50000, 5.0)
+    assert low == 0 and binned[0] == expected[0]
+    assert len(binned) == 10
+
+
 def test_chi_square_survival_matches_scipy_stats():
     # dof 1-1000, x 0-4000: relative error <= 1e-11 wherever the reference is
     # >= 1e-300, and never 0 where it is positive (the naive sum underflows

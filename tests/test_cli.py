@@ -304,6 +304,48 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert done.stdout.strip() == "False"
 
 
+SEARCH_UNUSED = [f"polywidth.{m}" for m in ("birthday", "gwidth", "sparse", "tensorlift")]
+
+
+@pytest.mark.parametrize(
+    "argv,unused",
+    [
+        (["intersective", "--N", "10", "--ell", "2", "--alpha", "0.5", "--diffs", "1,2"],
+         SEARCH_UNUSED + ["numpy.random", "concurrent.futures"]),
+        (["intersective", "--N", "10", "--ell", "1", "--alpha", "0.5", "--p", "0.3",
+          "--trials", "2"], SEARCH_UNUSED + ["concurrent.futures"]),
+        (["ap-structure", "--N", "7", "--k", "3", "--trials", "5"],
+         SEARCH_UNUSED + ["concurrent.futures"]),
+        (["matrix-verify", "--n", "6", "--m", "2", "--r", "1"],
+         ["polywidth.mc", "polywidth.randsets", "numpy.random"]),
+    ],
+    ids=["intersective-diffs", "intersective-random", "ap-structure", "matrix-verify"],
+)
+def test_subcommand_loads_only_its_layers(argv, unused):
+    # modules the command loads beyond numpy's own import (numpy < 2 loads
+    # numpy.random there)
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "import numpy\n"
+        "before = set(sys.modules)\n"
+        "from polywidth.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({argv!r})\n"
+        "print(json.dumps([code, sorted(set(sys.modules) - before)]))\n"
+    )
+    done = _run_python(probe)
+    assert done.returncode == 0, done.stderr
+    code, loaded = json.loads(done.stdout)
+    assert code == 0
+    assert [m for m in unused if m in loaded] == []
+
+
+def test_matrix_verify_budget_defaults_to_the_tensorlift_cap(capsys):
+    code = main(["matrix-verify", "--n", "10", "--m", "7", "--r", "1"])
+    assert code == EXIT_BUDGET
+    assert capsys.readouterr().err.endswith(f"budget {tensorlift.DEFAULT_BUDGET}\n")
+
+
 def test_every_subcommand_runs_without_scipy():
     # numpy is the only runtime dependency; a None entry makes `import scipy` fail
     probe = (

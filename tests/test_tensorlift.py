@@ -36,6 +36,16 @@ def test_map_rank_roundtrip(n, m, data):
     assert ((digits >= 0) & (digits < n)).all()
 
 
+@pytest.mark.parametrize("n,m", [(2, 1), (3, 4), (4, 3), (7, 2), (5, 5)])
+def test_parity_masks_by_definition(n, m):
+    # bit v of the mask of f is set when f hits v an odd number of times
+    want = []
+    for rank in range(n**m):
+        digits = [(rank // n**i) % n for i in range(m)]
+        want.append(sum(1 << v for v in range(n) if digits.count(v) % 2))
+    assert tl._parity_masks(m, n).tolist() == want
+
+
 def test_half_cover_count_single_coordinate():
     # r=1, f=(1,3): exactly one coordinate lands in {1,2}
     assert phi([(1, 3)], Hypergraph(4, [(1, 2)]), 1) == [1]
