@@ -17,6 +17,7 @@ from .hypergraph import Hypergraph
 
 __all__ = [
     "ApParams",
+    "progressions",
     "ap_hypergraph",
     "ap_hypergraph_loose",
     "fixed_difference_hypergraph",
@@ -50,23 +51,25 @@ class ApParams:
             raise ValueError("k must be at least 2")
 
 
+def progressions(N: int, k: int, diffs) -> np.ndarray:
+    """The k-term progressions of Z/NZ with difference in ``diffs``: rows
+    (x + t*d) mod N for t = 0..k-1, ordered by d (as given), then by x."""
+    d = np.asarray(diffs, dtype=np.int64).reshape(-1, 1, 1)
+    return ((np.arange(N)[:, None] + d * np.arange(k)) % N).reshape(-1, k)
+
+
 def ap_hypergraph(params: ApParams) -> Hypergraph:
-    """Unordered proper k-AP hypergraph on Z/NZ; exact for prime N, k <= N."""
+    """Unordered proper k-AP hypergraph on Z/NZ; exact for prime N, k <= N.
+
+    N is an odd prime, so of a progression (a, b) and its reversal
+    (a + (k-1)b, -b) exactly one has its difference in 1..(N-1)/2.
+    """
     N, k = params.N, params.k
     if not _is_prime(N):
         raise ValueError("N must be prime (use ap_hypergraph_loose otherwise)")
     if not 3 <= k <= N:
         raise ValueError("need 3 <= k <= N")
-    edges = []
-    for b in range(1, N):
-        partner_b = N - b
-        for a in range(N):
-            partner_a = (a + (k - 1) * b) % N
-            # keep one representative per {(a, b), (partner_a, -b)} orbit
-            if (b, a) > (partner_b, partner_a):
-                continue
-            edges.append(tuple(sorted((a + t * b) % N for t in range(k))))
-    return Hypergraph(N, edges)
+    return Hypergraph(N, progressions(N, k, range(1, (N - 1) // 2 + 1)).tolist())
 
 
 def ap_hypergraph_loose(params: ApParams) -> Hypergraph:
@@ -75,18 +78,13 @@ def ap_hypergraph_loose(params: ApParams) -> Hypergraph:
     No exactness guarantees; counts and incidences may vary with N's factors.
     """
     N, k = params.N, params.k
-    edges = []
-    for b in range(1, N):
-        partner_b = N - b
-        for a in range(N):
-            terms = [(a + t * b) % N for t in range(k)]
-            if len(set(terms)) != k:
-                continue
-            partner_a = terms[-1]
-            if (b, a) > (partner_b, partner_a):
-                continue
-            edges.append(tuple(sorted(terms)))
-    return Hypergraph(N, edges)
+    rows = progressions(N, k, range(1, N // 2 + 1))
+    edges = np.sort(rows, axis=1)
+    keep = (edges[:, 1:] != edges[:, :-1]).all(axis=1)
+    if N % 2 == 0:
+        # d = N/2 is its own negative: of (a, d) and its reversal, keep the smaller start
+        keep[-N:] &= rows[-N:, 0] <= rows[-N:, -1]
+    return Hypergraph(N, edges[keep].tolist())
 
 
 def fixed_difference_hypergraph(params: ApParams, y: int) -> Hypergraph:
@@ -99,8 +97,7 @@ def fixed_difference_hypergraph(params: ApParams, y: int) -> Hypergraph:
         raise ValueError("N must be prime")
     if k > N:
         raise ValueError("need k <= N")
-    edges = [tuple(sorted((x + t * y) % N for t in range(k))) for x in range(N)]
-    return Hypergraph(N, edges)
+    return Hypergraph(N, progressions(N, k, [y]).tolist())
 
 
 def ordered_ap_count(bits, k: int):

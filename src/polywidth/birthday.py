@@ -36,15 +36,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, mc
-from .hypergraph import default_matching
-from .tensorlift import default_goodness_bound
+from .hypergraph import default_goodness_bound, default_matching
 
 __all__ = [
     "BirthdayParams",
     "default_constants",
     "default_matching",
-    "estimate_good_probability",
-    "mean_phi",
     "phi_statistics",
     "PhiStatistics",
     "poisson_pmf_table",
@@ -55,6 +52,10 @@ __all__ = [
     "poisson_sum_chisquare",
     "ChiSquareReport",
 ]
+
+PMF_TAIL = 1e-15  # pmf tables stop once the mass left is below this
+CHI_SQUARE_SIGNIFICANCE = 1e-3
+CHI_SQUARE_MIN_EXPECTED = 5.0  # least expected draws per chi-square bin
 
 
 def growth_constant(r: int) -> float:
@@ -99,14 +100,6 @@ class BirthdayParams:
         if self.s < 1:
             raise ValueError("s must be positive")
 
-    @property
-    def c_r(self) -> float:
-        return growth_constant(self.r)
-
-    @property
-    def n_0(self) -> float:
-        return minimum_n(self.r)
-
 
 @dataclass(frozen=True)
 class PhiStatistics:
@@ -119,8 +112,6 @@ def phi_statistics(
     params: BirthdayParams, matching=None, samples=10000, seed=0, threads=1
 ) -> PhiStatistics:
     """One sampling pass returning Pr[s-good], E[phi], and Pr[phi > s]."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     if matching is None:
         matching = default_matching(params.n, params.r)
     edges = np.array(matching.edges, dtype=np.int64)
@@ -132,35 +123,16 @@ def phi_statistics(
         tail = (phis > params.s).astype(np.float64)
         return np.stack([good, phis.astype(np.float64), tail], axis=1)
 
-    means, ses = mc.run_chunked(value_fn, samples, seed, threads=threads)
-    return PhiStatistics(
-        good_probability=mc.McEstimate(float(means[0]), float(ses[0]), samples, seed),
-        mean_phi=mc.McEstimate(float(means[1]), float(ses[1]), samples, seed),
-        tail_probability=mc.McEstimate(float(means[2]), float(ses[2]), samples, seed),
-    )
-
-
-def estimate_good_probability(
-    params: BirthdayParams, matching=None, samples=10000, seed=0, threads=1
-) -> mc.McEstimate:
-    """Monte-Carlo Pr[1 <= phi(h) <= s] for uniform random h."""
-    return phi_statistics(params, matching, samples, seed, threads).good_probability
-
-
-def mean_phi(
-    params: BirthdayParams, matching=None, samples=10000, seed=0, threads=1
-) -> mc.McEstimate:
-    """Monte-Carlo E[phi(h)]."""
-    return phi_statistics(params, matching, samples, seed, threads).mean_phi
+    return PhiStatistics(*mc.run_chunked(value_fn, samples, seed, threads=threads))
 
 
 # --------------------------------------------------------------------------
 # Poisson machinery.
 
 
-def poisson_pmf_table(mu: float, tail: float = 1e-15) -> np.ndarray:
+def poisson_pmf_table(mu: float) -> np.ndarray:
     """pmf values e^-mu mu^l / l! for l = 0.. until the tail mass drops below
-    ``tail``, or, past the mode, until a term no longer changes the sum.
+    ``PMF_TAIL``, or, past the mode, until a term no longer changes the sum.
 
     mu must be finite and nonnegative, with e^-mu a normal float
     (mu <= ~708.4): the table is built by recurrence from e^-mu.
@@ -170,7 +142,7 @@ def poisson_pmf_table(mu: float, tail: float = 1e-15) -> np.ndarray:
     pmf = [math.exp(-mu)]
     total = pmf[0]
     ell = 0
-    while 1.0 - total > tail:
+    while 1.0 - total > PMF_TAIL:
         ell += 1
         pmf.append(pmf[-1] * mu / ell)
         if ell > mu and total + pmf[-1] == total:
@@ -209,10 +181,6 @@ class DominationRow:
 class DominationReport:
     rows: tuple
 
-    @property
-    def all_hold(self) -> bool:
-        return all(row.holds for row in self.rows)
-
 
 def poisson_domination_check(
     params: BirthdayParams, matching=None, samples=100000, seed=0, threads=1
@@ -239,14 +207,12 @@ def poisson_domination_check(
         phis = _kernels.phi_hist_batch(hists, edges, params.r)
         return np.stack([(phis == 0).astype(np.float64), phis.astype(np.float64)], axis=1)
 
-    x_means, x_ses = mc.run_chunked(exact_fn, samples, seed, threads=threads)
+    exact = mc.run_chunked(exact_fn, samples, seed, threads=threads)
     # Independent stream for the Poisson side.
-    y_means, y_ses = mc.run_chunked(poisson_fn, samples, seed + 1, threads=threads)
+    poisson = mc.run_chunked(poisson_fn, samples, seed + 1, threads=threads)
 
     rows = []
-    for idx, name in enumerate(("psi", "chi")):
-        lhs = mc.McEstimate(float(x_means[idx]), float(x_ses[idx]), samples, seed)
-        rhs = mc.McEstimate(float(y_means[idx]), float(y_ses[idx]), samples, seed + 1)
+    for name, lhs, rhs in zip(("psi", "chi"), exact, poisson):
         margin = lhs.mean - 2.0 * rhs.mean
         tol = 3.0 * math.hypot(lhs.std_error, 2.0 * rhs.std_error)
         rows.append(DominationRow(name, lhs, rhs, margin, tol, margin <= tol))
@@ -281,50 +247,51 @@ class ChiSquareReport:
     passed: bool
 
 
-def _chi_square_bins(expected, samples, min_expected):
+def _chi_square_bins(expected, samples):
     """``(low, binned)``: the first bin holds the values <= low, the last
     the values >= low + len(binned) - 1, every other bin one value, and
     ``binned`` is their expected counts (truncated pmf mass in the last).
 
     Each end is lumped until the lump and the value next to it expect at
-    least ``min_expected`` draws; as the pmf is unimodal, every bin between
-    them does too.  At least two bins are kept; a sample count so small
-    that the upper lump alone takes every value raises ValueError.
+    least ``CHI_SQUARE_MIN_EXPECTED`` draws; as the pmf is unimodal, every
+    bin between them does too.  A sample count too small for two such bins
+    raises ValueError.
     """
+    least = CHI_SQUARE_MIN_EXPECTED
     cut = len(expected)  # the last bin holds the values >= cut - 1
-    while cut > 1 and expected[cut - 1 :].sum() < min_expected:
+    while cut > 1 and expected[cut - 1 :].sum() < least:
         cut -= 1
-    if cut < 2:
-        raise ValueError(
-            f"{samples} samples leave a single chi-square bin (0 degrees of freedom)"
-        )
     low = 0
-    while low < cut - 2 and min(expected[: low + 1].sum(), expected[low + 1]) < min_expected:
+    while low < cut - 2 and min(expected[: low + 1].sum(), expected[low + 1]) < least:
         low += 1
-    while cut - low > 2 and expected[cut - 2] < min_expected:
+    while cut - low > 2 and expected[cut - 2] < least:
         cut -= 1
     binned = np.concatenate(
         [[expected[: low + 1].sum()], expected[low + 1 : cut - 1], [expected[cut - 1 :].sum()]]
     )
     binned[-1] += samples - expected.sum()
+    if cut < 2 or binned.min() < least:
+        raise ValueError(
+            f"{samples} samples leave no two chi-square bins that each expect {least:g} draws"
+        )
     return low, binned
 
 
-def poisson_sum_chisquare(
-    mu_a: float, mu_b: float, samples=100000, seed=0, significance=1e-3, min_expected=5.0
-) -> ChiSquareReport:
-    """Goodness-of-fit of sampled Y_a + Y_b against a single Poisson(mu_a+mu_b).
+def poisson_sum_chisquare(mu_a: float, mu_b: float, samples=100000, seed=0) -> ChiSquareReport:
+    """Goodness-of-fit of sampled Y_a + Y_b against a single Poisson(mu_a+mu_b)
+    at significance ``CHI_SQUARE_SIGNIFICANCE``.
 
-    Values whose expected count is below ``min_expected`` are lumped into
-    the first or the last bin (``_chi_square_bins``).
+    Values whose expected count is below ``CHI_SQUARE_MIN_EXPECTED`` are
+    lumped into the first or the last bin (``_chi_square_bins``).
     """
     gen = mc.stream(seed, 0)
     draws = sample_poisson(gen, mu_a, samples) + sample_poisson(gen, mu_b, samples)
     expected = poisson_pmf_table(mu_a + mu_b) * samples
-    low, exp_binned = _chi_square_bins(expected, samples, min_expected)
+    low, exp_binned = _chi_square_bins(expected, samples)
     bins = len(exp_binned)
     obs = np.bincount(np.clip(draws, low, low + bins - 1) - low, minlength=bins)
     stat = float(((obs.astype(np.float64) - exp_binned) ** 2 / exp_binned).sum())
     dof = bins - 1
     p_value = _chi_square_tail(dof, stat)
-    return ChiSquareReport(stat, dof, p_value, significance, p_value >= significance)
+    passed = p_value >= CHI_SQUARE_SIGNIFICANCE
+    return ChiSquareReport(stat, dof, p_value, CHI_SQUARE_SIGNIFICANCE, passed)

@@ -102,13 +102,8 @@ def _run_gw_estimate(args):
         k = _positive("k", args["k"])
         if n % 2:
             raise ValueError("--n must be even for the matchings map")
-        comps = []
-        for mat in gwidth.random_matching_matrices(n, k, args["seed"] + 1):
-            pairs = sorted(
-                {tuple(sorted((int(r), int(c)))) for r, c in zip(mat.rows, mat.cols)}
-            )
-            comps.append(Hypergraph(n, pairs))
-        pmap = gwidth.PolyMap(comps)
+        matchings = gwidth.random_matchings(n, k, args["seed"] + 1)
+        pmap = gwidth.PolyMap(Hypergraph(n, pairs.tolist()) for pairs in matchings)
     est = gwidth.gw_estimate(pmap, samples, args["seed"], threads=args["threads"])
     bound = gwidth.width_bound(pmap.n, pmap.k, max(pmap.degree, 1), max(pmap.multiplicity, 1))
     row = {
@@ -310,9 +305,7 @@ def _run_upper_tail(args):
     params = randsets.RandomSetParams(args["N"], args["p"], args["seed"])
     query = randsets.TailQuery(args["k"], args["delta"])
     samples = _positive("samples", args["samples"])
-    res = randsets.upper_tail_mc(
-        params, query, samples, seed=args["seed"], threads=args["threads"]
-    )
+    res = randsets.upper_tail_mc(params, query, samples, threads=args["threads"])
     row = {
         "N": params.N,
         "k": query.k,

@@ -31,6 +31,7 @@ __all__ = [
     "gaussian_series_norm",
     "tj_ratio_experiment",
     "width_bound",
+    "random_matchings",
     "random_matching_matrices",
     "identity_map",
 ]
@@ -161,7 +162,7 @@ def gw_estimate(domain, samples: int, seed: int, threads: int = 1) -> mc.McEstim
             np.maximum(best, (block @ g_mat).max(axis=0), out=best)
         return best
 
-    return mc.mc_estimate(value_fn, samples, seed, threads=threads, chunk=1024)
+    return mc.run_chunked(value_fn, samples, seed, threads=threads, chunk=1024)[0]
 
 
 # --------------------------------------------------------------------------
@@ -174,9 +175,6 @@ class SpectralNormEstimate:
     upper_bound: float  # sqrt(max abs row sum * max abs col sum)
     converged: bool
     iterations: int
-
-    def bracket(self):
-        return (self.value, self.upper_bound)
 
 
 def _gram_power_iteration(matvec, rmatvec, dim, tol, max_iters):
@@ -282,7 +280,7 @@ def tj_ratio_experiment(matrices, samples: int, seed: int, threads: int = 1) -> 
             out[i] = gaussian_series_norm(dense)
         return out
 
-    lhs = mc.mc_estimate(value_fn, samples, seed, threads=threads, chunk=256)
+    lhs = mc.run_chunked(value_fn, samples, seed, threads=threads, chunk=256)[0]
     ratio = lhs.mean / rhs if rhs > 0 else 0.0
     return TjResult(lhs, rhs, ratio, norms, dim, k)
 
@@ -300,19 +298,21 @@ def width_bound(n: int, k: int, d: int, t: int) -> float:
     return n * t * math.sqrt(k * n**exponent * math.log(n))
 
 
-def random_matching_matrices(dim: int, k: int, seed: int):
-    """k adjacency matrices of random perfect matchings on [dim] (unit norm)."""
+def random_matchings(dim: int, k: int, seed: int):
+    """k random perfect matchings on [dim], each a (dim/2, 2) array of pairs."""
     if dim < 2 or dim % 2:
         raise ValueError("dim must be even and at least 2")
     gen = mc.stream(seed, 0)
-    out = []
-    for _ in range(k):
-        perm = gen.permutation(dim)
-        u, v = perm[0::2], perm[1::2]
-        rows = np.concatenate([u, v])
-        cols = np.concatenate([v, u])
-        out.append(SparseMatrix.from_entries(dim, rows, cols))
-    return out
+    return [gen.permutation(dim).reshape(-1, 2) for _ in range(k)]
+
+
+def random_matching_matrices(dim: int, k: int, seed: int):
+    """Adjacency matrices of ``random_matchings(dim, k, seed)`` (unit norm):
+    each pair (u, v) is an entry at (u, v) and at (v, u)."""
+    return [
+        SparseMatrix.from_entries(dim, pairs.ravel(), pairs[:, ::-1].ravel())
+        for pairs in random_matchings(dim, k, seed)
+    ]
 
 
 def identity_map(n: int) -> PolyMap:

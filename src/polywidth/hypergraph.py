@@ -3,8 +3,9 @@
 Vertices are 0..n-1; an edge is a strictly increasing tuple of distinct
 vertices and the edge list keeps insertion order (parallel edges allowed).
 Provides degree queries, first-fit edge coloring into matchings, greedy
-completion of a matching to a maximal one, and padding to a uniform edge
-size without raising the maximum degree.
+completion of a matching to a maximal one (the default matching, with the
+default goodness threshold of maps against it), and padding to a uniform
+edge size without raising the maximum degree.
 """
 
 from dataclasses import dataclass
@@ -12,11 +13,11 @@ from dataclasses import dataclass
 __all__ = [
     "Hypergraph",
     "EdgeColoring",
-    "degree_profile",
     "greedy_edge_coloring",
     "color_classes",
     "complete_to_maximal_matching",
     "default_matching",
+    "default_goodness_bound",
     "homogenize",
     "save_hypergraph",
     "load_hypergraph",
@@ -89,12 +90,6 @@ class EdgeColoring:
     num_colors: int
 
 
-def degree_profile(h: Hypergraph):
-    """Per-vertex incidence counts and their maximum."""
-    deg = h.degrees()
-    return deg, (max(deg) if h.edges else 0)
-
-
 def greedy_edge_coloring(h: Hypergraph) -> EdgeColoring:
     """First-fit proper edge coloring.
 
@@ -151,6 +146,11 @@ def complete_to_maximal_matching(m: Hypergraph, r: int) -> Hypergraph:
 def default_matching(n: int, r: int) -> Hypergraph:
     """Greedy maximal matching of 2r-blocks on [n]."""
     return complete_to_maximal_matching(Hypergraph(n, ()), r)
+
+
+def default_goodness_bound(r: int) -> int:
+    """Default goodness threshold 200 * 4^r for maps against a 2r-matching."""
+    return 200 * 4**r
 
 
 def homogenize(h: Hypergraph, d: int):

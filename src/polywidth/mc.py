@@ -60,12 +60,12 @@ def chunk_counts(samples: int, chunk: int = CHUNK_SAMPLES) -> list[int]:
     return [chunk] * full + ([rest] if rest else [])
 
 
-def run_chunked(value_fn, samples, seed, threads=1, chunk=CHUNK_SAMPLES):
+def run_chunked(value_fn, samples, seed, threads=1, chunk=CHUNK_SAMPLES) -> list[McEstimate]:
     """Estimate the mean of one or more statistics by chunked sampling.
 
     ``value_fn(gen, count)`` must return an array of shape ``(count,)`` or
     ``(count, q)`` of per-sample statistic values drawn from ``gen``.  Returns
-    ``(means, std_errors)`` as length-q arrays (q=1 for the flat shape).
+    one McEstimate per statistic (q = 1 for the flat shape).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -102,10 +102,4 @@ def run_chunked(value_fn, samples, seed, threads=1, chunk=CHUNK_SAMPLES):
     else:
         var = np.zeros_like(total)
     ses = np.sqrt(var / n)
-    return means, ses
-
-
-def mc_estimate(value_fn, samples, seed, threads=1, chunk=CHUNK_SAMPLES) -> McEstimate:
-    """`run_chunked` for a single scalar statistic."""
-    means, ses = run_chunked(value_fn, samples, seed, threads=threads, chunk=chunk)
-    return McEstimate(float(means[0]), float(ses[0]), samples, seed)
+    return [McEstimate(float(mean), float(se), samples, seed) for mean, se in zip(means, ses)]

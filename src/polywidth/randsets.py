@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels, mc
-from .aps import ApParams, ap_hypergraph
+from .aps import ApParams, ap_hypergraph, progressions
 from .errors import BudgetExceededError
 
 __all__ = [
@@ -105,11 +105,10 @@ def reference_tail_rate(N: int, k: int, p: float, delta: float) -> float:
 
 
 def upper_tail_mc(
-    params: RandomSetParams, query: TailQuery, samples: int, seed=None, threads=1
+    params: RandomSetParams, query: TailQuery, samples: int, threads=1
 ) -> UpperTailResult:
-    """Monte-Carlo estimate of Pr[AP count >= (1+delta) * expectation]."""
-    if seed is None:
-        seed = params.seed
+    """Monte-Carlo estimate of Pr[AP count >= (1+delta) * expectation],
+    sampled from the stream of ``params.seed``."""
     edges = _ap_edge_array(params.N, query.k)
     expected = expected_ap_count(params, query.k)
     threshold = (1.0 + query.delta) * expected
@@ -119,7 +118,7 @@ def upper_tail_mc(
         hits = _kernels.contained_edges_batch(bits, edges)
         return (hits >= threshold).astype(np.float64)
 
-    est = mc.mc_estimate(value_fn, samples, seed, threads=threads)
+    est = mc.run_chunked(value_fn, samples, params.seed, threads=threads)[0]
     zero = est.mean == 0.0
     return UpperTailResult(
         estimate=est,
@@ -144,15 +143,12 @@ class IntersectivityResult:
 
 def _ap_masks(N: int, ell: int, diffs) -> list[int]:
     """Bitmasks of the proper (ell+1)-term progressions with difference in diffs."""
+    diffs = [int(d) % N for d in diffs]
+    if 0 in diffs:
+        raise ValueError("differences must be nonzero mod N")
     masks = set()
-    for d in diffs:
-        d = int(d) % N
-        if d == 0:
-            raise ValueError("differences must be nonzero mod N")
-        for x in range(N):
-            terms = [(x + t * d) % N for t in range(ell + 1)]
-            if len(set(terms)) != ell + 1:
-                continue
+    for terms in progressions(N, ell + 1, diffs).tolist():
+        if len(set(terms)) == ell + 1:
             mask = 0
             for v in terms:
                 mask |= 1 << v
@@ -266,4 +262,4 @@ def random_intersectivity_experiment(
             out[i] = 1.0 if res.intersective else 0.0
         return out
 
-    return mc.mc_estimate(value_fn, trials, seed, threads=threads)
+    return mc.run_chunked(value_fn, trials, seed, threads=threads)[0]

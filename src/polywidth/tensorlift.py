@@ -79,6 +79,7 @@ from .hypergraph import (
     Hypergraph,
     color_classes,
     complete_to_maximal_matching,
+    default_goodness_bound,
     greedy_edge_coloring,
 )
 
@@ -99,11 +100,6 @@ DEFAULT_BUDGET = 10**6
 SIGN_ENUM_LIMIT = 16  # exhaustive sign-vector checks enumerate 2^n points
 
 _BLOCK = 1 << 15  # maps scored per phi_batch call
-
-
-def default_goodness_bound(r: int) -> int:
-    """Default goodness threshold 200 * 4^r."""
-    return 200 * 4**r
 
 
 @dataclass(frozen=True)
@@ -283,11 +279,11 @@ def build_matrix_lift(h: Hypergraph, params: LiftParams) -> LiftResult:
     dim = params.num_maps
 
     coloring = greedy_edge_coloring(h)
-    classes = color_classes(h, coloring)
     empty = np.zeros(0, dtype=np.int64)
     rows, cols = [empty], [empty]
     cover_counts, pair_sizes, matching_sizes = [], [], []
-    for class_edges in classes:
+    # edgeless input keeps no pair, but reports the default family's counts
+    for class_edges in color_classes(h, coloring) or [()]:
         family = complete_to_maximal_matching(Hypergraph(h.n, class_edges), params.r)
         pairs = 0
         for f_ranks, g_ranks, covers in _pair_blocks(params, family):
@@ -301,16 +297,9 @@ def build_matrix_lift(h: Hypergraph, params: LiftParams) -> LiftResult:
         pair_sizes.append(pairs)
         matching_sizes.append(family.num_edges)
 
-    if classes:
-        if len(set(cover_counts)) != 1:
-            raise RuntimeError("per-family cover counts differ across colors")
-        cover_count = cover_counts[0]
-    else:
-        # Degenerate edgeless input: report the cover count of the default family.
-        family = complete_to_maximal_matching(Hypergraph(h.n, ()), params.r)
-        f_ranks, _, _ = enumerate_pairs(params, family)
-        cover_count = len(f_ranks) // family.num_edges
-        pair_sizes, matching_sizes = [len(f_ranks)], [family.num_edges]
+    if len(set(cover_counts)) != 1:
+        raise RuntimeError("per-family cover counts differ across colors")
+    cover_count = cover_counts[0]
 
     f_ranks = np.concatenate(rows)
     del rows  # the per-block copies, before the second concatenation

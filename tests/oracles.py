@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from polywidth import mc
 from polywidth.hypergraph import Hypergraph
 
 
@@ -124,6 +125,48 @@ def ap_edges_direct(N, k):
             seen.add(partner)
             edges.append(tuple(sorted((a + t * b) % N for t in range(k))))
     return edges
+
+
+def ap_edges_loose_direct(N, k):
+    """One sorted edge per orbit {(a, b), (a + (k-1)b, -b)} of progressions
+    with distinct terms, scanning b = 1..N-1, then a (the edge order of
+    ``ap_hypergraph_loose``, and of ``ap_hypergraph`` at prime N)."""
+    edges = []
+    for b in range(1, N):
+        for a in range(N):
+            terms = [(a + t * b) % N for t in range(k)]
+            if len(set(terms)) != k or (b, a) > (N - b, terms[-1]):
+                continue
+            edges.append(tuple(sorted(terms)))
+    return edges
+
+
+def ap_masks_direct(N, ell, diffs):
+    """Sorted distinct bitmasks of the proper (ell+1)-term progressions with
+    difference in ``diffs``; a difference 0 mod N raises ValueError."""
+    masks = set()
+    for d in diffs:
+        d = int(d) % N
+        if d == 0:
+            raise ValueError("differences must be nonzero mod N")
+        for x in range(N):
+            terms = [(x + t * d) % N for t in range(ell + 1)]
+            if len(set(terms)) == ell + 1:
+                masks.add(sum(1 << v for v in terms))
+    return sorted(masks)
+
+
+def matching_entries_direct(dim, k, seed):
+    """(rows, cols) of k random perfect matchings: one permutation of [dim]
+    per matching from the stream of ``seed``, pairing perm[0::2] with
+    perm[1::2] in both directions."""
+    gen = mc.stream(seed, 0)
+    out = []
+    for _ in range(k):
+        perm = gen.permutation(dim)
+        u, v = perm[0::2], perm[1::2]
+        out.append((np.concatenate([u, v]), np.concatenate([v, u])))
+    return out
 
 
 def ordered_ap_count_direct(bits, k):

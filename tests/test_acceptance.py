@@ -234,9 +234,7 @@ def test_c09_ap_structure():
 def test_c10_upper_tail_desk_scale():
     with criterion(10, "upper-tail Monte Carlo against exact enumeration"):
         exact = oracles.exact_upper_tail_probability(13, 3, 0.5, 1.0, rs.count_aps)
-        res = rs.upper_tail_mc(
-            rs.RandomSetParams(13, 0.5, seed=100), rs.TailQuery(3, 1.0), 100000, seed=100
-        )
+        res = rs.upper_tail_mc(rs.RandomSetParams(13, 0.5, seed=100), rs.TailQuery(3, 1.0), 100000)
         assert abs(res.estimate.mean - exact) <= 3 * res.estimate.std_error, (
             exact,
             res.estimate,

@@ -81,13 +81,29 @@ def test_fixed_difference_reversal_symmetry():
         assert sorted(a.edges) == sorted(b.edges)
 
 
-@pytest.mark.parametrize("N,k", [(5, 3), (7, 3), (11, 4), (13, 5), (17, 3)])
+PRIMES_TO_31 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
+@pytest.mark.parametrize(
+    "N,k", [(N, k) for N in PRIMES_TO_31 for k in range(3, min(N, 7) + 1)]
+)
 def test_fixed_difference_partition(N, k):
-    # differences 1..(N-1)/2 partition the unordered progression multiset
+    # differences 1..(N-1)/2 partition the unordered progression multiset,
+    # and list it in the order of ap_hypergraph
     combined = []
     for y in range(1, (N - 1) // 2 + 1):
         combined.extend(fixed_difference_hypergraph(ApParams(N, k), y).edges)
-    assert sorted(combined) == sorted(ap_hypergraph(ApParams(N, k)).edges)
+    assert combined == list(ap_hypergraph(ApParams(N, k)).edges)
+
+
+@pytest.mark.parametrize("N", range(3, 41))
+def test_ap_hypergraphs_match_the_orbit_scan(N):
+    # even N has the self-reverse difference N/2, which k = 2 keeps once
+    for k in range(2, min(N, 8) + 1):
+        want = oracles.ap_edges_loose_direct(N, k)
+        assert list(ap_hypergraph_loose(ApParams(N, k)).edges) == want, k
+        if k >= 3 and N in PRIMES_TO_31 + [37]:
+            assert list(ap_hypergraph(ApParams(N, k)).edges) == want, k
 
 
 def test_pair_incidence_z5_and_z7():
@@ -128,9 +144,6 @@ def test_doubled_polynomial_equals_ordered_count(N, k):
 def test_two_transitivity():
     assert two_transitivity_check(ApParams(7, 3), 100, seed=1)
     assert two_transitivity_check(ApParams(11, 4), 50, seed=2)
-
-
-PRIMES_TO_31 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
 
 def _random_rows(rng, rows, N):

@@ -59,16 +59,18 @@ def test_single_coordinate_good_probability():
 def test_mean_phi_linear_in_matching_size():
     # r=1, m fixed: E[phi] = m * |union of matching| / n
     params = bd.BirthdayParams(r=1, n=8, m=3)
-    one = bd.mean_phi(params, Hypergraph(8, [(0, 1)]), samples=20000, seed=9)
-    two = bd.mean_phi(params, Hypergraph(8, [(0, 1), (2, 3)]), samples=20000, seed=9)
+    one, two = (
+        bd.phi_statistics(params, Hypergraph(8, edges), samples=20000, seed=9).mean_phi
+        for edges in ([(0, 1)], [(0, 1), (2, 3)])
+    )
     assert abs(one.mean - 3 * 2 / 8) <= 3 * one.std_error + 1e-12
     assert abs(two.mean - 3 * 4 / 8) <= 3 * two.std_error + 1e-12
 
 
 def test_estimate_in_unit_interval_and_deterministic():
     params = bd.BirthdayParams(r=1, n=20)
-    a = bd.estimate_good_probability(params, samples=5000, seed=11)
-    b = bd.estimate_good_probability(params, samples=5000, seed=11)
+    a = bd.phi_statistics(params, samples=5000, seed=11).good_probability
+    b = bd.phi_statistics(params, samples=5000, seed=11).good_probability
     assert a == b
     assert 0.0 <= a.mean <= 1.0
 
@@ -84,8 +86,8 @@ def test_monotone_in_threshold():
     # with the same seed, raising s can only enlarge the good event
     params_small = bd.BirthdayParams(r=1, n=30, m=5, s=1)
     params_large = bd.BirthdayParams(r=1, n=30, m=5, s=10**9)
-    small = bd.estimate_good_probability(params_small, samples=4000, seed=2)
-    large = bd.estimate_good_probability(params_large, samples=4000, seed=2)
+    small = bd.phi_statistics(params_small, samples=4000, seed=2).good_probability
+    large = bd.phi_statistics(params_large, samples=4000, seed=2).good_probability
     assert small.mean <= large.mean
 
 
@@ -121,7 +123,7 @@ def test_poisson_domination_small_case():
     report = bd.poisson_domination_check(params, samples=20000, seed=1)
     names = [row.functional for row in report.rows]
     assert names == ["psi", "chi"]
-    assert report.all_hold
+    assert all(row.holds for row in report.rows)
 
 
 def test_poisson_sum_chisquare_passes():
@@ -137,7 +139,7 @@ def test_chi_square_bins_each_expect_five_draws(mu, samples):
     rep = bd.poisson_sum_chisquare(mu - 0.7, 0.7, samples=samples, seed=1)
     # two lumps, and single values that each expect 5 draws or more
     assert rep.dof + 1 <= 2 + np.count_nonzero(expected >= 5.0)
-    low, binned = bd._chi_square_bins(expected, samples, 5.0)
+    low, binned = bd._chi_square_bins(expected, samples)
     assert rep.dof == len(binned) - 1
     assert binned.min() >= 5.0
     assert binned.sum() == pytest.approx(samples, rel=1e-12)
@@ -147,7 +149,7 @@ def test_chi_square_bins_each_expect_five_draws(mu, samples):
 def test_chi_square_bins_unchanged_where_every_bin_already_held_five():
     # the bench default (mean 2, 50k draws) expects 6767 draws of 0: no low lump
     expected = bd.poisson_pmf_table(2.0) * 50000
-    low, binned = bd._chi_square_bins(expected, 50000, 5.0)
+    low, binned = bd._chi_square_bins(expected, 50000)
     assert low == 0 and binned[0] == expected[0]
     assert len(binned) == 10
 

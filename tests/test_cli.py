@@ -167,11 +167,14 @@ def test_poisson_check_runs(capsys):
 
 
 def test_poisson_check_rejects_single_bin_chi_square(capsys):
-    # 5 samples lump every Poisson bin into one: 0 degrees of freedom.
+    # At means 1.3 + 0.7, 5 samples lump every Poisson bin into one, and up
+    # to 12 leave a bin expecting fewer than 5 draws (4.87 at 12); 13 give
+    # bins expecting 5.28 and 7.72 draws: 1 degree of freedom.
     argv = ("poisson-check", "--r", "1", "--n", "10", "--samples")
-    code, _ = run_cli(capsys, *argv, "5")
-    assert code == EXIT_INVALID
-    code, out = run_cli(capsys, *argv, "6")
+    for samples in range(5, 13):
+        code, _ = run_cli(capsys, *argv, str(samples))
+        assert code == EXIT_INVALID, samples
+    code, out = run_cli(capsys, *argv, "13")
     assert code == 0
     row = next(ln for ln in out.splitlines() if ln.startswith("sum_chisquare,"))
     assert row.split(",")[2] == "1"  # dof
@@ -305,6 +308,7 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 
 
 SEARCH_UNUSED = [f"polywidth.{m}" for m in ("birthday", "gwidth", "sparse", "tensorlift")]
+BIRTHDAY_UNUSED = [f"polywidth.{m}" for m in ("tensorlift", "gwidth", "sparse", "randsets", "aps")]
 
 
 @pytest.mark.parametrize(
@@ -318,8 +322,11 @@ SEARCH_UNUSED = [f"polywidth.{m}" for m in ("birthday", "gwidth", "sparse", "ten
          SEARCH_UNUSED + ["concurrent.futures"]),
         (["matrix-verify", "--n", "6", "--m", "2", "--r", "1"],
          ["polywidth.mc", "polywidth.randsets", "numpy.random"]),
+        (["birthday", "--r", "1", "--n", "20", "--samples", "100"], BIRTHDAY_UNUSED),
+        (["poisson-check", "--r", "1", "--n", "20", "--samples", "100"], BIRTHDAY_UNUSED),
     ],
-    ids=["intersective-diffs", "intersective-random", "ap-structure", "matrix-verify"],
+    ids=["intersective-diffs", "intersective-random", "ap-structure", "matrix-verify",
+         "birthday", "poisson-check"],
 )
 def test_subcommand_loads_only_its_layers(argv, unused):
     # modules the command loads beyond numpy's own import (numpy < 2 loads

@@ -13,11 +13,7 @@ from polywidth.sparse import SparseMatrix
 
 
 def matching_map(n, k, seed):
-    comps = []
-    for mat in gw.random_matching_matrices(n, k, seed):
-        pairs = sorted({tuple(sorted((int(r), int(c)))) for r, c in zip(mat.rows, mat.cols)})
-        comps.append(Hypergraph(n, pairs))
-    return gw.PolyMap(comps)
+    return gw.PolyMap(Hypergraph(n, pairs.tolist()) for pairs in gw.random_matchings(n, k, seed))
 
 
 def subsets_map(n, sizes):
@@ -165,6 +161,21 @@ def test_gw_estimate_deterministic_across_threads():
 def test_spectral_norm_identity():
     eye = SparseMatrix.from_entries(5, range(5), range(5))
     assert gw.spectral_norm(eye).value == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("dim,k,seed", [(2, 1, 0), (10, 3, 2), (64, 5, 7)])
+def test_random_matchings_are_the_permutation_pairs(dim, k, seed):
+    matchings = gw.random_matchings(dim, k, seed)
+    mats = gw.random_matching_matrices(dim, k, seed)
+    direct = oracles.matching_entries_direct(dim, k, seed)
+    for pairs, mat, (rows, cols) in zip(matchings, mats, direct, strict=True):
+        want = SparseMatrix.from_entries(dim, rows, cols)
+        for field in ("rows", "cols", "vals"):
+            assert np.array_equal(getattr(mat, field), getattr(want, field))
+        assert pairs.shape == (dim // 2, 2)
+        assert sorted(Hypergraph(dim, pairs.tolist()).edges) == sorted(
+            {tuple(sorted((int(r), int(c)))) for r, c in zip(rows, cols)}
+        )
 
 
 def test_spectral_norm_matching():

@@ -9,7 +9,6 @@ from polywidth.hypergraph import (
     Hypergraph,
     color_classes,
     complete_to_maximal_matching,
-    degree_profile,
     greedy_edge_coloring,
     homogenize,
     load_hypergraph,
@@ -30,24 +29,22 @@ def test_construction_canonicalizes_and_validates():
 
 def test_degree_profile_matching():
     h = Hypergraph(4, [(0, 1), (2, 3)])
-    degrees, max_deg = degree_profile(h)
-    assert degrees == [1, 1, 1, 1]
-    assert max_deg == 1
+    assert h.degrees() == [1, 1, 1, 1]
+    assert h.max_degree == 1
 
 
 def test_degree_profile_triangle():
     h = Hypergraph(3, [(0, 1), (1, 2), (0, 2)])
-    _, max_deg = degree_profile(h)
-    assert max_deg == 2
+    assert h.max_degree == 2
 
 
 def test_degree_profile_fixed_difference_aps():
     # the 7 edges {x, x+1, x+2} over Z/7Z; count incidences directly
     edges = [tuple(sorted((x + t) % 7 for t in range(3))) for x in range(7)]
     expected = [sum(1 for e in edges if v in e) for v in range(7)]
-    degrees, max_deg = degree_profile(Hypergraph(7, edges))
-    assert degrees == expected
-    assert max_deg == 3
+    h = Hypergraph(7, edges)
+    assert h.degrees() == expected
+    assert h.max_degree == 3
 
 
 def test_greedy_coloring_matching_single_color():

@@ -33,13 +33,15 @@ def test_run_chunked_matches_direct_statistics():
     def value_fn(gen, count):
         return gen.random(count)
 
-    means, ses = mc.run_chunked(value_fn, 5000, seed=3, chunk=512)
+    (est,) = mc.run_chunked(value_fn, 5000, seed=3, chunk=512)
     # reproduce the exact sample set chunk by chunk
     vals = np.concatenate(
         [mc.stream(3, i).random(c) for i, c in enumerate(mc.chunk_counts(5000, 512))]
     )
-    assert means[0] == pytest.approx(vals.mean(), rel=1e-12)
-    assert ses[0] == pytest.approx(vals.std(ddof=1) / math.sqrt(5000), rel=1e-9)
+    assert est.mean == pytest.approx(vals.mean(), rel=1e-12)
+    assert est.std_error == pytest.approx(vals.std(ddof=1) / math.sqrt(5000), rel=1e-9)
+    assert (est.samples, est.seed) == (5000, 3)
+    assert type(est.mean) is float and type(est.std_error) is float
 
 
 def test_run_chunked_thread_invariance():
@@ -48,16 +50,16 @@ def test_run_chunked_thread_invariance():
 
     a = mc.run_chunked(value_fn, 3000, seed=5, threads=1)
     b = mc.run_chunked(value_fn, 3000, seed=5, threads=8)
-    assert np.array_equal(a[0], b[0])
-    assert np.array_equal(a[1], b[1])
+    assert len(a) == 2
+    assert a == b
 
 
 def test_mc_estimate_validation():
     with pytest.raises(ValueError):
-        mc.mc_estimate(lambda gen, count: np.zeros(count), 0, seed=1)
+        mc.run_chunked(lambda gen, count: np.zeros(count), 0, seed=1)
 
 
 def test_single_sample_has_zero_se():
-    est = mc.mc_estimate(lambda gen, count: gen.random(count), 1, seed=9)
+    (est,) = mc.run_chunked(lambda gen, count: gen.random(count), 1, seed=9)
     assert est.std_error == 0.0
     assert est.samples == 1

@@ -321,6 +321,28 @@ def test_empty_hypergraph_lift():
     assert ok
 
 
+@pytest.mark.parametrize(
+    "n,m,r,cover_count,pair_set_size,matching_size",
+    [(4, 2, 1, 16, 32, 2), (6, 3, 1, 216, 648, 3), (9, 3, 1, 486, 1944, 4),
+     (5, 4, 2, 3600, 3600, 1), (8, 4, 2, 9216, 18432, 2)],
+)
+def test_edgeless_lift_reports_the_default_family(n, m, r, cover_count, pair_set_size,
+                                                  matching_size):
+    # no pair is kept, and the counts are those of the default matching's lift
+    params = tl.LiftParams(n=n, m=m, r=r)
+    rep = tl.build_matrix_lift(Hypergraph(n, ()), params).report
+    assert (rep.num_colors, rep.nnz, rep.max_row_sum) == (0, 0, 0)
+    assert (rep.cover_count, rep.pair_set_size, rep.matching_size) == (
+        cover_count, pair_set_size, matching_size
+    )
+    family = complete_to_maximal_matching(Hypergraph(n, ()), r)
+    full = tl.build_matrix_lift(family, params).report
+    assert (full.cover_count, full.pair_set_size, full.matching_size) == (
+        cover_count, pair_set_size, matching_size
+    )
+    assert len(tl.enumerate_pairs(params, family)[0]) == pair_set_size
+
+
 def test_lift_params_validation():
     with pytest.raises(ValueError):
         tl.LiftParams(n=1, m=1, r=1)  # n < 2r
