@@ -19,7 +19,6 @@ __all__ = [
     "ApParams",
     "progressions",
     "ap_hypergraph",
-    "ap_hypergraph_loose",
     "fixed_difference_hypergraph",
     "ordered_ap_count",
     "pair_incidence_profile",
@@ -66,25 +65,10 @@ def ap_hypergraph(params: ApParams) -> Hypergraph:
     """
     N, k = params.N, params.k
     if not _is_prime(N):
-        raise ValueError("N must be prime (use ap_hypergraph_loose otherwise)")
+        raise ValueError("N must be prime")
     if not 3 <= k <= N:
         raise ValueError("need 3 <= k <= N")
     return Hypergraph(N, progressions(N, k, range(1, (N - 1) // 2 + 1)).tolist())
-
-
-def ap_hypergraph_loose(params: ApParams) -> Hypergraph:
-    """Composite-N variant: one edge per orbit whose k terms are distinct.
-
-    No exactness guarantees; counts and incidences may vary with N's factors.
-    """
-    N, k = params.N, params.k
-    rows = progressions(N, k, range(1, N // 2 + 1))
-    edges = np.sort(rows, axis=1)
-    keep = (edges[:, 1:] != edges[:, :-1]).all(axis=1)
-    if N % 2 == 0:
-        # d = N/2 is its own negative: of (a, d) and its reversal, keep the smaller start
-        keep[-N:] &= rows[-N:, 0] <= rows[-N:, -1]
-    return Hypergraph(N, edges[keep].tolist())
 
 
 def fixed_difference_hypergraph(params: ApParams, y: int) -> Hypergraph:
@@ -133,17 +117,17 @@ def pair_incidence_profile(h: Hypergraph):
     return (max(table.values()) if table else 0), table
 
 
-def two_transitivity_check(params: ApParams, trials: int, seed: int) -> bool:
-    """Random affine maps sending one vertex pair to another must map edges
-    to edges.  Returns True iff all trials pass.
+def two_transitivity_check(h: Hypergraph, trials: int, seed: int) -> bool:
+    """Random affine maps of Z/NZ (N = h.n, prime) sending one vertex pair
+    to another must map the edges of the uniform hypergraph h to edges.
+    Returns True iff all trials pass.
 
     Each trial maps the whole edge array, sorts the mapped rows and looks
     them up among the sorted edge rows, compared as whole-row byte strings.
     """
-    N = params.N
+    N = h.n
     if not _is_prime(N):
         raise ValueError("N must be prime")
-    h = ap_hypergraph(params)
     edges = np.array(h.edges, dtype=np.int64)  # rows already sorted
     row = np.dtype((np.void, edges.itemsize * edges.shape[1]))
     edge_rows = np.sort(edges.view(row).ravel())

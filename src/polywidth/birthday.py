@@ -40,14 +40,12 @@ from .hypergraph import default_goodness_bound, default_matching
 
 __all__ = [
     "BirthdayParams",
-    "default_constants",
     "default_matching",
     "phi_statistics",
     "PhiStatistics",
     "poisson_pmf_table",
     "sample_poisson",
     "poisson_domination_check",
-    "DominationReport",
     "DominationRow",
     "poisson_sum_chisquare",
     "ChiSquareReport",
@@ -61,18 +59,6 @@ CHI_SQUARE_MIN_EXPECTED = 5.0  # least expected draws per chi-square bin
 def growth_constant(r: int) -> float:
     """C_r = (6 e r)^(1/r)."""
     return (6.0 * math.e * r) ** (1.0 / r)
-
-
-def minimum_n(r: int) -> float:
-    """n_0(r) = 4 (C_r r)^r = 24 e r^(r+1)."""
-    return 4.0 * (growth_constant(r) * r) ** r
-
-
-def default_constants(r: int):
-    """(C_r, s, n_0) for a given r."""
-    if r < 1:
-        raise ValueError("r must be positive")
-    return growth_constant(r), default_goodness_bound(r), minimum_n(r)
 
 
 @dataclass(frozen=True)
@@ -106,22 +92,20 @@ class PhiStatistics:
     good_probability: mc.McEstimate
     mean_phi: mc.McEstimate
     tail_probability: mc.McEstimate  # Pr[phi > s]
+    zero_probability: mc.McEstimate  # Pr[phi = 0]
 
 
-def phi_statistics(
-    params: BirthdayParams, matching=None, samples=10000, seed=0, threads=1
-) -> PhiStatistics:
-    """One sampling pass returning Pr[s-good], E[phi], and Pr[phi > s]."""
-    if matching is None:
-        matching = default_matching(params.n, params.r)
-    edges = np.array(matching.edges, dtype=np.int64)
+def phi_statistics(params: BirthdayParams, samples=10000, seed=0, threads=1) -> PhiStatistics:
+    """One sampling pass of uniform maps [m] -> [n], scored against the
+    default matching, returning Pr[s-good], E[phi], Pr[phi > s] and
+    Pr[phi = 0]."""
+    edges = np.array(default_matching(params.n, params.r).edges, dtype=np.int64)
 
     def value_fn(gen, count):
         maps = gen.integers(0, params.n, size=(count, params.m))
         phis = _kernels.phi_batch(maps, edges, params.n, params.r)
-        good = ((phis >= 1) & (phis <= params.s)).astype(np.float64)
-        tail = (phis > params.s).astype(np.float64)
-        return np.stack([good, phis.astype(np.float64), tail], axis=1)
+        good = (phis >= 1) & (phis <= params.s)
+        return np.stack([good, phis, phis > params.s, phis == 0], axis=1, dtype=np.float64)
 
     return PhiStatistics(*mc.run_chunked(value_fn, samples, seed, threads=threads))
 
@@ -177,46 +161,35 @@ class DominationRow:
     holds: bool
 
 
-@dataclass(frozen=True)
-class DominationReport:
-    rows: tuple
-
-
 def poisson_domination_check(
-    params: BirthdayParams, matching=None, samples=100000, seed=0, threads=1
-) -> DominationReport:
+    params: BirthdayParams, samples=100000, seed=0, threads=1
+) -> tuple[DominationRow, ...]:
     """Check E[Phi(X)] <= 2 E[Phi(Y)] for the two goodness functionals.
 
     X is the exact occupancy histogram of a uniform random map [m] -> [n];
     Y has independent Poisson(m/n) bins.  Phi is either the indicator that
-    phi vanishes ("psi") or phi itself ("chi").  The inequality is declared
-    to hold when lhs <= 2*rhs + 3*(combined standard error).
+    phi vanishes ("psi") or phi itself ("chi").  The exact side is the
+    ``phi_statistics`` pass of the same seed.  The inequality is declared to
+    hold when lhs <= 2*rhs + 3*(combined standard error).
     """
-    if matching is None:
-        matching = default_matching(params.n, params.r)
-    edges = np.array(matching.edges, dtype=np.int64)
+    edges = np.array(default_matching(params.n, params.r).edges, dtype=np.int64)
     mu = params.m / params.n
-
-    def exact_fn(gen, count):
-        maps = gen.integers(0, params.n, size=(count, params.m))
-        phis = _kernels.phi_batch(maps, edges, params.n, params.r)
-        return np.stack([(phis == 0).astype(np.float64), phis.astype(np.float64)], axis=1)
 
     def poisson_fn(gen, count):
         hists = sample_poisson(gen, mu, (count, params.n))
         phis = _kernels.phi_hist_batch(hists, edges, params.r)
-        return np.stack([(phis == 0).astype(np.float64), phis.astype(np.float64)], axis=1)
+        return np.stack([phis == 0, phis], axis=1, dtype=np.float64)
 
-    exact = mc.run_chunked(exact_fn, samples, seed, threads=threads)
+    exact = phi_statistics(params, samples, seed, threads=threads)
     # Independent stream for the Poisson side.
     poisson = mc.run_chunked(poisson_fn, samples, seed + 1, threads=threads)
 
     rows = []
-    for name, lhs, rhs in zip(("psi", "chi"), exact, poisson):
+    for name, lhs, rhs in zip(("psi", "chi"), (exact.zero_probability, exact.mean_phi), poisson):
         margin = lhs.mean - 2.0 * rhs.mean
         tol = 3.0 * math.hypot(lhs.std_error, 2.0 * rhs.std_error)
         rows.append(DominationRow(name, lhs, rhs, margin, tol, margin <= tol))
-    return DominationReport(tuple(rows))
+    return tuple(rows)
 
 
 def _chi_square_tail(dof: int, x: float) -> float:
@@ -243,7 +216,6 @@ class ChiSquareReport:
     statistic: float
     dof: int
     p_value: float
-    significance: float
     passed: bool
 
 
@@ -294,4 +266,4 @@ def poisson_sum_chisquare(mu_a: float, mu_b: float, samples=100000, seed=0) -> C
     dof = bins - 1
     p_value = _chi_square_tail(dof, stat)
     passed = p_value >= CHI_SQUARE_SIGNIFICANCE
-    return ChiSquareReport(stat, dof, p_value, CHI_SQUARE_SIGNIFICANCE, passed)
+    return ChiSquareReport(stat, dof, p_value, passed)

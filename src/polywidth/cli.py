@@ -70,7 +70,8 @@ def _jsonable(value):
     return value
 
 
-def _emit(command, fieldnames, rows, args, stream):
+def _emit(command, rows, args, stream):
+    fieldnames = list(rows[0])
     if args["format"] == "csv":
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(fieldnames)
@@ -86,8 +87,9 @@ def _emit(command, fieldnames, rows, args, stream):
 
 
 # --------------------------------------------------------------------------
-# Subcommand runners.  Each returns (fieldnames, rows, exit_code, pre_lines)
-# and imports only the layers it uses, so a run loads no other layer.
+# Subcommand runners.  Each returns (rows, exit_code, pre_lines), the keys of
+# the first row being the report's fields, and imports only the layers it
+# uses, so a run loads no other layer.
 
 
 def _run_gw_estimate(args):
@@ -118,7 +120,7 @@ def _run_gw_estimate(args):
         "bound": bound,
         "fitted_C": est.mean / bound,
     }
-    return list(row), [row], EXIT_OK, []
+    return [row], EXIT_OK, []
 
 
 def _run_matrix_verify(args):
@@ -139,7 +141,7 @@ def _run_matrix_verify(args):
     verdict = tensorlift.verify_lift_identity(h, params)
     rep = verdict.report
     status = "OK" if verdict.ok else f"FAIL at x={verdict.witness}"
-    pre = [f"identity: {status}, cover_count={verdict.cover_count}"]
+    pre = [f"identity: {status}, cover_count={rep.cover_count}"]
     row = {
         "n": rep.n,
         "m": rep.m,
@@ -153,7 +155,7 @@ def _run_matrix_verify(args):
         "row_sum_bound": rep.row_sum_bound,
         "identity_ok": verdict.ok,
     }
-    return list(row), [row], EXIT_OK if verdict.ok else EXIT_VERIFY, pre
+    return [row], EXIT_OK if verdict.ok else EXIT_VERIFY, pre
 
 
 def _run_birthday(args):
@@ -178,7 +180,7 @@ def _run_birthday(args):
         "mean_phi": stats.mean_phi.mean,
         "se_phi": stats.mean_phi.std_error,
     }
-    return list(row), [row], EXIT_OK, []
+    return [row], EXIT_OK, []
 
 
 def _run_poisson_check(args):
@@ -188,11 +190,11 @@ def _run_poisson_check(args):
         r=_positive("r", args["r"]), n=_positive("n", args["n"]), m=args["m"]
     )
     samples = _positive("samples", args["samples"])
-    report = birthday.poisson_domination_check(
+    domination = birthday.poisson_domination_check(
         params, samples=samples, seed=args["seed"], threads=args["threads"]
     )
     rows = []
-    for dr in report.rows:
+    for dr in domination:
         rows.append(
             {
                 "check": dr.functional,
@@ -212,14 +214,12 @@ def _run_poisson_check(args):
             "lhs": chi.statistic,
             "rhs": float(chi.dof),
             "value": chi.p_value,
-            "threshold": chi.significance,
+            "threshold": birthday.CHI_SQUARE_SIGNIFICANCE,
             "passed": chi.passed,
         }
     )
     ok = all(r["passed"] for r in rows)
-    return ["check", "lhs", "rhs", "value", "threshold", "passed"], rows, (
-        EXIT_OK if ok else EXIT_VERIFY
-    ), []
+    return rows, EXIT_OK if ok else EXIT_VERIFY, []
 
 
 def _run_tj_ratio(args):
@@ -240,50 +240,42 @@ def _run_tj_ratio(args):
         "rhs": res.rhs,
         "ratio": res.ratio,
     }
-    return list(row), [row], EXIT_OK, []
-
-
-def _ap_structure_stats(params):
-    from .aps import ap_hypergraph, pair_incidence_profile
-
-    h = ap_hypergraph(params)
-    degrees, max_deg = h.degrees(), h.max_degree
-    max_pair, table = pair_incidence_profile(h)
-    return h, degrees, max_deg, max_pair, table
+    return [row], EXIT_OK, []
 
 
 def _run_ap_count(args):
-    from .aps import ApParams
+    from .aps import ApParams, ap_hypergraph, pair_incidence_profile
 
     params = ApParams(args["N"], args["k"])
-    h, degrees, max_deg, max_pair, _ = _ap_structure_stats(params)
+    h = ap_hypergraph(params)
+    max_pair, _ = pair_incidence_profile(h)
     pre = [f"edges={h.num_edges}"]
     row = {
         "N": params.N,
         "k": params.k,
         "edges": h.num_edges,
-        "vertex_degree": max_deg,
+        "vertex_degree": h.max_degree,
         "pair_incidence": max_pair,
     }
-    return list(row), [row], EXIT_OK, pre
+    return [row], EXIT_OK, pre
 
 
 def _run_ap_structure(args):
-    from . import mc, poly
-    from .aps import ApParams, ordered_ap_count, two_transitivity_check
+    from . import aps, mc, poly
 
-    params = ApParams(args["N"], args["k"])
+    params = aps.ApParams(args["N"], args["k"])
     trials = _positive("trials", args["trials"])
-    h, degrees, _, _, table = _ap_structure_stats(params)
+    h = aps.ap_hypergraph(params)
+    _, table = aps.pair_incidence_profile(h)
     N, k = params.N, params.k
     edges_ok = h.num_edges == N * (N - 1) // 2
-    degree_ok = all(2 * d == k * (N - 1) for d in degrees)
+    degree_ok = all(2 * d == k * (N - 1) for d in h.degrees())
     pair_ok = all(2 * c == k * (k - 1) for c in table.values()) and len(table) == N * (N - 1) // 2
     # One draw for all subsets: the same stream as one gen.random(N) per trial.
     subsets = (mc.stream(args["seed"], 0).random((trials, N)) < 0.5).astype(np.uint8)
-    counts = ordered_ap_count(subsets, k)
+    counts = aps.ordered_ap_count(subsets, k)
     lambda_ok = all(2 * poly.evaluate(h, bits) == c for bits, c in zip(subsets, counts))
-    transitive_ok = two_transitivity_check(params, trials, args["seed"] + 1)
+    transitive_ok = aps.two_transitivity_check(h, trials, args["seed"] + 1)
     all_ok = edges_ok and degree_ok and pair_ok and lambda_ok and transitive_ok
     row = {
         "N": N,
@@ -296,7 +288,7 @@ def _run_ap_structure(args):
         "transitive_ok": transitive_ok,
         "all_ok": all_ok,
     }
-    return list(row), [row], EXIT_OK if all_ok else EXIT_VERIFY, []
+    return [row], EXIT_OK if all_ok else EXIT_VERIFY, []
 
 
 def _run_upper_tail(args):
@@ -319,7 +311,7 @@ def _run_upper_tail(args):
         else res.estimate.std_error,
         "reference_rate": res.reference_rate,
     }
-    return list(row), [row], EXIT_OK, []
+    return [row], EXIT_OK, []
 
 
 def _run_intersective(args):
@@ -328,7 +320,6 @@ def _run_intersective(args):
     n = args["N"]
     ell = _positive("ell", args["ell"])
     alpha = args["alpha"]
-    fields = ["N", "ell", "alpha", "model", "param", "trials", "prob"]
     if args["diffs"] is not None:
         diffs = [int(tok) for tok in args["diffs"].split(",") if tok.strip() != ""]
         res = randsets.intersectivity_check(n, ell, alpha, diffs)
@@ -346,9 +337,11 @@ def _run_intersective(args):
             "trials": 1,
             "prob": 1.0 if res.intersective else 0.0,
         }
-        return fields, [row], EXIT_OK, pre
+        return [row], EXIT_OK, pre
     if (args["p"] is None) == (args["k_draws"] is None):
         raise ValueError("give exactly one of --p / --k-draws (or --diffs)")
+    if args["k_draws"] is not None:
+        _positive("k-draws", args["k_draws"], minimum=0)
     trials = _positive("trials", args["trials"])
     est = randsets.random_intersectivity_experiment(
         n,
@@ -370,7 +363,7 @@ def _run_intersective(args):
         "trials": trials,
         "prob": est.mean,
     }
-    return fields, [row], EXIT_OK, []
+    return [row], EXIT_OK, []
 
 
 def _run_bound_eval(args):
@@ -378,7 +371,7 @@ def _run_bound_eval(args):
 
     value = gwidth.width_bound(args["n"], args["k"], args["d"], args["t"])
     row = {"n": args["n"], "k": args["k"], "d": args["d"], "t": args["t"], "bound": value}
-    return list(row), [row], EXIT_OK, [f"bound={_fmt(value)}"]
+    return [row], EXIT_OK, [f"bound={_fmt(value)}"]
 
 
 COMMANDS = {
@@ -559,6 +552,10 @@ def _merge_args(ns, opts):
     config = {}
     if getattr(ns, "config", None):
         config = _load_config(ns.config)
+    flags = {opt.name.replace("-", "_") for opt in list(opts) + list(COMMON_OPTS)}
+    for key in config:
+        if key not in flags:
+            raise ValueError(f"config key {key!r} names no flag of {ns.command}")
     for opt in list(opts) + list(COMMON_OPTS):
         attr = opt.name.replace("-", "_")
         value = getattr(ns, attr)
@@ -580,14 +577,14 @@ def run(argv=None) -> int:
     _, opts, runner = COMMANDS[ns.command]
     args = _merge_args(ns, opts)
     _positive("threads", args["threads"])
-    fieldnames, rows, code, pre_lines = runner(args)
+    rows, code, pre_lines = runner(args)
     for line in pre_lines:
         print(line)
     if args["output"]:
         with open(args["output"], "w") as fh:
-            _emit(ns.command, fieldnames, rows, args, fh)
+            _emit(ns.command, rows, args, fh)
     else:
-        _emit(ns.command, fieldnames, rows, args, sys.stdout)
+        _emit(ns.command, rows, args, sys.stdout)
     return code
 
 

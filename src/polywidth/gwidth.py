@@ -41,6 +41,8 @@ _BLOCK_BITS = 12
 # rows per float block when gw_estimate scores a chunk of 1024 directions:
 # the (rows, 1024) float64 product takes 2 MiB per thread (32 MiB at 2^12)
 _SCORE_BITS = 8
+POWER_TOL = 1e-9  # relative change of the Rayleigh quotient that stops spectral_norm
+POWER_MAX_ITERS = 10000
 
 
 @dataclass(frozen=True)
@@ -177,32 +179,31 @@ class SpectralNormEstimate:
     iterations: int
 
 
-def _gram_power_iteration(matvec, rmatvec, dim, tol, max_iters):
+def _gram_power_iteration(matvec, rmatvec, dim):
     v = np.full(dim, 1.0 / math.sqrt(dim))
     lam = -1.0
-    for it in range(1, max_iters + 1):
+    for it in range(1, POWER_MAX_ITERS + 1):
         w = rmatvec(matvec(v))
         lam_new = float(v @ w)
         norm = float(np.linalg.norm(w))
         if norm == 0.0:
             return 0.0, it, True
         v = w / norm
-        if lam >= 0.0 and abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
+        if lam >= 0.0 and abs(lam_new - lam) <= POWER_TOL * max(abs(lam_new), 1e-300):
             return math.sqrt(max(lam_new, 0.0)), it, True
         lam = lam_new
-    return math.sqrt(max(lam, 0.0)), max_iters, False
+    return math.sqrt(max(lam, 0.0)), POWER_MAX_ITERS, False
 
 
-def spectral_norm(a, tol: float = 1e-9, max_iters: int = 10000) -> SpectralNormEstimate:
+def spectral_norm(a) -> SpectralNormEstimate:
     """Largest singular value via power iteration on the Gram operator.
 
     Deterministic all-ones start; convergence when successive Rayleigh
-    quotients differ by less than ``tol`` relatively.  The estimate is
-    lower-biased; the returned upper bound brackets the true norm even
-    when the iteration stops early.
+    quotients differ by less than ``POWER_TOL`` relatively, within
+    ``POWER_MAX_ITERS`` iterations.  The estimate is lower-biased; the
+    returned upper bound brackets the true norm even when the iteration
+    stops early.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if isinstance(a, SparseMatrix):
         dim = a.dim
         if a.nnz == 0:
@@ -210,7 +211,7 @@ def spectral_norm(a, tol: float = 1e-9, max_iters: int = 10000) -> SpectralNormE
         row_sums = np.bincount(a.rows, weights=np.abs(a.vals), minlength=dim)
         col_sums = np.bincount(a.cols, weights=np.abs(a.vals), minlength=dim)
         upper = math.sqrt(float(row_sums.max()) * float(col_sums.max()))
-        value, iters, conv = _gram_power_iteration(a.matvec, a.rmatvec, dim, tol, max_iters)
+        value, iters, conv = _gram_power_iteration(a.matvec, a.rmatvec, dim)
     else:
         dense = np.asarray(a, dtype=np.float64)
         if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
@@ -222,7 +223,7 @@ def spectral_norm(a, tol: float = 1e-9, max_iters: int = 10000) -> SpectralNormE
             float(np.abs(dense).sum(axis=1).max()) * float(np.abs(dense).sum(axis=0).max())
         )
         value, iters, conv = _gram_power_iteration(
-            lambda x: dense @ x, lambda x: dense.T @ x, dim, tol, max_iters
+            lambda x: dense @ x, lambda x: dense.T @ x, dim
         )
     return SpectralNormEstimate(min(value, upper), upper, conv, iters)
 
@@ -246,9 +247,6 @@ class TjResult:
     lhs: mc.McEstimate  # E || sum_i g_i A_i ||
     rhs: float  # sqrt(log N) * sqrt(sum ||A_i||^2)
     ratio: float
-    norms: tuple
-    dim: int
-    k: int
 
 
 def tj_ratio_experiment(matrices, samples: int, seed: int, threads: int = 1) -> TjResult:
@@ -282,7 +280,7 @@ def tj_ratio_experiment(matrices, samples: int, seed: int, threads: int = 1) -> 
 
     lhs = mc.run_chunked(value_fn, samples, seed, threads=threads, chunk=256)[0]
     ratio = lhs.mean / rhs if rhs > 0 else 0.0
-    return TjResult(lhs, rhs, ratio, norms, dim, k)
+    return TjResult(lhs, rhs, ratio)
 
 
 def width_bound(n: int, k: int, d: int, t: int) -> float:

@@ -26,7 +26,6 @@ __all__ = [
     "TailQuery",
     "UpperTailResult",
     "IntersectivityResult",
-    "sample_subset",
     "count_aps",
     "expected_ap_count",
     "upper_tail_mc",
@@ -69,12 +68,6 @@ def _ap_edge_array(N: int, k: int) -> np.ndarray:
     return np.array(ap_hypergraph(ApParams(N, k)).edges, dtype=np.int64)
 
 
-def sample_subset(params: RandomSetParams) -> np.ndarray:
-    """One seeded draw of the random subset, as a 0/1 vector of length N."""
-    gen = mc.stream(params.seed, 0)
-    return (gen.random(params.N) < params.p).astype(np.uint8)
-
-
 def count_aps(bits, k: int) -> int:
     """Number of unordered proper k-term APs inside the support of ``bits``
     (parallel progressions with equal vertex sets counted separately)."""
@@ -92,11 +85,8 @@ def expected_ap_count(params: RandomSetParams, k: int) -> float:
 @dataclass(frozen=True)
 class UpperTailResult:
     estimate: mc.McEstimate
-    threshold: float
-    expected: float
     reference_rate: float
     rule_of_three_bound: float | None  # set when no hits were observed
-    log_prob: float | None
 
 
 def reference_tail_rate(N: int, k: int, p: float, delta: float) -> float:
@@ -110,8 +100,7 @@ def upper_tail_mc(
     """Monte-Carlo estimate of Pr[AP count >= (1+delta) * expectation],
     sampled from the stream of ``params.seed``."""
     edges = _ap_edge_array(params.N, query.k)
-    expected = expected_ap_count(params, query.k)
-    threshold = (1.0 + query.delta) * expected
+    threshold = (1.0 + query.delta) * expected_ap_count(params, query.k)
 
     def value_fn(gen, count):
         bits = (gen.random((count, params.N)) < params.p).astype(np.uint8)
@@ -119,14 +108,10 @@ def upper_tail_mc(
         return (hits >= threshold).astype(np.float64)
 
     est = mc.run_chunked(value_fn, samples, params.seed, threads=threads)[0]
-    zero = est.mean == 0.0
     return UpperTailResult(
         estimate=est,
-        threshold=threshold,
-        expected=expected,
         reference_rate=reference_tail_rate(params.N, query.k, params.p, query.delta),
-        rule_of_three_bound=(3.0 / samples) if zero else None,
-        log_prob=math.log(est.mean) if not zero else None,
+        rule_of_three_bound=(3.0 / samples) if est.mean == 0.0 else None,
     )
 
 
@@ -244,11 +229,17 @@ def random_intersectivity_experiment(
 
     D is drawn either as the p-random subset of the nonzero residues or as
     k_draws uniform samples with replacement (exactly one model must be
-    given).  Each trial runs the exact intersectivity check, so a trial whose
-    search overruns ``SEARCH_NODE_BUDGET`` raises BudgetExceededError.
+    given).  p must lie strictly inside (0, 1), as in ``RandomSetParams``,
+    and k_draws must be nonnegative.  Each trial runs the exact
+    intersectivity check, so a trial whose search overruns
+    ``SEARCH_NODE_BUDGET`` raises BudgetExceededError.
     """
     if (p is None) == (k_draws is None):
         raise ValueError("give exactly one of p or k_draws")
+    if p is not None and not 0.0 < p < 1.0:
+        raise ValueError("p must lie strictly inside (0, 1)")
+    if k_draws is not None and k_draws < 0:
+        raise ValueError("k_draws must be nonnegative")
     nonzero = np.arange(1, N, dtype=np.int64)
 
     def value_fn(gen, count):

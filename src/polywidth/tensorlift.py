@@ -252,7 +252,6 @@ class LiftResult:
 
     f_ranks: np.ndarray
     g_ranks: np.ndarray
-    cover_count: int
     report: LiftReport
 
 
@@ -299,7 +298,6 @@ def build_matrix_lift(h: Hypergraph, params: LiftParams) -> LiftResult:
 
     if len(set(cover_counts)) != 1:
         raise RuntimeError("per-family cover counts differ across colors")
-    cover_count = cover_counts[0]
 
     f_ranks = np.concatenate(rows)
     del rows  # the per-block copies, before the second concatenation
@@ -316,12 +314,12 @@ def build_matrix_lift(h: Hypergraph, params: LiftParams) -> LiftResult:
         num_colors=coloring.num_colors,
         matching_size=matching_sizes[0],
         pair_set_size=pair_sizes[0],
-        cover_count=cover_count,
+        cover_count=cover_counts[0],
         nnz=2 * _distinct_unordered(f_ranks, g_ranks, dim),
         max_row_sum=int(row_sums.max()),
         row_sum_bound=2 * h.max_degree * params.s**2 * math.factorial(params.r),
     )
-    return LiftResult(f_ranks, g_ranks, cover_count, report)
+    return LiftResult(f_ranks, g_ranks, report)
 
 
 def _parity_masks(m: int, n: int) -> np.ndarray:
@@ -379,7 +377,6 @@ def check_lift_identity(f_ranks, g_ranks, cover_count: int, h: Hypergraph, param
 class LiftVerification:
     ok: bool
     witness: tuple | None
-    cover_count: int
     report: LiftReport
 
 
@@ -389,6 +386,6 @@ def verify_lift_identity(h: Hypergraph, params: LiftParams) -> LiftVerification:
         raise BudgetExceededError(f"sign enumeration capped at n = {SIGN_ENUM_LIMIT}")
     result = build_matrix_lift(h, params)
     ok, witness = check_lift_identity(
-        result.f_ranks, result.g_ranks, result.cover_count, h, params
+        result.f_ranks, result.g_ranks, result.report.cover_count, h, params
     )
-    return LiftVerification(ok, witness, result.cover_count, result.report)
+    return LiftVerification(ok, witness, result.report)

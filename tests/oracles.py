@@ -127,10 +127,10 @@ def ap_edges_direct(N, k):
     return edges
 
 
-def ap_edges_loose_direct(N, k):
+def ap_edges_orbit_direct(N, k):
     """One sorted edge per orbit {(a, b), (a + (k-1)b, -b)} of progressions
     with distinct terms, scanning b = 1..N-1, then a (the edge order of
-    ``ap_hypergraph_loose``, and of ``ap_hypergraph`` at prime N)."""
+    ``ap_hypergraph`` at prime N)."""
     edges = []
     for b in range(1, N):
         for a in range(N):

@@ -87,7 +87,7 @@ def lift_results():
     start = time.time()
     built = [(h, params, tl.build_matrix_lift(h, params)) for h, params in instances]
     checks = [
-        tl.check_lift_identity(res.f_ranks, res.g_ranks, res.cover_count, h, params)
+        tl.check_lift_identity(res.f_ranks, res.g_ranks, res.report.cover_count, h, params)
         for h, params, res in built
     ]
     elapsed = time.time() - start
@@ -113,7 +113,7 @@ def test_c02_equal_cover(lift_results):
                 _, _, covers = tl.enumerate_pairs(params, family)
                 counts = np.bincount(covers, minlength=family.num_edges)
                 assert len(set(counts.tolist())) == 1
-                assert counts[0] == res.cover_count
+                assert counts[0] == res.report.cover_count
 
 
 def test_c03_sparsity_and_norm_bounds(lift_results):
@@ -184,11 +184,11 @@ def test_c06_poisson_checks():
     with criterion(6, "Poisson sum chi-square and domination"):
         chi = bd.poisson_sum_chisquare(1.3, 0.7, samples=100000, seed=6)
         assert chi.passed, chi
-        report = bd.poisson_domination_check(
+        rows = bd.poisson_domination_check(
             bd.BirthdayParams(r=1, n=50, m=10), samples=100000, seed=7
         )
-        assert [row.functional for row in report.rows] == ["psi", "chi"]
-        for row in report.rows:
+        assert [row.functional for row in rows] == ["psi", "chi"]
+        for row in rows:
             assert row.holds, row
 
 
@@ -228,7 +228,7 @@ def test_c09_ap_structure():
                 for _ in range(100):
                     bits = (gen.random(N) < 0.5).astype(np.uint8)
                     assert 2 * poly.evaluate(h, bits) == ordered_ap_count(bits, k)
-                assert two_transitivity_check(ApParams(N, k), 100, seed=N * 10 + k)
+                assert two_transitivity_check(h, 100, seed=N * 10 + k)
 
 
 def test_c10_upper_tail_desk_scale():

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 import oracles
-from polywidth import aps, mc, poly
+from polywidth import mc, poly
 from polywidth.aps import (
     ApParams,
     ap_hypergraph,
-    ap_hypergraph_loose,
     fixed_difference_hypergraph,
     gradient_hypergraphs,
     ordered_ap_count,
@@ -47,9 +46,6 @@ def test_rejects_composite_or_oversized():
         ap_hypergraph(ApParams(9, 3))
     with pytest.raises(ValueError):
         ap_hypergraph(ApParams(5, 7))
-    # the loose constructor accepts composite N and keeps terms distinct
-    h = ap_hypergraph_loose(ApParams(9, 3))
-    assert all(len(set(e)) == 3 for e in h.edges)
 
 
 def test_fixed_difference_degree():
@@ -98,12 +94,14 @@ def test_fixed_difference_partition(N, k):
 
 @pytest.mark.parametrize("N", range(3, 41))
 def test_ap_hypergraphs_match_the_orbit_scan(N):
-    # even N has the self-reverse difference N/2, which k = 2 keeps once
-    for k in range(2, min(N, 8) + 1):
-        want = oracles.ap_edges_loose_direct(N, k)
-        assert list(ap_hypergraph_loose(ApParams(N, k)).edges) == want, k
-        if k >= 3 and N in PRIMES_TO_31 + [37]:
+    # prime N: the edges in the order of the orbit scan; composite N: rejected
+    for k in range(3, min(N, 8) + 1):
+        if N in PRIMES_TO_31 + [37]:
+            want = oracles.ap_edges_orbit_direct(N, k)
             assert list(ap_hypergraph(ApParams(N, k)).edges) == want, k
+        else:
+            with pytest.raises(ValueError, match="prime"):
+                ap_hypergraph(ApParams(N, k))
 
 
 def test_pair_incidence_z5_and_z7():
@@ -142,8 +140,10 @@ def test_doubled_polynomial_equals_ordered_count(N, k):
 
 
 def test_two_transitivity():
-    assert two_transitivity_check(ApParams(7, 3), 100, seed=1)
-    assert two_transitivity_check(ApParams(11, 4), 50, seed=2)
+    assert two_transitivity_check(ap_hypergraph(ApParams(7, 3)), 100, seed=1)
+    assert two_transitivity_check(ap_hypergraph(ApParams(11, 4)), 50, seed=2)
+    with pytest.raises(ValueError, match="prime"):
+        two_transitivity_check(Hypergraph(9, [(0, 1, 2)]), 10, seed=1)
 
 
 def _random_rows(rng, rows, N):
@@ -194,9 +194,9 @@ def _transitivity_direct(edges, N, trials, seed):
 @pytest.mark.parametrize("N", PRIMES_TO_31)
 def test_two_transitivity_matches_direct(N):
     for k in range(3, min(N, 7) + 1):
-        params = ApParams(N, k)
-        assert two_transitivity_check(params, 20, seed=N + k) is True
-        assert _transitivity_direct(ap_hypergraph(params).edges, N, 20, N + k)
+        h = ap_hypergraph(ApParams(N, k))
+        assert two_transitivity_check(h, 20, seed=N + k) is True
+        assert _transitivity_direct(h.edges, N, 20, N + k)
 
 
 def _perturbed(params):
@@ -211,11 +211,9 @@ def _perturbed(params):
 
 
 @pytest.mark.parametrize("N,k", [(7, 3), (11, 4), (13, 6), (31, 5)])
-def test_two_transitivity_rejects_a_perturbed_edge(N, k, monkeypatch):
-    params = ApParams(N, k)
-    h = _perturbed(params)
-    monkeypatch.setattr(aps, "ap_hypergraph", lambda p: h)
-    assert two_transitivity_check(params, 100, seed=3) is False
+def test_two_transitivity_rejects_a_perturbed_edge(N, k):
+    h = _perturbed(ApParams(N, k))
+    assert two_transitivity_check(h, 100, seed=3) is False
     assert _transitivity_direct(h.edges, N, 100, 3) is False
 
 

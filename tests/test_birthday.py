@@ -6,26 +6,21 @@ from scipy import stats as scipy_stats
 
 from polywidth import birthday as bd
 from polywidth import mc
-from polywidth.hypergraph import Hypergraph
 
 
 def test_default_constants_r1():
-    c, s, n0 = bd.default_constants(1)
-    assert c == pytest.approx(6 * math.e)
-    assert s == 800
-    assert n0 == pytest.approx(24 * math.e)
+    assert bd.growth_constant(1) == pytest.approx(6 * math.e)
+    assert bd.default_goodness_bound(1) == 800
 
 
 def test_default_constants_r2():
-    c, s, n0 = bd.default_constants(2)
-    assert c == pytest.approx(math.sqrt(12 * math.e))
-    assert s == 3200
-    assert n0 == pytest.approx(192 * math.e)
+    assert bd.growth_constant(2) == pytest.approx(math.sqrt(12 * math.e))
+    assert bd.default_goodness_bound(2) == 3200
 
 
 def test_threshold_ratio_is_four():
     for r in range(2, 7):
-        assert bd.default_constants(r)[1] == 4 * bd.default_constants(r - 1)[1]
+        assert bd.default_goodness_bound(r) == 4 * bd.default_goodness_bound(r - 1)
 
 
 def test_default_m_values():
@@ -57,14 +52,24 @@ def test_single_coordinate_good_probability():
 
 
 def test_mean_phi_linear_in_matching_size():
-    # r=1, m fixed: E[phi] = m * |union of matching| / n
-    params = bd.BirthdayParams(r=1, n=8, m=3)
-    one, two = (
-        bd.phi_statistics(params, Hypergraph(8, edges), samples=20000, seed=9).mean_phi
-        for edges in ([(0, 1)], [(0, 1), (2, 3)])
-    )
-    assert abs(one.mean - 3 * 2 / 8) <= 3 * one.std_error + 1e-12
-    assert abs(two.mean - 3 * 4 / 8) <= 3 * two.std_error + 1e-12
+    # r=1, m fixed: E[phi] = m * |union of matching| / n, over sub-matchings
+    # of the default matching scored on the same uniform maps
+    maps = mc.stream(9, 0).integers(0, 8, size=(20000, 3))
+    for size in (1, 2, 3, 4):
+        edges = np.array(bd.default_matching(8, 1).edges[:size], dtype=np.int64)
+        phis = bd._kernels.phi_batch(maps, edges, 8, 1)
+        se = phis.std(ddof=1) / math.sqrt(len(phis))
+        assert abs(phis.mean() - 3 * 2 * size / 8) <= 3 * se + 1e-12, size
+
+
+def test_phi_events_partition_the_samples():
+    # phi = 0, 1 <= phi <= s and phi > s split every sample: the three
+    # counts add up to the sample count exactly
+    samples = 5000
+    st = bd.phi_statistics(bd.BirthdayParams(r=2, n=8, m=3, s=1), samples=samples, seed=4)
+    parts = (st.zero_probability, st.good_probability, st.tail_probability)
+    assert all(0.0 < p.mean < 1.0 for p in parts)
+    assert sum(round(p.mean * samples) for p in parts) == samples
 
 
 def test_estimate_in_unit_interval_and_deterministic():
@@ -120,10 +125,30 @@ def test_sample_poisson_blocks_match_one_draw():
 
 def test_poisson_domination_small_case():
     params = bd.BirthdayParams(r=1, n=50, m=10)
-    report = bd.poisson_domination_check(params, samples=20000, seed=1)
-    names = [row.functional for row in report.rows]
+    rows = bd.poisson_domination_check(params, samples=20000, seed=1)
+    names = [row.functional for row in rows]
     assert names == ["psi", "chi"]
-    assert all(row.holds for row in report.rows)
+    assert all(row.holds for row in rows)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_poisson_domination_exact_side_is_the_phi_pass(threads):
+    # psi's lhs is Pr[phi = 0] and chi's is E[phi], from the phi_statistics
+    # pass of the same seed; both equal a separate pass over the same maps
+    # that scores only those two columns (every column sums integers)
+    params = bd.BirthdayParams(r=2, n=60, m=20)
+    st = bd.phi_statistics(params, samples=9000, seed=13, threads=threads)
+    psi, chi = bd.poisson_domination_check(params, samples=9000, seed=13, threads=threads)
+    assert psi.lhs == st.zero_probability
+    assert chi.lhs == st.mean_phi
+    assert 0.0 < psi.lhs.mean < 1.0 and chi.lhs.std_error > 0.0
+    edges = np.array(bd.default_matching(60, 2).edges, dtype=np.int64)
+
+    def two_columns(gen, count):
+        phis = bd._kernels.phi_batch(gen.integers(0, 60, size=(count, 20)), edges, 60, 2)
+        return np.stack([phis == 0, phis], axis=1)
+
+    assert [psi.lhs, chi.lhs] == mc.run_chunked(two_columns, 9000, 13, threads=threads)
 
 
 def test_poisson_sum_chisquare_passes():

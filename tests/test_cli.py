@@ -53,7 +53,7 @@ def test_matrix_verify_failure_exit_code(capsys, monkeypatch):
     real = tensorlift.verify_lift_identity(
         Hypergraph(4, [(0, 1), (2, 3)]), tensorlift.LiftParams(n=4, m=2, r=1)
     )
-    fake = tensorlift.LiftVerification(False, (1, 1, 1, 1), real.cover_count, real.report)
+    fake = tensorlift.LiftVerification(False, (1, 1, 1, 1), real.report)
     monkeypatch.setattr(tensorlift, "verify_lift_identity", lambda h, p: fake)
     code, out = run_cli(capsys, "matrix-verify", "--n", "4", "--m", "2", "--r", "1")
     assert code == EXIT_VERIFY
@@ -124,6 +124,22 @@ def test_config_file_json(capsys, tmp_path):
     cfg.write_text(json.dumps({"N": 13, "k": 3, "p": 0.5, "delta": 1.0, "samples": 500}))
     code, out = run_cli(capsys, "upper-tail", "--config", str(cfg))
     assert code == 0
+
+
+@pytest.mark.parametrize("form", ["key=value", "json"])
+def test_config_key_naming_no_flag_is_rejected(capsys, tmp_path, form):
+    # "sample" is a typo for "samples": it used to be ignored silently
+    values = {"r": 1, "n": 10, "sample": 100}
+    cfg = tmp_path / "run.cfg"
+    if form == "json":
+        cfg.write_text(json.dumps(values))
+    else:
+        cfg.write_text("".join(f"{key}={value}\n" for key, value in values.items()))
+    code = main(["birthday", "--config", str(cfg)])
+    out, err = capsys.readouterr()
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert "'sample'" in err
 
 
 def test_missing_required_flag(capsys):
@@ -239,6 +255,26 @@ def test_intersective_random_model(capsys):
 def test_intersective_requires_one_model(capsys):
     code, _ = run_cli(capsys, "intersective", "--N", "11", "--ell", "1", "--alpha", "0.5")
     assert code == EXIT_INVALID
+
+
+@pytest.mark.parametrize("p", ["nan", "inf", "1.5", "-0.2", "0", "1"])
+def test_intersective_rejects_p_outside_the_unit_interval(capsys, p):
+    # nan and inf used to print "param": NaN / Infinity, which is not JSON
+    code = main(["intersective", "--N", "11", "--ell", "1", "--alpha", "0.5", "--p", p,
+                 "--trials", "5", "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert "p must lie strictly inside (0, 1)" in err
+
+
+def test_intersective_rejects_negative_draws(capsys):
+    code = main(["intersective", "--N", "11", "--ell", "1", "--alpha", "0.5",
+                 "--k-draws", "-1", "--trials", "5"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert "--k-draws" in err
 
 
 def test_help_exits_cleanly(capsys):

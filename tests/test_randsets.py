@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats as scipy_stats
 
 import oracles
 from polywidth import mc, poly, randsets as rs
@@ -16,40 +15,6 @@ def test_params_validation():
         rs.RandomSetParams(13, 1.0)
     with pytest.raises(ValueError):
         rs.TailQuery(3, 0.0)
-
-
-def test_sample_subset_deterministic():
-    params = rs.RandomSetParams(50, 0.3, seed=12)
-    a = rs.sample_subset(params)
-    b = rs.sample_subset(params)
-    assert np.array_equal(a, b)
-    assert set(np.unique(a)) <= {0, 1}
-
-
-def test_sample_subset_mean():
-    sizes = [
-        rs.sample_subset(rs.RandomSetParams(40, 0.3, seed=s)).sum() for s in range(2000)
-    ]
-    mean = np.mean(sizes)
-    se = np.std(sizes, ddof=1) / math.sqrt(len(sizes))
-    assert abs(mean - 0.3 * 40) <= 3 * se
-
-
-def test_complement_symmetry_chi_square():
-    # flipping p-samples must match the size distribution of (1-p)-samples
-    N, p, draws = 20, 0.3, 4000
-    sizes = np.array(
-        [N - rs.sample_subset(rs.RandomSetParams(N, p, seed=s)).sum() for s in range(draws)]
-    )
-    pmf = scipy_stats.binom.pmf(np.arange(N + 1), N, 1 - p)
-    expected = pmf * draws
-    keep = expected >= 5
-    obs = np.bincount(sizes, minlength=N + 1)
-    stat = ((obs[keep] - expected[keep]) ** 2 / expected[keep]).sum()
-    stat += max(0.0, obs[~keep].sum() - expected[~keep].sum()) ** 2 / max(
-        expected[~keep].sum(), 1e-9
-    )
-    assert scipy_stats.chi2.sf(stat, keep.sum()) >= 1e-3
 
 
 def test_count_full_set():
@@ -135,7 +100,6 @@ def test_upper_tail_zero_hits_rule_of_three():
     res = rs.upper_tail_mc(params, rs.TailQuery(3, 1e6), 1000)
     assert res.estimate.mean == 0.0
     assert res.rule_of_three_bound == pytest.approx(3 / 1000)
-    assert res.log_prob is None
 
 
 def test_reference_rate_value():
@@ -236,3 +200,17 @@ def test_random_experiment_draws_model():
         rs.random_intersectivity_experiment(11, 1, 0.5, 10, 5)
     with pytest.raises(ValueError):
         rs.random_intersectivity_experiment(11, 1, 0.5, 10, 5, p=0.2, k_draws=3)
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, 1.5, -0.2, 0.0, 1.0])
+def test_random_experiment_rejects_p_outside_the_unit_interval(p):
+    # the rule of RandomSetParams: p strictly inside (0, 1)
+    with pytest.raises(ValueError, match="p must lie strictly inside"):
+        rs.random_intersectivity_experiment(11, 1, 0.5, 10, 5, p=p)
+
+
+def test_random_experiment_rejects_negative_draws():
+    with pytest.raises(ValueError, match="k_draws"):
+        rs.random_intersectivity_experiment(11, 1, 0.5, 10, 5, k_draws=-1)
+    # no draws is an empty difference set, which is never intersective
+    assert rs.random_intersectivity_experiment(11, 1, 0.5, 10, 5, k_draws=0).mean == 0.0

@@ -12,7 +12,13 @@ from polywidth import _kernels as kernels
 from polywidth import poly
 from polywidth import tensorlift as tl
 from polywidth.errors import BudgetExceededError
-from polywidth.hypergraph import Hypergraph, complete_to_maximal_matching, load_hypergraph
+from polywidth.hypergraph import (
+    Hypergraph,
+    color_classes,
+    complete_to_maximal_matching,
+    greedy_edge_coloring,
+    load_hypergraph,
+)
 from polywidth.sparse import SparseMatrix
 
 M4 = Hypergraph(4, [(0, 1), (2, 3)])
@@ -203,7 +209,7 @@ def M4_big():
 
 def test_lift_worked_example():
     res = tl.build_matrix_lift(M4, P4)
-    assert res.cover_count == 16
+    assert res.report.cover_count == 16
     a = oracles.lift_matrix_dense(res.f_ranks, res.g_ranks, P4.num_maps)
     assert (a == a.T).all() and (a >= 0).all()
     assert not a.diagonal().any()
@@ -221,16 +227,47 @@ def test_lift_worked_example():
 def test_lift_all_ones_total():
     res = tl.build_matrix_lift(M4, P4)
     a = oracles.lift_matrix_dense(res.f_ranks, res.g_ranks, P4.num_maps)
-    assert a.sum() == 2 * len(res.f_ranks) == 2 * res.cover_count * M4.num_edges
+    assert a.sum() == 2 * len(res.f_ranks) == 2 * res.report.cover_count * M4.num_edges
+
+
+def _first_copy_nnz(h, params):
+    """The sort-free nnz: a kept pair counts once if g is good against its
+    colour's family and twice if not, and only at the first copy of its
+    covered edge."""
+    total, seen = 0, set()
+    for class_edges in color_classes(h, greedy_edge_coloring(h)):
+        family = complete_to_maximal_matching(Hypergraph(h.n, class_edges), params.r)
+        f_ranks, g_ranks, covers = tl.enumerate_pairs(params, family)
+        g_digits = tl._digits(g_ranks, params.m, params.n)
+        scores = phi(g_digits, family, params.r)
+        for cover, score in zip(covers.tolist(), scores):
+            edge = family.edges[cover]
+            if cover < len(class_edges) and edge not in seen:
+                total += 1 if 1 <= score <= params.s else 2
+        seen.update(class_edges)
+    return total
+
+
+def test_parallel_edge_nnz_counts_the_pairs_of_every_copy():
+    # The copies of the parallel edge (0, 1) sit in colour classes whose
+    # completed families differ, so goodness differs per colour, and the
+    # sort-free count undercounts: 12 against the dense oracle's 16.
+    h = Hypergraph(9, [(0, 1), (2, 3), (0, 1), (3, 8)])
+    params = tl.LiftParams(n=9, m=2, r=1, s=1)
+    res = tl.build_matrix_lift(h, params)
+    a = oracles.lift_matrix_dense(res.f_ranks, res.g_ranks, params.num_maps)
+    assert res.report.nnz == np.count_nonzero(a) == 16
+    assert tl.verify_lift_identity(h, params).ok
+    assert _first_copy_nnz(h, params) == 12
 
 
 def test_wht_check_agrees_with_direct_oracle():
     res = tl.build_matrix_lift(M4, P4)
-    ok, witness = tl.check_lift_identity(res.f_ranks, res.g_ranks, res.cover_count, M4, P4)
+    ok, witness = tl.check_lift_identity(res.f_ranks, res.g_ranks, res.report.cover_count, M4, P4)
     assert ok and witness is None
     # sanity: the WHT path detects a wrong constant
     ok_bad, witness_bad = tl.check_lift_identity(
-        res.f_ranks, res.g_ranks, res.cover_count + 1, M4, P4
+        res.f_ranks, res.g_ranks, res.report.cover_count + 1, M4, P4
     )
     assert not ok_bad and witness_bad is not None
 
@@ -240,12 +277,12 @@ def test_perturbed_matrix_fails_with_witness():
     # duplicate one pair: A gains 1 at (f, g) and at (g, f)
     f_ranks = np.append(res.f_ranks, res.f_ranks[0])
     g_ranks = np.append(res.g_ranks, res.g_ranks[0])
-    ok, witness = tl.check_lift_identity(f_ranks, g_ranks, res.cover_count, M4, P4)
+    ok, witness = tl.check_lift_identity(f_ranks, g_ranks, res.report.cover_count, M4, P4)
     assert not ok
     assert witness is not None and set(witness) <= {-1, 1}
     # the witness really separates the two sides
     y = oracles.tensor_power_vector(witness, 2)
-    rhs = 2 * res.cover_count * poly.evaluate(M4, witness)
+    rhs = 2 * res.report.cover_count * poly.evaluate(M4, witness)
     assert oracles.quadratic_form_direct(f_ranks, g_ranks, y) != rhs
 
 
@@ -316,7 +353,7 @@ def test_empty_hypergraph_lift():
     res = tl.build_matrix_lift(Hypergraph(4, ()), P4)
     assert len(res.f_ranks) == res.report.nnz == res.report.max_row_sum == 0
     ok, _ = tl.check_lift_identity(
-        res.f_ranks, res.g_ranks, res.cover_count, Hypergraph(4, ()), P4
+        res.f_ranks, res.g_ranks, res.report.cover_count, Hypergraph(4, ()), P4
     )
     assert ok
 
