@@ -2,9 +2,11 @@
 
 Submodules: hypergraph (edge coloring, matchings, homogenization), poly
 (hypergraph polynomials), tensorlift (the quadratic lift construction),
-birthday (goodness statistics and Poisson checks), gwidth (width and
-spectral-norm estimation), aps (arithmetic-progression hypergraphs over
-Z/NZ), randsets (random subsets, upper tails, intersectivity), cli.
+sparse (COO matrices), birthday (goodness statistics and Poisson checks),
+gwidth (width and spectral-norm estimation), aps (arithmetic-progression
+hypergraphs over Z/NZ), randsets (random subsets, upper tails,
+intersectivity), mc (seeded, chunked Monte Carlo), errors (shared
+exception types), cli (the command line).
 """
 
 __version__ = "0.1.0"

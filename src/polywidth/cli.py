@@ -3,8 +3,11 @@
 Every subcommand is a thin wrapper over one library operation, takes
 long-form flags only, and emits a CSV (default) or JSON report that is
 byte-identical across reruns with the same configuration, including under
-different --threads values.  A config file (JSON object or key=value lines)
-may supply any flag; explicit command-line flags win.
+different --threads values.  argparse parses and checks every flag: its
+type, whether it is required, its choices and its minimum.  Flags must be
+spelled in full.  A config file (JSON object or key=value lines) becomes
+``--key=value`` flags placed right after the subcommand, so explicit
+command-line flags win; its values are strings or numbers.
 
 Exit codes: 0 success, 2 invalid configuration, 3 enumeration budget
 exceeded, 4 verification failure.
@@ -15,8 +18,6 @@ import csv
 import json
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import __version__
 from .errors import BudgetExceededError
@@ -33,23 +34,29 @@ class Opt:
     type: type
     default: object = None
     required: bool = False
-    choices: tuple = ()
+    choices: tuple | None = None
+    minimum: int | None = None
     help: str = ""
 
 
 COMMON_OPTS = (
     Opt("seed", int, default=0, help="base seed for all randomness"),
-    Opt("threads", int, default=1, help="worker threads (result-invariant)"),
+    Opt("threads", int, default=1, minimum=1, help="worker threads (result-invariant)"),
     Opt("format", str, default="csv", choices=("csv", "json"), help="report format"),
     Opt("output", str, help="report path (default: stdout)"),
     Opt("config", str, help="config file supplying flags (JSON or key=value)"),
 )
 
 
-def _positive(name, value, minimum=1):
-    if value < minimum:
-        raise ValueError(f"--{name} must be at least {minimum}")
-    return value
+def _int_at_least(minimum):
+    def convert(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}")
+        return value
+
+    convert.__name__ = "int"  # argparse names the type in "invalid int value"
+    return convert
 
 
 def _fmt(value):
@@ -63,14 +70,10 @@ def _fmt(value):
 
 
 def _jsonable(value):
-    if isinstance(value, float):
-        return float(f"{value:.12g}")
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    return value
+    return float(f"{value:.12g}") if isinstance(value, float) else value
 
 
-def _emit(command, rows, args, stream):
+def _emit(rows, args, stream):
     fieldnames = list(rows[0])
     if args["format"] == "csv":
         writer = csv.writer(stream, lineterminator="\n")
@@ -79,7 +82,7 @@ def _emit(command, rows, args, stream):
         stream.write(f"# seed={args['seed']} version={__version__}\n")
     else:
         doc = {
-            "command": command,
+            "command": args["command"],
             "rows": [{f: _jsonable(row[f]) for f in fieldnames} for row in rows],
             "meta": {"seed": args["seed"], "version": __version__},
         }
@@ -96,15 +99,13 @@ def _run_gw_estimate(args):
     from . import gwidth
     from .hypergraph import Hypergraph
 
-    n = _positive("n", args["n"])
-    samples = _positive("samples", args["samples"])
+    n, samples = args["n"], args["samples"]
     if args["map"] == "identity":
         pmap = gwidth.identity_map(n)
     else:  # matchings
-        k = _positive("k", args["k"])
         if n % 2:
             raise ValueError("--n must be even for the matchings map")
-        matchings = gwidth.random_matchings(n, k, args["seed"] + 1)
+        matchings = gwidth.random_matchings(n, args["k"], args["seed"] + 1)
         pmap = gwidth.PolyMap(Hypergraph(n, pairs.tolist()) for pairs in matchings)
     est = gwidth.gw_estimate(pmap, samples, args["seed"], threads=args["threads"])
     bound = gwidth.width_bound(pmap.n, pmap.k, max(pmap.degree, 1), max(pmap.multiplicity, 1))
@@ -127,11 +128,9 @@ def _run_matrix_verify(args):
     from . import tensorlift
     from .hypergraph import default_matching, load_hypergraph
 
-    n = _positive("n", args["n"])
-    m = _positive("m", args["m"])
-    r = _positive("r", args["r"])
+    n, r = args["n"], args["r"]
     budget = tensorlift.DEFAULT_BUDGET if args["budget"] is None else args["budget"]
-    params = tensorlift.LiftParams(n=n, m=m, r=r, s=args["s"], budget=budget)
+    params = tensorlift.LiftParams(n=n, m=args["m"], r=r, s=args["s"], budget=budget)
     if args["hypergraph"]:
         h = load_hypergraph(args["hypergraph"])
         if h.n != n:
@@ -161,10 +160,8 @@ def _run_matrix_verify(args):
 def _run_birthday(args):
     from . import birthday
 
-    params = birthday.BirthdayParams(
-        r=_positive("r", args["r"]), n=_positive("n", args["n"]), m=args["m"], s=args["s"]
-    )
-    samples = _positive("samples", args["samples"])
+    params = birthday.BirthdayParams(r=args["r"], n=args["n"], m=args["m"], s=args["s"])
+    samples = args["samples"]
     stats = birthday.phi_statistics(
         params, samples=samples, seed=args["seed"], threads=args["threads"]
     )
@@ -186,10 +183,8 @@ def _run_birthday(args):
 def _run_poisson_check(args):
     from . import birthday
 
-    params = birthday.BirthdayParams(
-        r=_positive("r", args["r"]), n=_positive("n", args["n"]), m=args["m"]
-    )
-    samples = _positive("samples", args["samples"])
+    params = birthday.BirthdayParams(r=args["r"], n=args["n"], m=args["m"])
+    samples = args["samples"]
     domination = birthday.poisson_domination_check(
         params, samples=samples, seed=args["seed"], threads=args["threads"]
     )
@@ -225,9 +220,7 @@ def _run_poisson_check(args):
 def _run_tj_ratio(args):
     from . import gwidth
 
-    dim = _positive("N", args["N"], minimum=2)
-    k = _positive("k", args["k"])
-    samples = _positive("samples", args["samples"])
+    dim, k, samples = args["N"], args["k"], args["samples"]
     mats = gwidth.random_matching_matrices(dim, k, args["seed"] + 1)
     res = gwidth.tj_ratio_experiment(mats, samples, args["seed"], threads=args["threads"])
     row = {
@@ -264,7 +257,7 @@ def _run_ap_structure(args):
     from . import aps, mc, poly
 
     params = aps.ApParams(args["N"], args["k"])
-    trials = _positive("trials", args["trials"])
+    trials = args["trials"]
     h = aps.ap_hypergraph(params)
     _, table = aps.pair_incidence_profile(h)
     N, k = params.N, params.k
@@ -272,7 +265,7 @@ def _run_ap_structure(args):
     degree_ok = all(2 * d == k * (N - 1) for d in h.degrees())
     pair_ok = all(2 * c == k * (k - 1) for c in table.values()) and len(table) == N * (N - 1) // 2
     # One draw for all subsets: the same stream as one gen.random(N) per trial.
-    subsets = (mc.stream(args["seed"], 0).random((trials, N)) < 0.5).astype(np.uint8)
+    subsets = mc.stream(args["seed"], 0).random((trials, N)) < 0.5
     counts = aps.ordered_ap_count(subsets, k)
     lambda_ok = all(2 * poly.evaluate(h, bits) == c for bits, c in zip(subsets, counts))
     transitive_ok = aps.two_transitivity_check(h, trials, args["seed"] + 1)
@@ -296,7 +289,7 @@ def _run_upper_tail(args):
 
     params = randsets.RandomSetParams(args["N"], args["p"], args["seed"])
     query = randsets.TailQuery(args["k"], args["delta"])
-    samples = _positive("samples", args["samples"])
+    samples = args["samples"]
     res = randsets.upper_tail_mc(params, query, samples, threads=args["threads"])
     row = {
         "N": params.N,
@@ -317,9 +310,7 @@ def _run_upper_tail(args):
 def _run_intersective(args):
     from . import randsets
 
-    n = args["N"]
-    ell = _positive("ell", args["ell"])
-    alpha = args["alpha"]
+    n, ell, alpha = args["N"], args["ell"], args["alpha"]
     if args["diffs"] is not None:
         diffs = [int(tok) for tok in args["diffs"].split(",") if tok.strip() != ""]
         res = randsets.intersectivity_check(n, ell, alpha, diffs)
@@ -340,9 +331,7 @@ def _run_intersective(args):
         return [row], EXIT_OK, pre
     if (args["p"] is None) == (args["k_draws"] is None):
         raise ValueError("give exactly one of --p / --k-draws (or --diffs)")
-    if args["k_draws"] is not None:
-        _positive("k-draws", args["k_draws"], minimum=0)
-    trials = _positive("trials", args["trials"])
+    trials = args["trials"]
     est = randsets.random_intersectivity_experiment(
         n,
         ell,
@@ -381,9 +370,9 @@ COMMANDS = {
         (
             Opt("map", str, default="identity", choices=("identity", "matchings"),
                 help="component family: coordinate map, or random perfect matchings"),
-            Opt("n", int, required=True, help="hypercube dimension"),
-            Opt("k", int, default=8, help="number of components (matchings map)"),
-            Opt("samples", int, default=10000, help="Gaussian directions"),
+            Opt("n", int, required=True, minimum=1, help="hypercube dimension"),
+            Opt("k", int, default=8, minimum=1, help="number of components (matchings map)"),
+            Opt("samples", int, default=10000, minimum=1, help="Gaussian directions"),
         ),
         _run_gw_estimate,
     ),
@@ -392,11 +381,11 @@ COMMANDS = {
         "the quadratic identity exactly on all sign vectors "
         "(tensorlift.verify_lift_identity)",
         (
-            Opt("n", int, required=True, help="vertex count"),
-            Opt("m", int, required=True, help="tensor power"),
-            Opt("r", int, required=True, help="half edge size"),
+            Opt("n", int, required=True, minimum=1, help="vertex count"),
+            Opt("m", int, required=True, minimum=1, help="tensor power"),
+            Opt("r", int, required=True, minimum=1, help="half edge size"),
             Opt("s", int, default=0, help="goodness threshold (0 = 200*4^r)"),
-            Opt("budget", int,
+            Opt("budget", int, minimum=1,
                 help="cap on n^m enumeration size (default 10^6, tensorlift.DEFAULT_BUDGET)"),
             Opt("hypergraph", str, help="hypergraph file (default: full matching)"),
         ),
@@ -406,11 +395,11 @@ COMMANDS = {
         "Goodness statistics of random maps against a maximal matching "
         "(birthday.phi_statistics): Pr[s-good], E[phi]",
         (
-            Opt("r", int, required=True, help="half edge size"),
-            Opt("n", int, required=True, help="vertex count"),
+            Opt("r", int, required=True, minimum=1, help="half edge size"),
+            Opt("n", int, required=True, minimum=1, help="vertex count"),
             Opt("m", int, default=0, help="map length (0 = floor(C_r n^(1-1/r)))"),
             Opt("s", int, default=0, help="goodness threshold (0 = 200*4^r)"),
-            Opt("samples", int, default=10000, help="Monte-Carlo samples"),
+            Opt("samples", int, default=10000, minimum=1, help="Monte-Carlo samples"),
         ),
         _run_birthday,
     ),
@@ -419,10 +408,10 @@ COMMANDS = {
         "chi-square test that independent Poisson draws add up "
         "(birthday.poisson_domination_check, birthday.poisson_sum_chisquare)",
         (
-            Opt("r", int, required=True, help="half edge size"),
-            Opt("n", int, required=True, help="vertex count"),
+            Opt("r", int, required=True, minimum=1, help="half edge size"),
+            Opt("n", int, required=True, minimum=1, help="vertex count"),
             Opt("m", int, default=0, help="map length (0 = default)"),
-            Opt("samples", int, default=100000, help="Monte-Carlo samples"),
+            Opt("samples", int, default=100000, minimum=1, help="Monte-Carlo samples"),
             Opt("mu-a", float, default=1.3, help="first Poisson mean"),
             Opt("mu-b", float, default=0.7, help="second Poisson mean"),
         ),
@@ -433,9 +422,9 @@ COMMANDS = {
         "against sqrt(log N) times the root-sum-of-squares of their norms "
         "(gwidth.tj_ratio_experiment)",
         (
-            Opt("N", int, required=True, help="matrix dimension (even)"),
-            Opt("k", int, required=True, help="number of matrices"),
-            Opt("samples", int, default=24, help="Gaussian draws"),
+            Opt("N", int, required=True, minimum=2, help="matrix dimension (even)"),
+            Opt("k", int, required=True, minimum=1, help="number of matrices"),
+            Opt("samples", int, default=24, minimum=1, help="Gaussian draws"),
         ),
         _run_tj_ratio,
     ),
@@ -455,7 +444,7 @@ COMMANDS = {
         (
             Opt("N", int, required=True, help="modulus (prime)"),
             Opt("k", int, required=True, help="progression length"),
-            Opt("trials", int, default=100, help="random subsets / affine maps"),
+            Opt("trials", int, default=100, minimum=1, help="random subsets / affine maps"),
         ),
         _run_ap_structure,
     ),
@@ -467,7 +456,7 @@ COMMANDS = {
             Opt("k", int, required=True, help="progression length"),
             Opt("p", float, required=True, help="inclusion probability"),
             Opt("delta", float, required=True, help="relative exceedance"),
-            Opt("samples", int, default=100000, help="Monte-Carlo samples"),
+            Opt("samples", int, default=100000, minimum=1, help="Monte-Carlo samples"),
         ),
         _run_upper_tail,
     ),
@@ -478,12 +467,12 @@ COMMANDS = {
         "randsets.random_intersectivity_experiment)",
         (
             Opt("N", int, required=True, help="modulus"),
-            Opt("ell", int, required=True, help="progression length minus one"),
+            Opt("ell", int, required=True, minimum=1, help="progression length minus one"),
             Opt("alpha", float, required=True, help="density threshold"),
             Opt("diffs", str, help="explicit difference set, comma-separated"),
             Opt("p", float, help="random model: inclusion probability"),
-            Opt("k-draws", int, help="random model: uniform draws with replacement"),
-            Opt("trials", int, default=200, help="random-model trials"),
+            Opt("k-draws", int, minimum=0, help="random model: uniform draws with replacement"),
+            Opt("trials", int, default=200, minimum=1, help="random-model trials"),
         ),
         _run_intersective,
     ),
@@ -507,17 +496,26 @@ def _build_parser():
         description="Experiments on hypergraph polynomials over the hypercube: "
         "tensor-power lifts, birthday-paradox statistics, Gaussian widths, and "
         "arithmetic progressions in Z/NZ.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"polywidth {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, opts, _) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text, description=help_text)
-        for opt in list(opts) + list(COMMON_OPTS):
-            p.add_argument(f"--{opt.name}", type=opt.type, default=None, help=opt.help)
+        p = sub.add_parser(name, help=help_text, description=help_text, allow_abbrev=False)
+        for opt in opts + COMMON_OPTS:
+            p.add_argument(
+                f"--{opt.name}",
+                type=opt.type if opt.minimum is None else _int_at_least(opt.minimum),
+                default=opt.default,
+                required=opt.required,
+                choices=opt.choices,
+                help=opt.help,
+            )
     return parser
 
 
-def _load_config(path):
+def _config_flags(path):
+    """The flags a config file supplies, as ``--key=value`` tokens."""
     with open(path) as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
@@ -534,57 +532,31 @@ def _load_config(path):
                 raise ValueError(f"config line is not key=value: {line!r}")
             key, value = line.split("=", 1)
             data[key.strip()] = value.strip()
-    return {str(k).replace("-", "_"): v for k, v in data.items()}
-
-
-def _coerce(opt, value):
-    if isinstance(value, str) and opt.type is not str:
-        return opt.type(value)
-    if opt.type is float and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
-    if not isinstance(value, opt.type):
-        raise ValueError(f"--{opt.name} expects {opt.type.__name__}, got {value!r}")
-    return value
-
-
-def _merge_args(ns, opts):
-    merged = {}
-    config = {}
-    if getattr(ns, "config", None):
-        config = _load_config(ns.config)
-    flags = {opt.name.replace("-", "_") for opt in list(opts) + list(COMMON_OPTS)}
-    for key in config:
-        if key not in flags:
-            raise ValueError(f"config key {key!r} names no flag of {ns.command}")
-    for opt in list(opts) + list(COMMON_OPTS):
-        attr = opt.name.replace("-", "_")
-        value = getattr(ns, attr)
-        if value is None and attr in config:
-            value = _coerce(opt, config[attr])
-        if value is None:
-            value = opt.default
-        if value is None and opt.required:
-            raise ValueError(f"missing required --{opt.name}")
-        if value is not None and opt.choices and value not in opt.choices:
-            raise ValueError(f"--{opt.name} must be one of {', '.join(opt.choices)}")
-        merged[attr] = value
-    return merged
+    flags = []
+    for key, value in data.items():
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ValueError(f"config key {key!r} must be a string or a number, "
+                             f"not {json.dumps(value)}")
+        flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    _, opts, runner = COMMANDS[ns.command]
-    args = _merge_args(ns, opts)
-    _positive("threads", args["threads"])
-    rows, code, pre_lines = runner(args)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    pre = argparse.ArgumentParser(prog="polywidth", add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    config = pre.parse_known_args(argv)[0].config
+    if config:
+        argv[1:1] = _config_flags(config)  # right after the subcommand
+    args = vars(_build_parser().parse_args(argv))
+    rows, code, pre_lines = COMMANDS[args["command"]][2](args)
     for line in pre_lines:
         print(line)
     if args["output"]:
         with open(args["output"], "w") as fh:
-            _emit(ns.command, rows, args, fh)
+            _emit(rows, args, fh)
     else:
-        _emit(ns.command, rows, args, sys.stdout)
+        _emit(rows, args, sys.stdout)
     return code
 
 
@@ -592,8 +564,7 @@ def main(argv=None) -> int:
     try:
         return run(argv)
     except SystemExit as exc:  # argparse --help or usage error
-        code = exc.code if exc.code is not None else 0
-        return EXIT_INVALID if code not in (0,) else 0
+        return EXIT_INVALID if exc.code else EXIT_OK
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -142,12 +142,13 @@ def _ap_masks(N: int, ell: int, diffs) -> list[int]:
 
 
 def _required_size(N: int, alpha: float) -> int:
-    # ceil(alpha*N) with a nudge against float representation of alpha*N
-    return min(N, max(0, math.ceil(alpha * N - 1e-9)))
+    # ceil(alpha*N) with a nudge against float representation of alpha*N;
+    # a set of density alpha > 0 has at least one element
+    return min(N, max(1, math.ceil(alpha * N - 1e-9)))
 
 
 def _first_witness(N: int, q: int, ap_masks) -> int | None:
-    """Bitmask of the lexicographically first q-subset of {0, ..., N-1}
+    """Bitmask of the lexicographically first q-subset (q >= 1) of {0, ..., N-1}
     containing no progression in ``ap_masks``, or None if there is none.
 
     Only subsets of the minimum admissible size q need checking: supersets
@@ -158,8 +159,6 @@ def _first_witness(N: int, q: int, ap_masks) -> int | None:
     inside the set, and a branch is cut when the vertices left cannot reach
     q.  Every visited branch costs one node of ``SEARCH_NODE_BUDGET``.
     """
-    if q == 0:
-        return 0
     ending = [[] for _ in range(N)]
     for m in ap_masks:
         ending[m.bit_length() - 1].append(m)

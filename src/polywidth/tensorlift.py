@@ -63,8 +63,10 @@ are positive counts, so nothing cancels.  Hence:
 * <A x_tensor, x_tensor> = 2 * sum over kept pairs of x_tensor[f] *
   x_tensor[g], and x_tensor[f] is the product of x over the vertices that
   f hits an odd number of times.  With mask(f) that vertex set as a bit
-  mask, each pair adds 2 to the coefficient of mask(f) ^ mask(g), and a
-  Walsh-Hadamard transform evaluates both sides on every sign vector.
+  mask, each pair adds 2 to the coefficient of mask(f) ^ mask(g).  The
+  identity holds on every sign vector exactly when these coefficients
+  equal 2 * cover_count at each edge mask and 0 elsewhere, since the
+  Walsh-Hadamard transform mapping coefficients to values is a bijection.
 """
 
 import itertools
@@ -336,11 +338,12 @@ def _parity_masks(m: int, n: int) -> np.ndarray:
 def check_lift_identity(f_ranks, g_ranks, cover_count: int, h: Hypergraph, params: LiftParams):
     """Exhaustive exact check of the lift identity over all sign vectors.
 
-    Both sides are computed for all 2^n sign vectors at once in int64 via
-    Walsh-Hadamard transforms: the left side from the occurrence-parity
-    masks of the kept pairs (f, g) of B, looked up in one table over all
-    n^m ranks.  Returns (ok, witness) with witness the first failing sign
-    vector.
+    Both sides are multilinear in the signs, so they agree on all 2^n sign
+    vectors exactly when their Walsh coefficients agree: the histogram of
+    the occurrence-parity masks of the kept pairs (f, g) of B, looked up in
+    one table over all n^m ranks, against cover_count at each edge mask.
+    Only a nonzero difference is transformed (int64 Walsh-Hadamard), to find
+    the first failing sign vector.  Returns (ok, witness).
     """
     n = h.n
     if n > SIGN_ENUM_LIMIT:
@@ -353,22 +356,14 @@ def check_lift_identity(f_ranks, g_ranks, cover_count: int, h: Hypergraph, param
         stop = start + _BLOCK
         pair_masks = masks[f_ranks[start:stop]] ^ masks[g_ranks[start:stop]]
         coeffs += np.bincount(pair_masks, minlength=size)
-    coeffs *= 2
-    lhs = _kernels.wht_inplace(coeffs)
-
-    pcoeffs = np.zeros(size, dtype=np.int64)
     for e in h.edges:
         mask = 0
         for v in e:
             mask |= 1 << v
-        pcoeffs[mask] += 1
-    rhs = _kernels.wht_inplace(pcoeffs)
-    rhs *= 2 * cover_count
-
-    diff = lhs != rhs
-    if not diff.any():
+        coeffs[mask] -= cover_count
+    if not coeffs.any():
         return True, None
-    x = int(np.argmax(diff))
+    x = int(np.argmax(_kernels.wht_inplace(coeffs) != 0))
     witness = tuple(-1 if (x >> j) & 1 else 1 for j in range(n))
     return False, witness
 

@@ -139,7 +139,71 @@ def test_config_key_naming_no_flag_is_rejected(capsys, tmp_path, form):
     out, err = capsys.readouterr()
     assert code == EXIT_INVALID
     assert out == ""
-    assert "'sample'" in err
+    assert "--sample" in err
+
+
+@pytest.mark.parametrize("value", [True, None, [100], {"samples": 100}], ids=repr)
+def test_config_value_must_be_a_string_or_a_number(capsys, tmp_path, value):
+    # a JSON true used to run as samples=1
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"r": 1, "n": 10, "samples": value}))
+    code = main(["birthday", "--config", str(cfg)])
+    out, err = capsys.readouterr()
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert "'samples'" in err
+
+
+def test_config_values_parse_as_flags(capsys, tmp_path):
+    # negative values and a JSON number for a string flag
+    argv = ["intersective", "--N", "7", "--ell", "1", "--alpha", "0.5", "--format", "json"]
+    _, want = run_cli(capsys, *argv, "--diffs=-1,2", "--seed=-5")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("diffs=-1,2\nseed=-5\n")
+    code, got = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 0
+    assert got == want and '"seed": -5' in got
+    _, want = run_cli(capsys, *argv, "--diffs", "3")
+    cfg.write_text(json.dumps({"diffs": 3}))
+    code, got = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 0
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("intersective", "--N", "11", "--ell", "1", "--alpha", "0.5", "--k", "3",
+         "--trials", "5"),
+        ("birthday", "--r", "1", "--n", "10", "--sample", "7"),
+    ],
+    ids=["--k", "--sample"],
+)
+def test_abbreviated_flags_are_rejected(capsys, argv):
+    # they used to run as --k-draws and --samples
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("matrix-verify", "--n", "4", "--m", "2", "--r", "1", "--budget", "0"), "--budget"),
+        (("gw-estimate", "--map", "identity", "--n", "4", "--k", "0"), "--k"),
+        (("intersective", "--N", "7", "--ell", "1", "--alpha", "0.5", "--diffs", "1",
+          "--trials", "0"), "--trials"),
+    ],
+    ids=["budget", "identity-map-k", "diffs-trials"],
+)
+def test_ranges_apply_whatever_the_mode(capsys, argv, flag):
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert f"argument {flag}: must be at least" in err
 
 
 def test_missing_required_flag(capsys):
@@ -283,6 +347,13 @@ def test_help_exits_cleanly(capsys):
     assert main(["birthday", "--help"]) == 0
 
 
+def test_intersective_tiny_alpha_witness_is_one_element(capsys):
+    code, out = run_cli(capsys, "intersective", "--N", "22", "--ell", "2", "--alpha", "1e-12",
+                        "--diffs", "1,2")
+    assert code == 0
+    assert out.splitlines()[0] == "intersective: false [exact], witness=1" + "0" * 21
+
+
 def test_intersective_random_model_past_old_scan_limit(capsys):
     code, _ = run_cli(
         capsys, "intersective", "--N", "30", "--ell", "1", "--alpha", "0.5",
@@ -341,6 +412,20 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     done = _run_python(probe)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    probe = (
+        "import contextlib, io, sys\n"
+        "import polywidth.cli\n"
+        "imported = 'numpy' in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = polywidth.cli.main(['--version'])\n"
+        "print(imported, 'numpy' in sys.modules, code)\n"
+    )
+    done = _run_python(probe)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "False", "0"]
 
 
 SEARCH_UNUSED = [f"polywidth.{m}" for m in ("birthday", "gwidth", "sparse", "tensorlift")]

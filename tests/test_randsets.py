@@ -128,6 +128,15 @@ def test_intersective_worked_example():
         assert not {x % 5, (x + 1) % 5, (x + 2) % 5} <= support
 
 
+def test_intersective_tiny_alpha_needs_one_element():
+    # alpha * N = 2.2e-11 rounds to 0 under the float nudge, but a set of
+    # density alpha > 0 is nonempty: the witness is {0}, not the empty set
+    res = rs.intersectivity_check(22, 2, 1e-12, [1, 2])
+    assert not res.intersective
+    assert res.witness.tolist() == [1] + [0] * 21
+    assert oracles.first_witness_direct(22, 2, 1e-12, [1, 2]) == (0,)
+
+
 def test_intersective_matches_naive_oracle():
     gen = mc.stream(99, 0)
     for _ in range(100):
@@ -146,7 +155,7 @@ def test_intersective_matches_naive_oracle():
             assert tuple(np.flatnonzero(res.witness)) == first
         if res.witness is not None:
             support = {i for i, b in enumerate(res.witness) if b}
-            assert len(support) == min(N, max(0, math.ceil(alpha * N - 1e-9)))
+            assert len(support) == min(N, max(1, math.ceil(alpha * N - 1e-9)))
             for ap in map(set, _ap_sets(N, ell, diffs)):
                 assert not ap <= support
 

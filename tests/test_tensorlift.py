@@ -286,6 +286,45 @@ def test_perturbed_matrix_fails_with_witness():
     assert oracles.quadratic_form_direct(f_ranks, g_ranks, y) != rhs
 
 
+def _first_failing_sign_vector(h, m, f_ranks, g_ranks, cover_count):
+    """First x in enumeration order (bit j of the index set means x_j = -1)
+    where the dense oracle's two sides differ, or None."""
+    for index in range(1 << h.n):
+        x = tuple(-1 if (index >> j) & 1 else 1 for j in range(h.n))
+        lhs = oracles.quadratic_form_direct(f_ranks, g_ranks, oracles.tensor_power_vector(x, m))
+        if lhs != 2 * cover_count * poly.evaluate(h, x):
+            return x
+    return None
+
+
+@pytest.mark.parametrize(
+    "h,params",
+    [
+        (M4, P4),
+        (Hypergraph(4, [(0, 1), (0, 1), (2, 3)]), P4),
+        (Hypergraph(5, [(0, 1), (1, 2), (3, 4)]), tl.LiftParams(n=5, m=2, r=1)),
+    ],
+    ids=["matching", "parallel-edge", "path"],
+)
+def test_check_witness_is_the_first_failing_sign_vector(h, params):
+    res = tl.build_matrix_lift(h, params)
+    f, g, cover = res.f_ranks, res.g_ranks, res.report.cover_count
+    gen = np.random.default_rng(7)
+    cases = [(f, g, cover), (f, g, cover + 1), (f[1:], g[1:], cover),
+             (np.append(f, f[0]), np.append(g, g[0]), cover)]
+    for _ in range(6):  # re-aim one pair at a random map
+        g_bad = g.copy()
+        g_bad[gen.integers(len(g))] = gen.integers(params.num_maps)
+        cases.append((f, g_bad, cover))
+    verdicts = []
+    for f_ranks, g_ranks, cover_count in cases:
+        want = _first_failing_sign_vector(h, params.m, f_ranks, g_ranks, cover_count)
+        ok, witness = tl.check_lift_identity(f_ranks, g_ranks, cover_count, h, params)
+        assert (ok, witness) == (want is None, want)
+        verdicts.append(ok)
+    assert verdicts[0] and not any(verdicts[1:4])  # intact lift, then 3 sure failures
+
+
 def test_verify_assembles_no_matrix(monkeypatch):
     def assemble(*args, **kwargs):
         raise AssertionError("a sparse matrix was assembled")
