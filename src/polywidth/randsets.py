@@ -5,20 +5,22 @@ Upper-tail estimation is plain (unweighted) Monte Carlo; runs with zero
 observed hits report the rule-of-three 3/samples upper confidence bound
 instead of a point estimate.
 
-Intersectivity is decided exactly for N <= 63 by a pruned depth-first search
-for a progression-free witness.  The search may visit at most
-``SEARCH_NODE_BUDGET`` nodes; beyond that it raises BudgetExceededError
-rather than answer with a weaker method.
+Intersectivity is decided exactly for N <= 63 by a depth-first search over
+int bitmasks for a progression-free witness, with forward checking: a
+vertex that would complete a progression leaves the set of vertices that
+may still join, and a branch is cut when too few of those remain.  The
+search may visit at most ``SEARCH_NODE_BUDGET`` nodes; beyond that it
+raises BudgetExceededError rather than answer with a weaker method.  The
+exact path imports no numpy: only the Monte-Carlo functions and
+``count_aps`` load numpy, ``_kernels``, ``mc`` and ``aps``, when called.
 """
+
+from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from . import _kernels, mc
-from .aps import ApParams, ap_hypergraph, progressions
 from .errors import BudgetExceededError
 
 __all__ = [
@@ -65,12 +67,20 @@ class TailQuery:
 
 @lru_cache(maxsize=32)
 def _ap_edge_array(N: int, k: int) -> np.ndarray:
+    import numpy as np
+
+    from .aps import ApParams, ap_hypergraph
+
     return np.array(ap_hypergraph(ApParams(N, k)).edges, dtype=np.int64)
 
 
 def count_aps(bits, k: int) -> int:
     """Number of unordered proper k-term APs inside the support of ``bits``
     (parallel progressions with equal vertex sets counted separately)."""
+    import numpy as np
+
+    from . import _kernels
+
     bits = np.asarray(bits, dtype=np.uint8)
     edges = _ap_edge_array(len(bits), k)
     return int(_kernels.contained_edges_batch(bits[None, :], edges)[0])
@@ -99,6 +109,10 @@ def upper_tail_mc(
 ) -> UpperTailResult:
     """Monte-Carlo estimate of Pr[AP count >= (1+delta) * expectation],
     sampled from the stream of ``params.seed``."""
+    import numpy as np
+
+    from . import _kernels, mc
+
     edges = _ap_edge_array(params.N, query.k)
     threshold = (1.0 + query.delta) * expected_ap_count(params, query.k)
 
@@ -122,22 +136,22 @@ def upper_tail_mc(
 @dataclass(frozen=True)
 class IntersectivityResult:
     intersective: bool
-    witness: np.ndarray | None
+    witness: tuple[int, ...] | None  # 0/1 per residue
     exact: bool
 
 
 def _ap_masks(N: int, ell: int, diffs) -> list[int]:
     """Bitmasks of the proper (ell+1)-term progressions with difference in diffs."""
-    diffs = [int(d) % N for d in diffs]
+    diffs = {int(d) % N for d in diffs}
     if 0 in diffs:
         raise ValueError("differences must be nonzero mod N")
+    full = (1 << N) - 1
     masks = set()
-    for terms in progressions(N, ell + 1, diffs).tolist():
-        if len(set(terms)) == ell + 1:
-            mask = 0
-            for v in terms:
-                mask |= 1 << v
-            masks.add(mask)
+    for d in diffs:
+        # the progression from 0; those from x are its rotations by x
+        base = sum({1 << (t * d % N) for t in range(ell + 1)})
+        if base.bit_count() == ell + 1:
+            masks.update(((base << x) & full) | (base >> (N - x)) for x in range(N))
     return sorted(masks)
 
 
@@ -155,48 +169,67 @@ def _first_witness(N: int, q: int, ap_masks) -> int | None:
     contain every progression their subsets do.  The search is an
     include-first depth-first search over the vertices in increasing order,
     so the first q-subset it completes is the lexicographically first one.
-    Vertex v joins only if no progression whose largest vertex is v then lies
-    inside the set, and a branch is cut when the vertices left cannot reach
-    q.  Every visited branch costs one node of ``SEARCH_NODE_BUDGET``.
+
+    Forward checking: ``avail`` holds the vertices that may still join.
+    When v joins, each progression through v that now misses exactly one
+    vertex w > v removes w, since w would complete it.  Such a progression
+    has v as its second-largest member and w as its largest, so it is filed
+    under v as the pair (its members below v, w).  Every vertex below w is
+    decided when w is reached, so w may join exactly when it is in
+    ``avail``.  The search tries the available vertices in increasing
+    order, each first as a member and then not, and cuts a branch when the
+    available vertices cannot reach q.  Only dead branches are cut, so the
+    first witness is unchanged.  Every vertex tried costs one node of
+    ``SEARCH_NODE_BUDGET``.
     """
-    ending = [[] for _ in range(N)]
+    closing = [[] for _ in range(N)]
     for m in ap_masks:
-        ending[m.bit_length() - 1].append(m)
+        w = 1 << (m.bit_length() - 1)
+        v = (m ^ w).bit_length() - 1
+        closing[v].append((m ^ w ^ (1 << v), ~w))
     nodes = 0
 
-    def extend(v, mask, size):
+    def extend(v, mask, size, avail):
+        # the first witness that adds vertices from v on to ``mask``
         nonlocal nodes
         if size == q:
             return mask
-        if N - v < q - size:
-            return None
-        nodes += 1
-        if nodes > SEARCH_NODE_BUDGET:
-            raise BudgetExceededError(
-                f"intersectivity search exceeded {SEARCH_NODE_BUDGET} nodes"
-            )
-        grown = mask | (1 << v)
-        for m in ending[v]:
-            if grown & m == m:
-                break
-        else:
-            found = extend(v + 1, grown, size + 1)
+        ahead = avail >> v
+        while size + ahead.bit_count() >= q:
+            nodes += 1
+            if nodes > SEARCH_NODE_BUDGET:
+                raise BudgetExceededError(
+                    f"intersectivity search exceeded {SEARCH_NODE_BUDGET} nodes"
+                )
+            v += (ahead & -ahead).bit_length() - 1
+            found = extend(v + 1, mask | (1 << v), size + 1, _forward(closing[v], mask, avail))
             if found is not None:
                 return found
-        return extend(v + 1, mask, size)
+            v += 1
+            ahead = avail >> v
+        return None
 
     # The progressions are invariant under translation, so if S is a witness
     # then so is S - min S: it contains 0 and is lexicographically no larger.
     # The first witness therefore contains 0, and if no witness contains 0,
     # none exists.
-    return extend(1, 1, 1)
+    return extend(1, 1, 1, _forward(closing[0], 0, (1 << N) - 1))
+
+
+def _forward(closing, mask, avail):
+    """``avail`` less the vertex w of each pair (below, ~w) in ``closing``
+    whose ``below`` lies inside ``mask``."""
+    for below, keep in closing:
+        if mask & below == below:
+            avail &= keep
+    return avail
 
 
 def intersectivity_check(N: int, ell: int, alpha: float, diffs) -> IntersectivityResult:
     """Does every subset of density alpha contain a proper (ell+1)-term
     progression with common difference in ``diffs``?
 
-    The answer is exact: a pruned depth-first search looks for the
+    The answer is exact: a forward-checked depth-first search looks for the
     lexicographically first progression-free subset of size ceil(alpha N),
     returned as the witness.  A search that would visit more than
     ``SEARCH_NODE_BUDGET`` nodes raises BudgetExceededError.
@@ -210,7 +243,7 @@ def intersectivity_check(N: int, ell: int, alpha: float, diffs) -> Intersectivit
     found = _first_witness(N, _required_size(N, alpha), _ap_masks(N, ell, diffs))
     if found is None:
         return IntersectivityResult(True, None, True)
-    witness = np.array([(found >> v) & 1 for v in range(N)], dtype=np.uint8)
+    witness = tuple(found >> v & 1 for v in range(N))
     return IntersectivityResult(False, witness, True)
 
 
@@ -239,6 +272,10 @@ def random_intersectivity_experiment(
         raise ValueError("p must lie strictly inside (0, 1)")
     if k_draws is not None and k_draws < 0:
         raise ValueError("k_draws must be nonnegative")
+    import numpy as np
+
+    from . import mc
+
     nonzero = np.arange(1, N, dtype=np.int64)
 
     def value_fn(gen, count):

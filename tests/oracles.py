@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from polywidth import mc
+from polywidth.errors import BudgetExceededError
 from polywidth.hypergraph import Hypergraph
 
 
@@ -246,6 +247,43 @@ def first_witness_direct(N, ell, alpha, diffs):
         if not any(ap <= s for ap in aps):
             return combo
     return None
+
+
+def first_witness_dfs(N, q, ap_masks, budget=10**7):
+    """The intersectivity search before forward checking, kept as the
+    reference for ``randsets._first_witness``: bitmask of the
+    lexicographically first q-subset (q >= 1) of {0, ..., N-1} containing no
+    progression in ``ap_masks``, or None.  Vertex v joins only if no
+    progression whose largest vertex is v then lies inside the set, and a
+    branch is cut only when the vertices left cannot reach q.  Raises
+    BudgetExceededError past ``budget`` nodes.
+    """
+    ending = [[] for _ in range(N)]
+    for m in ap_masks:
+        ending[m.bit_length() - 1].append(m)
+    nodes = 0
+
+    def extend(v, mask, size):
+        nonlocal nodes
+        if size == q:
+            return mask
+        if N - v < q - size:
+            return None
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(f"intersectivity search exceeded {budget} nodes")
+        grown = mask | (1 << v)
+        for m in ending[v]:
+            if grown & m == m:
+                break
+        else:
+            found = extend(v + 1, grown, size + 1)
+            if found is not None:
+                return found
+        return extend(v + 1, mask, size)
+
+    # The first witness contains 0 (translation invariance).
+    return extend(1, 1, 1)
 
 
 def exact_intersective_probability(N, ell, alpha, p, check_fn):

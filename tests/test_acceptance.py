@@ -246,7 +246,7 @@ def test_c11_intersectivity():
     with criterion(11, "intersectivity worked examples and random model"):
         res = rs.intersectivity_check(5, 2, 0.6, [1])
         assert not res.intersective and res.exact
-        assert res.witness.tolist() == [1, 1, 0, 1, 0]
+        assert res.witness == (1, 1, 0, 1, 0)
         support = {i for i, b in enumerate(res.witness) if b}
         for x in range(5):
             assert not {x % 5, (x + 1) % 5, (x + 2) % 5} <= support

@@ -436,7 +436,8 @@ BIRTHDAY_UNUSED = [f"polywidth.{m}" for m in ("tensorlift", "gwidth", "sparse", 
     "argv,unused",
     [
         (["intersective", "--N", "10", "--ell", "2", "--alpha", "0.5", "--diffs", "1,2"],
-         SEARCH_UNUSED + ["numpy.random", "concurrent.futures"]),
+         SEARCH_UNUSED + ["polywidth.aps", "polywidth.mc", "polywidth._kernels",
+                          "numpy.random", "concurrent.futures"]),
         (["intersective", "--N", "10", "--ell", "1", "--alpha", "0.5", "--p", "0.3",
           "--trials", "2"], SEARCH_UNUSED + ["concurrent.futures"]),
         (["ap-structure", "--N", "7", "--k", "3", "--trials", "5"],
@@ -466,6 +467,39 @@ def test_subcommand_loads_only_its_layers(argv, unused):
     code, loaded = json.loads(done.stdout)
     assert code == 0
     assert [m for m in unused if m in loaded] == []
+
+
+EXACT_INTERSECTIVE_RUNS = [
+    [*argv, "--format", fmt]
+    for argv in (
+        # a witness, then none
+        ["intersective", "--N", "22", "--ell", "2", "--alpha", "0.4", "--diffs", "1,2,3"],
+        ["intersective", "--N", "22", "--ell", "2", "--alpha", "0.5",
+         "--diffs", "1,2,3,4,5,6,7,8"],
+    )
+    for fmt in ("csv", "json")
+]
+
+
+def test_exact_intersective_runs_without_numpy(capsys):
+    # a None entry makes `import numpy` fail
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from polywidth.cli import main\n"
+        "runs = []\n"
+        f"for argv in {EXACT_INTERSECTIVE_RUNS!r}:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        runs.append([main(argv), out.getvalue()])\n"
+        "print(json.dumps(runs))\n"
+    )
+    done = _run_python(probe)
+    assert done.returncode == 0, done.stderr
+    expected = [list(run_cli(capsys, *argv)) for argv in EXACT_INTERSECTIVE_RUNS]
+    assert json.loads(done.stdout) == expected
+    assert all(code == 0 for code, _ in expected)
+    assert "witness=" in expected[0][1] and "witness=" not in expected[2][1]
 
 
 def test_matrix_verify_budget_defaults_to_the_tensorlift_cap(capsys):

@@ -6,6 +6,7 @@ import pytest
 import oracles
 from polywidth import mc, poly, randsets as rs
 from polywidth.aps import ApParams, ap_hypergraph, ordered_ap_count
+from polywidth.errors import BudgetExceededError
 
 
 def test_params_validation():
@@ -115,13 +116,13 @@ def test_intersective_all_pairs():
 def test_intersective_empty_differences():
     res = rs.intersectivity_check(5, 2, 0.6, [])
     assert not res.intersective
-    assert res.witness is not None and res.witness.sum() == 3
+    assert res.witness is not None and sum(res.witness) == 3
 
 
 def test_intersective_worked_example():
     res = rs.intersectivity_check(5, 2, 0.6, [1])
     assert not res.intersective
-    assert res.witness.tolist() == [1, 1, 0, 1, 0]  # {0, 1, 3}
+    assert res.witness == (1, 1, 0, 1, 0)  # {0, 1, 3}
     # witness verifies: no 3-term progression of difference 1 inside
     support = {i for i, b in enumerate(res.witness) if b}
     for x in range(5):
@@ -133,7 +134,7 @@ def test_intersective_tiny_alpha_needs_one_element():
     # density alpha > 0 is nonempty: the witness is {0}, not the empty set
     res = rs.intersectivity_check(22, 2, 1e-12, [1, 2])
     assert not res.intersective
-    assert res.witness.tolist() == [1] + [0] * 21
+    assert res.witness == (1,) + (0,) * 21
     assert oracles.first_witness_direct(22, 2, 1e-12, [1, 2]) == (0,)
 
 
@@ -168,6 +169,39 @@ def _ap_sets(N, ell, diffs):
             if len(terms) == ell + 1:
                 out.append(tuple(sorted(terms)))
     return out
+
+
+# every N from 3 to 24, prime and composite, and N = 31 (ell 3 at N = 31
+# takes seconds in the reference search)
+FORWARD_GRID = [(N, ell) for N in range(3, 25) for ell in (1, 2, 3)] + [(31, 1), (31, 2)]
+
+
+@pytest.mark.parametrize("N,ell", FORWARD_GRID)
+def test_forward_checking_finds_the_unchecked_search_witness(N, ell):
+    # same first witness (or None) as the search without forward checking
+    gen = mc.stream(N, ell)
+    diff_sets = [[1], [N // 2, -1, N + 2]] + [
+        [d for d in range(1, N) if gen.random() < p] for p in (0.15, 0.3, 0.6)
+    ]
+    for alpha in (0.3, 0.4, 0.5, 0.6):
+        q = rs._required_size(N, alpha)
+        for diffs in diff_sets:
+            masks = rs._ap_masks(N, ell, diffs)
+            assert rs._first_witness(N, q, masks) == oracles.first_witness_dfs(N, q, masks)
+
+
+def test_forward_checking_answers_within_a_budget_the_unchecked_search_overruns(
+    monkeypatch,
+):
+    N, ell, alpha, diffs = 20, 2, 0.5, [1, 2, 3]
+    q, masks = rs._required_size(N, alpha), rs._ap_masks(N, ell, diffs)
+    with pytest.raises(BudgetExceededError):
+        oracles.first_witness_dfs(N, q, masks, budget=500)
+    expected = oracles.first_witness_dfs(N, q, masks)
+    monkeypatch.setattr(rs, "SEARCH_NODE_BUDGET", 500)
+    res = rs.intersectivity_check(N, ell, alpha, diffs)
+    assert not res.intersective
+    assert res.witness == tuple(expected >> v & 1 for v in range(N))
 
 
 def test_intersective_past_old_scan_limit():
