@@ -131,6 +131,7 @@ def _run_matrix_verify(args):
     n, r = args["n"], args["r"]
     budget = tensorlift.DEFAULT_BUDGET if args["budget"] is None else args["budget"]
     params = tensorlift.LiftParams(n=n, m=args["m"], r=r, s=args["s"], budget=budget)
+    tensorlift.check_sign_cap(n)  # before any hypergraph is built or read
     if args["hypergraph"]:
         h = load_hypergraph(args["hypergraph"])
         if h.n != n:
@@ -568,7 +569,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

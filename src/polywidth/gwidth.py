@@ -1,14 +1,13 @@
 """Gaussian width estimation and spectral-norm machinery.
 
 The Gaussian width of a point set is the expected supremum, over the set, of
-the inner product with a standard Gaussian vector.  Here the sets are either
-explicit point lists or images of the Boolean hypercube under a polynomial
-map whose coordinates are hypergraph polynomials.  The supremum depends only
-on the set of points, so either kind of domain is reduced once to its
-distinct points in lexicographic order (an image by exhaustive enumeration,
-hypercube dimension capped at 24); the inner supremum is then an exact
-maximum over those rows, never a heuristic, and the outer expectation is
-seeded Monte Carlo over the same rows.
+the inner product with a standard Gaussian vector.  Here the sets are images
+of the Boolean hypercube under a polynomial map whose coordinates are
+hypergraph polynomials.  The supremum depends only on the set of points, so
+the image is built once by exhaustive enumeration (hypercube dimension
+capped at 24) and reduced to its distinct points in lexicographic order;
+each Monte-Carlo direction then takes the exact maximum over those rows,
+never a heuristic, and the outer expectation is seeded Monte Carlo.
 """
 
 import math
@@ -25,7 +24,6 @@ __all__ = [
     "PolyMap",
     "SpectralNormEstimate",
     "TjResult",
-    "gw_exact_inner",
     "gw_estimate",
     "spectral_norm",
     "gaussian_series_norm",
@@ -108,59 +106,30 @@ def _columns(pm: PolyMap) -> np.ndarray:
     return out
 
 
-def _points(domain) -> np.ndarray:
-    """The distinct points of the domain as rows, in lexicographic order.
-
-    The domain is a PolyMap (its image of {0,1}^n, by exhaustive
-    enumeration) or an explicit point array of shape (num_points, k).
-    """
-    if not isinstance(domain, PolyMap):
-        pts = np.asarray(domain, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[0] == 0:
-            raise ValueError("explicit domain must be a nonempty 2d point array")
-        return np.unique(pts, axis=0)
-    if domain.n > ENUM_BITS_LIMIT:
+def _points(pm: PolyMap) -> np.ndarray:
+    """The distinct points of the image of {0,1}^n as rows, in lexicographic
+    order, by exhaustive enumeration."""
+    if pm.n > ENUM_BITS_LIMIT:
         raise BudgetExceededError(f"hypercube enumeration capped at n = {ENUM_BITS_LIMIT}")
-    image = _columns(domain)
+    image = _columns(pm)
     rows = image.view(np.dtype((np.void, image.strides[0]))).ravel()
     rows.sort()  # in place: byte order is lexicographic order
     first = np.ones(len(rows), dtype=bool)
     first[1:] = rows[1:] != rows[:-1]
-    return rows[first].view(image.dtype).reshape(-1, domain.k)
+    return rows[first].view(image.dtype).reshape(-1, pm.k)
 
 
-def _float_blocks(points, bits):
-    """The rows of ``points`` in consecutive float64 blocks of 2^bits rows."""
-    step = 1 << bits
-    for start in range(0, len(points), step):
-        yield np.asarray(points[start : start + step], dtype=np.float64)
-
-
-def gw_exact_inner(domain, g):
-    """Exact sup over the domain of <p, g>, with the maximizing point p.
-
-    The domain is a PolyMap, whose points are the images psi(x) of
-    x in {0,1}^n, or an explicit point array of shape (num_points, k).
-    Ties break to the lexicographically smallest point.
-    """
-    points = _points(domain)
-    g = np.asarray(g, dtype=np.float64)
-    # on sorted distinct rows the first maximum is the smallest maximizer
-    scores = np.concatenate([block @ g for block in _float_blocks(points, _BLOCK_BITS)])
-    best = int(np.argmax(scores))
-    return float(scores[best]), np.asarray(points[best], dtype=np.float64)
-
-
-def gw_estimate(domain, samples: int, seed: int, threads: int = 1) -> mc.McEstimate:
-    """Monte-Carlo Gaussian width: average of the exact inner supremum over
-    independent standard Gaussian directions."""
-    points = _points(domain)
-    k = points.shape[1]
+def gw_estimate(pm: PolyMap, samples: int, seed: int, threads: int = 1) -> mc.McEstimate:
+    """Monte-Carlo Gaussian width of the image of ``pm``: average of the exact
+    maximum over the image of <p, g> for independent standard Gaussian g."""
+    points = _points(pm)
+    step = 1 << _SCORE_BITS
 
     def value_fn(gen, count):
-        g_mat = mc.normals(gen, (k, count))
+        g_mat = mc.normals(gen, (pm.k, count))
         best = np.full(count, -np.inf)
-        for block in _float_blocks(points, _SCORE_BITS):
+        for start in range(0, len(points), step):
+            block = points[start : start + step].astype(np.float64)
             np.maximum(best, (block @ g_mat).max(axis=0), out=best)
         return best
 

@@ -29,7 +29,6 @@ __all__ = [
     "UpperTailResult",
     "IntersectivityResult",
     "count_aps",
-    "expected_ap_count",
     "upper_tail_mc",
     "intersectivity_check",
     "random_intersectivity_experiment",
@@ -86,12 +85,6 @@ def count_aps(bits, k: int) -> int:
     return int(_kernels.contained_edges_batch(bits[None, :], edges)[0])
 
 
-def expected_ap_count(params: RandomSetParams, k: int) -> float:
-    """p^k times the number of progressions, N(N-1)/2."""
-    n_edges = params.N * (params.N - 1) // 2
-    return params.p**k * n_edges
-
-
 @dataclass(frozen=True)
 class UpperTailResult:
     estimate: mc.McEstimate
@@ -101,25 +94,35 @@ class UpperTailResult:
 
 def reference_tail_rate(N: int, k: int, p: float, delta: float) -> float:
     """Qualitative reference rate N * min(sqrt(delta) p^{k/2} log(1/p), delta^2 p)."""
-    return N * min(math.sqrt(delta) * p ** (k / 2) * math.log(1.0 / p), delta**2 * p)
+    return N * min(math.sqrt(delta) * p ** (k / 2) * -math.log(p), delta * delta * p)
 
 
 def upper_tail_mc(
     params: RandomSetParams, query: TailQuery, samples: int, threads=1
 ) -> UpperTailResult:
     """Monte-Carlo estimate of Pr[AP count >= (1+delta) * expectation],
-    sampled from the stream of ``params.seed``."""
+    sampled from the stream of ``params.seed``.
+
+    The expectation is p^k times the N(N-1)/2 progressions.  A count is an
+    integer, so it reaches the threshold exactly when it reaches the
+    threshold's ceiling, computed in exact rationals (a float p^k may
+    underflow to 0) and capped at one more than the number of progressions.
+    """
+    from fractions import Fraction
+
     import numpy as np
 
     from . import _kernels, mc
 
     edges = _ap_edge_array(params.N, query.k)
-    threshold = (1.0 + query.delta) * expected_ap_count(params, query.k)
+    num_aps = params.N * (params.N - 1) // 2
+    expected = Fraction(params.p) ** query.k * num_aps
+    need = min(num_aps + 1, math.ceil((1 + Fraction(query.delta)) * expected))
 
     def value_fn(gen, count):
         bits = (gen.random((count, params.N)) < params.p).astype(np.uint8)
         hits = _kernels.contained_edges_batch(bits, edges)
-        return (hits >= threshold).astype(np.float64)
+        return (hits >= need).astype(np.float64)
 
     est = mc.run_chunked(value_fn, samples, params.seed, threads=threads)[0]
     return UpperTailResult(

@@ -93,6 +93,7 @@ __all__ = [
     "complements",
     "enumerate_pairs",
     "build_matrix_lift",
+    "check_sign_cap",
     "check_lift_identity",
     "verify_lift_identity",
 ]
@@ -335,6 +336,12 @@ def _parity_masks(m: int, n: int) -> np.ndarray:
     return masks
 
 
+def check_sign_cap(n: int):
+    """Raise BudgetExceededError when 2^n sign vectors are too many to check."""
+    if n > SIGN_ENUM_LIMIT:
+        raise BudgetExceededError(f"sign enumeration capped at n = {SIGN_ENUM_LIMIT}")
+
+
 def check_lift_identity(f_ranks, g_ranks, cover_count: int, h: Hypergraph, params: LiftParams):
     """Exhaustive exact check of the lift identity over all sign vectors.
 
@@ -346,8 +353,7 @@ def check_lift_identity(f_ranks, g_ranks, cover_count: int, h: Hypergraph, param
     the first failing sign vector.  Returns (ok, witness).
     """
     n = h.n
-    if n > SIGN_ENUM_LIMIT:
-        raise BudgetExceededError(f"sign enumeration capped at n = {SIGN_ENUM_LIMIT}")
+    check_sign_cap(n)
     size = 1 << n
 
     masks = _parity_masks(params.m, params.n)
@@ -377,8 +383,7 @@ class LiftVerification:
 
 def verify_lift_identity(h: Hypergraph, params: LiftParams) -> LiftVerification:
     """Build the lift for h and check the identity on all 2^n sign vectors."""
-    if h.n > SIGN_ENUM_LIMIT:
-        raise BudgetExceededError(f"sign enumeration capped at n = {SIGN_ENUM_LIMIT}")
+    check_sign_cap(h.n)
     result = build_matrix_lift(h, params)
     ok, witness = check_lift_identity(
         result.f_ranks, result.g_ranks, result.report.cover_count, h, params

@@ -197,7 +197,8 @@ def test_c07_gaussian_width_oracle():
         est = gw.gw_estimate(gw.identity_map(10), 10000, seed=70)
         exact = 10 / math.sqrt(2 * math.pi)
         assert abs(est.mean - exact) <= 0.03 * exact, est
-        single = gw.gw_estimate(np.array([[0.3, -1.2, 0.8]]), 10000, seed=71)
+        # an edgeless component's image is the single point 0, of width 0
+        single = gw.gw_estimate(gw.PolyMap([Hypergraph(3, ())]), 10000, seed=71)
         assert abs(single.mean) <= 3 * single.std_error, single
 
 

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import polywidth
-from polywidth import randsets, tensorlift
+from polywidth import hypergraph, randsets, tensorlift
 from polywidth.cli import COMMANDS, EXIT_BUDGET, EXIT_INVALID, EXIT_VERIFY, main
 from polywidth.hypergraph import Hypergraph, save_hypergraph
 
@@ -235,6 +235,26 @@ def test_budget_exit_code(capsys):
     assert code == EXIT_BUDGET
 
 
+def test_matrix_verify_checks_sign_cap_before_building(capsys, monkeypatch):
+    def refuse(n, r):
+        raise AssertionError("the default matching was built")
+
+    monkeypatch.setattr(hypergraph, "default_matching", refuse)
+    code = main(["matrix-verify", "--n", "17", "--m", "1", "--r", "1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_BUDGET
+    assert captured.out == ""
+    assert captured.err == "error: sign enumeration capped at n = 16\n"
+
+
+def test_overflow_exits_invalid(capsys):
+    code = main(["bound-eval", "--n", "1" + "0" * 400, "--k", "4", "--d", "2", "--t", "1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INVALID
+    assert captured.out == ""
+    assert captured.err == "error: int too large to convert to float\n"
+
+
 def test_poisson_check_runs(capsys):
     code, out = run_cli(
         capsys, "poisson-check", "--r", "1", "--n", "50", "--samples", "20000"
@@ -287,6 +307,21 @@ def test_upper_tail_rejects_nonfinite_delta(capsys, delta):
     )
     assert code == EXIT_INVALID
     assert out == ""
+
+
+def test_upper_tail_extreme_p_and_delta_report_finite_json(capsys):
+    def strict(const):
+        raise AssertionError(f"not JSON: {const}")
+
+    for p, delta in (("5e-324", "1"), ("0.3", "1e300")):
+        code, out = run_cli(
+            capsys, "upper-tail", "--N", "31", "--k", "3", "--p", p, "--delta", delta,
+            "--samples", "10", "--format", "json",
+        )
+        assert code == 0
+        row = json.loads(out, parse_constant=strict)["rows"][0]
+        assert row["prob"] == 0.0
+        assert row["reference_rate"] >= 0.0
 
 
 def test_tj_ratio_runs(capsys):

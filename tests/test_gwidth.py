@@ -80,75 +80,21 @@ def test_gw_estimate_max_spans_score_blocks():
 
 
 def test_exact_inner_zero_map():
-    pm = gw.PolyMap([Hypergraph(3, ())])
-    for g in ([1.0], [-2.5], [0.0]):
-        value, point = gw.gw_exact_inner(pm, g)
-        assert value == 0.0
-        assert point.tolist() == [0.0]
-
-
-def test_exact_inner_identity_map_is_separable():
-    pm = gw.identity_map(6)
-    gen = mc.stream(123, 0)
-    for _ in range(20):
-        g = mc.normals(gen, 6)
-        value, point = gw.gw_exact_inner(pm, g)
-        assert value == pytest.approx(np.maximum(g, 0.0).sum(), abs=1e-12)
-        assert point.tolist() == [1 if gi > 0 else 0 for gi in g]
-
-
-def test_exact_inner_negative_weight_prefers_empty():
-    pm = gw.PolyMap([Hypergraph(2, [(0, 1)])])
-    value, point = gw.gw_exact_inner(pm, [-1.0])
-    assert value == 0.0
-    assert point.tolist() == [0.0]  # the image point psi(0, 0)
-
-
-def test_exact_inner_explicit_list_ties_break_lexicographically():
-    pts = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
-    value, point = gw.gw_exact_inner(pts, [1.0, 1.0])
-    assert value == 1.0
-    assert point.tolist() == [0.0, 1.0]
+    # the image of an edgeless component is the single point 0
+    est = gw.gw_estimate(gw.PolyMap([Hypergraph(3, ())]), 3000, seed=2)
+    assert est.mean == 0.0
+    assert est.std_error == 0.0
 
 
 def test_exact_inner_budget():
     with pytest.raises(BudgetExceededError):
-        gw.gw_exact_inner(gw.identity_map(25), np.zeros(25))
-
-
-def test_width_nonnegative_for_symmetric_sets():
-    gen = mc.stream(7, 0)
-    pts = mc.normals(gen, (5, 3))
-    sym = np.vstack([pts, -pts])
-    for _ in range(10):
-        g = mc.normals(gen, 3)
-        plus, _ = gw.gw_exact_inner(sym, g)
-        minus, _ = gw.gw_exact_inner(sym, -g)
-        assert plus + minus >= 0.0
-        assert plus == pytest.approx(minus, abs=1e-12)
+        gw.gw_estimate(gw.identity_map(25), 10, seed=0)
 
 
 def test_gw_estimate_identity_map():
     est = gw.gw_estimate(gw.identity_map(6), 4000, seed=21)
     exact = 6 / math.sqrt(2 * math.pi)
     assert abs(est.mean - exact) <= 4 * est.std_error
-
-
-def test_gw_estimate_two_point_set():
-    est = gw.gw_estimate(np.array([[-1.0], [1.0]]), 20000, seed=3)
-    assert abs(est.mean - math.sqrt(2 / math.pi)) <= 3 * est.std_error
-
-
-def test_gw_estimate_singleton_is_zero():
-    est = gw.gw_estimate(np.array([[0.7, -0.3, 1.1]]), 20000, seed=5)
-    assert abs(est.mean) <= 3 * est.std_error
-
-
-def test_gw_estimate_scaling():
-    pts = np.array([[1.0, 2.0], [0.0, -1.0], [3.0, 0.5]])
-    base = gw.gw_estimate(pts, 2000, seed=9)
-    scaled = gw.gw_estimate(2.5 * pts, 2000, seed=9)
-    assert scaled.mean == pytest.approx(2.5 * base.mean, rel=1e-12)
 
 
 def test_gw_estimate_deterministic_across_threads():

@@ -41,13 +41,6 @@ def test_count_matches_polynomial_and_ordered_oracle():
         assert 2 * count == ordered_ap_count(bits, 3)
 
 
-def test_expected_count():
-    assert rs.expected_ap_count(rs.RandomSetParams(13, 0.5), 3) == pytest.approx(9.75)
-    lo = rs.expected_ap_count(rs.RandomSetParams(13, 0.4), 3)
-    hi = rs.expected_ap_count(rs.RandomSetParams(13, 0.6), 3)
-    assert lo < hi
-
-
 def test_expected_count_mc_cross_check():
     params = rs.RandomSetParams(13, 0.5)
 
@@ -103,9 +96,25 @@ def test_upper_tail_zero_hits_rule_of_three():
     assert res.rule_of_three_bound == pytest.approx(3 / 1000)
 
 
+@pytest.mark.parametrize("k,p", [(3, 1e-110), (5, 1e-66)])
+def test_upper_tail_underflowing_expectation_needs_a_progression(k, p):
+    # p^k underflows to 0.0 as a float; the exact threshold still needs one
+    # progression, which a set this sparse essentially never holds
+    res = rs.upper_tail_mc(rs.RandomSetParams(31, p), rs.TailQuery(k, 1.0), 1000)
+    assert res.estimate.mean == 0.0
+    assert res.rule_of_three_bound == pytest.approx(0.003)
+
+
 def test_reference_rate_value():
     rate = rs.reference_tail_rate(13, 3, 0.5, 1.0)
     assert rate == pytest.approx(13 * min(0.5**1.5 * math.log(2.0), 0.5))
+
+
+def test_reference_rate_finite_at_extremes():
+    # log(1/p) overflows at the smallest subnormal p, and delta**2 at 1e300
+    assert rs.reference_tail_rate(31, 3, 5e-324, 1.0) == 0.0
+    rate = rs.reference_tail_rate(31, 3, 0.3, 1e300)
+    assert rate == pytest.approx(31 * 1e150 * 0.3**1.5 * -math.log(0.3))
 
 
 def test_intersective_all_pairs():
