@@ -28,20 +28,24 @@ def _block_rows(cells):
 # where e_r is the elementary symmetric polynomial of degree r in the 2r
 # per-vertex occurrence counts.
 #
-# Cell layout: the count of vertex edges[e, i] sits in cell i*|M| + e.  A
-# block of rows is transposed to (2r, cells per position), so the e_r
-# recurrence below runs over 2r contiguous rows, one per edge position.
+# Both kernels bring a block of rows to one vertex-major histogram, a row
+# per vertex and a column per input row: phi_batch counts its maps with one
+# bincount of v*rows + row, phi_hist_batch transposes its histograms.
+# Gathering the edge vertices position by position gives (2r, |M|*rows)
+# counts, so the e_r recurrence runs over 2r contiguous rows.
 
 
-def _phi_of_counts(counts, r):
-    """e_r of each column of ``counts`` (one row per edge position)."""
-    e = np.zeros((r + 1, counts.shape[1]), dtype=np.int64)
+def _phi_by_vertex(hist, edges, r):
+    """phi of each column of the vertex-major histogram ``hist`` (n, rows)."""
+    ne, width = edges.shape
+    rows = hist.shape[1]
+    counts = hist[edges.T.ravel()].reshape(width, ne * rows)
+    e = np.zeros((r + 1, ne * rows), dtype=np.int64)
     e[0] = 1
-    for v in range(counts.shape[0]):
-        c = counts[v]
+    for v in range(width):
         for j in range(min(r, v + 1), 0, -1):
-            e[j] += e[j - 1] * c
-    return e[r]
+            e[j] += e[j - 1] * counts[v]
+    return e[r].reshape(ne, rows).sum(axis=0)
 
 
 def phi_batch(maps, edges, n, r):
@@ -57,27 +61,18 @@ def phi_batch(maps, edges, n, r):
     nb = maps.shape[0]
     if nb == 0 or edges.shape[0] == 0:
         return np.zeros(nb, dtype=np.int64)
-    ne, width = edges.shape
-    cells = edges.size
-    by_position = edges.T.ravel()
-    if by_position.min() < 0 or by_position.max() >= n:
+    if edges.min() < 0 or edges.max() >= n:
         raise ValueError("edge vertices must lie in [0, n)")
-    # vertex -> cell; all unmatched vertices share the extra cell `cells`
-    lookup = np.full(n, cells, dtype=np.int64)
-    lookup[by_position] = np.arange(cells)
-    if np.count_nonzero(lookup < cells) != cells:
+    if np.bincount(edges.ravel(), minlength=n).max() > 1:
         raise ValueError("edges must be disjoint")
-    step = _block_rows(cells + 1)
-    offsets = np.arange(step, dtype=np.int64)[:, None] * (cells + 1)
+    step = _block_rows(n)
     out = np.empty(nb, dtype=np.int64)
     for start in range(0, nb, step):
-        block = lookup[maps[start : start + step]]
+        block = maps[start : start + step]
         rows = block.shape[0]
-        block += offsets[:rows]
-        hist = np.bincount(block.ravel(), minlength=rows * (cells + 1))
-        counts = hist.reshape(rows, cells + 1)[:, :cells].reshape(rows, width, ne)
-        counts = counts.transpose(1, 0, 2).reshape(width, rows * ne)
-        out[start : start + rows] = _phi_of_counts(counts, r).reshape(rows, ne).sum(axis=1)
+        cells = block * rows + np.arange(rows)[:, None]
+        hist = np.bincount(cells.ravel(), minlength=n * rows)
+        out[start : start + rows] = _phi_by_vertex(hist.reshape(n, rows), edges, r)
     return out
 
 
@@ -88,15 +83,11 @@ def phi_hist_batch(hists, edges, r):
     nb = hists.shape[0]
     if nb == 0 or edges.shape[0] == 0:
         return np.zeros(nb, dtype=np.int64)
-    ne, width = edges.shape
-    by_position = edges.T.ravel()
     step = _block_rows(hists.shape[1])
     out = np.empty(nb, dtype=np.int64)
     for start in range(0, nb, step):
-        counts = hists[start : start + step].T[by_position]
-        rows = counts.shape[1]
-        phis = _phi_of_counts(counts.reshape(width, ne * rows), r)
-        out[start : start + rows] = phis.reshape(ne, rows).sum(axis=0)
+        block = hists[start : start + step]
+        out[start : start + len(block)] = _phi_by_vertex(block.T, edges, r)
     return out
 
 

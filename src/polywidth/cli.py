@@ -313,6 +313,8 @@ def _run_intersective(args):
 
     n, ell, alpha = args["N"], args["ell"], args["alpha"]
     if args["diffs"] is not None:
+        if args["p"] is not None or args["k_draws"] is not None:
+            raise ValueError("--diffs cannot be combined with --p or --k-draws")
         diffs = [int(tok) for tok in args["diffs"].split(",") if tok.strip() != ""]
         res = randsets.intersectivity_check(n, ell, alpha, diffs)
         if res.intersective:

@@ -148,23 +148,7 @@ class SpectralNormEstimate:
     iterations: int
 
 
-def _gram_power_iteration(matvec, rmatvec, dim):
-    v = np.full(dim, 1.0 / math.sqrt(dim))
-    lam = -1.0
-    for it in range(1, POWER_MAX_ITERS + 1):
-        w = rmatvec(matvec(v))
-        lam_new = float(v @ w)
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0, it, True
-        v = w / norm
-        if lam >= 0.0 and abs(lam_new - lam) <= POWER_TOL * max(abs(lam_new), 1e-300):
-            return math.sqrt(max(lam_new, 0.0)), it, True
-        lam = lam_new
-    return math.sqrt(max(lam, 0.0)), POWER_MAX_ITERS, False
-
-
-def spectral_norm(a) -> SpectralNormEstimate:
+def spectral_norm(a: SparseMatrix) -> SpectralNormEstimate:
     """Largest singular value via power iteration on the Gram operator.
 
     Deterministic all-ones start; convergence when successive Rayleigh
@@ -173,28 +157,25 @@ def spectral_norm(a) -> SpectralNormEstimate:
     returned upper bound brackets the true norm even when the iteration
     stops early.
     """
-    if isinstance(a, SparseMatrix):
-        dim = a.dim
-        if a.nnz == 0:
-            return SpectralNormEstimate(0.0, 0.0, True, 0)
-        row_sums = np.bincount(a.rows, weights=np.abs(a.vals), minlength=dim)
-        col_sums = np.bincount(a.cols, weights=np.abs(a.vals), minlength=dim)
-        upper = math.sqrt(float(row_sums.max()) * float(col_sums.max()))
-        value, iters, conv = _gram_power_iteration(a.matvec, a.rmatvec, dim)
-    else:
-        dense = np.asarray(a, dtype=np.float64)
-        if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-            raise ValueError("expected a square matrix")
-        dim = dense.shape[0]
-        if not dense.any():
-            return SpectralNormEstimate(0.0, 0.0, True, 0)
-        upper = math.sqrt(
-            float(np.abs(dense).sum(axis=1).max()) * float(np.abs(dense).sum(axis=0).max())
-        )
-        value, iters, conv = _gram_power_iteration(
-            lambda x: dense @ x, lambda x: dense.T @ x, dim
-        )
-    return SpectralNormEstimate(min(value, upper), upper, conv, iters)
+    if a.nnz == 0:
+        return SpectralNormEstimate(0.0, 0.0, True, 0)
+    row_sums = np.bincount(a.rows, weights=np.abs(a.vals), minlength=a.dim)
+    col_sums = np.bincount(a.cols, weights=np.abs(a.vals), minlength=a.dim)
+    upper = math.sqrt(float(row_sums.max()) * float(col_sums.max()))
+    v = np.full(a.dim, 1.0 / math.sqrt(a.dim))
+    lam = -1.0
+    for it in range(1, POWER_MAX_ITERS + 1):
+        w = a.rmatvec(a.matvec(v))
+        lam_new = float(v @ w)
+        norm = float(np.linalg.norm(w))
+        if norm == 0.0:
+            return SpectralNormEstimate(0.0, upper, True, it)
+        v = w / norm
+        if lam >= 0.0 and abs(lam_new - lam) <= POWER_TOL * max(abs(lam_new), 1e-300):
+            return SpectralNormEstimate(min(math.sqrt(max(lam_new, 0.0)), upper), upper, True, it)
+        lam = lam_new
+    value = min(math.sqrt(max(lam, 0.0)), upper)
+    return SpectralNormEstimate(value, upper, False, POWER_MAX_ITERS)
 
 
 def gaussian_series_norm(dense: np.ndarray) -> float:

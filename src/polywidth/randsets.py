@@ -1,5 +1,5 @@
-"""Random subsets of Z/NZ: AP-count statistics, upper-tail Monte Carlo, and
-exact intersectivity checking.
+"""Random subsets of Z/NZ: upper-tail Monte Carlo and exact intersectivity
+checking.
 
 Upper-tail estimation is plain (unweighted) Monte Carlo; runs with zero
 observed hits report the rule-of-three 3/samples upper confidence bound
@@ -11,15 +11,14 @@ vertex that would complete a progression leaves the set of vertices that
 may still join, and a branch is cut when too few of those remain.  The
 search may visit at most ``SEARCH_NODE_BUDGET`` nodes; beyond that it
 raises BudgetExceededError rather than answer with a weaker method.  The
-exact path imports no numpy: only the Monte-Carlo functions and
-``count_aps`` load numpy, ``_kernels``, ``mc`` and ``aps``, when called.
+exact path imports no numpy: only the Monte-Carlo functions load numpy,
+``_kernels``, ``mc`` and ``aps``, when called.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import BudgetExceededError
 
@@ -28,7 +27,6 @@ __all__ = [
     "TailQuery",
     "UpperTailResult",
     "IntersectivityResult",
-    "count_aps",
     "upper_tail_mc",
     "intersectivity_check",
     "random_intersectivity_experiment",
@@ -64,27 +62,6 @@ class TailQuery:
             raise ValueError("delta must be positive and finite")
 
 
-@lru_cache(maxsize=32)
-def _ap_edge_array(N: int, k: int) -> np.ndarray:
-    import numpy as np
-
-    from .aps import ApParams, ap_hypergraph
-
-    return np.array(ap_hypergraph(ApParams(N, k)).edges, dtype=np.int64)
-
-
-def count_aps(bits, k: int) -> int:
-    """Number of unordered proper k-term APs inside the support of ``bits``
-    (parallel progressions with equal vertex sets counted separately)."""
-    import numpy as np
-
-    from . import _kernels
-
-    bits = np.asarray(bits, dtype=np.uint8)
-    edges = _ap_edge_array(len(bits), k)
-    return int(_kernels.contained_edges_batch(bits[None, :], edges)[0])
-
-
 @dataclass(frozen=True)
 class UpperTailResult:
     estimate: mc.McEstimate
@@ -113,8 +90,9 @@ def upper_tail_mc(
     import numpy as np
 
     from . import _kernels, mc
+    from .aps import ApParams, ap_hypergraph
 
-    edges = _ap_edge_array(params.N, query.k)
+    edges = np.array(ap_hypergraph(ApParams(params.N, query.k)).edges, dtype=np.int64)
     num_aps = params.N * (params.N - 1) // 2
     expected = Fraction(params.p) ** query.k * num_aps
     need = min(num_aps + 1, math.ceil((1 + Fraction(query.delta)) * expected))

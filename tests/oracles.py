@@ -7,6 +7,7 @@ paths under test.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -201,15 +202,20 @@ def random_hypergraph(rng, n_max=10, d_max=4, max_edges=12):
     return Hypergraph(n, edges)
 
 
-def exact_upper_tail_probability(N, k, p, delta, count_fn):
-    """Sum of subset weights with count >= (1+delta)*E over all 2^N subsets."""
-    expected = p**k * N * (N - 1) / 2
-    threshold = (1 + delta) * expected
+def exact_upper_tail_probability(N, k, p, delta):
+    """Sum of subset weights over the 2^N subsets holding at least
+    (1+delta)*E of the progressions of ``ap_edges_direct``, E = p^k N(N-1)/2.
+
+    A count is an integer, so the threshold is the ceiling of (1+delta)*E in
+    exact rationals: a p^k that underflows as a float still needs one
+    progression.
+    """
+    need = math.ceil((1 + Fraction(delta)) * Fraction(p) ** k * N * (N - 1) / 2)
+    edge_masks = [sum(1 << v for v in set(e)) for e in ap_edges_direct(N, k)]
     total = 0.0
     for mask in range(1 << N):
-        bits = [(mask >> i) & 1 for i in range(N)]
-        size = sum(bits)
-        if count_fn(bits, k) >= threshold:
+        if sum(mask & e == e for e in edge_masks) >= need:
+            size = mask.bit_count()
             total += p**size * (1 - p) ** (N - size)
     return total
 

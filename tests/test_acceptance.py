@@ -26,6 +26,7 @@ from polywidth.hypergraph import (
     greedy_edge_coloring,
     homogenize,
 )
+from polywidth.sparse import SparseMatrix
 
 
 @contextlib.contextmanager
@@ -132,7 +133,11 @@ def test_c03_sparsity_and_norm_bounds(lift_results):
                 max_row_sum = int(a.sum(axis=1).max())
                 bound = 2 * h.max_degree * params.s**2 * r_fact
                 assert max_row_sum <= bound
-                est = gw.spectral_norm(a)
+                f, g = res.f_ranks, res.g_ranks
+                lift = SparseMatrix.from_entries(
+                    params.num_maps, np.concatenate((f, g)), np.concatenate((g, f))
+                )
+                est = gw.spectral_norm(lift)
                 assert est.value <= max_row_sum + 1e-9
 
 
@@ -234,7 +239,7 @@ def test_c09_ap_structure():
 
 def test_c10_upper_tail_desk_scale():
     with criterion(10, "upper-tail Monte Carlo against exact enumeration"):
-        exact = oracles.exact_upper_tail_probability(13, 3, 0.5, 1.0, rs.count_aps)
+        exact = oracles.exact_upper_tail_probability(13, 3, 0.5, 1.0)
         res = rs.upper_tail_mc(rs.RandomSetParams(13, 0.5, seed=100), rs.TailQuery(3, 1.0), 100000)
         assert abs(res.estimate.mean - exact) <= 3 * res.estimate.std_error, (
             exact,

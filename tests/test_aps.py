@@ -130,13 +130,23 @@ def test_structural_counts_double_counting(N, k):
     assert max_pair * 2 == k * (k - 1)
 
 
-@pytest.mark.parametrize("N,k", [(5, 3), (7, 3), (11, 3), (13, 4), (17, 5)])
+@pytest.mark.parametrize("N,k", [(5, 3), (7, 3), (11, 3), (13, 3), (13, 4), (17, 5)])
 def test_doubled_polynomial_equals_ordered_count(N, k):
     h = ap_hypergraph(ApParams(N, k))
     rng = np.random.default_rng(N * 100 + k)
     for _ in range(25):
         bits = rng.integers(0, 2, size=N)
         assert 2 * poly.evaluate(h, bits) == ordered_ap_count(bits, k)
+
+
+def test_expected_ordered_count_mc_cross_check():
+    # E[ordered count] = p^3 N(N-1) = 19.5 at N = 13, p = 1/2
+    def value_fn(gen, count):
+        bits = (gen.random((count, 13)) < 0.5).astype(np.uint8)
+        return ordered_ap_count(bits, 3).astype(np.float64)
+
+    (est,) = mc.run_chunked(value_fn, 4000, seed=8)
+    assert abs(est.mean - 19.5) <= 3 * est.std_error
 
 
 def test_two_transitivity():

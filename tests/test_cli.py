@@ -376,6 +376,17 @@ def test_intersective_rejects_negative_draws(capsys):
     assert "--k-draws" in err
 
 
+@pytest.mark.parametrize("model", [["--p", "0.3"], ["--k-draws", "3"]], ids=["p", "k-draws"])
+def test_intersective_rejects_diffs_with_a_random_model(capsys, model):
+    # --p used to be ignored next to --diffs, with exit 0
+    code = main(["intersective", "--N", "22", "--ell", "2", "--alpha", "0.5",
+                 "--diffs", "1,2", *model])
+    out, err = capsys.readouterr()
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert "--diffs" in err and "--p" in err and "--k-draws" in err
+
+
 def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

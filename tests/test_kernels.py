@@ -42,12 +42,14 @@ def test_phi_kernels_blocked(monkeypatch, r, n, m, num_edges, block_cells):
     gen = mc.stream(10 + r, 0)
     edges = matching_with_unmatched(n, r, num_edges, r)
     rows = 37
-    if block_cells > 1:
-        assert 1 < kn._block_rows(edges.size + 1) < rows and rows % kn._block_rows(edges.size + 1)
+    if block_cells > 1:  # both kernels take blocks of _block_rows(n) rows
         assert 1 < kn._block_rows(n) < rows and rows % kn._block_rows(n)
     maps = gen.integers(0, n, size=(rows, m))
     expected = [oracles.phi_direct(f.tolist(), edges.tolist(), r) for f in maps]
     assert kn.phi_batch(maps, edges, n, r).tolist() == expected
+    # phi reads a map only through its occupancy histogram
+    occupancy = np.stack([np.bincount(f, minlength=n) for f in maps])
+    assert kn.phi_hist_batch(occupancy, edges, r).tolist() == expected
     hists = gen.integers(0, 3, size=(rows, n))
     expected = [
         oracles.phi_direct(np.repeat(np.arange(n), h).tolist(), edges.tolist(), r)

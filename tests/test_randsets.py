@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from polywidth import mc, poly, randsets as rs
-from polywidth.aps import ApParams, ap_hypergraph, ordered_ap_count
+from polywidth import mc, randsets as rs
 from polywidth.errors import BudgetExceededError
 
 
@@ -16,40 +15,6 @@ def test_params_validation():
         rs.RandomSetParams(13, 1.0)
     with pytest.raises(ValueError):
         rs.TailQuery(3, 0.0)
-
-
-def test_count_full_set():
-    assert rs.count_aps(np.ones(5, dtype=np.uint8), 3) == 10
-
-
-def test_count_small_support():
-    assert rs.count_aps(np.array([1, 1, 0, 0, 0], dtype=np.uint8), 3) == 0
-
-
-def test_count_single_progression():
-    bits = np.array([1, 1, 1, 0, 0], dtype=np.uint8)
-    assert rs.count_aps(bits, 3) == 1
-
-
-def test_count_matches_polynomial_and_ordered_oracle():
-    h = ap_hypergraph(ApParams(13, 3))
-    gen = mc.stream(3, 0)
-    for _ in range(30):
-        bits = (gen.random(13) < 0.5).astype(np.uint8)
-        count = rs.count_aps(bits, 3)
-        assert count == poly.evaluate(h, bits)
-        assert 2 * count == ordered_ap_count(bits, 3)
-
-
-def test_expected_count_mc_cross_check():
-    params = rs.RandomSetParams(13, 0.5)
-
-    def value_fn(gen, count):
-        bits = (gen.random((count, 13)) < 0.5).astype(np.uint8)
-        return np.array([float(rs.count_aps(b, 3)) for b in bits])
-
-    (est,) = mc.run_chunked(value_fn, 4000, seed=8)
-    assert abs(est.mean - 9.75) <= 3 * est.std_error
 
 
 @pytest.mark.parametrize("N", [4, 9, 12, 15, 20, 22, 13, 31])
@@ -81,7 +46,7 @@ def test_upper_tail_monotone_in_delta():
 
 
 def test_upper_tail_matches_exact_enumeration():
-    exact = oracles.exact_upper_tail_probability(13, 3, 0.5, 1.0, rs.count_aps)
+    exact = oracles.exact_upper_tail_probability(13, 3, 0.5, 1.0)
     assert exact == pytest.approx(0.1334228515625)  # frozen from the oracle
     params = rs.RandomSetParams(13, 0.5, seed=42)
     res = rs.upper_tail_mc(params, rs.TailQuery(3, 1.0), 50000)
@@ -103,6 +68,14 @@ def test_upper_tail_underflowing_expectation_needs_a_progression(k, p):
     res = rs.upper_tail_mc(rs.RandomSetParams(31, p), rs.TailQuery(k, 1.0), 1000)
     assert res.estimate.mean == 0.0
     assert res.rule_of_three_bound == pytest.approx(0.003)
+
+
+def test_exact_upper_tail_underflowing_expectation_needs_a_progression():
+    # the oracle takes the same exact-rational ceiling as upper_tail_mc: a
+    # float threshold of 0.0 would count the empty set and return 1.0
+    assert oracles.exact_upper_tail_probability(7, 3, 1e-110, 1.0) == 0.0
+    res = rs.upper_tail_mc(rs.RandomSetParams(7, 1e-110), rs.TailQuery(3, 1.0), 1000)
+    assert res.estimate.mean == 0.0
 
 
 def test_reference_rate_value():
