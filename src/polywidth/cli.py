@@ -308,13 +308,16 @@ def _run_upper_tail(args):
     return [row], EXIT_OK, []
 
 
+DEFAULT_TRIALS = 200  # random-model trials when --trials is not given
+
+
 def _run_intersective(args):
     from . import randsets
 
     n, ell, alpha = args["N"], args["ell"], args["alpha"]
     if args["diffs"] is not None:
-        if args["p"] is not None or args["k_draws"] is not None:
-            raise ValueError("--diffs cannot be combined with --p or --k-draws")
+        if any(args[key] is not None for key in ("p", "k_draws", "trials")):
+            raise ValueError("--diffs cannot be combined with --p, --k-draws or --trials")
         diffs = [int(tok) for tok in args["diffs"].split(",") if tok.strip() != ""]
         res = randsets.intersectivity_check(n, ell, alpha, diffs)
         if res.intersective:
@@ -334,7 +337,7 @@ def _run_intersective(args):
         return [row], EXIT_OK, pre
     if (args["p"] is None) == (args["k_draws"] is None):
         raise ValueError("give exactly one of --p / --k-draws (or --diffs)")
-    trials = args["trials"]
+    trials = args["trials"] or DEFAULT_TRIALS
     est = randsets.random_intersectivity_experiment(
         n,
         ell,
@@ -475,7 +478,8 @@ COMMANDS = {
             Opt("diffs", str, help="explicit difference set, comma-separated"),
             Opt("p", float, help="random model: inclusion probability"),
             Opt("k-draws", int, minimum=0, help="random model: uniform draws with replacement"),
-            Opt("trials", int, default=200, minimum=1, help="random-model trials"),
+            Opt("trials", int, minimum=1,
+                help=f"random-model trials (default {DEFAULT_TRIALS}; not with --diffs)"),
         ),
         _run_intersective,
     ),

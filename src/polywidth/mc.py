@@ -29,8 +29,6 @@ class McEstimate:
 
     mean: float
     std_error: float
-    samples: int
-    seed: int
 
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:
@@ -102,4 +100,4 @@ def run_chunked(value_fn, samples, seed, threads=1, chunk=CHUNK_SAMPLES) -> list
     else:
         var = np.zeros_like(total)
     ses = np.sqrt(var / n)
-    return [McEstimate(float(mean), float(se), samples, seed) for mean, se in zip(means, ses)]
+    return [McEstimate(float(mean), float(se)) for mean, se in zip(means, ses)]

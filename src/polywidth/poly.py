@@ -5,12 +5,9 @@ variables indexed by the edge.  Integer inputs are evaluated in exact
 (arbitrary-precision) integer arithmetic; anything else falls back to float.
 """
 
-import itertools
-import math
-
 import numpy as np
 
-__all__ = ["evaluate", "gradient", "multilinear_form"]
+__all__ = ["evaluate", "gradient"]
 
 
 def _coerce(x, n):
@@ -55,28 +52,3 @@ def gradient(h, x):
             grad[i] += term
     return grad
 
-
-def multilinear_form(h, xs):
-    """Symmetric multilinear form whose diagonal is the hypergraph polynomial.
-
-    For a d-uniform hypergraph and vectors x_1..x_d this averages, over all
-    permutations of the d slots, the product of (x_j at the sigma(j)-th edge
-    vertex), summed over edges.  The symmetrization is the canonical
-    permutation-invariant choice of form with the prescribed diagonal.
-    """
-    if not h.is_uniform():
-        raise ValueError("hypergraph must be uniform")
-    d = h.max_edge_size
-    if len(xs) != d:
-        raise ValueError(f"expected {d} vectors")
-    coerced = [_coerce(x, h.n)[0] for x in xs]
-    total = 0.0
-    for e in h.edges:
-        acc = 0.0
-        for sigma in itertools.permutations(range(d)):
-            term = 1.0
-            for j in range(d):
-                term *= coerced[j][e[sigma[j]]]
-            acc += term
-        total += acc
-    return total / math.factorial(d)

@@ -48,8 +48,9 @@ a vertex -> edge lookup, and for each order pi of S - f(P)
 
     rank(g) = rank(f) - sum_{i in P} f(i) * n^i + sum_{i in P} pi_i * n^i.
 
-``tests/oracles.complements_direct`` checks the definition directly,
-against every map.
+``tests/test_tensorlift.py::test_enumerate_pairs_match_oracle`` checks
+the pairs against ``tests/oracles.complements_direct``, which tests the
+definition directly against every map.
 
 The report is computed from the kept pairs (f, g) of B; A is never
 assembled.  A = B + B^T is symmetric by construction, its diagonal is
@@ -90,7 +91,6 @@ __all__ = [
     "LiftResult",
     "LiftVerification",
     "default_goodness_bound",
-    "complements",
     "enumerate_pairs",
     "build_matrix_lift",
     "check_sign_cap",
@@ -188,20 +188,6 @@ def _complements(f_ranks, digits, edges, n: int, r: int):
     return tuple(np.concatenate(column) for column in zip(*out))
 
 
-def complements(f, matching: Hypergraph):
-    """All maps complementing f with respect to the matching, sorted."""
-    r = _matching_r(matching)
-    n, m = matching.n, len(f)
-    digits = np.array(f, dtype=np.int64).reshape(1, m)
-    if ((digits < 0) | (digits >= n)).any():
-        raise ValueError(f"digits of {tuple(f)} outside [0, {n})")
-    if n**m > np.iinfo(np.int64).max:
-        raise ValueError(f"{n}^{m} maps overflow int64 ranks")
-    f_rank = digits @ n ** np.arange(m, dtype=np.int64)
-    _, g_ranks, _ = _complements(f_rank, digits, np.array(matching.edges, dtype=np.int64), n, r)
-    return sorted(map(tuple, _digits(g_ranks, m, n).tolist()))
-
-
 def _pair_blocks(params: LiftParams, matching: Hypergraph):
     """Yield aligned (f_ranks, g_ranks, covered_edge_index) arrays of the
     pairs (f, g) with f good and g complementing f, one block of maps at a
@@ -241,8 +227,6 @@ class LiftReport:
     s: int
     dim: int
     num_colors: int
-    matching_size: int
-    pair_set_size: int
     cover_count: int
     nnz: int
     max_row_sum: int
@@ -283,7 +267,7 @@ def build_matrix_lift(h: Hypergraph, params: LiftParams) -> LiftResult:
     coloring = greedy_edge_coloring(h)
     empty = np.zeros(0, dtype=np.int64)
     rows, cols = [empty], [empty]
-    cover_counts, pair_sizes, matching_sizes = [], [], []
+    cover_counts = []
     # edgeless input keeps no pair, but reports the default family's counts
     for class_edges in color_classes(h, coloring) or [()]:
         family = complete_to_maximal_matching(Hypergraph(h.n, class_edges), params.r)
@@ -296,8 +280,6 @@ def build_matrix_lift(h: Hypergraph, params: LiftParams) -> LiftResult:
         if pairs % family.num_edges:
             raise RuntimeError("pair set size is not a multiple of the family size")
         cover_counts.append(pairs // family.num_edges)
-        pair_sizes.append(pairs)
-        matching_sizes.append(family.num_edges)
 
     if len(set(cover_counts)) != 1:
         raise RuntimeError("per-family cover counts differ across colors")
@@ -315,8 +297,6 @@ def build_matrix_lift(h: Hypergraph, params: LiftParams) -> LiftResult:
         s=params.s,
         dim=dim,
         num_colors=coloring.num_colors,
-        matching_size=matching_sizes[0],
-        pair_set_size=pair_sizes[0],
         cover_count=cover_counts[0],
         nnz=2 * _distinct_unordered(f_ranks, g_ranks, dim),
         max_row_sum=int(row_sums.max()),

@@ -387,6 +387,33 @@ def test_intersective_rejects_diffs_with_a_random_model(capsys, model):
     assert "--diffs" in err and "--p" in err and "--k-draws" in err
 
 
+def test_intersective_rejects_diffs_with_trials(capsys):
+    # --trials used to be ignored next to --diffs, which reported "trials": 1
+    code = main(["intersective", "--N", "22", "--ell", "2", "--alpha", "0.5",
+                 "--diffs", "1,2", "--trials", "5", "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert "--diffs" in err and "--trials" in err
+
+
+def test_intersective_random_model_defaults_to_200_trials(capsys):
+    code, out = run_cli(capsys, "intersective", "--N", "11", "--ell", "1", "--alpha", "0.5",
+                        "--p", "0.3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["rows"][0]["trials"] == 200
+
+
+def test_intersective_diffs_ignores_seed_and_threads(capsys):
+    argv = ["intersective", "--N", "22", "--ell", "2", "--alpha", "0.5", "--diffs", "1,2"]
+    _, plain = run_cli(capsys, *argv)
+    code, got = run_cli(capsys, *argv, "--seed", "7", "--threads", "2")
+    assert code == 0
+    # the footer echoes the seed it was given; everything above it is the same
+    assert got == plain.replace("# seed=0 ", "# seed=7 ")
+    assert run_cli(capsys, *argv, "--threads", "2")[1] == plain
+
+
 def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

@@ -40,7 +40,6 @@ def test_run_chunked_matches_direct_statistics():
     )
     assert est.mean == pytest.approx(vals.mean(), rel=1e-12)
     assert est.std_error == pytest.approx(vals.std(ddof=1) / math.sqrt(5000), rel=1e-9)
-    assert (est.samples, est.seed) == (5000, 3)
     assert type(est.mean) is float and type(est.std_error) is float
 
 
@@ -62,4 +61,3 @@ def test_mc_estimate_validation():
 def test_single_sample_has_zero_se():
     (est,) = mc.run_chunked(lambda gen, count: gen.random(count), 1, seed=9)
     assert est.std_error == 0.0
-    assert est.samples == 1

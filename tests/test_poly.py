@@ -96,39 +96,3 @@ def test_gradient_matches_derived_hypergraphs():
         for i in range(4):
             derived = Hypergraph(4, [tuple(v for v in e if v != i) for e in h.edges if i in e])
             assert grad[i] == poly.evaluate(derived, x)
-
-
-def test_multilinear_form_symmetrized_rank_one():
-    h = Hypergraph(2, [(0, 1)])
-    a, b, c, d = 2.0, 3.0, 5.0, 7.0
-    assert poly.multilinear_form(h, [(a, b), (c, d)]) == pytest.approx((a * d + b * c) / 2)
-
-
-@given(st.integers(0, 5000))
-@settings(max_examples=30, deadline=None)
-def test_multilinear_form_diagonal(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 9))
-    d = int(rng.integers(1, min(3, n) + 1))
-    edges = [tuple(sorted(rng.choice(n, size=d, replace=False))) for _ in range(5)]
-    h = Hypergraph(n, edges)
-    x = rng.uniform(-1.0, 1.0, size=n)
-    assert poly.multilinear_form(h, [x] * d) == pytest.approx(poly.evaluate(h, x))
-
-
-def test_multilinear_form_distinct_basis_vectors():
-    # single edge {0,1,2}: of the 3! slot permutations only the identity
-    # matches every basis vector to its own vertex, so the value is 1/6
-    h = Hypergraph(3, [(0, 1, 2)])
-    e0, e1, e2 = np.eye(3)
-    expected = sum(
-        (e0[a] * e1[b] * e2[c])
-        for a, b, c in [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
-    ) / 6
-    assert expected == 1 / 6
-    assert poly.multilinear_form(h, [e0, e1, e2]) == pytest.approx(1 / 6)
-
-
-def test_multilinear_form_requires_uniform():
-    with pytest.raises(ValueError):
-        poly.multilinear_form(Hypergraph(3, [(0,), (0, 1)]), [(1, 1, 1)])
