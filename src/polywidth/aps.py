@@ -8,7 +8,6 @@ the polynomial of the hypergraph equals the ordered progression count).
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +15,6 @@ from . import _kernels, mc
 from .hypergraph import Hypergraph
 
 __all__ = [
-    "ApParams",
     "progressions",
     "ap_hypergraph",
     "fixed_difference_hypergraph",
@@ -36,20 +34,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ApParams:
-    """Cyclic group size N and progression length k."""
-
-    N: int
-    k: int
-
-    def __post_init__(self):
-        if self.N < 3:
-            raise ValueError("N must be at least 3")
-        if self.k < 2:
-            raise ValueError("k must be at least 2")
-
-
 def progressions(N: int, k: int, diffs) -> np.ndarray:
     """The k-term progressions of Z/NZ with difference in ``diffs``: rows
     (x + t*d) mod N for t = 0..k-1, ordered by d (as given), then by x."""
@@ -57,13 +41,12 @@ def progressions(N: int, k: int, diffs) -> np.ndarray:
     return ((np.arange(N)[:, None] + d * np.arange(k)) % N).reshape(-1, k)
 
 
-def ap_hypergraph(params: ApParams) -> Hypergraph:
+def ap_hypergraph(N: int, k: int) -> Hypergraph:
     """Unordered proper k-AP hypergraph on Z/NZ; exact for prime N, k <= N.
 
     N is an odd prime, so of a progression (a, b) and its reversal
     (a + (k-1)b, -b) exactly one has its difference in 1..(N-1)/2.
     """
-    N, k = params.N, params.k
     if not _is_prime(N):
         raise ValueError("N must be prime")
     if not 3 <= k <= N:
@@ -71,16 +54,15 @@ def ap_hypergraph(params: ApParams) -> Hypergraph:
     return Hypergraph(N, progressions(N, k, range(1, (N - 1) // 2 + 1)).tolist())
 
 
-def fixed_difference_hypergraph(params: ApParams, y: int) -> Hypergraph:
+def fixed_difference_hypergraph(N: int, k: int, y: int) -> Hypergraph:
     """The N progressions {x, x+y, ..., x+(k-1)y}, one per starting point."""
-    N, k = params.N, params.k
     y %= N
     if y == 0:
         raise ValueError("difference y must be nonzero")
     if not _is_prime(N):
         raise ValueError("N must be prime")
-    if k > N:
-        raise ValueError("need k <= N")
+    if not 2 <= k <= N:
+        raise ValueError("need 2 <= k <= N")
     return Hypergraph(N, progressions(N, k, [y]).tolist())
 
 
@@ -89,20 +71,18 @@ def ordered_ap_count(bits, k: int):
     a, a+b, ..., a+(k-1)b inside the support of ``bits``.
 
     A 1-D ``bits`` gives an int; a 2-D ``(rows, N)`` array gives one count
-    per row.  The N(N-1) ordered progressions are index rows
-    (a + t*b) % N, built once and checked against row blocks of ``bits``.
+    per row.  The N(N-1) ordered progressions are built once and checked
+    against row blocks of ``bits``, which bound the temporaries at any row count.
     """
     bits = np.asarray(bits)
     rows = bits.reshape(-1, bits.shape[-1])
     N = rows.shape[1]
-    b = np.arange(1, N)[:, None, None]
-    terms = (np.arange(N)[:, None] + b * np.arange(k)) % N  # (N-1, N, k)
-    progressions = terms.reshape(-1, k)
+    edges = progressions(N, k, range(1, N))
     counts = np.empty(len(rows), dtype=np.int64)
-    step = _kernels._block_rows(len(progressions))
+    step = _kernels._block_rows(len(edges))
     for start in range(0, len(rows), step):
         stop = start + step
-        counts[start:stop] = _kernels.contained_edges_batch(rows[start:stop], progressions)
+        counts[start:stop] = _kernels.contained_edges_batch(rows[start:stop], edges)
     return int(counts[0]) if bits.ndim == 1 else counts
 
 

@@ -107,8 +107,8 @@ def _run_gw_estimate(args):
             raise ValueError("--n must be even for the matchings map")
         matchings = gwidth.random_matchings(n, args["k"], args["seed"] + 1)
         pmap = gwidth.PolyMap(Hypergraph(n, pairs.tolist()) for pairs in matchings)
-    est = gwidth.gw_estimate(pmap, samples, args["seed"], threads=args["threads"])
     bound = gwidth.width_bound(pmap.n, pmap.k, max(pmap.degree, 1), max(pmap.multiplicity, 1))
+    est = gwidth.gw_estimate(pmap, samples, args["seed"], threads=args["threads"])
     row = {
         "n": pmap.n,
         "k": pmap.k,
@@ -238,15 +238,14 @@ def _run_tj_ratio(args):
 
 
 def _run_ap_count(args):
-    from .aps import ApParams, ap_hypergraph, pair_incidence_profile
+    from .aps import ap_hypergraph, pair_incidence_profile
 
-    params = ApParams(args["N"], args["k"])
-    h = ap_hypergraph(params)
+    h = ap_hypergraph(args["N"], args["k"])
     max_pair, _ = pair_incidence_profile(h)
     pre = [f"edges={h.num_edges}"]
     row = {
-        "N": params.N,
-        "k": params.k,
+        "N": args["N"],
+        "k": args["k"],
         "edges": h.num_edges,
         "vertex_degree": h.max_degree,
         "pair_incidence": max_pair,
@@ -257,11 +256,9 @@ def _run_ap_count(args):
 def _run_ap_structure(args):
     from . import aps, mc, poly
 
-    params = aps.ApParams(args["N"], args["k"])
-    trials = args["trials"]
-    h = aps.ap_hypergraph(params)
+    N, k, trials = args["N"], args["k"], args["trials"]
+    h = aps.ap_hypergraph(N, k)
     _, table = aps.pair_incidence_profile(h)
-    N, k = params.N, params.k
     edges_ok = h.num_edges == N * (N - 1) // 2
     degree_ok = all(2 * d == k * (N - 1) for d in h.degrees())
     pair_ok = all(2 * c == k * (k - 1) for c in table.values()) and len(table) == N * (N - 1) // 2
@@ -288,15 +285,13 @@ def _run_ap_structure(args):
 def _run_upper_tail(args):
     from . import randsets
 
-    params = randsets.RandomSetParams(args["N"], args["p"], args["seed"])
-    query = randsets.TailQuery(args["k"], args["delta"])
-    samples = args["samples"]
-    res = randsets.upper_tail_mc(params, query, samples, threads=args["threads"])
+    N, k, p, delta, samples = args["N"], args["k"], args["p"], args["delta"], args["samples"]
+    res = randsets.upper_tail_mc(N, k, p, delta, samples, args["seed"], args["threads"])
     row = {
-        "N": params.N,
-        "k": query.k,
-        "p": params.p,
-        "delta": query.delta,
+        "N": N,
+        "k": k,
+        "p": p,
+        "delta": delta,
         "samples": samples,
         "seed": args["seed"],
         "prob": res.estimate.mean,

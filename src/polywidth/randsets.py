@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from .errors import BudgetExceededError
 
 __all__ = [
-    "RandomSetParams",
-    "TailQuery",
     "UpperTailResult",
     "IntersectivityResult",
     "upper_tail_mc",
@@ -33,33 +31,6 @@ __all__ = [
 ]
 
 SEARCH_NODE_BUDGET = 10**7
-
-
-@dataclass(frozen=True)
-class RandomSetParams:
-    """Each element of Z/NZ kept independently with probability p."""
-
-    N: int
-    p: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.N < 3:
-            raise ValueError("N must be at least 3")
-        if not 0.0 < self.p < 1.0:
-            raise ValueError("p must lie strictly inside (0, 1)")
-
-
-@dataclass(frozen=True)
-class TailQuery:
-    k: int
-    delta: float
-
-    def __post_init__(self):
-        if self.k < 3:
-            raise ValueError("k must be at least 3")
-        if not 0 < self.delta < math.inf:
-            raise ValueError("delta must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -75,37 +46,42 @@ def reference_tail_rate(N: int, k: int, p: float, delta: float) -> float:
 
 
 def upper_tail_mc(
-    params: RandomSetParams, query: TailQuery, samples: int, threads=1
+    N: int, k: int, p: float, delta: float, samples: int, seed: int = 0, threads: int = 1
 ) -> UpperTailResult:
-    """Monte-Carlo estimate of Pr[AP count >= (1+delta) * expectation],
-    sampled from the stream of ``params.seed``.
+    """Monte-Carlo estimate of Pr[k-AP count >= (1+delta) * expectation] in
+    the p-random subset of Z/NZ (N prime, 3 <= k <= N, 0 < p < 1, delta > 0
+    finite), sampled from the stream of ``seed``.
 
     The expectation is p^k times the N(N-1)/2 progressions.  A count is an
     integer, so it reaches the threshold exactly when it reaches the
     threshold's ceiling, computed in exact rationals (a float p^k may
     underflow to 0) and capped at one more than the number of progressions.
     """
+    if not 0.0 < p < 1.0:
+        raise ValueError("p must lie strictly inside (0, 1)")
+    if not 0 < delta < math.inf:
+        raise ValueError("delta must be positive and finite")
     from fractions import Fraction
 
     import numpy as np
 
     from . import _kernels, mc
-    from .aps import ApParams, ap_hypergraph
+    from .aps import ap_hypergraph
 
-    edges = np.array(ap_hypergraph(ApParams(params.N, query.k)).edges, dtype=np.int64)
-    num_aps = params.N * (params.N - 1) // 2
-    expected = Fraction(params.p) ** query.k * num_aps
-    need = min(num_aps + 1, math.ceil((1 + Fraction(query.delta)) * expected))
+    edges = np.array(ap_hypergraph(N, k).edges, dtype=np.int64)
+    num_aps = N * (N - 1) // 2
+    expected = Fraction(p) ** k * num_aps
+    need = min(num_aps + 1, math.ceil((1 + Fraction(delta)) * expected))
 
     def value_fn(gen, count):
-        bits = (gen.random((count, params.N)) < params.p).astype(np.uint8)
+        bits = (gen.random((count, N)) < p).astype(np.uint8)
         hits = _kernels.contained_edges_batch(bits, edges)
         return (hits >= need).astype(np.float64)
 
-    est = mc.run_chunked(value_fn, samples, params.seed, threads=threads)[0]
+    est = mc.run_chunked(value_fn, samples, seed, threads=threads)[0]
     return UpperTailResult(
         estimate=est,
-        reference_rate=reference_tail_rate(params.N, query.k, params.p, query.delta),
+        reference_rate=reference_tail_rate(N, k, p, delta),
         rule_of_three_bound=(3.0 / samples) if est.mean == 0.0 else None,
     )
 
@@ -242,7 +218,7 @@ def random_intersectivity_experiment(
 
     D is drawn either as the p-random subset of the nonzero residues or as
     k_draws uniform samples with replacement (exactly one model must be
-    given).  p must lie strictly inside (0, 1), as in ``RandomSetParams``,
+    given).  p must lie strictly inside (0, 1), as in ``upper_tail_mc``,
     and k_draws must be nonnegative.  Each trial runs the exact
     intersectivity check, so a trial whose search overruns
     ``SEARCH_NODE_BUDGET`` raises BudgetExceededError.

@@ -4,7 +4,6 @@ import pytest
 import oracles
 from polywidth import mc, poly
 from polywidth.aps import (
-    ApParams,
     ap_hypergraph,
     fixed_difference_hypergraph,
     gradient_hypergraphs,
@@ -16,7 +15,7 @@ from polywidth.hypergraph import Hypergraph
 
 
 def test_z5_edge_list():
-    h = ap_hypergraph(ApParams(5, 3))
+    h = ap_hypergraph(5, 3)
     expected = [
         (0, 1, 2), (1, 2, 3), (2, 3, 4), (0, 3, 4), (0, 1, 4),
         (0, 2, 4), (0, 1, 3), (1, 2, 4), (0, 2, 3), (1, 3, 4),
@@ -30,26 +29,30 @@ def test_z5_edge_list():
 def test_edge_count_and_oracle(N, k):
     if k > N:
         pytest.skip("k exceeds N")
-    h = ap_hypergraph(ApParams(N, k))
+    h = ap_hypergraph(N, k)
     assert h.num_edges == N * (N - 1) // 2
     assert sorted(h.edges) == sorted(oracles.ap_edges_direct(N, k))
 
 
 def test_edges_have_k_distinct_vertices():
     for N, k in [(5, 3), (7, 5), (11, 4), (13, 13)]:
-        h = ap_hypergraph(ApParams(N, k))
+        h = ap_hypergraph(N, k)
         assert h.is_uniform(k)
 
 
 def test_rejects_composite_or_oversized():
     with pytest.raises(ValueError):
-        ap_hypergraph(ApParams(9, 3))
+        ap_hypergraph(9, 3)
     with pytest.raises(ValueError):
-        ap_hypergraph(ApParams(5, 7))
+        ap_hypergraph(5, 7)
+    # a zero difference, a composite modulus, k outside [2, N]
+    for N, k, y in ((7, 3, 7), (9, 3, 1), (7, 1, 1), (7, 8, 1)):
+        with pytest.raises(ValueError):
+            fixed_difference_hypergraph(N, k, y)
 
 
 def test_fixed_difference_degree():
-    h = fixed_difference_hypergraph(ApParams(7, 3), 1)
+    h = fixed_difference_hypergraph(7, 3, 1)
     assert h.num_edges == 7
     incident = [e for e in h.edges if 0 in e]
     assert sorted(incident) == [(0, 1, 2), (0, 1, 6), (0, 5, 6)]
@@ -63,17 +66,16 @@ def test_fixed_difference_lambda_consistency():
     for _ in range(20):
         bits = rng.integers(0, 2, size=7)
         total = sum(
-            poly.evaluate(fixed_difference_hypergraph(ApParams(7, 3), y), bits)
+            poly.evaluate(fixed_difference_hypergraph(7, 3, y), bits)
             for y in range(1, 7)
         )
         assert total == ordered_ap_count(bits, 3)
 
 
 def test_fixed_difference_reversal_symmetry():
-    params = ApParams(11, 4)
     for y in range(1, 6):
-        a = fixed_difference_hypergraph(params, y)
-        b = fixed_difference_hypergraph(params, 11 - y)
+        a = fixed_difference_hypergraph(11, 4, y)
+        b = fixed_difference_hypergraph(11, 4, 11 - y)
         assert sorted(a.edges) == sorted(b.edges)
 
 
@@ -88,8 +90,8 @@ def test_fixed_difference_partition(N, k):
     # and list it in the order of ap_hypergraph
     combined = []
     for y in range(1, (N - 1) // 2 + 1):
-        combined.extend(fixed_difference_hypergraph(ApParams(N, k), y).edges)
-    assert combined == list(ap_hypergraph(ApParams(N, k)).edges)
+        combined.extend(fixed_difference_hypergraph(N, k, y).edges)
+    assert combined == list(ap_hypergraph(N, k).edges)
 
 
 @pytest.mark.parametrize("N", range(3, 41))
@@ -98,15 +100,15 @@ def test_ap_hypergraphs_match_the_orbit_scan(N):
     for k in range(3, min(N, 8) + 1):
         if N in PRIMES_TO_31 + [37]:
             want = oracles.ap_edges_orbit_direct(N, k)
-            assert list(ap_hypergraph(ApParams(N, k)).edges) == want, k
+            assert list(ap_hypergraph(N, k).edges) == want, k
         else:
             with pytest.raises(ValueError, match="prime"):
-                ap_hypergraph(ApParams(N, k))
+                ap_hypergraph(N, k)
 
 
 def test_pair_incidence_z5_and_z7():
     for N in (5, 7):
-        h = ap_hypergraph(ApParams(N, 3))
+        h = ap_hypergraph(N, 3)
         max_pair, table = pair_incidence_profile(h)
         assert max_pair == 3
         assert set(table.values()) == {3}
@@ -122,7 +124,7 @@ def test_pair_incidence_matching():
 
 @pytest.mark.parametrize("N,k", [(5, 3), (7, 4), (11, 3), (13, 4), (17, 5), (31, 3)])
 def test_structural_counts_double_counting(N, k):
-    h = ap_hypergraph(ApParams(N, k))
+    h = ap_hypergraph(N, k)
     assert h.num_edges == N * (N - 1) // 2
     assert all(2 * d == k * (N - 1) for d in h.degrees())
     max_pair, table = pair_incidence_profile(h)
@@ -132,7 +134,7 @@ def test_structural_counts_double_counting(N, k):
 
 @pytest.mark.parametrize("N,k", [(5, 3), (7, 3), (11, 3), (13, 3), (13, 4), (17, 5)])
 def test_doubled_polynomial_equals_ordered_count(N, k):
-    h = ap_hypergraph(ApParams(N, k))
+    h = ap_hypergraph(N, k)
     rng = np.random.default_rng(N * 100 + k)
     for _ in range(25):
         bits = rng.integers(0, 2, size=N)
@@ -150,8 +152,8 @@ def test_expected_ordered_count_mc_cross_check():
 
 
 def test_two_transitivity():
-    assert two_transitivity_check(ap_hypergraph(ApParams(7, 3)), 100, seed=1)
-    assert two_transitivity_check(ap_hypergraph(ApParams(11, 4)), 50, seed=2)
+    assert two_transitivity_check(ap_hypergraph(7, 3), 100, seed=1)
+    assert two_transitivity_check(ap_hypergraph(11, 4), 50, seed=2)
     with pytest.raises(ValueError, match="prime"):
         two_transitivity_check(Hypergraph(9, [(0, 1, 2)]), 10, seed=1)
 
@@ -204,31 +206,31 @@ def _transitivity_direct(edges, N, trials, seed):
 @pytest.mark.parametrize("N", PRIMES_TO_31)
 def test_two_transitivity_matches_direct(N):
     for k in range(3, min(N, 7) + 1):
-        h = ap_hypergraph(ApParams(N, k))
+        h = ap_hypergraph(N, k)
         assert two_transitivity_check(h, 20, seed=N + k) is True
         assert _transitivity_direct(h.edges, N, 20, N + k)
 
 
-def _perturbed(params):
+def _perturbed(N, k):
     """The progression hypergraph with its first edge moved off a progression."""
-    h = ap_hypergraph(params)
+    h = ap_hypergraph(N, k)
     edges = set(h.edges)
-    for v in range(params.N):
+    for v in range(N):
         e = tuple(sorted({*h.edges[0][:-1], v}))
-        if len(e) == params.k and e not in edges:
-            return Hypergraph(params.N, (e,) + h.edges[1:])
+        if len(e) == k and e not in edges:
+            return Hypergraph(N, (e,) + h.edges[1:])
     raise AssertionError("no perturbation found")
 
 
 @pytest.mark.parametrize("N,k", [(7, 3), (11, 4), (13, 6), (31, 5)])
 def test_two_transitivity_rejects_a_perturbed_edge(N, k):
-    h = _perturbed(ApParams(N, k))
+    h = _perturbed(N, k)
     assert two_transitivity_check(h, 100, seed=3) is False
     assert _transitivity_direct(h.edges, N, 100, 3) is False
 
 
 def test_squaring_map_is_not_edge_preserving():
-    h = ap_hypergraph(ApParams(7, 3))
+    h = ap_hypergraph(7, 3)
     edge_sets = set(h.edges)
     violations = 0
     for e in h.edges:
@@ -239,7 +241,7 @@ def test_squaring_map_is_not_edge_preserving():
 
 
 def test_gradient_hypergraphs_of_ap_graph():
-    h = ap_hypergraph(ApParams(5, 3))
+    h = ap_hypergraph(5, 3)
     derived = gradient_hypergraphs(h)
     assert len(derived) == 5
     max_pair, _ = pair_incidence_profile(h)
@@ -251,7 +253,7 @@ def test_gradient_hypergraphs_of_ap_graph():
 
 
 def test_gradient_hypergraphs_evaluate_to_partials():
-    h = ap_hypergraph(ApParams(5, 3))
+    h = ap_hypergraph(5, 3)
     derived = gradient_hypergraphs(h)
     for mask in range(32):
         x = [(mask >> j) & 1 for j in range(5)]

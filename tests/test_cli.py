@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import polywidth
-from polywidth import hypergraph, randsets, tensorlift
+from polywidth import gwidth, hypergraph, randsets, tensorlift
 from polywidth.cli import COMMANDS, EXIT_BUDGET, EXIT_INVALID, EXIT_VERIFY, main
 from polywidth.hypergraph import Hypergraph, save_hypergraph
 
@@ -253,6 +253,38 @@ def test_overflow_exits_invalid(capsys):
     assert code == EXIT_INVALID
     assert captured.out == ""
     assert captured.err == "error: int too large to convert to float\n"
+
+
+def test_gw_estimate_checks_the_bound_before_sampling(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Monte Carlo ran")
+
+    monkeypatch.setattr(gwidth, "gw_estimate", refuse)
+    code = main(["gw-estimate", "--map", "identity", "--n", "1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INVALID
+    assert captured.out == ""
+    assert captured.err == "error: n must be at least 2\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ("ap-count --N 1 --k 3", "N must be prime"),
+        ("ap-count --N 2 --k 3", "need 3 <= k <= N"),
+        ("ap-structure --N 9 --k 3", "N must be prime"),
+        ("upper-tail --N 13 --k 3 --p 1.5 --delta 1", "p must lie strictly inside (0, 1)"),
+        ("upper-tail --N 13 --k 3 --p 0.5 --delta 0", "delta must be positive and finite"),
+        ("upper-tail --N 2 --k 3 --p 0.5 --delta 1", "need 3 <= k <= N"),
+        ("upper-tail --N 13 --k 2 --p 0.5 --delta 1", "need 3 <= k <= N"),
+    ],
+)
+def test_progression_commands_reject_invalid_arguments(capsys, argv, message):
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    assert code == EXIT_INVALID
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_poisson_check_runs(capsys):

@@ -9,12 +9,15 @@ from polywidth.errors import BudgetExceededError
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        rs.RandomSetParams(13, 0.0)
-    with pytest.raises(ValueError):
-        rs.RandomSetParams(13, 1.0)
-    with pytest.raises(ValueError):
-        rs.TailQuery(3, 0.0)
+    with pytest.raises(ValueError, match="p must lie strictly inside"):
+        rs.upper_tail_mc(13, 3, 0.0, 1.0, 10)
+    with pytest.raises(ValueError, match="p must lie strictly inside"):
+        rs.upper_tail_mc(13, 3, 1.0, 1.0, 10)
+    with pytest.raises(ValueError, match="delta must be positive"):
+        rs.upper_tail_mc(13, 3, 0.5, 0.0, 10)
+    for N, k in ((2, 3), (9, 3), (13, 2), (13, 14)):
+        with pytest.raises(ValueError, match="prime|3 <= k <= N"):
+            rs.upper_tail_mc(N, k, 0.5, 1.0, 10)
 
 
 @pytest.mark.parametrize("N", [4, 9, 12, 15, 20, 22, 13, 31])
@@ -31,15 +34,13 @@ def test_ap_masks_match_direct(N):
 
 
 def test_upper_tail_small_delta_sanity():
-    params = rs.RandomSetParams(13, 0.5, seed=1)
-    res = rs.upper_tail_mc(params, rs.TailQuery(3, 1e-6), 20000)
+    res = rs.upper_tail_mc(13, 3, 0.5, 1e-6, 20000, seed=1)
     assert res.estimate.mean >= 0.1
 
 
 def test_upper_tail_monotone_in_delta():
-    params = rs.RandomSetParams(13, 0.5, seed=5)
     probs = [
-        rs.upper_tail_mc(params, rs.TailQuery(3, d), 20000).estimate.mean
+        rs.upper_tail_mc(13, 3, 0.5, d, 20000, seed=5).estimate.mean
         for d in (0.25, 0.5, 1.0, 2.0)
     ]
     assert all(a >= b for a, b in zip(probs, probs[1:]))
@@ -48,15 +49,13 @@ def test_upper_tail_monotone_in_delta():
 def test_upper_tail_matches_exact_enumeration():
     exact = oracles.exact_upper_tail_probability(13, 3, 0.5, 1.0)
     assert exact == pytest.approx(0.1334228515625)  # frozen from the oracle
-    params = rs.RandomSetParams(13, 0.5, seed=42)
-    res = rs.upper_tail_mc(params, rs.TailQuery(3, 1.0), 50000)
+    res = rs.upper_tail_mc(13, 3, 0.5, 1.0, 50000, seed=42)
     assert abs(res.estimate.mean - exact) <= 3 * res.estimate.std_error
 
 
 def test_upper_tail_zero_hits_rule_of_three():
     # threshold above the maximum possible count: hits are impossible
-    params = rs.RandomSetParams(13, 0.1, seed=2)
-    res = rs.upper_tail_mc(params, rs.TailQuery(3, 1e6), 1000)
+    res = rs.upper_tail_mc(13, 3, 0.1, 1e6, 1000, seed=2)
     assert res.estimate.mean == 0.0
     assert res.rule_of_three_bound == pytest.approx(3 / 1000)
 
@@ -65,7 +64,7 @@ def test_upper_tail_zero_hits_rule_of_three():
 def test_upper_tail_underflowing_expectation_needs_a_progression(k, p):
     # p^k underflows to 0.0 as a float; the exact threshold still needs one
     # progression, which a set this sparse essentially never holds
-    res = rs.upper_tail_mc(rs.RandomSetParams(31, p), rs.TailQuery(k, 1.0), 1000)
+    res = rs.upper_tail_mc(31, k, p, 1.0, 1000)
     assert res.estimate.mean == 0.0
     assert res.rule_of_three_bound == pytest.approx(0.003)
 
@@ -74,7 +73,7 @@ def test_exact_upper_tail_underflowing_expectation_needs_a_progression():
     # the oracle takes the same exact-rational ceiling as upper_tail_mc: a
     # float threshold of 0.0 would count the empty set and return 1.0
     assert oracles.exact_upper_tail_probability(7, 3, 1e-110, 1.0) == 0.0
-    res = rs.upper_tail_mc(rs.RandomSetParams(7, 1e-110), rs.TailQuery(3, 1.0), 1000)
+    res = rs.upper_tail_mc(7, 3, 1e-110, 1.0, 1000)
     assert res.estimate.mean == 0.0
 
 
@@ -229,7 +228,7 @@ def test_random_experiment_draws_model():
 
 @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, 1.5, -0.2, 0.0, 1.0])
 def test_random_experiment_rejects_p_outside_the_unit_interval(p):
-    # the rule of RandomSetParams: p strictly inside (0, 1)
+    # the rule of upper_tail_mc: p strictly inside (0, 1)
     with pytest.raises(ValueError, match="p must lie strictly inside"):
         rs.random_intersectivity_experiment(11, 1, 0.5, 10, 5, p=p)
 
