@@ -39,7 +39,7 @@ from . import _kernels, mc
 from .hypergraph import default_goodness_bound, default_matching
 
 __all__ = [
-    "BirthdayParams",
+    "default_map_length",
     "default_matching",
     "phi_statistics",
     "PhiStatistics",
@@ -61,30 +61,9 @@ def growth_constant(r: int) -> float:
     return (6.0 * math.e * r) ** (1.0 / r)
 
 
-@dataclass(frozen=True)
-class BirthdayParams:
-    """r, n, and the derived defaults m = floor(C_r n^(1-1/r)), s = 200*4^r."""
-
-    r: int
-    n: int
-    m: int = 0  # 0 means the default
-    s: int = 0
-
-    def __post_init__(self):
-        if self.r < 1:
-            raise ValueError("r must be positive")
-        if self.n < 2 * self.r:
-            raise ValueError("n must be at least 2r")
-        if self.m == 0:
-            object.__setattr__(
-                self, "m", int(growth_constant(self.r) * self.n ** (1.0 - 1.0 / self.r))
-            )
-        if self.s == 0:
-            object.__setattr__(self, "s", default_goodness_bound(self.r))
-        if self.m < 1:
-            raise ValueError("m must be positive")
-        if self.s < 1:
-            raise ValueError("s must be positive")
+def default_map_length(r: int, n: int) -> int:
+    """The default map length m = floor(C_r n^(1-1/r))."""
+    return int(growth_constant(r) * n ** (1.0 - 1.0 / r))
 
 
 @dataclass(frozen=True)
@@ -95,17 +74,27 @@ class PhiStatistics:
     zero_probability: mc.McEstimate  # Pr[phi = 0]
 
 
-def phi_statistics(params: BirthdayParams, samples=10000, seed=0, threads=1) -> PhiStatistics:
+def phi_statistics(
+    r: int, n: int, m: int, s: int, samples=10000, seed=0, threads=1
+) -> PhiStatistics:
     """One sampling pass of uniform maps [m] -> [n], scored against the
-    default matching, returning Pr[s-good], E[phi], Pr[phi > s] and
-    Pr[phi = 0]."""
-    edges = np.array(default_matching(params.n, params.r).edges, dtype=np.int64)
+    default matching of 2r-sets, returning Pr[s-good], E[phi], Pr[phi > s]
+    and Pr[phi = 0].  Needs r >= 1, n >= 2r, m >= 1 and s >= 1."""
+    if r < 1:
+        raise ValueError("r must be positive")
+    if n < 2 * r:
+        raise ValueError("n must be at least 2r")
+    if m < 1:
+        raise ValueError("m must be positive")
+    if s < 1:
+        raise ValueError("s must be positive")
+    edges = np.array(default_matching(n, r).edges, dtype=np.int64)
 
     def value_fn(gen, count):
-        maps = gen.integers(0, params.n, size=(count, params.m))
-        phis = _kernels.phi_batch(maps, edges, params.n, params.r)
-        good = (phis >= 1) & (phis <= params.s)
-        return np.stack([good, phis, phis > params.s, phis == 0], axis=1, dtype=np.float64)
+        maps = gen.integers(0, n, size=(count, m))
+        phis = _kernels.phi_batch(maps, edges, n, r)
+        good = (phis >= 1) & (phis <= s)
+        return np.stack([good, phis, phis > s, phis == 0], axis=1, dtype=np.float64)
 
     return PhiStatistics(*mc.run_chunked(value_fn, samples, seed, threads=threads))
 
@@ -162,25 +151,27 @@ class DominationRow:
 
 
 def poisson_domination_check(
-    params: BirthdayParams, samples=100000, seed=0, threads=1
+    r: int, n: int, m: int, samples=100000, seed=0, threads=1
 ) -> tuple[DominationRow, ...]:
     """Check E[Phi(X)] <= 2 E[Phi(Y)] for the two goodness functionals.
 
     X is the exact occupancy histogram of a uniform random map [m] -> [n];
     Y has independent Poisson(m/n) bins.  Phi is either the indicator that
     phi vanishes ("psi") or phi itself ("chi").  The exact side is the
-    ``phi_statistics`` pass of the same seed.  The inequality is declared to
-    hold when lhs <= 2*rhs + 3*(combined standard error).
+    ``phi_statistics`` pass of the same seed, which also checks the
+    arguments; neither functional depends on its threshold s.  The
+    inequality is declared to hold when lhs <= 2*rhs + 3*(combined standard
+    error).
     """
-    edges = np.array(default_matching(params.n, params.r).edges, dtype=np.int64)
-    mu = params.m / params.n
+    exact = phi_statistics(r, n, m, default_goodness_bound(r), samples, seed, threads=threads)
+    edges = np.array(default_matching(n, r).edges, dtype=np.int64)
+    mu = m / n
 
     def poisson_fn(gen, count):
-        hists = sample_poisson(gen, mu, (count, params.n))
-        phis = _kernels.phi_hist_batch(hists, edges, params.r)
+        hists = sample_poisson(gen, mu, (count, n))
+        phis = _kernels.phi_hist_batch(hists, edges, r)
         return np.stack([phis == 0, phis], axis=1, dtype=np.float64)
 
-    exact = phi_statistics(params, samples, seed, threads=threads)
     # Independent stream for the Poisson side.
     poisson = mc.run_chunked(poisson_fn, samples, seed + 1, threads=threads)
 

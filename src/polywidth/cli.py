@@ -95,17 +95,23 @@ def _emit(rows, args, stream):
 # uses, so a run loads no other layer.
 
 
+DEFAULT_MATCHINGS = 8  # components of the matchings map when --k is not given
+
+
 def _run_gw_estimate(args):
     from . import gwidth
     from .hypergraph import Hypergraph
 
     n, samples = args["n"], args["samples"]
     if args["map"] == "identity":
+        if args["k"] is not None:
+            raise ValueError("--k applies to --map matchings only")
         pmap = gwidth.identity_map(n)
     else:  # matchings
         if n % 2:
             raise ValueError("--n must be even for the matchings map")
-        matchings = gwidth.random_matchings(n, args["k"], args["seed"] + 1)
+        k = args["k"] or DEFAULT_MATCHINGS
+        matchings = gwidth.random_matchings(n, k, args["seed"] + 1)
         pmap = gwidth.PolyMap(Hypergraph(n, pairs.tolist()) for pairs in matchings)
     bound = gwidth.width_bound(pmap.n, pmap.k, max(pmap.degree, 1), max(pmap.multiplicity, 1))
     est = gwidth.gw_estimate(pmap, samples, args["seed"], threads=args["threads"])
@@ -128,9 +134,8 @@ def _run_matrix_verify(args):
     from . import tensorlift
     from .hypergraph import default_matching, load_hypergraph
 
-    n, r = args["n"], args["r"]
+    n, m, r = args["n"], args["m"], args["r"]
     budget = tensorlift.DEFAULT_BUDGET if args["budget"] is None else args["budget"]
-    params = tensorlift.LiftParams(n=n, m=args["m"], r=r, s=args["s"], budget=budget)
     tensorlift.check_sign_cap(n)  # before any hypergraph is built or read
     if args["hypergraph"]:
         h = load_hypergraph(args["hypergraph"])
@@ -138,9 +143,10 @@ def _run_matrix_verify(args):
             raise ValueError(f"--n {n} does not match the file vertex count {h.n}")
     else:
         h = default_matching(n, r)
-    verdict = tensorlift.verify_lift_identity(h, params)
-    rep = verdict.report
-    status = "OK" if verdict.ok else f"FAIL at x={verdict.witness}"
+    lift = tensorlift.build_matrix_lift(h, m, r, args["s"], budget)
+    rep = lift.report
+    ok, witness = tensorlift.check_lift_identity(lift.f_ranks, lift.g_ranks, rep.cover_count, h, m)
+    status = "OK" if ok else f"FAIL at x={witness}"
     pre = [f"identity: {status}, cover_count={rep.cover_count}"]
     row = {
         "n": rep.n,
@@ -153,24 +159,23 @@ def _run_matrix_verify(args):
         "nnz": rep.nnz,
         "max_row_sum": rep.max_row_sum,
         "row_sum_bound": rep.row_sum_bound,
-        "identity_ok": verdict.ok,
+        "identity_ok": ok,
     }
-    return [row], EXIT_OK if verdict.ok else EXIT_VERIFY, pre
+    return [row], EXIT_OK if ok else EXIT_VERIFY, pre
 
 
 def _run_birthday(args):
     from . import birthday
 
-    params = birthday.BirthdayParams(r=args["r"], n=args["n"], m=args["m"], s=args["s"])
-    samples = args["samples"]
-    stats = birthday.phi_statistics(
-        params, samples=samples, seed=args["seed"], threads=args["threads"]
-    )
+    r, n, samples = args["r"], args["n"], args["samples"]
+    m = args["m"] or birthday.default_map_length(r, n)
+    s = args["s"] or birthday.default_goodness_bound(r)
+    stats = birthday.phi_statistics(r, n, m, s, samples, args["seed"], args["threads"])
     row = {
-        "r": params.r,
-        "n": params.n,
-        "m": params.m,
-        "s": params.s,
+        "r": r,
+        "n": n,
+        "m": m,
+        "s": s,
         "samples": samples,
         "seed": args["seed"],
         "p_good": stats.good_probability.mean,
@@ -184,10 +189,10 @@ def _run_birthday(args):
 def _run_poisson_check(args):
     from . import birthday
 
-    params = birthday.BirthdayParams(r=args["r"], n=args["n"], m=args["m"])
-    samples = args["samples"]
+    r, n, samples = args["r"], args["n"], args["samples"]
+    m = args["m"] or birthday.default_map_length(r, n)
     domination = birthday.poisson_domination_check(
-        params, samples=samples, seed=args["seed"], threads=args["threads"]
+        r, n, m, samples, args["seed"], args["threads"]
     )
     rows = []
     for dr in domination:
@@ -372,7 +377,8 @@ COMMANDS = {
             Opt("map", str, default="identity", choices=("identity", "matchings"),
                 help="component family: coordinate map, or random perfect matchings"),
             Opt("n", int, required=True, minimum=1, help="hypercube dimension"),
-            Opt("k", int, default=8, minimum=1, help="number of components (matchings map)"),
+            Opt("k", int, minimum=1,
+                help=f"number of components (--map matchings only; default {DEFAULT_MATCHINGS})"),
             Opt("samples", int, default=10000, minimum=1, help="Gaussian directions"),
         ),
         _run_gw_estimate,
@@ -380,7 +386,7 @@ COMMANDS = {
     "matrix-verify": (
         "Build the tensor-power lift of a 2r-uniform hypergraph and check "
         "the quadratic identity exactly on all sign vectors "
-        "(tensorlift.verify_lift_identity)",
+        "(tensorlift.build_matrix_lift, tensorlift.check_lift_identity)",
         (
             Opt("n", int, required=True, minimum=1, help="vertex count"),
             Opt("m", int, required=True, minimum=1, help="tensor power"),

@@ -87,15 +87,12 @@ from .hypergraph import (
 )
 
 __all__ = [
-    "LiftParams",
     "LiftResult",
-    "LiftVerification",
     "default_goodness_bound",
     "enumerate_pairs",
     "build_matrix_lift",
     "check_sign_cap",
     "check_lift_identity",
-    "verify_lift_identity",
 ]
 
 DEFAULT_BUDGET = 10**6
@@ -105,42 +102,26 @@ SIGN_ENUM_LIMIT = 16  # exhaustive sign-vector checks enumerate 2^n points
 _BLOCK = 1 << 15  # maps scored per phi_batch call
 
 
-@dataclass(frozen=True)
-class LiftParams:
-    """Parameters of the lift: maps [m] -> [n], r-subset size, threshold s.
+def _check_lift_args(n: int, m: int, r: int, s: int):
+    """Raise ValueError unless r >= 1, n >= 2r, m >= r and s >= 1.
 
-    The construction is exact for any m >= r and s >= 1; the asymptotic
+    The construction is exact for any such arguments; the asymptotic
     choices m ~ C_r n^(1-1/r) and s = 200*4^r only matter for the
     probability bounds exercised in :mod:`polywidth.birthday`.
     """
+    if r < 1:
+        raise ValueError("r must be positive")
+    if n < 2 * r:
+        raise ValueError("n must be at least 2r")
+    if m < r:
+        raise ValueError("m must be at least r")
+    if s < 1:
+        raise ValueError("s must be positive")
 
-    n: int
-    m: int
-    r: int
-    s: int = 0  # 0 means the default 200*4^r
-    budget: int = DEFAULT_BUDGET
 
-    def __post_init__(self):
-        if self.r < 1:
-            raise ValueError("r must be positive")
-        if self.n < 2 * self.r:
-            raise ValueError("n must be at least 2r")
-        if self.m < self.r:
-            raise ValueError("m must be at least r")
-        if self.s == 0:
-            object.__setattr__(self, "s", default_goodness_bound(self.r))
-        if self.s < 1:
-            raise ValueError("s must be positive")
-
-    @property
-    def num_maps(self) -> int:
-        return self.n**self.m
-
-    def check_budget(self):
-        if self.num_maps > self.budget:
-            raise BudgetExceededError(
-                f"n^m = {self.num_maps} exceeds the enumeration budget {self.budget}"
-            )
+def _check_budget(n: int, m: int, budget: int):
+    if n**m > budget:
+        raise BudgetExceededError(f"n^m = {n**m} exceeds the enumeration budget {budget}")
 
 
 def _matching_r(matching: Hypergraph) -> int:
@@ -188,35 +169,36 @@ def _complements(f_ranks, digits, edges, n: int, r: int):
     return tuple(np.concatenate(column) for column in zip(*out))
 
 
-def _pair_blocks(params: LiftParams, matching: Hypergraph):
+def _pair_blocks(matching: Hypergraph, m: int, r: int, s: int):
     """Yield aligned (f_ranks, g_ranks, covered_edge_index) arrays of the
     pairs (f, g) with f good and g complementing f, one block of maps at a
-    time.
+    time, for a matching of 2r-sets and maps [m] -> [matching.n].
 
     Maps are scored for goodness by the phi kernel in blocks of ranks, and
     the complements of each block's good maps are generated by rank
-    arithmetic, so the cost is linear in n^m plus the output size.
+    arithmetic, so the cost is linear in n^m plus the output size.  The
+    caller has checked the arguments and the budget.
     """
-    params.check_budget()
-    if matching.n != params.n:
-        raise ValueError("matching vertex count differs from params.n")
-    r = _matching_r(matching)
-    if r != params.r:
-        raise ValueError("matching edge size differs from 2r")
-    n, m, total = params.n, params.m, params.num_maps
+    n = matching.n
+    total = n**m
     edges = np.array(matching.edges, dtype=np.int64)
     for start in range(0, total, _BLOCK):
         ranks = np.arange(start, min(start + _BLOCK, total), dtype=np.int64)
         digits = _digits(ranks, m, n)
         scores = _kernels.phi_batch(digits, edges, n, r)
-        good = (scores >= 1) & (scores <= params.s)
+        good = (scores >= 1) & (scores <= s)
         yield _complements(ranks[good], digits[good], edges, n, r)
 
 
-def enumerate_pairs(params: LiftParams, matching: Hypergraph):
-    """All ordered pairs (f, g) with f good and g complementing f, as
-    aligned arrays (f_ranks, g_ranks, covered_edge_index)."""
-    return tuple(np.concatenate(column) for column in zip(*_pair_blocks(params, matching)))
+def enumerate_pairs(matching: Hypergraph, m: int, s: int, budget: int = DEFAULT_BUDGET):
+    """All ordered pairs (f, g) with f s-good against ``matching`` and g
+    complementing f, for maps [m] -> [matching.n], as aligned arrays
+    (f_ranks, g_ranks, covered_edge_index).  r is half the matching's edge
+    size."""
+    r = _matching_r(matching)
+    _check_lift_args(matching.n, m, r, s)
+    _check_budget(matching.n, m, budget)
+    return tuple(np.concatenate(column) for column in zip(*_pair_blocks(matching, m, r, s)))
 
 
 @dataclass(frozen=True)
@@ -255,14 +237,20 @@ def _distinct_unordered(f_ranks, g_ranks, dim: int) -> int:
     return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
 
 
-def build_matrix_lift(h: Hypergraph, params: LiftParams) -> LiftResult:
-    """The lift of a 2r-uniform hypergraph: the kept pairs of B and its report."""
-    if h.n != params.n:
-        raise ValueError("hypergraph vertex count differs from params.n")
-    if h.edges and not h.is_uniform(2 * params.r):
-        raise ValueError(f"hypergraph must be {2 * params.r}-uniform")
-    params.check_budget()
-    dim = params.num_maps
+def build_matrix_lift(
+    h: Hypergraph, m: int, r: int, s: int = 0, budget: int = DEFAULT_BUDGET
+) -> LiftResult:
+    """The lift of a 2r-uniform hypergraph on [h.n] over maps [m] -> [h.n]
+    with goodness threshold s (0 means the default 200*4^r): the kept pairs
+    of B and its report.  Raises BudgetExceededError when h.n^m exceeds
+    ``budget``."""
+    n = h.n
+    s = s or default_goodness_bound(r)
+    _check_lift_args(n, m, r, s)
+    if h.edges and not h.is_uniform(2 * r):
+        raise ValueError(f"hypergraph must be {2 * r}-uniform")
+    _check_budget(n, m, budget)
+    dim = n**m
 
     coloring = greedy_edge_coloring(h)
     empty = np.zeros(0, dtype=np.int64)
@@ -270,9 +258,9 @@ def build_matrix_lift(h: Hypergraph, params: LiftParams) -> LiftResult:
     cover_counts = []
     # edgeless input keeps no pair, but reports the default family's counts
     for class_edges in color_classes(h, coloring) or [()]:
-        family = complete_to_maximal_matching(Hypergraph(h.n, class_edges), params.r)
+        family = complete_to_maximal_matching(Hypergraph(n, class_edges), r)
         pairs = 0
-        for f_ranks, g_ranks, covers in _pair_blocks(params, family):
+        for f_ranks, g_ranks, covers in _pair_blocks(family, m, r, s):
             pairs += len(f_ranks)
             keep = covers < len(class_edges)  # drop pairs covering completion padding
             rows.append(f_ranks[keep])
@@ -291,16 +279,16 @@ def build_matrix_lift(h: Hypergraph, params: LiftParams) -> LiftResult:
     # Row sums and nnz of A = B + B^T from the pairs (module docstring).
     row_sums = np.bincount(f_ranks, minlength=dim) + np.bincount(g_ranks, minlength=dim)
     report = LiftReport(
-        n=params.n,
-        m=params.m,
-        r=params.r,
-        s=params.s,
+        n=n,
+        m=m,
+        r=r,
+        s=s,
         dim=dim,
         num_colors=coloring.num_colors,
         cover_count=cover_counts[0],
         nnz=2 * _distinct_unordered(f_ranks, g_ranks, dim),
         max_row_sum=int(row_sums.max()),
-        row_sum_bound=2 * h.max_degree * params.s**2 * math.factorial(params.r),
+        row_sum_bound=2 * h.max_degree * s**2 * math.factorial(r),
     )
     return LiftResult(f_ranks, g_ranks, report)
 
@@ -322,8 +310,9 @@ def check_sign_cap(n: int):
         raise BudgetExceededError(f"sign enumeration capped at n = {SIGN_ENUM_LIMIT}")
 
 
-def check_lift_identity(f_ranks, g_ranks, cover_count: int, h: Hypergraph, params: LiftParams):
-    """Exhaustive exact check of the lift identity over all sign vectors.
+def check_lift_identity(f_ranks, g_ranks, cover_count: int, h: Hypergraph, m: int):
+    """Exhaustive exact check of the lift identity over all sign vectors,
+    for the kept pairs of the lift of h over maps [m] -> [h.n].
 
     Both sides are multilinear in the signs, so they agree on all 2^n sign
     vectors exactly when their Walsh coefficients agree: the histogram of
@@ -336,7 +325,7 @@ def check_lift_identity(f_ranks, g_ranks, cover_count: int, h: Hypergraph, param
     check_sign_cap(n)
     size = 1 << n
 
-    masks = _parity_masks(params.m, params.n)
+    masks = _parity_masks(m, n)
     coeffs = np.zeros(size, dtype=np.int64)
     for start in range(0, len(f_ranks), _BLOCK):  # per block: no full-length temporaries
         stop = start + _BLOCK
@@ -352,20 +341,3 @@ def check_lift_identity(f_ranks, g_ranks, cover_count: int, h: Hypergraph, param
     x = int(np.argmax(_kernels.wht_inplace(coeffs) != 0))
     witness = tuple(-1 if (x >> j) & 1 else 1 for j in range(n))
     return False, witness
-
-
-@dataclass(frozen=True)
-class LiftVerification:
-    ok: bool
-    witness: tuple | None
-    report: LiftReport
-
-
-def verify_lift_identity(h: Hypergraph, params: LiftParams) -> LiftVerification:
-    """Build the lift for h and check the identity on all 2^n sign vectors."""
-    check_sign_cap(h.n)
-    result = build_matrix_lift(h, params)
-    ok, witness = check_lift_identity(
-        result.f_ranks, result.g_ranks, result.report.cover_count, h, params
-    )
-    return LiftVerification(ok, witness, result.report)

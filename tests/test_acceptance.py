@@ -77,7 +77,7 @@ def _lift_instances():
         (2, 10, 2, Hypergraph(10, [(0, 1, 2, 3), (3, 4, 5, 6), (6, 7, 8, 9)])),
         (2, 10, 3, Hypergraph(10, [(0, 1, 2, 3), (4, 5, 6, 7)])),
     ]
-    return [(h, tl.LiftParams(n=n, m=m, r=r)) for r, n, m, h in cases]
+    return [(h, m, r) for r, n, m, h in cases]
 
 
 @pytest.fixture(scope="session")
@@ -85,10 +85,10 @@ def lift_results():
     instances = _lift_instances()
     assert len(instances) >= 20
     start = time.time()
-    built = [(h, params, tl.build_matrix_lift(h, params)) for h, params in instances]
+    built = [(h, tl.build_matrix_lift(h, m, r)) for h, m, r in instances]
     checks = [
-        tl.check_lift_identity(res.f_ranks, res.g_ranks, res.report.cover_count, h, params)
-        for h, params, res in built
+        tl.check_lift_identity(res.f_ranks, res.g_ranks, res.report.cover_count, h, res.report.m)
+        for h, res in built
     ]
     elapsed = time.time() - start
     return built, checks, elapsed
@@ -97,20 +97,21 @@ def lift_results():
 def test_c01_lift_identity(lift_results):
     built, checks, elapsed = lift_results
     with criterion(1, "lift identity exact on all sign vectors"):
-        for (h, params, res), (ok, witness) in zip(built, checks):
-            assert params.num_maps <= 10**6
-            assert ok, (params, witness)
+        for (h, res), (ok, witness) in zip(built, checks):
+            assert res.report.dim <= 10**6
+            assert ok, (res.report, witness)
         assert elapsed < 60.0, f"instance set took {elapsed:.1f}s"
 
 
 def test_c02_equal_cover(lift_results):
     built, _, _ = lift_results
     with criterion(2, "equal per-edge cover counts"):
-        for h, params, res in built:
+        for h, res in built:
+            rep = res.report
             coloring = greedy_edge_coloring(h)
             for class_edges in color_classes(h, coloring):
-                family = complete_to_maximal_matching(Hypergraph(h.n, class_edges), params.r)
-                _, _, covers = tl.enumerate_pairs(params, family)
+                family = complete_to_maximal_matching(Hypergraph(h.n, class_edges), rep.r)
+                _, _, covers = tl.enumerate_pairs(family, rep.m, rep.s)
                 counts = np.bincount(covers, minlength=family.num_edges)
                 assert len(set(counts.tolist())) == 1
                 assert counts[0] == res.report.cover_count
@@ -119,18 +120,19 @@ def test_c02_equal_cover(lift_results):
 def test_c03_sparsity_and_norm_bounds(lift_results):
     built, _, _ = lift_results
     with criterion(3, "pair-set sparsity and lift norm bounds"):
-        for h, params, res in built:
-            r_fact = math.factorial(params.r)
+        for h, res in built:
+            rep = res.report
+            r_fact = math.factorial(rep.r)
             coloring = greedy_edge_coloring(h)
             for class_edges in color_classes(h, coloring):
-                family = complete_to_maximal_matching(Hypergraph(h.n, class_edges), params.r)
-                f_ranks, g_ranks, _ = tl.enumerate_pairs(params, family)
-                assert np.bincount(f_ranks).max() <= params.s * r_fact
-                assert np.bincount(g_ranks).max() <= params.s**2 * r_fact
+                family = complete_to_maximal_matching(Hypergraph(h.n, class_edges), rep.r)
+                f_ranks, g_ranks, _ = tl.enumerate_pairs(family, rep.m, rep.s)
+                assert np.bincount(f_ranks).max() <= rep.s * r_fact
+                assert np.bincount(g_ranks).max() <= rep.s**2 * r_fact
             if len(res.f_ranks):
-                a = oracles.lift_matrix_dense(res.f_ranks, res.g_ranks, params.num_maps)
+                a = oracles.lift_matrix_dense(res.f_ranks, res.g_ranks, rep.dim)
                 max_row_sum = int(a.sum(axis=1).max())
-                bound = 2 * h.max_degree * params.s**2 * r_fact
+                bound = 2 * h.max_degree * rep.s**2 * r_fact
                 assert max_row_sum <= bound
                 # a is symmetric, so its eigenvalues give its norm exactly
                 assert np.abs(np.linalg.eigvalsh(a)).max() <= max_row_sum + 1e-9
@@ -139,9 +141,9 @@ def test_c03_sparsity_and_norm_bounds(lift_results):
 def test_lift_report_matches_dense_oracle(lift_results):
     built, _, _ = lift_results
     parallel = 0
-    for h, params, res in built:
+    for h, res in built:
         parallel += len(set(h.edges)) < h.num_edges
-        a = oracles.lift_matrix_dense(res.f_ranks, res.g_ranks, params.num_maps)
+        a = oracles.lift_matrix_dense(res.f_ranks, res.g_ranks, res.report.dim)
         assert res.report.nnz == np.count_nonzero(a), h
         assert res.report.max_row_sum == a.sum(axis=1).max(), h
     assert parallel == 2  # both parallel-edge instances are covered
@@ -151,8 +153,8 @@ def test_lift_report_matches_dense_oracle(lift_results):
 def birthday_runs():
     start = time.time()
     runs = {
-        2: bd.phi_statistics(bd.BirthdayParams(r=2, n=600), samples=10000, seed=20),
-        1: bd.phi_statistics(bd.BirthdayParams(r=1, n=100), samples=10000, seed=21),
+        2: bd.phi_statistics(2, 600, 139, 3200, samples=10000, seed=20),
+        1: bd.phi_statistics(1, 100, 16, 800, samples=10000, seed=21),
     }
     return runs, time.time() - start
 
@@ -160,10 +162,9 @@ def birthday_runs():
 def test_c04_birthday_good_probability(birthday_runs):
     runs, elapsed = birthday_runs
     with criterion(4, "s-good probability at least one half"):
-        params2 = bd.BirthdayParams(r=2, n=600)
-        assert (params2.m, params2.s) == (139, 3200)
-        params1 = bd.BirthdayParams(r=1, n=100)
-        assert (params1.m, params1.s) == (16, 800)
+        # the runs use the default m and s
+        assert (bd.default_map_length(2, 600), bd.default_goodness_bound(2)) == (139, 3200)
+        assert (bd.default_map_length(1, 100), bd.default_goodness_bound(1)) == (16, 800)
         for r, st in runs.items():
             est = st.good_probability
             assert est.mean >= 0.5 - 3 * est.std_error, (r, est)
@@ -184,9 +185,7 @@ def test_c06_poisson_checks():
     with criterion(6, "Poisson sum chi-square and domination"):
         chi = bd.poisson_sum_chisquare(1.3, 0.7, samples=100000, seed=6)
         assert chi.passed, chi
-        rows = bd.poisson_domination_check(
-            bd.BirthdayParams(r=1, n=50, m=10), samples=100000, seed=7
-        )
+        rows = bd.poisson_domination_check(1, 50, 10, samples=100000, seed=7)
         assert [row.functional for row in rows] == ["psi", "chi"]
         for row in rows:
             assert row.holds, row

@@ -24,22 +24,29 @@ def test_threshold_ratio_is_four():
 
 
 def test_default_m_values():
-    assert bd.BirthdayParams(r=1, n=100).m == 16
-    assert bd.BirthdayParams(r=2, n=600).m == 139
+    assert bd.default_map_length(1, 100) == 16
+    assert bd.default_map_length(2, 600) == 139
 
 
 def test_param_validation():
+    for args, message in [
+        ((0, 10, 2, 1), "r must be positive"),
+        ((2, 3, 2, 1), "n must be at least 2r"),
+        ((1, 4, 0, 1), "m must be positive"),
+        ((1, 4, 2, 0), "s must be positive"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            bd.phi_statistics(*args)
+        if args[3]:  # the domination check takes no s
+            with pytest.raises(ValueError, match=message):
+                bd.poisson_domination_check(*args[:3])
     with pytest.raises(ValueError):
-        bd.BirthdayParams(r=0, n=10)
-    with pytest.raises(ValueError):
-        bd.BirthdayParams(r=2, n=3)
-    with pytest.raises(ValueError):
-        bd.phi_statistics(bd.BirthdayParams(r=1, n=4, m=2), samples=0)
+        bd.phi_statistics(1, 4, 2, 1, samples=0)
 
 
 def test_phi_constant_case_is_exact():
     # r=1, n=4, m=2, full matching: both coordinates land in the union, phi == 2
-    st = bd.phi_statistics(bd.BirthdayParams(r=1, n=4, m=2), samples=500, seed=3)
+    st = bd.phi_statistics(1, 4, 2, 800, samples=500, seed=3)
     assert st.mean_phi.mean == 2.0
     assert st.mean_phi.std_error == 0.0
     assert st.good_probability.mean == 1.0
@@ -47,7 +54,7 @@ def test_phi_constant_case_is_exact():
 
 def test_single_coordinate_good_probability():
     # m=1, r=1 on n=5: good iff the single value lands in the matched 4 vertices
-    st = bd.phi_statistics(bd.BirthdayParams(r=1, n=5, m=1), samples=20000, seed=3)
+    st = bd.phi_statistics(1, 5, 1, 800, samples=20000, seed=3)
     assert abs(st.good_probability.mean - 0.8) <= 3 * st.good_probability.std_error + 1e-12
 
 
@@ -66,33 +73,30 @@ def test_phi_events_partition_the_samples():
     # phi = 0, 1 <= phi <= s and phi > s split every sample: the three
     # counts add up to the sample count exactly
     samples = 5000
-    st = bd.phi_statistics(bd.BirthdayParams(r=2, n=8, m=3, s=1), samples=samples, seed=4)
+    st = bd.phi_statistics(2, 8, 3, 1, samples=samples, seed=4)
     parts = (st.zero_probability, st.good_probability, st.tail_probability)
     assert all(0.0 < p.mean < 1.0 for p in parts)
     assert sum(round(p.mean * samples) for p in parts) == samples
 
 
 def test_estimate_in_unit_interval_and_deterministic():
-    params = bd.BirthdayParams(r=1, n=20)
-    a = bd.phi_statistics(params, samples=5000, seed=11).good_probability
-    b = bd.phi_statistics(params, samples=5000, seed=11).good_probability
+    args = (1, 20, bd.default_map_length(1, 20), 800)
+    a = bd.phi_statistics(*args, samples=5000, seed=11).good_probability
+    b = bd.phi_statistics(*args, samples=5000, seed=11).good_probability
     assert a == b
     assert 0.0 <= a.mean <= 1.0
 
 
 def test_threads_do_not_change_estimates():
-    params = bd.BirthdayParams(r=2, n=64, m=40)
-    a = bd.phi_statistics(params, samples=10000, seed=5, threads=1)
-    b = bd.phi_statistics(params, samples=10000, seed=5, threads=8)
+    a = bd.phi_statistics(2, 64, 40, 3200, samples=10000, seed=5, threads=1)
+    b = bd.phi_statistics(2, 64, 40, 3200, samples=10000, seed=5, threads=8)
     assert a == b
 
 
 def test_monotone_in_threshold():
     # with the same seed, raising s can only enlarge the good event
-    params_small = bd.BirthdayParams(r=1, n=30, m=5, s=1)
-    params_large = bd.BirthdayParams(r=1, n=30, m=5, s=10**9)
-    small = bd.phi_statistics(params_small, samples=4000, seed=2).good_probability
-    large = bd.phi_statistics(params_large, samples=4000, seed=2).good_probability
+    small = bd.phi_statistics(1, 30, 5, 1, samples=4000, seed=2).good_probability
+    large = bd.phi_statistics(1, 30, 5, 10**9, samples=4000, seed=2).good_probability
     assert small.mean <= large.mean
 
 
@@ -124,8 +128,7 @@ def test_sample_poisson_blocks_match_one_draw():
 
 
 def test_poisson_domination_small_case():
-    params = bd.BirthdayParams(r=1, n=50, m=10)
-    rows = bd.poisson_domination_check(params, samples=20000, seed=1)
+    rows = bd.poisson_domination_check(1, 50, 10, samples=20000, seed=1)
     names = [row.functional for row in rows]
     assert names == ["psi", "chi"]
     assert all(row.holds for row in rows)
@@ -136,9 +139,8 @@ def test_poisson_domination_exact_side_is_the_phi_pass(threads):
     # psi's lhs is Pr[phi = 0] and chi's is E[phi], from the phi_statistics
     # pass of the same seed; both equal a separate pass over the same maps
     # that scores only those two columns (every column sums integers)
-    params = bd.BirthdayParams(r=2, n=60, m=20)
-    st = bd.phi_statistics(params, samples=9000, seed=13, threads=threads)
-    psi, chi = bd.poisson_domination_check(params, samples=9000, seed=13, threads=threads)
+    st = bd.phi_statistics(2, 60, 20, 3200, samples=9000, seed=13, threads=threads)
+    psi, chi = bd.poisson_domination_check(2, 60, 20, samples=9000, seed=13, threads=threads)
     assert psi.lhs == st.zero_probability
     assert chi.lhs == st.mean_phi
     assert 0.0 < psi.lhs.mean < 1.0 and chi.lhs.std_error > 0.0

@@ -50,14 +50,10 @@ def test_matrix_verify_checks_vertex_count(capsys, tmp_path):
 
 
 def test_matrix_verify_failure_exit_code(capsys, monkeypatch):
-    real = tensorlift.verify_lift_identity(
-        Hypergraph(4, [(0, 1), (2, 3)]), tensorlift.LiftParams(n=4, m=2, r=1)
-    )
-    fake = tensorlift.LiftVerification(False, (1, 1, 1, 1), real.report)
-    monkeypatch.setattr(tensorlift, "verify_lift_identity", lambda h, p: fake)
+    monkeypatch.setattr(tensorlift, "check_lift_identity", lambda *args: (False, (1, 1, 1, 1)))
     code, out = run_cli(capsys, "matrix-verify", "--n", "4", "--m", "2", "--r", "1")
     assert code == EXIT_VERIFY
-    assert out.splitlines()[0].startswith("identity: FAIL")
+    assert out.splitlines()[0] == "identity: FAIL at x=(1, 1, 1, 1), cover_count=16"
 
 
 def test_reruns_are_byte_identical(capsys):
@@ -236,10 +232,11 @@ def test_budget_exit_code(capsys):
 
 
 def test_matrix_verify_checks_sign_cap_before_building(capsys, monkeypatch):
-    def refuse(n, r):
-        raise AssertionError("the default matching was built")
+    def refuse(*args):
+        raise AssertionError("the default matching or the lift was built")
 
     monkeypatch.setattr(hypergraph, "default_matching", refuse)
+    monkeypatch.setattr(tensorlift, "build_matrix_lift", refuse)
     code = main(["matrix-verify", "--n", "17", "--m", "1", "--r", "1"])
     captured = capsys.readouterr()
     assert code == EXIT_BUDGET
@@ -277,6 +274,15 @@ def test_gw_estimate_checks_the_bound_before_sampling(capsys, monkeypatch):
         ("upper-tail --N 13 --k 3 --p 0.5 --delta 0", "delta must be positive and finite"),
         ("upper-tail --N 2 --k 3 --p 0.5 --delta 1", "need 3 <= k <= N"),
         ("upper-tail --N 13 --k 2 --p 0.5 --delta 1", "need 3 <= k <= N"),
+        # the lift and birthday checks, on plain arguments
+        ("birthday --r 2 --n 3", "n must be at least 2r"),
+        ("birthday --r 1 --n 10 --s -1", "s must be positive"),
+        ("matrix-verify --n 4 --m 1 --r 2", "m must be at least r"),
+        ("matrix-verify --n 3 --m 2 --r 2", "n must be at least 2r"),
+        ("matrix-verify --n 4 --m 2 --r 1 --s -1", "s must be positive"),
+        ("poisson-check --r 1 --n 10 --m -1", "m must be positive"),
+        # --k used to be ignored with the identity map
+        ("gw-estimate --map identity --n 4 --k 3", "--k applies to --map matchings only"),
     ],
 )
 def test_progression_commands_reject_invalid_arguments(capsys, argv, message):
@@ -285,6 +291,14 @@ def test_progression_commands_reject_invalid_arguments(capsys, argv, message):
     assert code == EXIT_INVALID
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_gw_estimate_matchings_map_defaults_to_8_components(capsys):
+    base = ["gw-estimate", "--map", "matchings", "--n", "6", "--samples", "50"]
+    _, default = run_cli(capsys, *base)
+    _, explicit = run_cli(capsys, *base, "--k", "8")
+    assert default == explicit
+    assert default.splitlines()[1].startswith("6,8,")
 
 
 def test_poisson_check_runs(capsys):

@@ -166,7 +166,21 @@ def test_gaussian_series_norm_matches_lapack():
     assert gw.gaussian_series_norm(sym) == pytest.approx(
         np.abs(np.linalg.eigvalsh(sym)).max()
     )
-    assert gw.gaussian_series_norm(m) == pytest.approx(np.linalg.norm(m, 2))
+
+
+def test_tj_series_samples_are_exactly_symmetric(monkeypatch):
+    # gaussian_series_norm takes symmetric input only: every combination
+    # the experiment forms must equal its transpose bit for bit
+    real, seen = gw.gaussian_series_norm, []
+
+    def norm(dense):
+        seen.append(np.array_equal(dense, dense.T))
+        return real(dense)
+
+    monkeypatch.setattr(gw, "gaussian_series_norm", norm)
+    for dim, k, seed in [(8, 3, 1), (16, 5, 2), (30, 7, 3)]:
+        gw.tj_ratio_experiment(gw.random_matching_matrices(dim, k, seed), 12, seed=seed)
+    assert len(seen) == 36 and all(seen)
 
 
 def test_tj_single_matrix_analytic():

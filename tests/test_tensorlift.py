@@ -22,13 +22,20 @@ from polywidth.hypergraph import (
 from polywidth.sparse import SparseMatrix
 
 M4 = Hypergraph(4, [(0, 1), (2, 3)])
-P4 = tl.LiftParams(n=4, m=2, r=1)
+S1 = tl.default_goodness_bound(1)  # the default threshold at r = 1
 
 
 def phi(maps, matching, r):
     """Goodness scores of map tuples against a matching, by the phi kernel."""
     maps = np.array(maps, dtype=np.int64).reshape(len(maps), -1)
     return kernels.phi_batch(maps, np.array(matching.edges), matching.n, r).tolist()
+
+
+def verify(h, m, r):
+    """Build the lift of h and check its identity: (ok, report)."""
+    res = tl.build_matrix_lift(h, m, r)
+    ok, _ = tl.check_lift_identity(res.f_ranks, res.g_ranks, res.report.cover_count, h, m)
+    return ok, res.report
 
 
 @given(st.integers(2, 5), st.integers(1, 3), st.data())
@@ -74,7 +81,7 @@ def test_goodness_score_counts_all_coordinates():
 def test_goodness_score_outside_union_is_zero():
     m = Hypergraph(4, [(0, 1)])
     assert phi([(2, 3)], m, 1) == [0]
-    f_ranks, _, _ = tl.enumerate_pairs(P4, m)
+    f_ranks, _, _ = tl.enumerate_pairs(m, 2, S1)
     assert 2 + 3 * 4 not in f_ranks  # (2, 3) is not good
 
 
@@ -90,8 +97,7 @@ def complements(f, matching):
     complement has phi >= 1, and phi <= C(m, r), so at s = C(m, r) every map
     with a complement is good."""
     n, m, r = matching.n, len(f), len(matching.edges[0]) // 2
-    params = tl.LiftParams(n=n, m=m, r=r, s=math.comb(m, r))
-    f_ranks, g_ranks, _ = tl.enumerate_pairs(params, matching)
+    f_ranks, g_ranks, _ = tl.enumerate_pairs(matching, m, math.comb(m, r))
     rank = sum(d * n**i for i, d in enumerate(f))
     return sorted(map(tuple, tl._digits(g_ranks[f_ranks == rank], m, n).tolist()))
 
@@ -140,8 +146,7 @@ def test_enumerate_pairs_match_oracle(n, m, s, edges):
             cover = next(j for j, e in enumerate(edges) if moved <= set(e))
             expected.append((rank(f), rank(g), cover))
     assert rejected
-    params = tl.LiftParams(n=n, m=m, r=r, s=s)
-    got = zip(*(a.tolist() for a in tl.enumerate_pairs(params, Hypergraph(n, edges))))
+    got = zip(*(a.tolist() for a in tl.enumerate_pairs(Hypergraph(n, edges), m, s)))
     assert sorted(got) == sorted(expected)
 
 
@@ -152,34 +157,33 @@ def test_complementarity_is_symmetric():
 
 
 def test_pair_set_worked_example():
-    f_ranks, g_ranks, _ = tl.enumerate_pairs(P4, M4)
+    f_ranks, g_ranks, _ = tl.enumerate_pairs(M4, 2, S1)
     assert len(f_ranks) == 32  # 16 maps, 2 complements each
     assert len(set(zip(f_ranks.tolist(), g_ranks.tolist()))) == 32  # no pair repeats
 
 
 def test_equal_cover_exact():
-    _, _, covers = tl.enumerate_pairs(P4, M4)
+    _, _, covers = tl.enumerate_pairs(M4, 2, S1)
     counts = np.bincount(covers, minlength=M4.num_edges)
     assert counts.tolist() == [16, 16]
     assert counts[0] == len(covers) // M4.num_edges
 
 
 def test_every_complement_is_s_squared_good():
-    _, g_ranks, _ = tl.enumerate_pairs(P4, M4)
+    _, g_ranks, _ = tl.enumerate_pairs(M4, 2, S1)
     scores = np.array(phi(tl._digits(g_ranks, 2, 4), M4, 1))
-    assert ((scores >= 1) & (scores <= P4.s**2)).all()
+    assert ((scores >= 1) & (scores <= S1**2)).all()
 
 
 def test_pair_set_sparsity_bounds():
-    f_ranks, g_ranks, _ = tl.enumerate_pairs(P4, M4)
-    r_fact = math.factorial(P4.r)
-    assert np.bincount(f_ranks).max() <= P4.s * r_fact
-    assert np.bincount(g_ranks).max() <= P4.s**2 * r_fact
+    f_ranks, g_ranks, _ = tl.enumerate_pairs(M4, 2, S1)
+    assert np.bincount(f_ranks).max() <= S1  # r! = 1
+    assert np.bincount(g_ranks).max() <= S1**2
 
 
 def test_pair_cover_product_identity():
     # (x^m)_f (x^m)_g = prod over the covered edge, for every pair and sign vector
-    f_ranks, g_ranks, covers = tl.enumerate_pairs(P4, M4)
+    f_ranks, g_ranks, covers = tl.enumerate_pairs(M4, 2, S1)
     for bits in itertools.product((1, -1), repeat=4):
         y = oracles.tensor_power_vector(bits, 2)
         for fr, gr, ci in zip(f_ranks, g_ranks, covers):
@@ -192,17 +196,24 @@ def test_pair_cover_product_identity():
 
 def test_verify_rejects_large_n_before_building(monkeypatch):
     def build(*args):
-        raise AssertionError("the lift was built")
+        raise AssertionError("the lift or the parity table was built")
 
     monkeypatch.setattr(tl, "build_matrix_lift", build)
-    h = Hypergraph(tl.SIGN_ENUM_LIMIT + 1, [(0, 1)])
+    monkeypatch.setattr(tl, "_parity_masks", build)
+    tl.check_sign_cap(tl.SIGN_ENUM_LIMIT)
     with pytest.raises(BudgetExceededError):
-        tl.verify_lift_identity(h, tl.LiftParams(n=h.n, m=1, r=1))
+        tl.check_sign_cap(tl.SIGN_ENUM_LIMIT + 1)
+    h = Hypergraph(tl.SIGN_ENUM_LIMIT + 1, [(0, 1)])
+    empty = np.zeros(0, dtype=np.int64)
+    with pytest.raises(BudgetExceededError):
+        tl.check_lift_identity(empty, empty, 1, h, 1)
 
 
 def test_budget_guard():
     with pytest.raises(BudgetExceededError):
-        tl.enumerate_pairs(tl.LiftParams(n=10, m=3, r=1, budget=999), M4_big())
+        tl.enumerate_pairs(M4_big(), 3, S1, budget=999)
+    with pytest.raises(BudgetExceededError):
+        tl.build_matrix_lift(M4_big(), 3, 1, budget=999)
 
 
 def M4_big():
@@ -210,9 +221,9 @@ def M4_big():
 
 
 def test_lift_worked_example():
-    res = tl.build_matrix_lift(M4, P4)
+    res = tl.build_matrix_lift(M4, 2, 1)
     assert res.report.cover_count == 16
-    a = oracles.lift_matrix_dense(res.f_ranks, res.g_ranks, P4.num_maps)
+    a = oracles.lift_matrix_dense(res.f_ranks, res.g_ranks, 16)
     assert (a == a.T).all() and (a >= 0).all()
     assert not a.diagonal().any()
     # identity over all 16 sign vectors, against the direct quadratic form
@@ -227,25 +238,25 @@ def test_lift_worked_example():
 
 
 def test_lift_all_ones_total():
-    res = tl.build_matrix_lift(M4, P4)
-    a = oracles.lift_matrix_dense(res.f_ranks, res.g_ranks, P4.num_maps)
+    res = tl.build_matrix_lift(M4, 2, 1)
+    a = oracles.lift_matrix_dense(res.f_ranks, res.g_ranks, 16)
     assert a.sum() == 2 * len(res.f_ranks) == 2 * res.report.cover_count * M4.num_edges
 
 
-def _first_copy_nnz(h, params):
+def _first_copy_nnz(h, m, r, s):
     """The sort-free nnz: a kept pair counts once if g is good against its
     colour's family and twice if not, and only at the first copy of its
     covered edge."""
     total, seen = 0, set()
     for class_edges in color_classes(h, greedy_edge_coloring(h)):
-        family = complete_to_maximal_matching(Hypergraph(h.n, class_edges), params.r)
-        f_ranks, g_ranks, covers = tl.enumerate_pairs(params, family)
-        g_digits = tl._digits(g_ranks, params.m, params.n)
-        scores = phi(g_digits, family, params.r)
+        family = complete_to_maximal_matching(Hypergraph(h.n, class_edges), r)
+        f_ranks, g_ranks, covers = tl.enumerate_pairs(family, m, s)
+        g_digits = tl._digits(g_ranks, m, h.n)
+        scores = phi(g_digits, family, r)
         for cover, score in zip(covers.tolist(), scores):
             edge = family.edges[cover]
             if cover < len(class_edges) and edge not in seen:
-                total += 1 if 1 <= score <= params.s else 2
+                total += 1 if 1 <= score <= s else 2
         seen.update(class_edges)
     return total
 
@@ -255,31 +266,30 @@ def test_parallel_edge_nnz_counts_the_pairs_of_every_copy():
     # completed families differ, so goodness differs per colour, and the
     # sort-free count undercounts: 12 against the dense oracle's 16.
     h = Hypergraph(9, [(0, 1), (2, 3), (0, 1), (3, 8)])
-    params = tl.LiftParams(n=9, m=2, r=1, s=1)
-    res = tl.build_matrix_lift(h, params)
-    a = oracles.lift_matrix_dense(res.f_ranks, res.g_ranks, params.num_maps)
+    res = tl.build_matrix_lift(h, 2, 1, 1)
+    a = oracles.lift_matrix_dense(res.f_ranks, res.g_ranks, 81)
     assert res.report.nnz == np.count_nonzero(a) == 16
-    assert tl.verify_lift_identity(h, params).ok
-    assert _first_copy_nnz(h, params) == 12
+    assert tl.check_lift_identity(res.f_ranks, res.g_ranks, res.report.cover_count, h, 2)[0]
+    assert _first_copy_nnz(h, 2, 1, 1) == 12
 
 
 def test_wht_check_agrees_with_direct_oracle():
-    res = tl.build_matrix_lift(M4, P4)
-    ok, witness = tl.check_lift_identity(res.f_ranks, res.g_ranks, res.report.cover_count, M4, P4)
+    res = tl.build_matrix_lift(M4, 2, 1)
+    ok, witness = tl.check_lift_identity(res.f_ranks, res.g_ranks, res.report.cover_count, M4, 2)
     assert ok and witness is None
     # sanity: the WHT path detects a wrong constant
     ok_bad, witness_bad = tl.check_lift_identity(
-        res.f_ranks, res.g_ranks, res.report.cover_count + 1, M4, P4
+        res.f_ranks, res.g_ranks, res.report.cover_count + 1, M4, 2
     )
     assert not ok_bad and witness_bad is not None
 
 
 def test_perturbed_matrix_fails_with_witness():
-    res = tl.build_matrix_lift(M4, P4)
+    res = tl.build_matrix_lift(M4, 2, 1)
     # duplicate one pair: A gains 1 at (f, g) and at (g, f)
     f_ranks = np.append(res.f_ranks, res.f_ranks[0])
     g_ranks = np.append(res.g_ranks, res.g_ranks[0])
-    ok, witness = tl.check_lift_identity(f_ranks, g_ranks, res.report.cover_count, M4, P4)
+    ok, witness = tl.check_lift_identity(f_ranks, g_ranks, res.report.cover_count, M4, 2)
     assert not ok
     assert witness is not None and set(witness) <= {-1, 1}
     # the witness really separates the two sides
@@ -300,28 +310,24 @@ def _first_failing_sign_vector(h, m, f_ranks, g_ranks, cover_count):
 
 
 @pytest.mark.parametrize(
-    "h,params",
-    [
-        (M4, P4),
-        (Hypergraph(4, [(0, 1), (0, 1), (2, 3)]), P4),
-        (Hypergraph(5, [(0, 1), (1, 2), (3, 4)]), tl.LiftParams(n=5, m=2, r=1)),
-    ],
+    "h",
+    [M4, Hypergraph(4, [(0, 1), (0, 1), (2, 3)]), Hypergraph(5, [(0, 1), (1, 2), (3, 4)])],
     ids=["matching", "parallel-edge", "path"],
 )
-def test_check_witness_is_the_first_failing_sign_vector(h, params):
-    res = tl.build_matrix_lift(h, params)
+def test_check_witness_is_the_first_failing_sign_vector(h):
+    res = tl.build_matrix_lift(h, 2, 1)
     f, g, cover = res.f_ranks, res.g_ranks, res.report.cover_count
     gen = np.random.default_rng(7)
     cases = [(f, g, cover), (f, g, cover + 1), (f[1:], g[1:], cover),
              (np.append(f, f[0]), np.append(g, g[0]), cover)]
     for _ in range(6):  # re-aim one pair at a random map
         g_bad = g.copy()
-        g_bad[gen.integers(len(g))] = gen.integers(params.num_maps)
+        g_bad[gen.integers(len(g))] = gen.integers(res.report.dim)
         cases.append((f, g_bad, cover))
     verdicts = []
     for f_ranks, g_ranks, cover_count in cases:
-        want = _first_failing_sign_vector(h, params.m, f_ranks, g_ranks, cover_count)
-        ok, witness = tl.check_lift_identity(f_ranks, g_ranks, cover_count, h, params)
+        want = _first_failing_sign_vector(h, 2, f_ranks, g_ranks, cover_count)
+        ok, witness = tl.check_lift_identity(f_ranks, g_ranks, cover_count, h, 2)
         assert (ok, witness) == (want is None, want)
         verdicts.append(ok)
     assert verdicts[0] and not any(verdicts[1:4])  # intact lift, then 3 sure failures
@@ -333,14 +339,9 @@ def test_verify_assembles_no_matrix(monkeypatch):
 
     monkeypatch.setattr(SparseMatrix, "from_entries", assemble)
     k8 = load_hypergraph(Path(__file__).parents[1] / "perfbench" / "data" / "k8.hg")
-    cases = [
-        (M4, P4),
-        (k8, tl.LiftParams(n=8, m=4, r=1)),
-        (Hypergraph(4, [(0, 1), (0, 1), (2, 3)]), P4),
-    ]
-    for h, params in cases:
-        verdict = tl.verify_lift_identity(h, params)
-        assert verdict.ok, h
+    for h, m in [(M4, 2), (k8, 4), (Hypergraph(4, [(0, 1), (0, 1), (2, 3)]), 2)]:
+        ok, _ = verify(h, m, 1)
+        assert ok, h
 
 
 def test_sparse_from_entries_merges_duplicates_and_drops_zeros():
@@ -363,38 +364,36 @@ def test_verify_single_edge_instances():
     # single 2r-edge hypergraphs across several parameterizations
     for r, n, m in [(1, 2, 1), (1, 3, 2), (1, 4, 3), (2, 4, 2), (2, 5, 3), (2, 6, 2)]:
         h = Hypergraph(n, [tuple(range(2 * r))])
-        params = tl.LiftParams(n=n, m=m, r=r)
-        verdict = tl.verify_lift_identity(h, params)
-        assert verdict.ok, (r, n, m)
+        ok, _ = verify(h, m, r)
+        assert ok, (r, n, m)
 
 
 def test_verify_needs_multiple_colors():
     # overlapping edges force at least two matchings and exercise pruning
     h = Hypergraph(5, [(0, 1), (1, 2), (3, 4), (0, 2)])
-    verdict = tl.verify_lift_identity(h, tl.LiftParams(n=5, m=2, r=1))
-    assert verdict.ok
-    assert verdict.report.num_colors >= 2
+    ok, report = verify(h, 2, 1)
+    assert ok
+    assert report.num_colors >= 2
 
 
 def test_verify_parallel_edges():
     h = Hypergraph(4, [(0, 1), (0, 1)])
-    verdict = tl.verify_lift_identity(h, tl.LiftParams(n=4, m=2, r=1))
-    assert verdict.ok
-    assert verdict.report.num_colors == 2
+    ok, report = verify(h, 2, 1)
+    assert ok
+    assert report.num_colors == 2
 
 
 def test_row_sums_within_degree_bound():
     h = Hypergraph(5, [(0, 1), (1, 2), (3, 4), (0, 2), (2, 3)])
-    params = tl.LiftParams(n=5, m=2, r=1)
-    res = tl.build_matrix_lift(h, params)
+    res = tl.build_matrix_lift(h, 2, 1)
     assert res.report.max_row_sum <= res.report.row_sum_bound
 
 
 def test_empty_hypergraph_lift():
-    res = tl.build_matrix_lift(Hypergraph(4, ()), P4)
+    res = tl.build_matrix_lift(Hypergraph(4, ()), 2, 1)
     assert len(res.f_ranks) == res.report.nnz == res.report.max_row_sum == 0
     ok, _ = tl.check_lift_identity(
-        res.f_ranks, res.g_ranks, res.report.cover_count, Hypergraph(4, ()), P4
+        res.f_ranks, res.g_ranks, res.report.cover_count, Hypergraph(4, ()), 2
     )
     assert ok
 
@@ -407,19 +406,29 @@ def test_empty_hypergraph_lift():
 def test_edgeless_lift_reports_the_default_family(n, m, r, cover_count, pair_set_size,
                                                   matching_size):
     # no pair is kept, and the counts are those of the default matching's lift
-    params = tl.LiftParams(n=n, m=m, r=r)
-    rep = tl.build_matrix_lift(Hypergraph(n, ()), params).report
+    rep = tl.build_matrix_lift(Hypergraph(n, ()), m, r).report
     assert (rep.num_colors, rep.nnz, rep.max_row_sum, rep.cover_count) == (0, 0, 0, cover_count)
     family = complete_to_maximal_matching(Hypergraph(n, ()), r)
     assert family.num_edges == matching_size
-    assert tl.build_matrix_lift(family, params).report.cover_count == cover_count
-    assert len(tl.enumerate_pairs(params, family)[0]) == pair_set_size
+    assert tl.build_matrix_lift(family, m, r).report.cover_count == cover_count
+    assert len(tl.enumerate_pairs(family, m, rep.s)[0]) == pair_set_size
 
 
 def test_lift_params_validation():
-    with pytest.raises(ValueError):
-        tl.LiftParams(n=1, m=1, r=1)  # n < 2r
-    with pytest.raises(ValueError):
-        tl.LiftParams(n=4, m=1, r=2)  # m < r
-    with pytest.raises(ValueError):
-        tl.build_matrix_lift(Hypergraph(4, [(0, 1, 2)]), P4)  # not 2r-uniform
+    edgeless = Hypergraph(4, ())
+    for m, r, s, message in [
+        (2, 0, 0, "r must be positive"),
+        (3, 3, 0, "n must be at least 2r"),
+        (1, 2, 0, "m must be at least r"),
+        (2, 1, -1, "s must be positive"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            tl.build_matrix_lift(edgeless, m, r, s)
+    with pytest.raises(ValueError, match="-uniform"):
+        tl.build_matrix_lift(Hypergraph(4, [(0, 1, 2)]), 2, 1)
+    with pytest.raises(ValueError, match="m must be at least r"):
+        tl.enumerate_pairs(Hypergraph(4, [(0, 1, 2, 3)]), 1, S1)
+    with pytest.raises(ValueError, match="s must be positive"):
+        tl.enumerate_pairs(M4, 2, 0)
+    with pytest.raises(ValueError, match="expected a matching"):
+        tl.enumerate_pairs(Hypergraph(3, [(0, 1), (1, 2)]), 2, S1)
