@@ -115,14 +115,8 @@ def two_transitivity_check(h: Hypergraph, trials: int, seed: int) -> bool:
     for _ in range(trials):
         a, b = (int(v) for v in gen.choice(N, size=2, replace=False))
         c, d = (int(v) for v in gen.choice(N, size=2, replace=False))
-        scale = ((d - c) * pow(b - a, -1, N)) % N
-
-        def affine(v):
-            return (c + scale * (v - a)) % N
-
-        if affine(a) != c or affine(b) != d:
-            return False
-        mapped = np.sort(affine(edges), axis=1).view(row).ravel()
+        scale = ((d - c) * pow(b - a, -1, N)) % N  # so a -> c and b -> d
+        mapped = np.sort((c + scale * (edges - a)) % N, axis=1).view(row).ravel()
         at = np.minimum(np.searchsorted(edge_rows, mapped), len(edge_rows) - 1)
         if not (edge_rows[at] == mapped).all():
             return False
@@ -138,6 +132,9 @@ def gradient_hypergraphs(h: Hypergraph):
     """
     if not h.is_uniform():
         raise ValueError("hypergraph must be uniform")
+    if h.max_edge_size == 1:
+        raise ValueError("the partials of a 1-uniform polynomial are constants, "
+                         "which no hypergraph polynomial represents")
     edge_lists = [[] for _ in range(h.n)]
     for e in h.edges:
         for i in e:

@@ -17,7 +17,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .errors import BudgetExceededError
@@ -26,26 +25,6 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
 EXIT_VERIFY = 4
-
-
-@dataclass(frozen=True)
-class Opt:
-    name: str
-    type: type
-    default: object = None
-    required: bool = False
-    choices: tuple | None = None
-    minimum: int | None = None
-    help: str = ""
-
-
-COMMON_OPTS = (
-    Opt("seed", int, default=0, help="base seed for all randomness"),
-    Opt("threads", int, default=1, minimum=1, help="worker threads (result-invariant)"),
-    Opt("format", str, default="csv", choices=("csv", "json"), help="report format"),
-    Opt("output", str, help="report path (default: stdout)"),
-    Opt("config", str, help="config file supplying flags (JSON or key=value)"),
-)
 
 
 def _int_at_least(minimum):
@@ -57,6 +36,15 @@ def _int_at_least(minimum):
 
     convert.__name__ = "int"  # argparse names the type in "invalid int value"
     return convert
+
+
+COMMON_OPTS = (
+    ("seed", dict(type=int, default=0, help="base seed for all randomness")),
+    ("threads", dict(type=_int_at_least(1), default=1, help="worker threads (result-invariant)")),
+    ("format", dict(default="csv", choices=("csv", "json"), help="report format")),
+    ("output", dict(help="report path (default: stdout)")),
+    ("config", dict(help="config file supplying flags (JSON or key=value)")),
+)
 
 
 def _fmt(value):
@@ -374,12 +362,12 @@ COMMANDS = {
         "Monte-Carlo Gaussian width of a hypercube polynomial image "
         "(gwidth.gw_estimate with an exact enumeration inner maximizer)",
         (
-            Opt("map", str, default="identity", choices=("identity", "matchings"),
-                help="component family: coordinate map, or random perfect matchings"),
-            Opt("n", int, required=True, minimum=1, help="hypercube dimension"),
-            Opt("k", int, minimum=1,
-                help=f"number of components (--map matchings only; default {DEFAULT_MATCHINGS})"),
-            Opt("samples", int, default=10000, minimum=1, help="Gaussian directions"),
+            ("map", dict(default="identity", choices=("identity", "matchings"),
+                         help="component family: coordinate map, or random perfect matchings")),
+            ("n", dict(type=_int_at_least(1), required=True, help="hypercube dimension")),
+            ("k", dict(type=_int_at_least(1), help="number of components "
+                       f"(--map matchings only; default {DEFAULT_MATCHINGS})")),
+            ("samples", dict(type=_int_at_least(1), default=10000, help="Gaussian directions")),
         ),
         _run_gw_estimate,
     ),
@@ -388,13 +376,13 @@ COMMANDS = {
         "the quadratic identity exactly on all sign vectors "
         "(tensorlift.build_matrix_lift, tensorlift.check_lift_identity)",
         (
-            Opt("n", int, required=True, minimum=1, help="vertex count"),
-            Opt("m", int, required=True, minimum=1, help="tensor power"),
-            Opt("r", int, required=True, minimum=1, help="half edge size"),
-            Opt("s", int, default=0, help="goodness threshold (0 = 200*4^r)"),
-            Opt("budget", int, minimum=1,
-                help="cap on n^m enumeration size (default 10^6, tensorlift.DEFAULT_BUDGET)"),
-            Opt("hypergraph", str, help="hypergraph file (default: full matching)"),
+            ("n", dict(type=_int_at_least(1), required=True, help="vertex count")),
+            ("m", dict(type=_int_at_least(1), required=True, help="tensor power")),
+            ("r", dict(type=_int_at_least(1), required=True, help="half edge size")),
+            ("s", dict(type=int, default=0, help="goodness threshold (0 = 200*4^r)")),
+            ("budget", dict(type=_int_at_least(1), help="cap on n^m enumeration size "
+                            "(default 10^6, tensorlift.DEFAULT_BUDGET)")),
+            ("hypergraph", dict(help="hypergraph file (default: full matching)")),
         ),
         _run_matrix_verify,
     ),
@@ -402,11 +390,11 @@ COMMANDS = {
         "Goodness statistics of random maps against a maximal matching "
         "(birthday.phi_statistics): Pr[s-good], E[phi]",
         (
-            Opt("r", int, required=True, minimum=1, help="half edge size"),
-            Opt("n", int, required=True, minimum=1, help="vertex count"),
-            Opt("m", int, default=0, help="map length (0 = floor(C_r n^(1-1/r)))"),
-            Opt("s", int, default=0, help="goodness threshold (0 = 200*4^r)"),
-            Opt("samples", int, default=10000, minimum=1, help="Monte-Carlo samples"),
+            ("r", dict(type=_int_at_least(1), required=True, help="half edge size")),
+            ("n", dict(type=_int_at_least(1), required=True, help="vertex count")),
+            ("m", dict(type=int, default=0, help="map length (0 = floor(C_r n^(1-1/r)))")),
+            ("s", dict(type=int, default=0, help="goodness threshold (0 = 200*4^r)")),
+            ("samples", dict(type=_int_at_least(1), default=10000, help="Monte-Carlo samples")),
         ),
         _run_birthday,
     ),
@@ -415,12 +403,12 @@ COMMANDS = {
         "chi-square test that independent Poisson draws add up "
         "(birthday.poisson_domination_check, birthday.poisson_sum_chisquare)",
         (
-            Opt("r", int, required=True, minimum=1, help="half edge size"),
-            Opt("n", int, required=True, minimum=1, help="vertex count"),
-            Opt("m", int, default=0, help="map length (0 = default)"),
-            Opt("samples", int, default=100000, minimum=1, help="Monte-Carlo samples"),
-            Opt("mu-a", float, default=1.3, help="first Poisson mean"),
-            Opt("mu-b", float, default=0.7, help="second Poisson mean"),
+            ("r", dict(type=_int_at_least(1), required=True, help="half edge size")),
+            ("n", dict(type=_int_at_least(1), required=True, help="vertex count")),
+            ("m", dict(type=int, default=0, help="map length (0 = default)")),
+            ("samples", dict(type=_int_at_least(1), default=100000, help="Monte-Carlo samples")),
+            ("mu-a", dict(type=float, default=1.3, help="first Poisson mean")),
+            ("mu-b", dict(type=float, default=0.7, help="second Poisson mean")),
         ),
         _run_poisson_check,
     ),
@@ -429,9 +417,9 @@ COMMANDS = {
         "against sqrt(log N) times the root-sum-of-squares of their norms "
         "(gwidth.tj_ratio_experiment)",
         (
-            Opt("N", int, required=True, minimum=2, help="matrix dimension (even)"),
-            Opt("k", int, required=True, minimum=1, help="number of matrices"),
-            Opt("samples", int, default=24, minimum=1, help="Gaussian draws"),
+            ("N", dict(type=_int_at_least(2), required=True, help="matrix dimension (even)")),
+            ("k", dict(type=_int_at_least(1), required=True, help="number of matrices")),
+            ("samples", dict(type=_int_at_least(1), default=24, help="Gaussian draws")),
         ),
         _run_tj_ratio,
     ),
@@ -439,8 +427,8 @@ COMMANDS = {
         "Edge count and incidence statistics of the k-term progression "
         "hypergraph on Z/NZ (aps.ap_hypergraph)",
         (
-            Opt("N", int, required=True, help="modulus (prime)"),
-            Opt("k", int, required=True, help="progression length"),
+            ("N", dict(type=int, required=True, help="modulus (prime)")),
+            ("k", dict(type=int, required=True, help="progression length")),
         ),
         _run_ap_count,
     ),
@@ -449,9 +437,10 @@ COMMANDS = {
         "degrees, pair incidences, the doubled-polynomial identity, and "
         "2-transitivity (aps module)",
         (
-            Opt("N", int, required=True, help="modulus (prime)"),
-            Opt("k", int, required=True, help="progression length"),
-            Opt("trials", int, default=100, minimum=1, help="random subsets / affine maps"),
+            ("N", dict(type=int, required=True, help="modulus (prime)")),
+            ("k", dict(type=int, required=True, help="progression length")),
+            ("trials", dict(type=_int_at_least(1), default=100,
+                            help="random subsets / affine maps")),
         ),
         _run_ap_structure,
     ),
@@ -459,11 +448,11 @@ COMMANDS = {
         "Monte-Carlo upper-tail probability of the progression count in a "
         "p-random subset of Z/NZ (randsets.upper_tail_mc)",
         (
-            Opt("N", int, required=True, help="modulus (prime)"),
-            Opt("k", int, required=True, help="progression length"),
-            Opt("p", float, required=True, help="inclusion probability"),
-            Opt("delta", float, required=True, help="relative exceedance"),
-            Opt("samples", int, default=100000, minimum=1, help="Monte-Carlo samples"),
+            ("N", dict(type=int, required=True, help="modulus (prime)")),
+            ("k", dict(type=int, required=True, help="progression length")),
+            ("p", dict(type=float, required=True, help="inclusion probability")),
+            ("delta", dict(type=float, required=True, help="relative exceedance")),
+            ("samples", dict(type=_int_at_least(1), default=100000, help="Monte-Carlo samples")),
         ),
         _run_upper_tail,
     ),
@@ -473,14 +462,16 @@ COMMANDS = {
         "intersective (randsets.intersectivity_check / "
         "randsets.random_intersectivity_experiment)",
         (
-            Opt("N", int, required=True, help="modulus"),
-            Opt("ell", int, required=True, minimum=1, help="progression length minus one"),
-            Opt("alpha", float, required=True, help="density threshold"),
-            Opt("diffs", str, help="explicit difference set, comma-separated"),
-            Opt("p", float, help="random model: inclusion probability"),
-            Opt("k-draws", int, minimum=0, help="random model: uniform draws with replacement"),
-            Opt("trials", int, minimum=1,
-                help=f"random-model trials (default {DEFAULT_TRIALS}; not with --diffs)"),
+            ("N", dict(type=int, required=True, help="modulus")),
+            ("ell", dict(type=_int_at_least(1), required=True,
+                         help="progression length minus one")),
+            ("alpha", dict(type=float, required=True, help="density threshold")),
+            ("diffs", dict(help="explicit difference set, comma-separated")),
+            ("p", dict(type=float, help="random model: inclusion probability")),
+            ("k-draws", dict(type=_int_at_least(0),
+                             help="random model: uniform draws with replacement")),
+            ("trials", dict(type=_int_at_least(1), help="random-model trials "
+                            f"(default {DEFAULT_TRIALS}; not with --diffs)")),
         ),
         _run_intersective,
     ),
@@ -488,10 +479,10 @@ COMMANDS = {
         "Evaluate the width bound n*t*sqrt(k*n^(1-1/ceil(d/2))*log n) "
         "(gwidth.width_bound)",
         (
-            Opt("n", int, required=True, help="hypercube dimension"),
-            Opt("k", int, required=True, help="component count"),
-            Opt("d", int, required=True, help="degree"),
-            Opt("t", int, required=True, help="multiplicity"),
+            ("n", dict(type=int, required=True, help="hypercube dimension")),
+            ("k", dict(type=int, required=True, help="component count")),
+            ("d", dict(type=int, required=True, help="degree")),
+            ("t", dict(type=int, required=True, help="multiplicity")),
         ),
         _run_bound_eval,
     ),
@@ -510,15 +501,8 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, opts, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text, description=help_text, allow_abbrev=False)
-        for opt in opts + COMMON_OPTS:
-            p.add_argument(
-                f"--{opt.name}",
-                type=opt.type if opt.minimum is None else _int_at_least(opt.minimum),
-                default=opt.default,
-                required=opt.required,
-                choices=opt.choices,
-                help=opt.help,
-            )
+        for flag, kwargs in opts + COMMON_OPTS:
+            p.add_argument(f"--{flag}", **kwargs)
     return parser
 
 

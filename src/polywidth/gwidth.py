@@ -75,26 +75,18 @@ class PolyMap:
         return max(h.max_degree for h in self.components)
 
 
-def _edge_mask(edge, n: int) -> int:
-    # enumeration index i encodes x_j = (i >> (n-1-j)) & 1
-    mask = 0
-    for v in edge:
-        mask |= 1 << (n - 1 - v)
-    return mask
-
-
 def _columns(pm: PolyMap) -> np.ndarray:
-    """The image of the hypercube, row i being psi of the point with index i.
+    """The image of the hypercube, row i being psi of the point with
+    x_j = (i >> j) & 1.
 
     Entries are big-endian unsigned integers of the narrowest width that
     holds every component's edge count, so comparing rows as raw bytes
     compares them lexicographically.
     """
-    n = pm.n
     dtype = np.min_scalar_type(max(h.num_edges for h in pm.components)).newbyteorder(">")
-    masks = [[_edge_mask(e, n) for e in h.edges] for h in pm.components]
-    total = 1 << n
-    step = 1 << min(_BLOCK_BITS, n)
+    masks = [h.edge_masks() for h in pm.components]
+    total = 1 << pm.n
+    step = 1 << min(_BLOCK_BITS, pm.n)
     out = np.empty((total, pm.k), dtype=dtype)
     for start in range(0, total, step):
         idx = np.arange(start, start + step, dtype=np.int64)

@@ -64,6 +64,10 @@ class Hypergraph:
     def max_edge_size(self) -> int:
         return max((len(e) for e in self.edges), default=0)
 
+    def edge_masks(self) -> list:
+        """One int per edge (stored order), with bit v set for each vertex v."""
+        return [sum(1 << v for v in e) for e in self.edges]
+
     def is_uniform(self, d=None) -> bool:
         if not self.edges:
             return True

@@ -5,10 +5,11 @@ Upper-tail estimation is plain (unweighted) Monte Carlo; runs with zero
 observed hits report the rule-of-three 3/samples upper confidence bound
 instead of a point estimate.
 
-Intersectivity is decided exactly for N <= 63 by a depth-first search over
-int bitmasks for a progression-free witness, with forward checking: a
-vertex that would complete a progression leaves the set of vertices that
-may still join, and a branch is cut when too few of those remain.  The
+Intersectivity is decided exactly for every N >= 1 by a depth-first search
+over int bitmasks (Python ints, so of any width) for a progression-free
+witness, with forward checking: a vertex that would complete a progression
+leaves the set of vertices that may still join, and a branch is cut when
+too few of those remain.  The
 search may visit at most ``SEARCH_NODE_BUDGET`` nodes; beyond that it
 raises BudgetExceededError rather than answer with a weaker method.  The
 exact path imports no numpy: only the Monte-Carlo functions load numpy,
@@ -191,8 +192,8 @@ def intersectivity_check(N: int, ell: int, alpha: float, diffs) -> Intersectivit
     returned as the witness.  A search that would visit more than
     ``SEARCH_NODE_BUDGET`` nodes raises BudgetExceededError.
     """
-    if not 1 <= N <= 63:
-        raise ValueError("N must lie in [1, 63] (bitmask representation)")
+    if N < 1:
+        raise ValueError("N must be positive")
     if ell < 1:
         raise ValueError("ell must be positive")
     if not 0.0 < alpha <= 1.0:

@@ -331,10 +331,7 @@ def check_lift_identity(f_ranks, g_ranks, cover_count: int, h: Hypergraph, m: in
         stop = start + _BLOCK
         pair_masks = masks[f_ranks[start:stop]] ^ masks[g_ranks[start:stop]]
         coeffs += np.bincount(pair_masks, minlength=size)
-    for e in h.edges:
-        mask = 0
-        for v in e:
-            mask |= 1 << v
+    for mask in h.edge_masks():
         coeffs[mask] -= cover_count
     if not coeffs.any():
         return True, None

@@ -158,6 +158,19 @@ def test_two_transitivity():
         two_transitivity_check(Hypergraph(9, [(0, 1, 2)]), 10, seed=1)
 
 
+@pytest.mark.parametrize("N", PRIMES_TO_31)
+def test_two_transitivity_maps_each_drawn_pair_onto_the_other(N):
+    # two_transitivity_check's affine map x -> c + (d - c)(b - a)^-1 (x - a)
+    # sends a to c and b to d by construction; replay its draws to see it
+    for seed in range(5):
+        gen = mc.stream(seed, 0)
+        for _ in range(20):
+            a, b = (int(v) for v in gen.choice(N, size=2, replace=False))
+            c, d = (int(v) for v in gen.choice(N, size=2, replace=False))
+            scale = ((d - c) * pow(b - a, -1, N)) % N
+            assert [(c + scale * (v - a)) % N for v in (a, b)] == [c, d]
+
+
 def _random_rows(rng, rows, N):
     """0/1 rows of mixed densities, plus the empty and the full set."""
     density = rng.uniform(0.2, 0.95, size=(rows, 1))
@@ -260,3 +273,8 @@ def test_gradient_hypergraphs_evaluate_to_partials():
         grad = poly.gradient(h, x)
         for i in range(5):
             assert grad[i] == poly.evaluate(derived[i], x)
+
+
+def test_gradient_hypergraphs_reject_one_uniform_input():
+    with pytest.raises(ValueError, match="1-uniform polynomial are constants"):
+        gradient_hypergraphs(Hypergraph(3, [(0,), (2,)]))

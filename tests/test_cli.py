@@ -547,6 +547,19 @@ def test_cli_import_leaves_numpy_unloaded():
     assert done.stdout.split() == ["False", "False", "0"]
 
 
+def test_version_loads_no_dataclasses_or_inspect():
+    probe = (
+        "import contextlib, io, sys\n"
+        "from polywidth.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['--version'])\n"
+        "print('dataclasses' in sys.modules, 'inspect' in sys.modules, code)\n"
+    )
+    done = _run_python(probe)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "False", "0"]
+
+
 SEARCH_UNUSED = [f"polywidth.{m}" for m in ("birthday", "gwidth", "sparse", "tensorlift")]
 BIRTHDAY_UNUSED = [f"polywidth.{m}" for m in ("tensorlift", "gwidth", "sparse", "randsets", "aps")]
 

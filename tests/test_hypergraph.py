@@ -27,6 +27,14 @@ def test_construction_canonicalizes_and_validates():
         Hypergraph(3, [()])
 
 
+def test_edge_masks_set_one_bit_per_vertex():
+    # parallel edges keep one mask each, in stored order; a singleton edge
+    # is one bit
+    h = Hypergraph(70, [(3, 0), (0, 3), (5,), (69, 1, 64)])
+    assert h.edge_masks() == [0b1001, 0b1001, 0b100000, (1 << 69) | (1 << 64) | 0b10]
+    assert Hypergraph(4, []).edge_masks() == []
+
+
 def test_degree_profile_matching():
     h = Hypergraph(4, [(0, 1), (2, 3)])
     assert h.degrees() == [1, 1, 1, 1]

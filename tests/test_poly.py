@@ -32,9 +32,27 @@ def test_integer_inputs_stay_exact():
     assert poly.evaluate(h, (big, big)) == big * big  # would overflow float
 
 
+def test_mixed_numpy_and_huge_integers_stay_exact():
+    # a list holding an int beyond int64 becomes an object array of its
+    # own entries; the numpy ones must not overflow in the products
+    h = Hypergraph(3, [(0, 1), (0, 1, 2), (2,)])
+    x = [np.int64(10**12), np.int64(10**12), 10**30]
+    assert poly.evaluate(h, x) == 10**24 + 10**54 + 10**30
+    assert poly.gradient(h, x) == [10**12 + 10**42, 10**12 + 10**42, 10**24 + 1]
+    assert all(type(v) is int for v in poly.gradient(h, x))
+
+
+def test_edgeless_and_singleton_terms_are_int():
+    # an empty sum or an empty product is the int 0 or 1, whatever the input
+    assert type(poly.evaluate(Hypergraph(2, []), np.array([0.5, 2.0]))) is int
+    assert poly.gradient(Hypergraph(2, [(0,)]), [0.5, 2.0]) == [1, 0]
+
+
 def test_length_mismatch_raises():
     with pytest.raises(ValueError):
         poly.evaluate(Hypergraph(3, [(0, 1)]), (1, 1))
+    with pytest.raises(ValueError):
+        poly.evaluate(Hypergraph(2, [(0, 1)]), np.ones((2, 2)))
 
 
 def test_gradient_all_ones_is_degree_sequence():

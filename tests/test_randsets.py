@@ -196,6 +196,22 @@ def test_intersective_past_old_scan_limit():
     assert res.exact and res.intersective and res.witness is None
 
 
+def test_intersective_answers_beyond_64_residues():
+    # the witness is wider than an int64 mask: C_64's first independent
+    # 32-set is the even residues
+    res = rs.intersectivity_check(64, 1, 0.5, [1])
+    assert not res.intersective
+    assert res.witness == (1, 0) * 32
+    res = rs.intersectivity_check(100, 2, 0.3, range(1, 9))
+    assert not res.intersective
+    support = sum(1 << v for v in np.flatnonzero(res.witness).tolist())
+    assert support.bit_count() == 30
+    assert all(support & m != m for m in oracles.ap_masks_direct(100, 2, range(1, 9)))
+    assert np.flatnonzero(res.witness).tolist() == [x for x in range(65) if x % 9 in (0, 1, 3, 4)]
+    with pytest.raises(ValueError, match="N must be positive"):
+        rs.intersectivity_check(0, 1, 0.5, [1])
+
+
 def test_random_experiment_p_one_like():
     est = rs.random_intersectivity_experiment(7, 1, 0.5, 50, 3, p=0.999999)
     assert est.mean == 1.0
