@@ -3,16 +3,13 @@
 All kernels are exact integer computations apart from ``coo_matvec``.
 
 The Monte-Carlo kernels receive a whole chunk of samples (4096 rows).
-``phi_batch`` and ``phi_hist_batch`` work through it in row blocks of about
-``_BLOCK_CELLS`` int64 cells (512 KiB), so the temporaries of a block stay
-in cache.  A whole chunk at once would cost 20 MiB per int64 temporary at
-n = 600, and every pass over such an array would run at memory speed;
-blocks also keep the working set small when chunks run on several threads.
-``contained_edges_batch`` takes the chunk whole: its temporaries are bool,
-an eighth of the size, and with many edges a block would hold few rows
-(35 at N = 61, k = 3, where blocking measured 12 -> 29 ms per chunk on a
-2-core Xeon).  Its callers with unbounded row counts
-(``aps.ordered_ap_count``) block the rows themselves.  Blocking changes no
+The batch kernels work through their rows in blocks whose widest temporary
+takes about 512 KiB, the bytes of ``_BLOCK_CELLS`` int64 cells, so the
+temporaries of a block stay in cache: int64 cells for ``phi_batch`` and
+``phi_hist_batch``, bool cells for ``contained_edges_batch``.  A whole
+chunk at once would cost 20 MiB per int64 temporary at n = 600, and every
+pass over such an array would run at memory speed; blocks also keep the
+working set small when chunks run on several threads.  Blocking changes no
 arithmetic, so results are the same for any block size.
 """
 
@@ -21,9 +18,10 @@ import numpy as np
 _BLOCK_CELLS = 1 << 16  # int64 cells per row block
 
 
-def _block_rows(cells):
-    """Rows per block when each row takes ``cells`` int64 cells."""
-    return max(1, _BLOCK_CELLS // cells)
+def _block_rows(cells, itemsize=8):
+    """Rows per block when each row takes ``cells`` cells of ``itemsize``
+    bytes, a block holding as many bytes as ``_BLOCK_CELLS`` int64 cells."""
+    return max(1, _BLOCK_CELLS * 8 // (cells * itemsize))
 
 
 # --------------------------------------------------------------------------
@@ -104,13 +102,18 @@ def contained_edges_batch(bits, edges):
     """Per row of ``bits``: number of ``edges`` whose vertices are all nonzero."""
     bits = np.asarray(bits)
     edges = np.ascontiguousarray(edges, dtype=np.int64)
-    if bits.shape[0] == 0 or edges.shape[0] == 0:
-        return np.zeros(bits.shape[0], dtype=np.int64)
-    by_vertex = np.ascontiguousarray(bits.T, dtype=bool)  # one row per vertex
-    inside = by_vertex[edges[:, 0]]
-    for i in range(1, edges.shape[1]):
-        inside &= by_vertex[edges[:, i]]
-    return np.count_nonzero(inside, axis=0).astype(np.int64)
+    nb = bits.shape[0]
+    if nb == 0 or edges.shape[0] == 0:
+        return np.zeros(nb, dtype=np.int64)
+    step = _block_rows(edges.shape[0], itemsize=1)  # (edges, rows) bool temporary
+    out = np.empty(nb, dtype=np.int64)
+    for start in range(0, nb, step):
+        by_vertex = np.ascontiguousarray(bits[start : start + step].T, dtype=bool)
+        inside = by_vertex[edges[:, 0]]  # one row per edge, one column per input row
+        for i in range(1, edges.shape[1]):
+            inside &= by_vertex[edges[:, i]]
+        out[start : start + by_vertex.shape[1]] = np.count_nonzero(inside, axis=0)
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -71,18 +71,12 @@ def ordered_ap_count(bits, k: int):
     a, a+b, ..., a+(k-1)b inside the support of ``bits``.
 
     A 1-D ``bits`` gives an int; a 2-D ``(rows, N)`` array gives one count
-    per row.  The N(N-1) ordered progressions are built once and checked
-    against row blocks of ``bits``, which bound the temporaries at any row count.
+    per row.  The N(N-1) ordered progressions are built once as edges.
     """
     bits = np.asarray(bits)
     rows = bits.reshape(-1, bits.shape[-1])
     N = rows.shape[1]
-    edges = progressions(N, k, range(1, N))
-    counts = np.empty(len(rows), dtype=np.int64)
-    step = _kernels._block_rows(len(edges))
-    for start in range(0, len(rows), step):
-        stop = start + step
-        counts[start:stop] = _kernels.contained_edges_batch(rows[start:stop], edges)
+    counts = _kernels.contained_edges_batch(rows, progressions(N, k, range(1, N)))
     return int(counts[0]) if bits.ndim == 1 else counts
 
 

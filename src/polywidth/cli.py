@@ -132,21 +132,20 @@ def _run_matrix_verify(args):
     else:
         h = default_matching(n, r)
     lift = tensorlift.build_matrix_lift(h, m, r, args["s"], budget)
-    rep = lift.report
-    ok, witness = tensorlift.check_lift_identity(lift.f_ranks, lift.g_ranks, rep.cover_count, h, m)
+    ok, witness = tensorlift.check_lift_identity(lift.f_ranks, lift.g_ranks, lift.cover_count, h, m)
     status = "OK" if ok else f"FAIL at x={witness}"
-    pre = [f"identity: {status}, cover_count={rep.cover_count}"]
+    pre = [f"identity: {status}, cover_count={lift.cover_count}"]
     row = {
-        "n": rep.n,
-        "m": rep.m,
-        "r": rep.r,
-        "s": rep.s,
-        "dim": rep.dim,
-        "num_colors": rep.num_colors,
-        "cover_count": rep.cover_count,
-        "nnz": rep.nnz,
-        "max_row_sum": rep.max_row_sum,
-        "row_sum_bound": rep.row_sum_bound,
+        "n": lift.n,
+        "m": lift.m,
+        "r": lift.r,
+        "s": lift.s,
+        "dim": lift.dim,
+        "num_colors": lift.num_colors,
+        "cover_count": lift.cover_count,
+        "nnz": lift.nnz,
+        "max_row_sum": lift.max_row_sum,
+        "row_sum_bound": lift.row_sum_bound,
         "identity_ok": ok,
     }
     return [row], EXIT_OK if ok else EXIT_VERIFY, pre

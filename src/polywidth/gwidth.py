@@ -77,14 +77,18 @@ class PolyMap:
 
 def _columns(pm: PolyMap) -> np.ndarray:
     """The image of the hypercube, row i being psi of the point with
-    x_j = (i >> j) & 1.
+    x_j = (i >> (n-1-j)) & 1.
 
     Entries are big-endian unsigned integers of the narrowest width that
     holds every component's edge count, so comparing rows as raw bytes
-    compares them lexicographically.
+    compares them lexicographically.  Vertex 0 is the most significant bit
+    of i, so the image of the identity map arrives already sorted and the
+    sort in ``_points`` does less work; ``_points`` returns the same rows
+    for any order.
     """
     dtype = np.min_scalar_type(max(h.num_edges for h in pm.components)).newbyteorder(">")
-    masks = [h.edge_masks() for h in pm.components]
+    top = pm.n - 1
+    masks = [[sum(1 << (top - v) for v in e) for e in h.edges] for h in pm.components]
     total = 1 << pm.n
     step = 1 << min(_BLOCK_BITS, pm.n)
     out = np.empty((total, pm.k), dtype=dtype)

@@ -183,6 +183,16 @@ def _forward(closing, mask, avail):
     return avail
 
 
+def _check_search_args(N: int, ell: int, alpha: float):
+    """Raise ValueError unless N >= 1, ell >= 1 and 0 < alpha <= 1."""
+    if N < 1:
+        raise ValueError("N must be positive")
+    if ell < 1:
+        raise ValueError("ell must be positive")
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError("alpha must lie in (0, 1]")
+
+
 def intersectivity_check(N: int, ell: int, alpha: float, diffs) -> IntersectivityResult:
     """Does every subset of density alpha contain a proper (ell+1)-term
     progression with common difference in ``diffs``?
@@ -192,12 +202,7 @@ def intersectivity_check(N: int, ell: int, alpha: float, diffs) -> Intersectivit
     returned as the witness.  A search that would visit more than
     ``SEARCH_NODE_BUDGET`` nodes raises BudgetExceededError.
     """
-    if N < 1:
-        raise ValueError("N must be positive")
-    if ell < 1:
-        raise ValueError("ell must be positive")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
+    _check_search_args(N, ell, alpha)
     found = _first_witness(N, _required_size(N, alpha), _ap_masks(N, ell, diffs))
     if found is None:
         return IntersectivityResult(True, None, True)
@@ -220,7 +225,9 @@ def random_intersectivity_experiment(
     D is drawn either as the p-random subset of the nonzero residues or as
     k_draws uniform samples with replacement (exactly one model must be
     given).  p must lie strictly inside (0, 1), as in ``upper_tail_mc``,
-    and k_draws must be nonnegative.  Each trial runs the exact
+    and k_draws must be nonnegative, and 0 when N = 1, which has no nonzero
+    residue to draw.  N, ell and alpha are checked as in
+    ``intersectivity_check``, before the first draw.  Each trial runs the exact
     intersectivity check, so a trial whose search overruns
     ``SEARCH_NODE_BUDGET`` raises BudgetExceededError.
     """
@@ -230,6 +237,9 @@ def random_intersectivity_experiment(
         raise ValueError("p must lie strictly inside (0, 1)")
     if k_draws is not None and k_draws < 0:
         raise ValueError("k_draws must be nonnegative")
+    _check_search_args(N, ell, alpha)
+    if k_draws and N == 1:
+        raise ValueError("k_draws must be 0 when N = 1: there is no nonzero residue")
     import numpy as np
 
     from . import mc

@@ -99,7 +99,7 @@ DEFAULT_BUDGET = 10**6
 
 SIGN_ENUM_LIMIT = 16  # exhaustive sign-vector checks enumerate 2^n points
 
-_BLOCK = 1 << 15  # maps scored per phi_batch call
+_BLOCK = 1 << 15  # maps per enumerate_pairs call of build_matrix_lift
 
 
 def _check_lift_args(n: int, m: int, r: int, s: int):
@@ -117,11 +117,6 @@ def _check_lift_args(n: int, m: int, r: int, s: int):
         raise ValueError("m must be at least r")
     if s < 1:
         raise ValueError("s must be positive")
-
-
-def _check_budget(n: int, m: int, budget: int):
-    if n**m > budget:
-        raise BudgetExceededError(f"n^m = {n**m} exceeds the enumeration budget {budget}")
 
 
 def _matching_r(matching: Hypergraph) -> int:
@@ -142,11 +137,31 @@ def _digits(ranks, m: int, n: int) -> np.ndarray:
     return digits.T
 
 
-def _complements(f_ranks, digits, edges, n: int, r: int):
-    """Aligned (f_ranks, g_ranks, covered edge index) arrays of every g
-    complementing a map of ``f_ranks`` (digit rows ``digits``) with respect
-    to the matching ``edges``, by the rank formula of the module docstring."""
-    m = digits.shape[1]
+def enumerate_pairs(matching: Hypergraph, m: int, s: int, ranks):
+    """Aligned (f_ranks, g_ranks, covered_edge_index) arrays of the pairs
+    (f, g) with f in ``ranks`` s-good against ``matching`` and g
+    complementing f, for maps [m] -> [matching.n]; r is half the matching's
+    edge size.
+
+    The maps of ``ranks`` are decoded once and scored by the phi kernel,
+    and the complements of the good ones are generated by the rank formula
+    of the module docstring, so the cost is linear in len(ranks) plus the
+    output size.  Raises ValueError for a rank outside [0, n^m).
+    """
+    n = matching.n
+    r = _matching_r(matching)
+    _check_lift_args(n, m, r, s)
+    ranks = np.asarray(ranks, dtype=np.int64)
+    if n**m > 1 << 63:
+        raise ValueError("n^m must fit in int64 ranks")
+    if ranks.size and (ranks.min() < 0 or int(ranks.max()) >= n**m):
+        raise ValueError("ranks must lie in [0, n^m)")
+    edges = np.array(matching.edges, dtype=np.int64)
+    digits = _digits(ranks, m, n)
+    scores = _kernels.phi_batch(digits, edges, n, r)
+    good = (scores >= 1) & (scores <= s)
+    ranks, digits = ranks[good], digits[good]
+
     edge_of = np.full(n, -1, dtype=np.int64)  # vertex -> matching edge
     edge_of[edges] = np.arange(len(edges), dtype=np.int64)[:, None]
     powers = n ** np.arange(m, dtype=np.int64)
@@ -162,47 +177,20 @@ def _complements(f_ranks, digits, edges, n: int, r: int):
         image, covered = image[rows], covered[rows]
         members = edges[covered]
         rest = members[(members[:, :, None] != image[:, None, :]).all(axis=2)].reshape(-1, r)
-        f = f_ranks[rows]
+        f = ranks[rows]
         base = f - image @ powers[positions]
         for order in itertools.permutations(range(r)):
             out.append((f, base + rest[:, order] @ powers[positions], covered))
     return tuple(np.concatenate(column) for column in zip(*out))
 
 
-def _pair_blocks(matching: Hypergraph, m: int, r: int, s: int):
-    """Yield aligned (f_ranks, g_ranks, covered_edge_index) arrays of the
-    pairs (f, g) with f good and g complementing f, one block of maps at a
-    time, for a matching of 2r-sets and maps [m] -> [matching.n].
-
-    Maps are scored for goodness by the phi kernel in blocks of ranks, and
-    the complements of each block's good maps are generated by rank
-    arithmetic, so the cost is linear in n^m plus the output size.  The
-    caller has checked the arguments and the budget.
-    """
-    n = matching.n
-    total = n**m
-    edges = np.array(matching.edges, dtype=np.int64)
-    for start in range(0, total, _BLOCK):
-        ranks = np.arange(start, min(start + _BLOCK, total), dtype=np.int64)
-        digits = _digits(ranks, m, n)
-        scores = _kernels.phi_batch(digits, edges, n, r)
-        good = (scores >= 1) & (scores <= s)
-        yield _complements(ranks[good], digits[good], edges, n, r)
-
-
-def enumerate_pairs(matching: Hypergraph, m: int, s: int, budget: int = DEFAULT_BUDGET):
-    """All ordered pairs (f, g) with f s-good against ``matching`` and g
-    complementing f, for maps [m] -> [matching.n], as aligned arrays
-    (f_ranks, g_ranks, covered_edge_index).  r is half the matching's edge
-    size."""
-    r = _matching_r(matching)
-    _check_lift_args(matching.n, m, r, s)
-    _check_budget(matching.n, m, budget)
-    return tuple(np.concatenate(column) for column in zip(*_pair_blocks(matching, m, r, s)))
-
-
 @dataclass(frozen=True)
-class LiftReport:
+class LiftResult:
+    """The kept pairs (f, g) of B over all colours, A = B + B^T, and the
+    report of A."""
+
+    f_ranks: np.ndarray
+    g_ranks: np.ndarray
     n: int
     m: int
     r: int
@@ -213,15 +201,6 @@ class LiftReport:
     nnz: int
     max_row_sum: int
     row_sum_bound: int
-
-
-@dataclass(frozen=True)
-class LiftResult:
-    """The kept pairs (f, g) of B over all colours; A = B + B^T."""
-
-    f_ranks: np.ndarray
-    g_ranks: np.ndarray
-    report: LiftReport
 
 
 def _distinct_unordered(f_ranks, g_ranks, dim: int) -> int:
@@ -249,8 +228,9 @@ def build_matrix_lift(
     _check_lift_args(n, m, r, s)
     if h.edges and not h.is_uniform(2 * r):
         raise ValueError(f"hypergraph must be {2 * r}-uniform")
-    _check_budget(n, m, budget)
     dim = n**m
+    if dim > budget:
+        raise BudgetExceededError(f"n^m = {dim} exceeds the enumeration budget {budget}")
 
     coloring = greedy_edge_coloring(h)
     empty = np.zeros(0, dtype=np.int64)
@@ -260,7 +240,9 @@ def build_matrix_lift(
     for class_edges in color_classes(h, coloring) or [()]:
         family = complete_to_maximal_matching(Hypergraph(n, class_edges), r)
         pairs = 0
-        for f_ranks, g_ranks, covers in _pair_blocks(family, m, r, s):
+        for start in range(0, dim, _BLOCK):
+            ranks = np.arange(start, min(start + _BLOCK, dim))
+            f_ranks, g_ranks, covers = enumerate_pairs(family, m, s, ranks)
             pairs += len(f_ranks)
             keep = covers < len(class_edges)  # drop pairs covering completion padding
             rows.append(f_ranks[keep])
@@ -278,7 +260,9 @@ def build_matrix_lift(
     del cols
     # Row sums and nnz of A = B + B^T from the pairs (module docstring).
     row_sums = np.bincount(f_ranks, minlength=dim) + np.bincount(g_ranks, minlength=dim)
-    report = LiftReport(
+    return LiftResult(
+        f_ranks,
+        g_ranks,
         n=n,
         m=m,
         r=r,
@@ -290,7 +274,6 @@ def build_matrix_lift(
         max_row_sum=int(row_sums.max()),
         row_sum_bound=2 * h.max_degree * s**2 * math.factorial(r),
     )
-    return LiftResult(f_ranks, g_ranks, report)
 
 
 def _parity_masks(m: int, n: int) -> np.ndarray:

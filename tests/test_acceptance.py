@@ -87,7 +87,7 @@ def lift_results():
     start = time.time()
     built = [(h, tl.build_matrix_lift(h, m, r)) for h, m, r in instances]
     checks = [
-        tl.check_lift_identity(res.f_ranks, res.g_ranks, res.report.cover_count, h, res.report.m)
+        tl.check_lift_identity(res.f_ranks, res.g_ranks, res.cover_count, h, res.m)
         for h, res in built
     ]
     elapsed = time.time() - start
@@ -98,8 +98,8 @@ def test_c01_lift_identity(lift_results):
     built, checks, elapsed = lift_results
     with criterion(1, "lift identity exact on all sign vectors"):
         for (h, res), (ok, witness) in zip(built, checks):
-            assert res.report.dim <= 10**6
-            assert ok, (res.report, witness)
+            assert res.dim <= 10**6
+            assert ok, (res, witness)
         assert elapsed < 60.0, f"instance set took {elapsed:.1f}s"
 
 
@@ -107,32 +107,30 @@ def test_c02_equal_cover(lift_results):
     built, _, _ = lift_results
     with criterion(2, "equal per-edge cover counts"):
         for h, res in built:
-            rep = res.report
             coloring = greedy_edge_coloring(h)
             for class_edges in color_classes(h, coloring):
-                family = complete_to_maximal_matching(Hypergraph(h.n, class_edges), rep.r)
-                _, _, covers = tl.enumerate_pairs(family, rep.m, rep.s)
+                family = complete_to_maximal_matching(Hypergraph(h.n, class_edges), res.r)
+                _, _, covers = tl.enumerate_pairs(family, res.m, res.s, range(res.dim))
                 counts = np.bincount(covers, minlength=family.num_edges)
                 assert len(set(counts.tolist())) == 1
-                assert counts[0] == res.report.cover_count
+                assert counts[0] == res.cover_count
 
 
 def test_c03_sparsity_and_norm_bounds(lift_results):
     built, _, _ = lift_results
     with criterion(3, "pair-set sparsity and lift norm bounds"):
         for h, res in built:
-            rep = res.report
-            r_fact = math.factorial(rep.r)
+            r_fact = math.factorial(res.r)
             coloring = greedy_edge_coloring(h)
             for class_edges in color_classes(h, coloring):
-                family = complete_to_maximal_matching(Hypergraph(h.n, class_edges), rep.r)
-                f_ranks, g_ranks, _ = tl.enumerate_pairs(family, rep.m, rep.s)
-                assert np.bincount(f_ranks).max() <= rep.s * r_fact
-                assert np.bincount(g_ranks).max() <= rep.s**2 * r_fact
+                family = complete_to_maximal_matching(Hypergraph(h.n, class_edges), res.r)
+                f_ranks, g_ranks, _ = tl.enumerate_pairs(family, res.m, res.s, range(res.dim))
+                assert np.bincount(f_ranks).max() <= res.s * r_fact
+                assert np.bincount(g_ranks).max() <= res.s**2 * r_fact
             if len(res.f_ranks):
-                a = oracles.lift_matrix_dense(res.f_ranks, res.g_ranks, rep.dim)
+                a = oracles.lift_matrix_dense(res.f_ranks, res.g_ranks, res.dim)
                 max_row_sum = int(a.sum(axis=1).max())
-                bound = 2 * h.max_degree * rep.s**2 * r_fact
+                bound = 2 * h.max_degree * res.s**2 * r_fact
                 assert max_row_sum <= bound
                 # a is symmetric, so its eigenvalues give its norm exactly
                 assert np.abs(np.linalg.eigvalsh(a)).max() <= max_row_sum + 1e-9
@@ -143,9 +141,9 @@ def test_lift_report_matches_dense_oracle(lift_results):
     parallel = 0
     for h, res in built:
         parallel += len(set(h.edges)) < h.num_edges
-        a = oracles.lift_matrix_dense(res.f_ranks, res.g_ranks, res.report.dim)
-        assert res.report.nnz == np.count_nonzero(a), h
-        assert res.report.max_row_sum == a.sum(axis=1).max(), h
+        a = oracles.lift_matrix_dense(res.f_ranks, res.g_ranks, res.dim)
+        assert res.nnz == np.count_nonzero(a), h
+        assert res.max_row_sum == a.sum(axis=1).max(), h
     assert parallel == 2  # both parallel-edge instances are covered
 
 

@@ -283,6 +283,12 @@ def test_gw_estimate_checks_the_bound_before_sampling(capsys, monkeypatch):
         ("poisson-check --r 1 --n 10 --m -1", "m must be positive"),
         # --k used to be ignored with the identity map
         ("gw-estimate --map identity --n 4 --k 3", "--k applies to --map matchings only"),
+        # these reached numpy first: "negative dimensions are not allowed" and
+        # "a cannot be empty unless no samples are taken"
+        ("intersective --N 0 --ell 1 --alpha 0.5 --p 0.3 --trials 2", "N must be positive"),
+        ("intersective --N -5 --ell 1 --alpha 0.5 --k-draws 3 --trials 2", "N must be positive"),
+        ("intersective --N 1 --ell 1 --alpha 0.5 --k-draws 3 --trials 2",
+         "k_draws must be 0 when N = 1: there is no nonzero residue"),
     ],
 )
 def test_progression_commands_reject_invalid_arguments(capsys, argv, message):

@@ -39,6 +39,13 @@ def test_points_are_the_sorted_distinct_image(components):
     assert [tuple(p) for p in points.tolist()] == oracles.hypercube_image_direct(components)
 
 
+def test_identity_image_rows_come_out_sorted():
+    # _columns makes vertex 0 the most significant bit of the row index,
+    # so the identity map's 2^n distinct rows need no reordering
+    rows = gw._columns(gw.identity_map(8)).tolist()
+    assert len(rows) == 256 and rows == sorted(rows)
+
+
 def reference_estimate(seed, samples, k, statistic):
     """Mean and standard error of ``statistic(g)`` over the k-dimensional
     Gaussian columns of the same chunked streams gw_estimate draws from."""

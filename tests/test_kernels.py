@@ -6,6 +6,7 @@ import pytest
 import oracles
 from polywidth import _kernels as kn
 from polywidth import mc
+from polywidth.aps import ap_hypergraph
 
 
 def test_phi_batch_paths_agree():
@@ -87,6 +88,15 @@ def test_contained_edges_paths_agree():
     bits = (gen.random((100, 13)) < 0.5).astype(np.uint8)
     edges = gen.integers(0, 13, size=(40, 3)).astype(np.int64)
     expected = [oracles.contained_edges_direct(b.tolist(), edges.tolist()) for b in bits]
+    assert kn.contained_edges_batch(bits, edges).tolist() == expected
+
+
+def test_contained_edges_chunk_in_blocks_equals_per_row_count():
+    # N = 61, k = 3: 1830 progressions, so a 4096-row chunk takes 15 row blocks
+    edges = np.array(ap_hypergraph(61, 3).edges, dtype=np.int64)
+    bits = (mc.stream(4, 0).random((4096, 61)) < 0.3).astype(np.uint8)
+    assert kn._block_rows(len(edges), itemsize=1) < len(bits)
+    expected = [int(row.astype(bool)[edges].all(axis=1).sum()) for row in bits]
     assert kn.contained_edges_batch(bits, edges).tolist() == expected
 
 

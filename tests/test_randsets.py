@@ -254,3 +254,31 @@ def test_random_experiment_rejects_negative_draws():
         rs.random_intersectivity_experiment(11, 1, 0.5, 10, 5, k_draws=-1)
     # no draws is an empty difference set, which is never intersective
     assert rs.random_intersectivity_experiment(11, 1, 0.5, 10, 5, k_draws=0).mean == 0.0
+
+
+@pytest.mark.parametrize(
+    "N, ell, alpha, model, message",
+    [
+        (0, 1, 0.5, {"p": 0.3}, "N must be positive"),
+        (-5, 1, 0.5, {"k_draws": 3}, "N must be positive"),
+        (11, 0, 0.5, {"p": 0.3}, "ell must be positive"),
+        (11, 1, 0.0, {"k_draws": 3}, "alpha must lie in"),
+        (1, 1, 0.5, {"k_draws": 3}, "k_draws must be 0 when N = 1"),
+    ],
+)
+def test_random_experiment_checks_arguments_before_drawing(
+    monkeypatch, N, ell, alpha, model, message
+):
+    # an invalid N used to reach numpy first, which failed on its own terms
+    def run_chunked(*args, **kwargs):
+        raise AssertionError("a difference set was drawn")
+
+    monkeypatch.setattr(mc, "run_chunked", run_chunked)
+    with pytest.raises(ValueError, match=message):
+        rs.random_intersectivity_experiment(N, ell, alpha, 10, 5, **model)
+
+
+def test_random_experiment_on_one_residue_draws_the_empty_set():
+    # N = 1 has no nonzero residue: both models draw D = {}, never intersective
+    for model in ({"p": 0.3}, {"k_draws": 0}):
+        assert rs.random_intersectivity_experiment(1, 1, 0.5, 4, 5, **model).mean == 0.0

@@ -32,10 +32,10 @@ def phi(maps, matching, r):
 
 
 def verify(h, m, r):
-    """Build the lift of h and check its identity: (ok, report)."""
+    """Build the lift of h and check its identity: (ok, the LiftResult)."""
     res = tl.build_matrix_lift(h, m, r)
-    ok, _ = tl.check_lift_identity(res.f_ranks, res.g_ranks, res.report.cover_count, h, m)
-    return ok, res.report
+    ok, _ = tl.check_lift_identity(res.f_ranks, res.g_ranks, res.cover_count, h, m)
+    return ok, res
 
 
 @given(st.integers(2, 5), st.integers(1, 3), st.data())
@@ -81,7 +81,7 @@ def test_goodness_score_counts_all_coordinates():
 def test_goodness_score_outside_union_is_zero():
     m = Hypergraph(4, [(0, 1)])
     assert phi([(2, 3)], m, 1) == [0]
-    f_ranks, _, _ = tl.enumerate_pairs(m, 2, S1)
+    f_ranks, _, _ = tl.enumerate_pairs(m, 2, S1, range(4**2))
     assert 2 + 3 * 4 not in f_ranks  # (2, 3) is not good
 
 
@@ -97,7 +97,7 @@ def complements(f, matching):
     complement has phi >= 1, and phi <= C(m, r), so at s = C(m, r) every map
     with a complement is good."""
     n, m, r = matching.n, len(f), len(matching.edges[0]) // 2
-    f_ranks, g_ranks, _ = tl.enumerate_pairs(matching, m, math.comb(m, r))
+    f_ranks, g_ranks, _ = tl.enumerate_pairs(matching, m, math.comb(m, r), range(n**m))
     rank = sum(d * n**i for i, d in enumerate(f))
     return sorted(map(tuple, tl._digits(g_ranks[f_ranks == rank], m, n).tolist()))
 
@@ -146,8 +146,42 @@ def test_enumerate_pairs_match_oracle(n, m, s, edges):
             cover = next(j for j, e in enumerate(edges) if moved <= set(e))
             expected.append((rank(f), rank(g), cover))
     assert rejected
-    got = zip(*(a.tolist() for a in tl.enumerate_pairs(Hypergraph(n, edges), m, s)))
-    assert sorted(got) == sorted(expected)
+    pairs = tl.enumerate_pairs(Hypergraph(n, edges), m, s, range(n**m))
+    assert sorted(zip(*(a.tolist() for a in pairs))) == sorted(expected)
+
+
+@pytest.mark.parametrize(
+    "matching, m, cuts",
+    [
+        (Hypergraph(5, [(0, 1), (2, 3)]), 3, [0, 1, 7, 8, 60, 125]),
+        (Hypergraph(6, [(0, 1, 2, 3)]), 3, [0, 50, 51, 199, 216]),
+    ],
+    ids=["r=1", "r=2"],
+)
+def test_enumerate_pairs_over_pieces_equals_one_call(matching, m, cuts):
+    # uneven pieces of the ranks, empty ones included; within a call the
+    # pairs come in order of the witness positions, so compare as multisets
+    r = len(matching.edges[0]) // 2
+    s = math.comb(m, r)
+
+    def triples(ranks):
+        return sorted(zip(*(a.tolist() for a in tl.enumerate_pairs(matching, m, s, ranks))))
+
+    pieces = [triples(np.arange(a, b)) for a, b in zip([0] + cuts, cuts)]
+    whole = triples(range(matching.n**m))
+    assert whole and sorted(sum(pieces, [])) == whole
+
+
+def test_enumerate_pairs_of_no_ranks_is_empty():
+    for ranks in ([], np.zeros(0, dtype=np.int64)):
+        pairs = tl.enumerate_pairs(M4, 2, S1, ranks)
+        assert [(a.dtype, a.shape) for a in pairs] == [(np.dtype(np.int64), (0,))] * 3
+
+
+@pytest.mark.parametrize("ranks", [[-1], [16], [0, 3, 16], [15, -2]])
+def test_enumerate_pairs_rejects_ranks_outside_the_maps(ranks):
+    with pytest.raises(ValueError, match="ranks must lie in"):
+        tl.enumerate_pairs(M4, 2, S1, ranks)
 
 
 def test_complementarity_is_symmetric():
@@ -157,33 +191,33 @@ def test_complementarity_is_symmetric():
 
 
 def test_pair_set_worked_example():
-    f_ranks, g_ranks, _ = tl.enumerate_pairs(M4, 2, S1)
+    f_ranks, g_ranks, _ = tl.enumerate_pairs(M4, 2, S1, range(4**2))
     assert len(f_ranks) == 32  # 16 maps, 2 complements each
     assert len(set(zip(f_ranks.tolist(), g_ranks.tolist()))) == 32  # no pair repeats
 
 
 def test_equal_cover_exact():
-    _, _, covers = tl.enumerate_pairs(M4, 2, S1)
+    _, _, covers = tl.enumerate_pairs(M4, 2, S1, range(4**2))
     counts = np.bincount(covers, minlength=M4.num_edges)
     assert counts.tolist() == [16, 16]
     assert counts[0] == len(covers) // M4.num_edges
 
 
 def test_every_complement_is_s_squared_good():
-    _, g_ranks, _ = tl.enumerate_pairs(M4, 2, S1)
+    _, g_ranks, _ = tl.enumerate_pairs(M4, 2, S1, range(4**2))
     scores = np.array(phi(tl._digits(g_ranks, 2, 4), M4, 1))
     assert ((scores >= 1) & (scores <= S1**2)).all()
 
 
 def test_pair_set_sparsity_bounds():
-    f_ranks, g_ranks, _ = tl.enumerate_pairs(M4, 2, S1)
+    f_ranks, g_ranks, _ = tl.enumerate_pairs(M4, 2, S1, range(4**2))
     assert np.bincount(f_ranks).max() <= S1  # r! = 1
     assert np.bincount(g_ranks).max() <= S1**2
 
 
 def test_pair_cover_product_identity():
     # (x^m)_f (x^m)_g = prod over the covered edge, for every pair and sign vector
-    f_ranks, g_ranks, covers = tl.enumerate_pairs(M4, 2, S1)
+    f_ranks, g_ranks, covers = tl.enumerate_pairs(M4, 2, S1, range(4**2))
     for bits in itertools.product((1, -1), repeat=4):
         y = oracles.tensor_power_vector(bits, 2)
         for fr, gr, ci in zip(f_ranks, g_ranks, covers):
@@ -211,8 +245,6 @@ def test_verify_rejects_large_n_before_building(monkeypatch):
 
 def test_budget_guard():
     with pytest.raises(BudgetExceededError):
-        tl.enumerate_pairs(M4_big(), 3, S1, budget=999)
-    with pytest.raises(BudgetExceededError):
         tl.build_matrix_lift(M4_big(), 3, 1, budget=999)
 
 
@@ -222,7 +254,7 @@ def M4_big():
 
 def test_lift_worked_example():
     res = tl.build_matrix_lift(M4, 2, 1)
-    assert res.report.cover_count == 16
+    assert res.cover_count == 16
     a = oracles.lift_matrix_dense(res.f_ranks, res.g_ranks, 16)
     assert (a == a.T).all() and (a >= 0).all()
     assert not a.diagonal().any()
@@ -240,7 +272,7 @@ def test_lift_worked_example():
 def test_lift_all_ones_total():
     res = tl.build_matrix_lift(M4, 2, 1)
     a = oracles.lift_matrix_dense(res.f_ranks, res.g_ranks, 16)
-    assert a.sum() == 2 * len(res.f_ranks) == 2 * res.report.cover_count * M4.num_edges
+    assert a.sum() == 2 * len(res.f_ranks) == 2 * res.cover_count * M4.num_edges
 
 
 def _first_copy_nnz(h, m, r, s):
@@ -250,7 +282,7 @@ def _first_copy_nnz(h, m, r, s):
     total, seen = 0, set()
     for class_edges in color_classes(h, greedy_edge_coloring(h)):
         family = complete_to_maximal_matching(Hypergraph(h.n, class_edges), r)
-        f_ranks, g_ranks, covers = tl.enumerate_pairs(family, m, s)
+        f_ranks, g_ranks, covers = tl.enumerate_pairs(family, m, s, range(h.n**m))
         g_digits = tl._digits(g_ranks, m, h.n)
         scores = phi(g_digits, family, r)
         for cover, score in zip(covers.tolist(), scores):
@@ -268,18 +300,18 @@ def test_parallel_edge_nnz_counts_the_pairs_of_every_copy():
     h = Hypergraph(9, [(0, 1), (2, 3), (0, 1), (3, 8)])
     res = tl.build_matrix_lift(h, 2, 1, 1)
     a = oracles.lift_matrix_dense(res.f_ranks, res.g_ranks, 81)
-    assert res.report.nnz == np.count_nonzero(a) == 16
-    assert tl.check_lift_identity(res.f_ranks, res.g_ranks, res.report.cover_count, h, 2)[0]
+    assert res.nnz == np.count_nonzero(a) == 16
+    assert tl.check_lift_identity(res.f_ranks, res.g_ranks, res.cover_count, h, 2)[0]
     assert _first_copy_nnz(h, 2, 1, 1) == 12
 
 
 def test_wht_check_agrees_with_direct_oracle():
     res = tl.build_matrix_lift(M4, 2, 1)
-    ok, witness = tl.check_lift_identity(res.f_ranks, res.g_ranks, res.report.cover_count, M4, 2)
+    ok, witness = tl.check_lift_identity(res.f_ranks, res.g_ranks, res.cover_count, M4, 2)
     assert ok and witness is None
     # sanity: the WHT path detects a wrong constant
     ok_bad, witness_bad = tl.check_lift_identity(
-        res.f_ranks, res.g_ranks, res.report.cover_count + 1, M4, 2
+        res.f_ranks, res.g_ranks, res.cover_count + 1, M4, 2
     )
     assert not ok_bad and witness_bad is not None
 
@@ -289,12 +321,12 @@ def test_perturbed_matrix_fails_with_witness():
     # duplicate one pair: A gains 1 at (f, g) and at (g, f)
     f_ranks = np.append(res.f_ranks, res.f_ranks[0])
     g_ranks = np.append(res.g_ranks, res.g_ranks[0])
-    ok, witness = tl.check_lift_identity(f_ranks, g_ranks, res.report.cover_count, M4, 2)
+    ok, witness = tl.check_lift_identity(f_ranks, g_ranks, res.cover_count, M4, 2)
     assert not ok
     assert witness is not None and set(witness) <= {-1, 1}
     # the witness really separates the two sides
     y = oracles.tensor_power_vector(witness, 2)
-    rhs = 2 * res.report.cover_count * poly.evaluate(M4, witness)
+    rhs = 2 * res.cover_count * poly.evaluate(M4, witness)
     assert oracles.quadratic_form_direct(f_ranks, g_ranks, y) != rhs
 
 
@@ -316,13 +348,13 @@ def _first_failing_sign_vector(h, m, f_ranks, g_ranks, cover_count):
 )
 def test_check_witness_is_the_first_failing_sign_vector(h):
     res = tl.build_matrix_lift(h, 2, 1)
-    f, g, cover = res.f_ranks, res.g_ranks, res.report.cover_count
+    f, g, cover = res.f_ranks, res.g_ranks, res.cover_count
     gen = np.random.default_rng(7)
     cases = [(f, g, cover), (f, g, cover + 1), (f[1:], g[1:], cover),
              (np.append(f, f[0]), np.append(g, g[0]), cover)]
     for _ in range(6):  # re-aim one pair at a random map
         g_bad = g.copy()
-        g_bad[gen.integers(len(g))] = gen.integers(res.report.dim)
+        g_bad[gen.integers(len(g))] = gen.integers(res.dim)
         cases.append((f, g_bad, cover))
     verdicts = []
     for f_ranks, g_ranks, cover_count in cases:
@@ -386,14 +418,14 @@ def test_verify_parallel_edges():
 def test_row_sums_within_degree_bound():
     h = Hypergraph(5, [(0, 1), (1, 2), (3, 4), (0, 2), (2, 3)])
     res = tl.build_matrix_lift(h, 2, 1)
-    assert res.report.max_row_sum <= res.report.row_sum_bound
+    assert res.max_row_sum <= res.row_sum_bound
 
 
 def test_empty_hypergraph_lift():
     res = tl.build_matrix_lift(Hypergraph(4, ()), 2, 1)
-    assert len(res.f_ranks) == res.report.nnz == res.report.max_row_sum == 0
+    assert len(res.f_ranks) == res.nnz == res.max_row_sum == 0
     ok, _ = tl.check_lift_identity(
-        res.f_ranks, res.g_ranks, res.report.cover_count, Hypergraph(4, ()), 2
+        res.f_ranks, res.g_ranks, res.cover_count, Hypergraph(4, ()), 2
     )
     assert ok
 
@@ -406,12 +438,12 @@ def test_empty_hypergraph_lift():
 def test_edgeless_lift_reports_the_default_family(n, m, r, cover_count, pair_set_size,
                                                   matching_size):
     # no pair is kept, and the counts are those of the default matching's lift
-    rep = tl.build_matrix_lift(Hypergraph(n, ()), m, r).report
+    rep = tl.build_matrix_lift(Hypergraph(n, ()), m, r)
     assert (rep.num_colors, rep.nnz, rep.max_row_sum, rep.cover_count) == (0, 0, 0, cover_count)
     family = complete_to_maximal_matching(Hypergraph(n, ()), r)
     assert family.num_edges == matching_size
-    assert tl.build_matrix_lift(family, m, r).report.cover_count == cover_count
-    assert len(tl.enumerate_pairs(family, m, rep.s)[0]) == pair_set_size
+    assert tl.build_matrix_lift(family, m, r).cover_count == cover_count
+    assert len(tl.enumerate_pairs(family, m, rep.s, range(n**m))[0]) == pair_set_size
 
 
 def test_lift_params_validation():
@@ -427,8 +459,11 @@ def test_lift_params_validation():
     with pytest.raises(ValueError, match="-uniform"):
         tl.build_matrix_lift(Hypergraph(4, [(0, 1, 2)]), 2, 1)
     with pytest.raises(ValueError, match="m must be at least r"):
-        tl.enumerate_pairs(Hypergraph(4, [(0, 1, 2, 3)]), 1, S1)
+        tl.enumerate_pairs(Hypergraph(4, [(0, 1, 2, 3)]), 1, S1, range(4))
     with pytest.raises(ValueError, match="s must be positive"):
-        tl.enumerate_pairs(M4, 2, 0)
+        tl.enumerate_pairs(M4, 2, 0, range(4**2))
     with pytest.raises(ValueError, match="expected a matching"):
-        tl.enumerate_pairs(Hypergraph(3, [(0, 1), (1, 2)]), 2, S1)
+        tl.enumerate_pairs(Hypergraph(3, [(0, 1), (1, 2)]), 2, S1, range(3**2))
+    # 2^64 maps: a complement's rank could wrap, whichever ranks are asked for
+    with pytest.raises(ValueError, match=r"n\^m must fit in int64"):
+        tl.enumerate_pairs(Hypergraph(2, [(0, 1)]), 64, S1, [0])
