@@ -333,7 +333,6 @@ def _run_intersective(args):
         args["seed"],
         p=args["p"],
         k_draws=args["k_draws"],
-        threads=args["threads"],
     )
     model = "subset" if args["p"] is not None else "draws"
     row = {

@@ -11,13 +11,15 @@ witness, with forward checking: a vertex that would complete a progression
 leaves the set of vertices that may still join, and a branch is cut when
 too few of those remain.  The
 search may visit at most ``SEARCH_NODE_BUDGET`` nodes; beyond that it
-raises BudgetExceededError rather than answer with a weaker method.  The
-exact path imports no numpy: only the Monte-Carlo functions load numpy,
-``_kernels``, ``mc`` and ``aps``, when called.
+raises BudgetExceededError rather than answer with a weaker method.
+Neither the exact path nor the random-difference-set experiment imports
+numpy (the experiment draws from ``mc.PhiloxStream``): only
+``upper_tail_mc`` loads numpy, ``_kernels`` and ``aps``, when called.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -103,14 +105,21 @@ def _ap_masks(N: int, ell: int, diffs) -> list[int]:
     diffs = {int(d) % N for d in diffs}
     if 0 in diffs:
         raise ValueError("differences must be nonzero mod N")
-    full = (1 << N) - 1
     masks = set()
     for d in diffs:
-        # the progression from 0; those from x are its rotations by x
-        base = sum({1 << (t * d % N) for t in range(ell + 1)})
-        if base.bit_count() == ell + 1:
-            masks.update(((base << x) & full) | (base >> (N - x)) for x in range(N))
+        masks.update(_difference_masks(N, ell, d))
     return sorted(masks)
+
+
+@functools.lru_cache
+def _difference_masks(N: int, ell: int, d: int) -> tuple[int, ...]:
+    """The N rotations of the progression of difference d from 0, or none if
+    it is not proper; random experiments ask for the same d in every trial."""
+    base = sum({1 << (t * d % N) for t in range(ell + 1)})
+    if base.bit_count() != ell + 1:
+        return ()
+    full = (1 << N) - 1
+    return tuple(((base << x) & full) | (base >> (N - x)) for x in range(N))
 
 
 def _required_size(N: int, alpha: float) -> int:
@@ -218,7 +227,6 @@ def random_intersectivity_experiment(
     seed: int,
     p: float | None = None,
     k_draws: int | None = None,
-    threads: int = 1,
 ) -> mc.McEstimate:
     """Fraction of random difference sets D that are intersective.
 
@@ -227,9 +235,11 @@ def random_intersectivity_experiment(
     given).  p must lie strictly inside (0, 1), as in ``upper_tail_mc``,
     and k_draws must be nonnegative, and 0 when N = 1, which has no nonzero
     residue to draw.  N, ell and alpha are checked as in
-    ``intersectivity_check``, before the first draw.  Each trial runs the exact
-    intersectivity check, so a trial whose search overruns
-    ``SEARCH_NODE_BUDGET`` raises BudgetExceededError.
+    ``intersectivity_check``, and trials must be positive, before the first
+    draw.  Trials are drawn in the chunks of ``mc.chunk_counts`` from
+    ``mc.PhiloxStream``, so the sets are those numpy's ``mc.stream`` would
+    give.  Each trial runs the exact intersectivity check, so a trial whose
+    search overruns ``SEARCH_NODE_BUDGET`` raises BudgetExceededError.
     """
     if (p is None) == (k_draws is None):
         raise ValueError("give exactly one of p or k_draws")
@@ -240,21 +250,20 @@ def random_intersectivity_experiment(
     _check_search_args(N, ell, alpha)
     if k_draws and N == 1:
         raise ValueError("k_draws must be 0 when N = 1: there is no nonzero residue")
-    import numpy as np
-
+    if trials < 1:
+        raise ValueError("trials must be positive")
     from . import mc
 
-    nonzero = np.arange(1, N, dtype=np.int64)
-
-    def value_fn(gen, count):
-        out = np.zeros(count, dtype=np.float64)
-        for i in range(count):
+    hits = 0
+    for index, count in enumerate(mc.chunk_counts(trials)):
+        gen = mc.PhiloxStream(seed, index)
+        for _ in range(count):
             if p is not None:
-                picks = nonzero[gen.random(N - 1) < p]
+                picks = [d for d, u in enumerate(gen.random(N - 1), 1) if u < p]
+            elif k_draws:
+                picks = sorted({1 + j for j in gen.integers(N - 1, k_draws)})
             else:
-                picks = np.unique(gen.choice(nonzero, size=k_draws, replace=True))
-            res = intersectivity_check(N, ell, alpha, picks.tolist())
-            out[i] = 1.0 if res.intersective else 0.0
-        return out
-
-    return mc.run_chunked(value_fn, trials, seed, threads=threads)[0]
+                picks = []
+            hits += intersectivity_check(N, ell, alpha, picks).intersective
+    # each trial's value is 0 or 1, so it equals its square
+    return mc.McEstimate.from_sums(hits, hits, trials)

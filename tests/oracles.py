@@ -302,3 +302,25 @@ def exact_intersective_probability(N, ell, alpha, p, check_fn):
         if check_fn(N, ell, alpha, diffs):
             total += weight
     return total
+
+
+def random_intersectivity_direct(N, ell, alpha, trials, seed, p=None, k_draws=None):
+    """``random_intersectivity_experiment`` drawn with numpy: each chunk of
+    ``mc.chunk_counts(trials)`` from ``mc.stream(seed, chunk)``, with the
+    p-model's mask of uniforms below p or the k-draw model's unique choices,
+    and the estimate from ``mc.run_chunked``."""
+    from polywidth.randsets import intersectivity_check
+
+    nonzero = np.arange(1, N, dtype=np.int64)
+
+    def value_fn(gen, count):
+        out = np.zeros(count, dtype=np.float64)
+        for i in range(count):
+            if p is not None:
+                picks = nonzero[gen.random(N - 1) < p]
+            else:
+                picks = np.unique(gen.choice(nonzero, size=k_draws, replace=True))
+            out[i] = intersectivity_check(N, ell, alpha, picks.tolist()).intersective
+        return out
+
+    return mc.run_chunked(value_fn, trials, seed)[0]

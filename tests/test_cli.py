@@ -577,7 +577,9 @@ BIRTHDAY_UNUSED = [f"polywidth.{m}" for m in ("tensorlift", "gwidth", "sparse", 
          SEARCH_UNUSED + ["polywidth.aps", "polywidth.mc", "polywidth._kernels",
                           "numpy.random", "concurrent.futures"]),
         (["intersective", "--N", "10", "--ell", "1", "--alpha", "0.5", "--p", "0.3",
-          "--trials", "2"], SEARCH_UNUSED + ["concurrent.futures"]),
+          "--trials", "2"],
+         SEARCH_UNUSED + ["polywidth._kernels", "polywidth.aps", "numpy.random",
+                          "concurrent.futures"]),
         (["ap-structure", "--N", "7", "--k", "3", "--trials", "5"],
          SEARCH_UNUSED + ["concurrent.futures"]),
         (["matrix-verify", "--n", "6", "--m", "2", "--r", "1"],
@@ -619,14 +621,16 @@ EXACT_INTERSECTIVE_RUNS = [
 ]
 
 
-def test_exact_intersective_runs_without_numpy(capsys):
+def _runs_without_numpy(capsys, runs):
+    """[exit code, stdout] of each run in a child where numpy cannot be
+    imported, checked against the same runs in process."""
     # a None entry makes `import numpy` fail
     probe = (
         "import contextlib, io, json, sys\n"
         "sys.modules['numpy'] = None\n"
         "from polywidth.cli import main\n"
         "runs = []\n"
-        f"for argv in {EXACT_INTERSECTIVE_RUNS!r}:\n"
+        f"for argv in {runs!r}:\n"
         "    out = io.StringIO()\n"
         "    with contextlib.redirect_stdout(out):\n"
         "        runs.append([main(argv), out.getvalue()])\n"
@@ -634,10 +638,27 @@ def test_exact_intersective_runs_without_numpy(capsys):
     )
     done = _run_python(probe)
     assert done.returncode == 0, done.stderr
-    expected = [list(run_cli(capsys, *argv)) for argv in EXACT_INTERSECTIVE_RUNS]
+    expected = [list(run_cli(capsys, *argv)) for argv in runs]
     assert json.loads(done.stdout) == expected
     assert all(code == 0 for code, _ in expected)
+    return expected
+
+
+def test_exact_intersective_runs_without_numpy(capsys):
+    expected = _runs_without_numpy(capsys, EXACT_INTERSECTIVE_RUNS)
     assert "witness=" in expected[0][1] and "witness=" not in expected[2][1]
+
+
+RANDOM_INTERSECTIVE_RUNS = [
+    ["intersective", "--N", "20", "--ell", "1", "--alpha", "0.5", *model, "--format", fmt]
+    for model in (["--p", "0.3", "--trials", "6"], ["--k-draws", "6", "--trials", "20"])
+    for fmt in ("csv", "json")
+]
+
+
+def test_random_intersective_runs_without_numpy(capsys):
+    # the draws come from mc.PhiloxStream, which matches numpy's stream
+    _runs_without_numpy(capsys, RANDOM_INTERSECTIVE_RUNS)
 
 
 def test_matrix_verify_budget_defaults_to_the_tensorlift_cap(capsys):

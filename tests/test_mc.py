@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polywidth import mc
 
@@ -61,3 +63,56 @@ def test_mc_estimate_validation():
 def test_single_sample_has_zero_se():
     (est,) = mc.run_chunked(lambda gen, count: gen.random(count), 1, seed=9)
     assert est.std_error == 0.0
+
+
+def test_from_sums_matches_run_chunked():
+    # the fixtures of test_run_chunked_matches_direct_statistics and of
+    # test_single_sample_has_zero_se
+    for samples, seed, chunk in ((5000, 3, 512), (1, 9, mc.CHUNK_SAMPLES)):
+        (est,) = mc.run_chunked(lambda gen, count: gen.random(count), samples, seed, chunk=chunk)
+        vals = [mc.stream(seed, i).random(c) for i, c in enumerate(mc.chunk_counts(samples, chunk))]
+        total = total_sq = 0.0
+        for v in vals:
+            total += v.sum()
+            total_sq += np.square(v).sum()
+        assert mc.McEstimate.from_sums(total, total_sq, samples) == est
+
+
+HIGHS = st.sampled_from([1, 2, 3, 7, 2**31 + 1, 2**32])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    # keys past 2^64 are masked as numpy masks them
+    seed=st.integers(0, 2**64 - 1) | st.integers(2**64, 2**80),
+    index=st.integers(0, 2**65),
+    # (None, count) draws doubles, (high, count) integers in [0, high)
+    calls=st.lists(st.tuples(st.none() | HIGHS, st.integers(0, 11)), min_size=1, max_size=8),
+)
+@example(seed=2**64 + 5, index=0, calls=[(None, 7), (None, 5), (None, 1)])
+@example(seed=2**70, index=3, calls=[(2**32, 3), (2**31 + 1, 9), (1, 4), (3, 5), (2, 6)])
+def test_philox_stream_matches_numpy(seed, index, calls):
+    # a 32-bit draw keeps the high half of its 64-bit output for the next
+    # 32-bit draw, across any doubles drawn in between
+    twin, gen = mc.PhiloxStream(seed, index), mc.stream(seed, index)
+    for high, count in calls:
+        if high is None:
+            assert twin.random(count) == gen.random(count).tolist()
+        else:
+            assert twin.integers(high, count) == gen.integers(0, high, count).tolist()
+
+
+def test_philox_stream_redraws_exactly_below_lemires_threshold(monkeypatch):
+    # numpy redraws a 32-bit word x when (x * high) mod 2^32 < 2^32 mod high;
+    # at high = 3 the bound is 1, which random words hit with odds 2^-32.
+    # 3 * 2863311531 = 2 * 2^32 + 1 sits on the bound and is kept; 0 is not
+    twin = mc.PhiloxStream(1)
+    words = iter([0, 2863311531])
+    monkeypatch.setattr(twin, "_next32", lambda: next(words))
+    assert twin.integers(3, 1) == [2]
+
+
+def test_philox_stream_rejects_out_of_range_bounds():
+    for high in (0, -1, 2**32 + 1):
+        with pytest.raises(ValueError, match="high must lie"):
+            mc.PhiloxStream(1).integers(high, 3)

@@ -256,6 +256,10 @@ def test_random_experiment_rejects_negative_draws():
     assert rs.random_intersectivity_experiment(11, 1, 0.5, 10, 5, k_draws=0).mean == 0.0
 
 
+def _refuse_to_draw(*args, **kwargs):
+    raise AssertionError("a difference set was drawn")
+
+
 @pytest.mark.parametrize(
     "N, ell, alpha, model, message",
     [
@@ -270,10 +274,7 @@ def test_random_experiment_checks_arguments_before_drawing(
     monkeypatch, N, ell, alpha, model, message
 ):
     # an invalid N used to reach numpy first, which failed on its own terms
-    def run_chunked(*args, **kwargs):
-        raise AssertionError("a difference set was drawn")
-
-    monkeypatch.setattr(mc, "run_chunked", run_chunked)
+    monkeypatch.setattr(mc, "PhiloxStream", _refuse_to_draw)
     with pytest.raises(ValueError, match=message):
         rs.random_intersectivity_experiment(N, ell, alpha, 10, 5, **model)
 
@@ -282,3 +283,30 @@ def test_random_experiment_on_one_residue_draws_the_empty_set():
     # N = 1 has no nonzero residue: both models draw D = {}, never intersective
     for model in ({"p": 0.3}, {"k_draws": 0}):
         assert rs.random_intersectivity_experiment(1, 1, 0.5, 4, 5, **model).mean == 0.0
+
+
+def test_random_experiment_rejects_zero_trials(monkeypatch):
+    # without the check the estimate would divide by zero trials
+    monkeypatch.setattr(mc, "PhiloxStream", _refuse_to_draw)
+    for model in ({"p": 0.3}, {"k_draws": 3}):
+        with pytest.raises(ValueError, match="trials must be positive"):
+            rs.random_intersectivity_experiment(11, 1, 0.5, 0, 5, **model)
+
+
+@pytest.mark.parametrize("trials", [5, 4100])
+@pytest.mark.parametrize("N", [1, 2, 7, 13, 20])
+def test_random_experiment_matches_numpy_draws(N, trials):
+    # the numpy oracle draws through mc.stream; 4100 trials cross a chunk
+    # boundary, so the second chunk's stream is checked too
+    ell = 2 if N == 13 else 1
+    for model in ({"p": 0.3}, {"k_draws": 3 if N > 1 else 0}):
+        expected = oracles.random_intersectivity_direct(N, ell, 0.5, trials, 2**64 + 9, **model)
+        assert rs.random_intersectivity_experiment(N, ell, 0.5, trials, 2**64 + 9, **model) == expected
+
+
+def test_random_experiment_draws_uniforms_strictly_below_p():
+    # D = {d : u_d < p}, as numpy's mask `uniforms < p` has it; at N = 2 with
+    # alpha = 1, D is intersective exactly when it holds the residue 1
+    u = mc.PhiloxStream(4, 0).random(1)[0]
+    assert rs.random_intersectivity_experiment(2, 1, 1.0, 1, 4, p=u).mean == 0.0
+    assert rs.random_intersectivity_experiment(2, 1, 1.0, 1, 4, p=math.nextafter(u, 1)).mean == 1.0
