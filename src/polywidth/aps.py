@@ -5,13 +5,16 @@ unordered proper k-term progression: ordered starts (a, b) with b != 0 pair
 up with their reversals (a + (k-1)b, -b), giving N(N-1)/2 edges as a
 multiset (edges whose vertex sets coincide stay as parallel edges, so twice
 the polynomial of the hypergraph equals the ordered progression count).
+
+The module runs on Python ints and loads no numpy: a subset of Z/NZ is an
+int mask with bit x set for each member x, progressions are counted by
+shifting and AND-ing that mask, and the affine maps of the 2-transitivity
+check are drawn from ``mc.PhiloxStream``.
 """
 
 import math
 
-import numpy as np
-
-from . import _kernels, mc
+from . import mc
 from .hypergraph import Hypergraph
 
 __all__ = [
@@ -34,11 +37,10 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def progressions(N: int, k: int, diffs) -> np.ndarray:
+def progressions(N: int, k: int, diffs) -> list[list[int]]:
     """The k-term progressions of Z/NZ with difference in ``diffs``: rows
     (x + t*d) mod N for t = 0..k-1, ordered by d (as given), then by x."""
-    d = np.asarray(diffs, dtype=np.int64).reshape(-1, 1, 1)
-    return ((np.arange(N)[:, None] + d * np.arange(k)) % N).reshape(-1, k)
+    return [[(x + t * d) % N for t in range(k)] for d in diffs for x in range(N)]
 
 
 def ap_hypergraph(N: int, k: int) -> Hypergraph:
@@ -51,7 +53,7 @@ def ap_hypergraph(N: int, k: int) -> Hypergraph:
         raise ValueError("N must be prime")
     if not 3 <= k <= N:
         raise ValueError("need 3 <= k <= N")
-    return Hypergraph(N, progressions(N, k, range(1, (N - 1) // 2 + 1)).tolist())
+    return Hypergraph(N, progressions(N, k, range(1, (N - 1) // 2 + 1)))
 
 
 def fixed_difference_hypergraph(N: int, k: int, y: int) -> Hypergraph:
@@ -63,21 +65,44 @@ def fixed_difference_hypergraph(N: int, k: int, y: int) -> Hypergraph:
         raise ValueError("N must be prime")
     if not 2 <= k <= N:
         raise ValueError("need 2 <= k <= N")
-    return Hypergraph(N, progressions(N, k, [y]).tolist())
+    return Hypergraph(N, progressions(N, k, [y]))
+
+
+def _ordered_count(row, k: int) -> int:
+    """Ordered count in one subset, given as its 0/1 (or truthy) entries."""
+    N = len(row)
+    S = sum(1 << x for x, b in enumerate(row) if b)
+    full = (1 << N) - 1
+    rotated = [((S >> j) | (S << (N - j))) & full for j in range(N)]  # R_j
+    total = 0
+    for d in range(1, N):
+        # a term repeated at composite N only repeats an AND
+        inside = S
+        for t in range(1, k):
+            inside &= rotated[t * d % N]
+        total += inside.bit_count()
+    return total
 
 
 def ordered_ap_count(bits, k: int):
     """Ordered count: pairs (a, b), b != 0, with the whole progression
     a, a+b, ..., a+(k-1)b inside the support of ``bits``.
 
-    A 1-D ``bits`` gives an int; a 2-D ``(rows, N)`` array gives one count
-    per row.  The N(N-1) ordered progressions are built once as edges.
+    A 1-D ``bits`` gives an int; a sequence of rows (or a 2-D array) gives a
+    list with one count per row.  On the int mask S of a row, with R_j the
+    rotation of S that has bit x set iff x + j (mod N) lies in S, the count
+    is the sum over d = 1..N-1 of popcount(S & R_d & R_2d & ... & R_(k-1)d).
     """
-    bits = np.asarray(bits)
-    rows = bits.reshape(-1, bits.shape[-1])
-    N = rows.shape[1]
-    counts = _kernels.contained_edges_batch(rows, progressions(N, k, range(1, N)))
-    return int(counts[0]) if bits.ndim == 1 else counts
+    if k < 1:
+        raise ValueError("k must be positive")
+    if hasattr(bits, "tolist"):  # a numpy array, read without importing numpy
+        single = bits.ndim == 1
+        bits = bits.tolist()
+    else:
+        single = not (len(bits) and hasattr(bits[0], "__len__"))
+    if single:
+        return _ordered_count(bits, k)
+    return [_ordered_count(row, k) for row in bits]
 
 
 def pair_incidence_profile(h: Hypergraph):
@@ -94,26 +119,35 @@ def pair_incidence_profile(h: Hypergraph):
 def two_transitivity_check(h: Hypergraph, trials: int, seed: int) -> bool:
     """Random affine maps of Z/NZ (N = h.n, prime) sending one vertex pair
     to another must map the edges of the uniform hypergraph h to edges.
-    Returns True iff all trials pass.
+    Returns True iff all trials pass (an edgeless h passes vacuously).
 
-    Each trial maps the whole edge array, sorts the mapped rows and looks
-    them up among the sorted edge rows, compared as whole-row byte strings.
+    Each trial maps vertex x to the bit of its image and an edge to the OR
+    of its vertices' bits, and looks that mask up among the edge masks.  A
+    map drawn again (N(N-1) maps exist) is not checked again.
     """
     N = h.n
     if not _is_prime(N):
         raise ValueError("N must be prime")
-    edges = np.array(h.edges, dtype=np.int64)  # rows already sorted
-    row = np.dtype((np.void, edges.itemsize * edges.shape[1]))
-    edge_rows = np.sort(edges.view(row).ravel())
-    gen = mc.stream(seed, 0)
+    if not h.is_uniform():
+        raise ValueError("hypergraph must be uniform")
+    edge_masks = set(h.edge_masks())
+    columns = list(zip(*h.edges))  # column t holds vertex t of every edge
+    draws = mc.PhiloxStream(seed, 0)
+    kept = set()  # (scale, shift) of the maps x -> scale*x + shift that passed
     for _ in range(trials):
-        a, b = (int(v) for v in gen.choice(N, size=2, replace=False))
-        c, d = (int(v) for v in gen.choice(N, size=2, replace=False))
+        a, b = draws.pair(N)
+        c, d = draws.pair(N)
         scale = ((d - c) * pow(b - a, -1, N)) % N  # so a -> c and b -> d
-        mapped = np.sort((c + scale * (edges - a)) % N, axis=1).view(row).ravel()
-        at = np.minimum(np.searchsorted(edge_rows, mapped), len(edge_rows) - 1)
-        if not (edge_rows[at] == mapped).all():
+        shift = (c - scale * a) % N
+        if (scale, shift) in kept:
+            continue
+        bit = [1 << ((scale * x + shift) % N) for x in range(N)]
+        # the map is a bijection, so the bits of an edge are distinct and
+        # their sum is their OR
+        images = map(sum, zip(*(map(bit.__getitem__, col) for col in columns)))
+        if not edge_masks.issuperset(images):
             return False
+        kept.add((scale, shift))
     return True
 
 

@@ -254,8 +254,10 @@ def _run_ap_structure(args):
     edges_ok = h.num_edges == N * (N - 1) // 2
     degree_ok = all(2 * d == k * (N - 1) for d in h.degrees())
     pair_ok = all(2 * c == k * (k - 1) for c in table.values()) and len(table) == N * (N - 1) // 2
-    # One draw for all subsets: the same stream as one gen.random(N) per trial.
-    subsets = mc.stream(args["seed"], 0).random((trials, N)) < 0.5
+    # One draw for all subsets, row by row: the values of
+    # mc.stream(seed, 0).random((trials, N)).
+    u = mc.PhiloxStream(args["seed"], 0).random(trials * N)
+    subsets = [[v < 0.5 for v in u[i : i + N]] for i in range(0, trials * N, N)]
     counts = aps.ordered_ap_count(subsets, k)
     lambda_ok = all(2 * poly.evaluate(h, bits) == c for bits, c in zip(subsets, counts))
     transitive_ok = aps.two_transitivity_check(h, trials, args["seed"] + 1)

@@ -9,14 +9,16 @@ stream, keeping the byte-level output independent of numpy's normal sampler.
 
 ``PhiloxStream`` is a pure-Python twin of ``stream``: Philox4x64-10 (Salmon
 et al., "Random123: Parallel random numbers: as easy as 1, 2, 3", SC'11) in
-Python ints, with numpy's conversion to doubles and Lemire's bounded integers
-(ACM TOMACS 2019).  It returns the same values as numpy's generator for the
-same key, at about 2 us per 64-bit output, so a caller that needs a few
-draws per trial need not load numpy.
+Python ints, with numpy's conversion to doubles, Lemire's bounded integers
+(ACM TOMACS 2019) and numpy's draw of two distinct integers (Floyd's
+algorithm, then a shuffle).  It returns the same values as numpy's generator
+for the same key, at about 2 us per 64-bit output, so a caller that needs a
+few draws per trial need not load numpy.
 
 Importing this module loads neither numpy (it is imported inside ``stream``,
-``normals`` and ``run_chunked``) nor the thread pool (imported for
-``threads > 1`` only), so commands that use neither do not pay for them.
+``normals`` and ``run_chunked``) nor the thread pool (imported only when
+``run_chunked`` has more than one chunk for more than one thread), so
+commands that use neither do not pay for them.
 """
 
 from __future__ import annotations
@@ -80,9 +82,10 @@ def _philox_block(counter: int, keys) -> list[int]:
 class PhiloxStream:
     """The values of ``stream(seed, index)`` without numpy.
 
-    ``random(count)`` and ``integers(high, count)`` return what
-    ``stream(seed, index).random(count)`` and ``.integers(0, high, count)``
-    return, as lists, and calls may interleave as on numpy's generator.
+    ``random(count)``, ``integers(high, count)`` and ``pair(N)`` return what
+    ``stream(seed, index).random(count)``, ``.integers(0, high, count)`` and
+    ``.choice(N, size=2, replace=False)`` return, as lists, and calls may
+    interleave as on numpy's generator.
     """
 
     def __init__(self, seed: int, index: int = 0):
@@ -139,6 +142,21 @@ class PhiloxStream:
             out.append(m >> 32)
         return out
 
+    def pair(self, N: int) -> list[int]:
+        """Two distinct uniform integers in [0, N), for 2 <= N <= 2^32."""
+        if not 2 <= N <= 1 << 32:
+            raise ValueError("N must lie in [2, 2^32]")
+        # numpy samples two of N by Floyd's algorithm: for j = N-2, N-1 it
+        # draws from [0, j] and takes j instead of a value already taken
+        (first,) = self.integers(N - 1, 1)
+        (second,) = self.integers(N, 1)
+        if second == first:
+            second = N - 1
+        # then shuffles the two: index 1 swaps with a draw from [0, 1]
+        if self.integers(2, 1) == [0]:
+            first, second = second, first
+        return [first, second]
+
 
 def normals(gen: np.random.Generator, shape) -> np.ndarray:
     """Standard normals via Box-Muller on the uniform stream."""
@@ -185,10 +203,11 @@ def run_chunked(value_fn, samples, seed, threads=1, chunk=CHUNK_SAMPLES) -> list
         return vals.sum(axis=0), np.square(vals).sum(axis=0)
 
     indices = range(len(counts))
-    if threads and threads > 1:
+    workers = min(threads or 1, len(counts))
+    if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(work, indices))
     else:
         partials = [work(i) for i in indices]

@@ -8,25 +8,32 @@ arithmetic and float inputs in float arithmetic.
 
 import math
 
-import numpy as np
-
 __all__ = ["evaluate", "gradient"]
 
 
 def _values(x, n):
-    """The coordinates of the length-n vector x as Python numbers."""
-    arr = np.asarray(x)
-    if arr.shape != (n,):
-        raise ValueError(f"expected a vector of length {n}")
-    # an object array (a list mixing numpy ints with ints beyond int64)
-    # keeps its numpy scalars, whose products would overflow
-    return [v.item() if isinstance(v, np.generic) else v for v in arr.tolist()]
+    """The coordinates of the length-n vector x as Python numbers.
+
+    A list or tuple is read as it is; anything else goes through numpy."""
+    if isinstance(x, (list, tuple)):
+        if len(x) != n or any(isinstance(v, (list, tuple)) or getattr(v, "ndim", 0) for v in x):
+            raise ValueError(f"expected a vector of length {n}")
+    else:
+        import numpy as np
+
+        x = np.asarray(x)
+        if x.shape != (n,):
+            raise ValueError(f"expected a vector of length {n}")
+        x = x.tolist()
+    # numpy scalars (in a list, or in an object array) become Python
+    # numbers, whose products cannot overflow
+    return [v.item() if hasattr(v, "item") else v for v in x]
 
 
 def evaluate(h, x):
     """Sum over edges of the product of the coordinates on the edge."""
-    vals = _values(x, h.n)
-    return sum(math.prod(vals[v] for v in e) for e in h.edges)
+    value = _values(x, h.n).__getitem__
+    return sum(math.prod(map(value, e)) for e in h.edges)
 
 
 def gradient(h, x):

@@ -145,7 +145,7 @@ def test_expected_ordered_count_mc_cross_check():
     # E[ordered count] = p^3 N(N-1) = 19.5 at N = 13, p = 1/2
     def value_fn(gen, count):
         bits = (gen.random((count, 13)) < 0.5).astype(np.uint8)
-        return ordered_ap_count(bits, 3).astype(np.float64)
+        return np.array(ordered_ap_count(bits, 3), dtype=np.float64)
 
     (est,) = mc.run_chunked(value_fn, 4000, seed=8)
     assert abs(est.mean - 19.5) <= 3 * est.std_error
@@ -187,8 +187,9 @@ def test_ordered_ap_count_matches_direct(N):
         rows = _random_rows(rng, 12, N)
         want = [oracles.ordered_ap_count_direct(list(row), k) for row in rows]
         got = ordered_ap_count(rows, k)
-        assert got.shape == (len(rows),)
-        assert got.tolist() == want, k
+        assert type(got) is list and all(type(c) is int for c in got)
+        assert got == want, k
+        assert ordered_ap_count(rows.tolist(), k) == want, k
         singles = [ordered_ap_count(row, k) for row in rows]
         assert all(type(c) is int for c in singles)
         assert singles == want, k
@@ -198,11 +199,17 @@ def test_ordered_ap_count_matches_direct(N):
 def test_ordered_ap_count_takes_lists_and_row_blocks():
     assert ordered_ap_count([1, 1, 1, 0, 0], 3) == 2  # 0,1,2 and 2,1,0
     assert ordered_ap_count([True, False, True, True, False], 3) == 2  # 3,0,2 and 2,0,3
-    # more rows than one block of the kernel: blocks must not shift rows
+    # 300 rows as a numpy block, a list of numpy rows and a tuple of bool
+    # lists: each row keeps its own count, in order
     rng = np.random.default_rng(2)
     rows = (rng.random((300, 31)) < 0.6).astype(np.uint8)
     want = [oracles.ordered_ap_count_direct(list(row), 5) for row in rows]
-    assert ordered_ap_count(rows, 5).tolist() == want
+    assert ordered_ap_count(rows, 5) == want
+    assert ordered_ap_count(list(rows), 5) == want
+    assert ordered_ap_count(tuple(row.astype(bool).tolist() for row in rows), 5) == want
+    assert ordered_ap_count(np.zeros((0, 31), np.uint8), 5) == []
+    with pytest.raises(ValueError, match="k must be positive"):
+        ordered_ap_count([1, 1, 1], 0)
 
 
 def _transitivity_direct(edges, N, trials, seed):
@@ -240,6 +247,36 @@ def test_two_transitivity_rejects_a_perturbed_edge(N, k):
     h = _perturbed(N, k)
     assert two_transitivity_check(h, 100, seed=3) is False
     assert _transitivity_direct(h.edges, N, 100, 3) is False
+
+
+def _power_differences(N, k, e):
+    """Progressions whose differences are the e-th powers: a map x -> s x + t
+    keeps them when s is an e-th power, whatever t."""
+    ys = sorted({pow(x, e, N) for x in range(1, N)})
+    return Hypergraph(N, [edge for y in ys for edge in fixed_difference_hypergraph(N, k, y).edges])
+
+
+@pytest.mark.parametrize(
+    "h",
+    [_power_differences(7, 3, 3), _power_differences(13, 3, 2), _power_differences(13, 4, 2),
+     _power_differences(31, 5, 3),
+     # the edges {0, v}: kept by the maps that fix 0, so t matters as well as s
+     Hypergraph(5, [(0, v) for v in range(1, 5)]), Hypergraph(7, [(0, v) for v in range(1, 7)])],
+    ids=["7-3-cubes", "13-3-squares", "13-4-squares", "31-5-cubes", "5-star", "7-star"],
+)
+def test_two_transitivity_fails_at_the_trial_of_the_direct_replay(h):
+    # some maps pass and some fail: the check passes for exactly the trial
+    # counts before the first map that fails in the numpy replay
+    for seed in range(8):
+        got = [two_transitivity_check(h, t, seed) for t in range(1, 25)]
+        assert got == [_transitivity_direct(h.edges, h.n, t, seed) for t in range(1, 25)]
+
+
+def test_two_transitivity_on_edgeless_and_non_uniform_hypergraphs():
+    # every edge of an edgeless hypergraph maps onto an edge, vacuously
+    assert two_transitivity_check(Hypergraph(7, []), 10, seed=1) is True
+    with pytest.raises(ValueError, match="hypergraph must be uniform"):
+        two_transitivity_check(Hypergraph(7, [(0, 1), (0, 1, 2)]), 10, seed=1)
 
 
 def test_squaring_map_is_not_edge_preserving():

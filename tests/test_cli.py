@@ -581,14 +581,17 @@ BIRTHDAY_UNUSED = [f"polywidth.{m}" for m in ("tensorlift", "gwidth", "sparse", 
          SEARCH_UNUSED + ["polywidth._kernels", "polywidth.aps", "numpy.random",
                           "concurrent.futures"]),
         (["ap-structure", "--N", "7", "--k", "3", "--trials", "5"],
-         SEARCH_UNUSED + ["concurrent.futures"]),
+         SEARCH_UNUSED + ["polywidth._kernels", "numpy.random", "concurrent.futures"]),
         (["matrix-verify", "--n", "6", "--m", "2", "--r", "1"],
          ["polywidth.mc", "polywidth.randsets", "numpy.random"]),
         (["birthday", "--r", "1", "--n", "20", "--samples", "100"], BIRTHDAY_UNUSED),
         (["poisson-check", "--r", "1", "--n", "20", "--samples", "100"], BIRTHDAY_UNUSED),
+        # 12 samples fill one chunk, so there is nothing for a second thread
+        (["tj-ratio", "--N", "256", "--k", "64", "--samples", "12", "--threads", "2"],
+         ["concurrent.futures"]),
     ],
     ids=["intersective-diffs", "intersective-random", "ap-structure", "matrix-verify",
-         "birthday", "poisson-check"],
+         "birthday", "poisson-check", "tj-ratio-one-chunk"],
 )
 def test_subcommand_loads_only_its_layers(argv, unused):
     # modules the command loads beyond numpy's own import (numpy < 2 loads
@@ -659,6 +662,22 @@ RANDOM_INTERSECTIVE_RUNS = [
 def test_random_intersective_runs_without_numpy(capsys):
     # the draws come from mc.PhiloxStream, which matches numpy's stream
     _runs_without_numpy(capsys, RANDOM_INTERSECTIVE_RUNS)
+
+
+AP_RUNS = [
+    [*argv, "--format", fmt]
+    for argv in (
+        ["ap-structure", "--N", "31", "--k", "5", "--trials", "100"],
+        ["ap-structure", "--N", "7", "--k", "7"],
+        ["ap-count", "--N", "31", "--k", "5"],
+    )
+    for fmt in ("csv", "json")
+]
+
+
+def test_ap_commands_run_without_numpy(capsys):
+    # subsets and affine maps come from mc.PhiloxStream
+    _runs_without_numpy(capsys, AP_RUNS)
 
 
 def test_matrix_verify_budget_defaults_to_the_tensorlift_cap(capsys):

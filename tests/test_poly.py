@@ -55,6 +55,15 @@ def test_length_mismatch_raises():
         poly.evaluate(Hypergraph(2, [(0, 1)]), np.ones((2, 2)))
 
 
+def test_nested_lists_are_not_vectors():
+    # a list or tuple is read without numpy, with the shape check an array gets
+    h = Hypergraph(2, [(0, 1)])
+    for x in ([[1, 1], [1, 1]], ([1], [1]), [np.ones(2), np.ones(2)], [1, np.ones(1)]):
+        with pytest.raises(ValueError, match="vector of length 2"):
+            poly.evaluate(h, x)
+    assert poly.evaluate(h, [np.int64(3), np.float64(0.5)]) == 1.5
+
+
 def test_gradient_all_ones_is_degree_sequence():
     h = Hypergraph(4, [(0, 1), (2, 3), (0, 1, 2), (3,)])
     assert poly.gradient(h, [1] * 4) == h.degrees()
