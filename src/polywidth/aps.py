@@ -68,10 +68,19 @@ def fixed_difference_hypergraph(N: int, k: int, y: int) -> Hypergraph:
     return Hypergraph(N, progressions(N, k, [y]))
 
 
-def _ordered_count(row, k: int) -> int:
-    """Ordered count in one subset, given as its 0/1 (or truthy) entries."""
-    N = len(row)
-    S = sum(1 << x for x, b in enumerate(row) if b)
+def ordered_ap_count(bits, k: int) -> int:
+    """Ordered count: pairs (a, b), b != 0, with the whole progression
+    a, a+b, ..., a+(k-1)b inside the subset whose 0/1 (or truthy) entries
+    are ``bits``.
+
+    On the int mask S of the subset, with R_j the rotation of S that has
+    bit x set iff x + j (mod N) lies in S, the count is the sum over
+    d = 1..N-1 of popcount(S & R_d & R_2d & ... & R_(k-1)d).
+    """
+    if k < 1:
+        raise ValueError("k must be positive")
+    N = len(bits)
+    S = sum(1 << x for x, b in enumerate(bits) if b)
     full = (1 << N) - 1
     rotated = [((S >> j) | (S << (N - j))) & full for j in range(N)]  # R_j
     total = 0
@@ -82,27 +91,6 @@ def _ordered_count(row, k: int) -> int:
             inside &= rotated[t * d % N]
         total += inside.bit_count()
     return total
-
-
-def ordered_ap_count(bits, k: int):
-    """Ordered count: pairs (a, b), b != 0, with the whole progression
-    a, a+b, ..., a+(k-1)b inside the support of ``bits``.
-
-    A 1-D ``bits`` gives an int; a sequence of rows (or a 2-D array) gives a
-    list with one count per row.  On the int mask S of a row, with R_j the
-    rotation of S that has bit x set iff x + j (mod N) lies in S, the count
-    is the sum over d = 1..N-1 of popcount(S & R_d & R_2d & ... & R_(k-1)d).
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    if hasattr(bits, "tolist"):  # a numpy array, read without importing numpy
-        single = bits.ndim == 1
-        bits = bits.tolist()
-    else:
-        single = not (len(bits) and hasattr(bits[0], "__len__"))
-    if single:
-        return _ordered_count(bits, k)
-    return [_ordered_count(row, k) for row in bits]
 
 
 def pair_incidence_profile(h: Hypergraph):
@@ -117,13 +105,17 @@ def pair_incidence_profile(h: Hypergraph):
 
 
 def two_transitivity_check(h: Hypergraph, trials: int, seed: int) -> bool:
-    """Random affine maps of Z/NZ (N = h.n, prime) sending one vertex pair
-    to another must map the edges of the uniform hypergraph h to edges.
-    Returns True iff all trials pass (an edgeless h passes vacuously).
+    """Random affine maps x -> scale*x + shift of Z/NZ (N = h.n, prime)
+    must map the edges of the uniform hypergraph h to edges.  Returns True
+    iff all trials pass (an edgeless h passes vacuously).
 
-    Each trial maps vertex x to the bit of its image and an edge to the OR
-    of its vertices' bits, and looks that mask up among the edge masks.  A
-    map drawn again (N(N-1) maps exist) is not checked again.
+    Each trial draws scale = 1 + integers(N - 1), then shift = integers(N),
+    from ``mc.PhiloxStream(seed, 0)``: a uniform one of the N(N-1) affine
+    bijections.  They act sharply 2-transitively, so this is also the map
+    that sends a fixed vertex pair onto a uniform pair of distinct
+    vertices.  The trial maps vertex x to the bit of its image and an edge
+    to the OR of its vertices' bits, and looks that mask up among the edge
+    masks.  A map drawn again is not checked again.
     """
     N = h.n
     if not _is_prime(N):
@@ -135,10 +127,8 @@ def two_transitivity_check(h: Hypergraph, trials: int, seed: int) -> bool:
     draws = mc.PhiloxStream(seed, 0)
     kept = set()  # (scale, shift) of the maps x -> scale*x + shift that passed
     for _ in range(trials):
-        a, b = draws.pair(N)
-        c, d = draws.pair(N)
-        scale = ((d - c) * pow(b - a, -1, N)) % N  # so a -> c and b -> d
-        shift = (c - scale * a) % N
+        scale = 1 + draws.integers(N - 1, 1)[0]
+        shift = draws.integers(N, 1)[0]
         if (scale, shift) in kept:
             continue
         bit = [1 << ((scale * x + shift) % N) for x in range(N)]

@@ -254,12 +254,13 @@ def _run_ap_structure(args):
     edges_ok = h.num_edges == N * (N - 1) // 2
     degree_ok = all(2 * d == k * (N - 1) for d in h.degrees())
     pair_ok = all(2 * c == k * (k - 1) for c in table.values()) and len(table) == N * (N - 1) // 2
-    # One draw for all subsets, row by row: the values of
-    # mc.stream(seed, 0).random((trials, N)).
-    u = mc.PhiloxStream(args["seed"], 0).random(trials * N)
-    subsets = [[v < 0.5 for v in u[i : i + N]] for i in range(0, trials * N, N)]
-    counts = aps.ordered_ap_count(subsets, k)
-    lambda_ok = all(2 * poly.evaluate(h, bits) == c for bits, c in zip(subsets, counts))
+    # One subset at a time, N doubles each: in order, the rows of
+    # mc.stream(seed, 0).random((trials, N)) < 0.5.
+    gen = mc.PhiloxStream(args["seed"], 0)
+    subsets = ([u < 0.5 for u in gen.random(N)] for _ in range(trials))
+    lambda_ok = all(
+        2 * poly.evaluate(h, bits) == aps.ordered_ap_count(bits, k) for bits in subsets
+    )
     transitive_ok = aps.two_transitivity_check(h, trials, args["seed"] + 1)
     all_ok = edges_ok and degree_ok and pair_ok and lambda_ok and transitive_ok
     row = {

@@ -9,9 +9,8 @@ stream, keeping the byte-level output independent of numpy's normal sampler.
 
 ``PhiloxStream`` is a pure-Python twin of ``stream``: Philox4x64-10 (Salmon
 et al., "Random123: Parallel random numbers: as easy as 1, 2, 3", SC'11) in
-Python ints, with numpy's conversion to doubles, Lemire's bounded integers
-(ACM TOMACS 2019) and numpy's draw of two distinct integers (Floyd's
-algorithm, then a shuffle).  It returns the same values as numpy's generator
+Python ints, with numpy's conversion to doubles and Lemire's bounded
+integers (ACM TOMACS 2019).  It returns the same values as numpy's generator
 for the same key, at about 2 us per 64-bit output, so a caller that needs a
 few draws per trial need not load numpy.
 
@@ -23,6 +22,7 @@ commands that use neither do not pay for them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -82,47 +82,35 @@ def _philox_block(counter: int, keys) -> list[int]:
 class PhiloxStream:
     """The values of ``stream(seed, index)`` without numpy.
 
-    ``random(count)``, ``integers(high, count)`` and ``pair(N)`` return what
-    ``stream(seed, index).random(count)``, ``.integers(0, high, count)`` and
-    ``.choice(N, size=2, replace=False)`` return, as lists, and calls may
-    interleave as on numpy's generator.
+    ``random(count)`` and ``integers(high, count)`` return what
+    ``stream(seed, index).random(count)`` and ``.integers(0, high, count)``
+    return, as lists, and calls may interleave as on numpy's generator.
     """
 
     def __init__(self, seed: int, index: int = 0):
         k0, k1 = seed & _MASK64, index & _MASK64
-        self._keys = []
+        keys = []
         for _ in range(_PHILOX_ROUNDS):
-            self._keys.append((k0, k1))
+            keys.append((k0, k1))
             k0, k1 = (k0 + _PHILOX_W0) & _MASK64, (k1 + _PHILOX_W1) & _MASK64
-        self._counter = 0
-        self._left = []  # outputs of the last block not used yet
+        # the 64-bit outputs of the blocks at counters 1, 2, ...; a stream
+        # never reaches 2^64 blocks
+        self._words = itertools.chain.from_iterable(
+            map(_philox_block, itertools.count(1), itertools.repeat(keys))
+        )
         self._half = None  # high half of the last 64-bit output split for 32-bit draws
-
-    def _take(self, count: int) -> list[int]:
-        """The next ``count`` 64-bit outputs."""
-        out = self._left[:count]
-        del self._left[:count]
-        while len(out) < count:
-            # the counter is incremented before each block; a stream never
-            # reaches 2^64 blocks
-            self._counter += 1
-            block = _philox_block(self._counter, self._keys)
-            need = count - len(out)
-            out += block[:need]
-            self._left = block[need:]
-        return out
 
     def _next32(self) -> int:
         if self._half is not None:
             out, self._half = self._half, None
             return out
-        (x,) = self._take(1)
+        x = next(self._words)
         self._half = x >> 32
         return x & _MASK32
 
     def random(self, count: int) -> list[float]:
         """``count`` uniform doubles in [0, 1)."""
-        return [(x >> 11) * 2.0**-53 for x in self._take(count)]
+        return [(x >> 11) * 2.0**-53 for x in itertools.islice(self._words, count)]
 
     def integers(self, high: int, count: int) -> list[int]:
         """``count`` uniform integers in [0, high), for 1 <= high <= 2^32."""
@@ -141,21 +129,6 @@ class PhiloxStream:
                 m = self._next32() * high
             out.append(m >> 32)
         return out
-
-    def pair(self, N: int) -> list[int]:
-        """Two distinct uniform integers in [0, N), for 2 <= N <= 2^32."""
-        if not 2 <= N <= 1 << 32:
-            raise ValueError("N must lie in [2, 2^32]")
-        # numpy samples two of N by Floyd's algorithm: for j = N-2, N-1 it
-        # draws from [0, j] and takes j instead of a value already taken
-        (first,) = self.integers(N - 1, 1)
-        (second,) = self.integers(N, 1)
-        if second == first:
-            second = N - 1
-        # then shuffles the two: index 1 swaps with a draw from [0, 1]
-        if self.integers(2, 1) == [0]:
-            first, second = second, first
-        return [first, second]
 
 
 def normals(gen: np.random.Generator, shape) -> np.ndarray:

@@ -154,33 +154,39 @@ def _first_witness(N: int, q: int, ap_masks) -> int | None:
         w = 1 << (m.bit_length() - 1)
         v = (m ^ w).bit_length() - 1
         closing[v].append((m ^ w ^ (1 << v), ~w))
+    # Depth-first search with an explicit stack, as a witness may have
+    # thousands of members: the state (v, mask, size, avail) seeks the first
+    # witness that adds vertices from v on to ``mask``, and each stacked
+    # state waits at the vertex v it tried as a member, to try it as a
+    # non-member once that branch fails.
+    #
+    # The progressions are invariant under translation, so if S is a witness
+    # then so is S - min S: it contains 0 and is lexicographically no larger.
+    # The first witness therefore contains 0, and if no witness contains 0,
+    # none exists.
+    v, mask, size, avail = 1, 1, 1, _forward(closing[0], 0, (1 << N) - 1)
+    stack = []
     nodes = 0
-
-    def extend(v, mask, size, avail):
-        # the first witness that adds vertices from v on to ``mask``
-        nonlocal nodes
-        if size == q:
-            return mask
+    while size < q:
         ahead = avail >> v
-        while size + ahead.bit_count() >= q:
+        if size + ahead.bit_count() >= q:
             nodes += 1
             if nodes > SEARCH_NODE_BUDGET:
                 raise BudgetExceededError(
                     f"intersectivity search exceeded {SEARCH_NODE_BUDGET} nodes"
                 )
             v += (ahead & -ahead).bit_length() - 1
-            found = extend(v + 1, mask | (1 << v), size + 1, _forward(closing[v], mask, avail))
-            if found is not None:
-                return found
+            stack.append((v, mask, size, avail))
+            avail = _forward(closing[v], mask, avail)
+            mask |= 1 << v
+            size += 1
             v += 1
-            ahead = avail >> v
-        return None
-
-    # The progressions are invariant under translation, so if S is a witness
-    # then so is S - min S: it contains 0 and is lexicographically no larger.
-    # The first witness therefore contains 0, and if no witness contains 0,
-    # none exists.
-    return extend(1, 1, 1, _forward(closing[0], 0, (1 << N) - 1))
+        elif stack:
+            v, mask, size, avail = stack.pop()
+            v += 1
+        else:
+            return None
+    return mask
 
 
 def _forward(closing, mask, avail):

@@ -144,8 +144,8 @@ def test_doubled_polynomial_equals_ordered_count(N, k):
 def test_expected_ordered_count_mc_cross_check():
     # E[ordered count] = p^3 N(N-1) = 19.5 at N = 13, p = 1/2
     def value_fn(gen, count):
-        bits = (gen.random((count, 13)) < 0.5).astype(np.uint8)
-        return np.array(ordered_ap_count(bits, 3), dtype=np.float64)
+        rows = gen.random((count, 13)) < 0.5
+        return np.array([ordered_ap_count(bits, 3) for bits in rows], dtype=np.float64)
 
     (est,) = mc.run_chunked(value_fn, 4000, seed=8)
     assert abs(est.mean - 19.5) <= 3 * est.std_error
@@ -160,15 +160,13 @@ def test_two_transitivity():
 
 @pytest.mark.parametrize("N", PRIMES_TO_31)
 def test_two_transitivity_maps_each_drawn_pair_onto_the_other(N):
-    # two_transitivity_check's affine map x -> c + (d - c)(b - a)^-1 (x - a)
-    # sends a to c and b to d by construction; replay its draws to see it
-    for seed in range(5):
-        gen = mc.stream(seed, 0)
-        for _ in range(20):
-            a, b = (int(v) for v in gen.choice(N, size=2, replace=False))
-            c, d = (int(v) for v in gen.choice(N, size=2, replace=False))
-            scale = ((d - c) * pow(b - a, -1, N)) % N
-            assert [(c + scale * (v - a)) % N for v in (a, b)] == [c, d]
+    # two_transitivity_check draws a map x -> scale*x + shift, which sends
+    # the pair (0, 1) onto (shift, scale + shift).  These image pairs are the
+    # N(N-1) ordered pairs of distinct vertices, each once, so a uniform map
+    # is the map onto a uniform pair: the maps act sharply 2-transitively
+    images = [(shift, (scale + shift) % N) for scale in range(1, N) for shift in range(N)]
+    assert len(set(images)) == len(images) == N * (N - 1)
+    assert all(c != d for c, d in images)
 
 
 def _random_rows(rng, rows, N):
@@ -186,39 +184,60 @@ def test_ordered_ap_count_matches_direct(N):
     for k in range(3, min(N, 7) + 1):
         rows = _random_rows(rng, 12, N)
         want = [oracles.ordered_ap_count_direct(list(row), k) for row in rows]
-        got = ordered_ap_count(rows, k)
-        assert type(got) is list and all(type(c) is int for c in got)
+        got = [ordered_ap_count(row, k) for row in rows]
+        assert all(type(c) is int for c in got)
         assert got == want, k
-        assert ordered_ap_count(rows.tolist(), k) == want, k
-        singles = [ordered_ap_count(row, k) for row in rows]
-        assert all(type(c) is int for c in singles)
-        assert singles == want, k
         assert want[-1] == N * (N - 1)  # the full set holds every progression
 
 
-def test_ordered_ap_count_takes_lists_and_row_blocks():
+def test_ordered_ap_count_takes_lists_and_arrays():
     assert ordered_ap_count([1, 1, 1, 0, 0], 3) == 2  # 0,1,2 and 2,1,0
     assert ordered_ap_count([True, False, True, True, False], 3) == 2  # 3,0,2 and 2,0,3
-    # 300 rows as a numpy block, a list of numpy rows and a tuple of bool
-    # lists: each row keeps its own count, in order
-    rng = np.random.default_rng(2)
-    rows = (rng.random((300, 31)) < 0.6).astype(np.uint8)
-    want = [oracles.ordered_ap_count_direct(list(row), 5) for row in rows]
-    assert ordered_ap_count(rows, 5) == want
-    assert ordered_ap_count(list(rows), 5) == want
-    assert ordered_ap_count(tuple(row.astype(bool).tolist() for row in rows), 5) == want
-    assert ordered_ap_count(np.zeros((0, 31), np.uint8), 5) == []
+    # a numpy row, its list and its bool list count alike
+    row = (np.random.default_rng(2).random(31) < 0.6).astype(np.uint8)
+    want = oracles.ordered_ap_count_direct(list(row), 5)
+    assert ordered_ap_count(row, 5) == ordered_ap_count(row.tolist(), 5) == want
+    assert ordered_ap_count(row.astype(bool).tolist(), 5) == want
+    assert ordered_ap_count([], 5) == 0
     with pytest.raises(ValueError, match="k must be positive"):
         ordered_ap_count([1, 1, 1], 0)
+
+
+@pytest.mark.parametrize("N", [3, 5, 7, 11, 13, 17, 19, 23])
+def test_every_affine_map_keeps_the_progression_edges(N):
+    # x -> a x + b (a != 0) sends a progression to one of the same length,
+    # so transitive_ok holds whatever maps ap-structure draws.  Checked on
+    # all N(N-1) maps: scale the edge masks by a, then rotate them by b
+    full = (1 << N) - 1
+    for k in range(3, min(N, 7) + 1):
+        h = ap_hypergraph(N, k)
+        masks = set(h.edge_masks())
+        for a in range(1, N):
+            scaled = [sum(1 << (a * x % N) for x in e) for e in h.edges]
+            for b in range(N):
+                assert masks.issuperset(((m << b) | (m >> (N - b))) & full for m in scaled)
+
+
+@pytest.mark.parametrize(
+    "N,k", [(N, k) for N in (3, 5, 7, 11, 13) for k in range(3, min(N, 7) + 1)]
+)
+def test_doubled_polynomial_equals_ordered_count_on_every_subset(N, k):
+    # each edge is a progression and its reversal, so lambda_ok holds
+    # whatever subsets ap-structure draws.  Checked on all 2^N subsets
+    h = ap_hypergraph(N, k)
+    for S in range(1 << N):
+        bits = [S >> x & 1 for x in range(N)]
+        assert 2 * poly.evaluate(h, bits) == ordered_ap_count(bits, k), S
 
 
 def _transitivity_direct(edges, N, trials, seed):
     """two_transitivity_check replayed map by map with the direct oracle."""
     gen = mc.stream(seed, 0)
     for _ in range(trials):
-        a, b = (int(v) for v in gen.choice(N, size=2, replace=False))
-        c, d = (int(v) for v in gen.choice(N, size=2, replace=False))
-        if not oracles.edge_preserving_direct(edges, N, a, b, c, d):
+        scale = int(gen.integers(1, N))
+        shift = int(gen.integers(0, N))
+        # the map x -> scale*x + shift sends 0 to shift and 1 to scale + shift
+        if not oracles.edge_preserving_direct(edges, N, 0, 1, shift, (scale + shift) % N):
             return False
     return True
 

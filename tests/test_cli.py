@@ -392,6 +392,27 @@ def test_ap_structure_runs(capsys):
     assert out.splitlines()[1].endswith("true")
 
 
+def test_ap_structure_checks_the_rows_of_the_numpy_draw(capsys, monkeypatch):
+    # lambda_ok is true on every subset, so the report cannot show which
+    # subsets were drawn: record them as they are counted
+    from polywidth import aps, mc
+
+    seen = []
+    count = aps.ordered_ap_count
+
+    def recorded(bits, k):
+        seen.append(bits)
+        return count(bits, k)
+
+    monkeypatch.setattr(aps, "ordered_ap_count", recorded)
+    for N, trials, seed in ((7, 20, 0), (13, 5, 12345), (31, 3, 2**40 + 3)):
+        seen.clear()
+        code, _ = run_cli(capsys, "ap-structure", "--N", str(N), "--k", "3",
+                          "--trials", str(trials), "--seed", str(seed))
+        assert code == 0
+        assert seen == (mc.stream(seed, 0).random((trials, N)) < 0.5).tolist()
+
+
 def test_intersective_random_model(capsys):
     code, out = run_cli(
         capsys, "intersective", "--N", "11", "--ell", "1", "--alpha", "0.5",
@@ -477,6 +498,14 @@ def test_intersective_tiny_alpha_witness_is_one_element(capsys):
                         "--diffs", "1,2")
     assert code == 0
     assert out.splitlines()[0] == "intersective: false [exact], witness=1" + "0" * 21
+
+
+def test_intersective_deep_witness(capsys):
+    # a 2000-member witness: the search keeps its own stack, not Python's
+    code, out = run_cli(capsys, "intersective", "--N", "4000", "--ell", "1", "--alpha", "0.5",
+                        "--diffs", "1")
+    assert code == 0
+    assert out.splitlines()[0] == "intersective: false [exact], witness=" + "10" * 2000
 
 
 def test_intersective_random_model_past_old_scan_limit(capsys):

@@ -102,53 +102,6 @@ def test_philox_stream_matches_numpy(seed, index, calls):
             assert twin.integers(high, count) == gen.integers(0, high, count).tolist()
 
 
-PAIR_NS = st.sampled_from([2, 3, 5, 7, 13, 31, 61, 10007, 10**4, 2**20, 2**31 - 1, 2**32])
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    seed=st.integers(0, 2**64 - 1) | st.integers(2**64, 2**80),
-    index=st.integers(0, 3),
-    # ("pair", N) draws two of N; (None, count) doubles; (high, count) integers
-    calls=st.lists(
-        st.tuples(st.just("pair"), PAIR_NS | st.integers(2, 10**4))
-        | st.tuples(st.none() | HIGHS, st.integers(0, 5)),
-        min_size=1,
-        max_size=12,
-    ),
-)
-@example(seed=2**64 + 5, index=0, calls=[("pair", 2)] * 20)
-@example(seed=0, index=0, calls=[(None, 1), ("pair", 3), (2**32, 1), ("pair", 2**20), (3, 3)])
-def test_philox_stream_pair_matches_numpy_choice(seed, index, calls):
-    # numpy draws two of N by Floyd's algorithm and a shuffle, both from its
-    # bounded 32-bit integers, which share the buffered half-word with
-    # integers() and stand between doubles
-    twin, gen = mc.PhiloxStream(seed, index), mc.stream(seed, index)
-    for what, arg in calls:
-        if what == "pair":
-            assert twin.pair(arg) == gen.choice(arg, size=2, replace=False).tolist()
-        elif what is None:
-            assert twin.random(arg) == gen.random(arg).tolist()
-        else:
-            assert twin.integers(what, arg) == gen.integers(0, what, arg).tolist()
-
-
-def test_philox_stream_pair_takes_the_top_value_on_a_collision(monkeypatch):
-    # Floyd's second draw repeats the first: numpy takes j = N - 1 instead;
-    # a last draw of 0 swaps the two, of 1 keeps them
-    for last, want in ((1, [2, 4]), (0, [4, 2])):
-        twin = mc.PhiloxStream(1)
-        draws = iter([[2], [2], [last]])
-        monkeypatch.setattr(twin, "integers", lambda high, count: next(draws))
-        assert twin.pair(5) == want
-
-
-def test_philox_stream_pair_rejects_out_of_range_populations():
-    for N in (-1, 0, 1, 2**32 + 1):
-        with pytest.raises(ValueError, match="N must lie"):
-            mc.PhiloxStream(1).pair(N)
-
-
 def test_philox_stream_redraws_exactly_below_lemires_threshold(monkeypatch):
     # numpy redraws a 32-bit word x when (x * high) mod 2^32 < 2^32 mod high;
     # at high = 3 the bound is 1, which random words hit with odds 2^-32.
