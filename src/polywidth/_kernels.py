@@ -2,26 +2,67 @@
 
 All kernels are exact integer computations apart from ``coo_matvec``.
 
-The Monte-Carlo kernels receive a whole chunk of samples (4096 rows).
 The batch kernels work through their rows in blocks whose widest temporary
 takes about 512 KiB, the bytes of ``_BLOCK_CELLS`` int64 cells, so the
 temporaries of a block stay in cache: int64 cells for ``phi_batch`` and
 ``phi_hist_batch``, bool cells for ``contained_edges_batch``.  A whole
-chunk at once would cost 20 MiB per int64 temporary at n = 600, and every
-pass over such an array would run at memory speed; blocks also keep the
-working set small when chunks run on several threads.  Blocking changes no
-arithmetic, so results are the same for any block size.
+4096-sample chunk at once would cost 20 MiB per int64 temporary at n = 600,
+and every pass over such an array would run at memory speed; blocks also
+keep the working set small when chunks run on several threads.  Blocking
+changes no arithmetic, so results are the same for any block size.
+
+The birthday and Poisson Monte Carlo (``birthday``) draws its input one
+block at a time as well, so a kernel call there takes a single block of a
+chunk.  Under ``_buffers_kept`` the phi kernels keep their transposed
+histograms, gathered counts and recurrence rows in per-thread buffers
+(``_buffer``) that the thread's later blocks reuse, so a stream of blocks
+neither allocates nor maps fresh pages; other callers get fresh arrays that
+go with the call.
 """
+
+import contextlib
+import threading
 
 import numpy as np
 
 _BLOCK_CELLS = 1 << 16  # int64 cells per row block
+
+_scratch = threading.local()  # .kept: where this thread keeps its block buffers
 
 
 def _block_rows(cells, itemsize=8):
     """Rows per block when each row takes ``cells`` cells of ``itemsize``
     bytes, a block holding as many bytes as ``_BLOCK_CELLS`` int64 cells."""
     return max(1, _BLOCK_CELLS * 8 // (cells * itemsize))
+
+
+@contextlib.contextmanager
+def _buffers_kept(store):
+    """Inside the ``with`` statement, ``_buffer`` keeps this thread's
+    buffers in ``store``, a ``threading.local`` that the caller owns, so the
+    thread's later row blocks reuse them until ``store`` is dropped; outside
+    it, every call gets fresh arrays that go with the call."""
+    outer = getattr(_scratch, "kept", None)
+    _scratch.kept = vars(store)
+    try:
+        yield
+    finally:
+        _scratch.kept = outer
+
+
+def _buffer(name, shape, dtype=np.int64):
+    """Scratch array ``name`` of ``shape``, kept for reuse inside
+    ``_buffers_kept``: its contents are undefined, and it must not outlive
+    the row block that asked for it.  Each name has one dtype.
+    """
+    kept = getattr(_scratch, "kept", None)
+    if kept is None:
+        return np.empty(shape, dtype=dtype)
+    size = int(np.prod(shape))
+    buf = kept.get(name)
+    if buf is None or buf.size < size:
+        buf = kept[name] = np.empty(size, dtype=dtype)
+    return buf[:size].reshape(shape)
 
 
 # --------------------------------------------------------------------------
@@ -33,22 +74,42 @@ def _block_rows(cells, itemsize=8):
 #
 # Both kernels bring a block of rows to one vertex-major histogram, a row
 # per vertex and a column per input row: phi_batch counts its maps with one
-# bincount of v*rows + row, phi_hist_batch transposes its histograms.
+# bincount of v*rows + row, phi_hist_batch copies its histograms transposed.
 # Gathering the edge vertices position by position gives (2r, |M|*rows)
 # counts, so the e_r recurrence runs over 2r contiguous rows.
 
 
-def _phi_by_vertex(hist, edges, r):
-    """phi of each column of the vertex-major histogram ``hist`` (n, rows)."""
+def _phi_by_vertex(hist, edges, r, out):
+    """Write phi of each column of the vertex-major histogram ``hist``
+    (n, rows) to ``out``; every edge vertex must lie in [0, n)."""
     ne, width = edges.shape
+    if not 1 <= r <= width:  # e_0 = 1, and no edge has more than width vertices
+        out[:] = ne if r == 0 else 0
+        return
     rows = hist.shape[1]
-    counts = hist[edges.T.ravel()].reshape(width, ne * rows)
-    e = np.zeros((r + 1, ne * rows), dtype=np.int64)
-    e[0] = 1
-    for v in range(width):
-        for j in range(min(r, v + 1), 0, -1):
-            e[j] += e[j - 1] * counts[v]
-    return e[r].reshape(ne, rows).sum(axis=0)
+    cells = ne * rows
+    counts = _buffer("counts", (width * ne, rows))
+    # mode="clip" writes to out directly, mode="raise" via a copy
+    np.take(hist, edges.T.ravel(), axis=0, out=counts, mode="clip")
+    if r == 1:  # e_1 is the sum of the counts
+        counts.sum(axis=0, out=out)
+        return
+    counts = counts.reshape(width, cells)
+    # e[j - 1] is e_j of the counts seen so far (e_0 = 1 is left implicit);
+    # e_j is updated only while it can still reach e_r, i.e. j >= r - (width - 1 - v)
+    e = _buffer("e", (r, cells))
+    product = _buffer("product", (cells,))
+    np.copyto(e[0], counts[0])
+    for v in range(1, width):
+        for j in range(min(r, v + 1), max(1, r - width + 1 + v) - 1, -1):
+            if j == 1:
+                e[0] += counts[v]
+            elif j == v + 1:
+                np.multiply(e[j - 2], counts[v], out=e[j - 1])
+            else:
+                np.multiply(e[j - 2], counts[v], out=product)
+                e[j - 1] += product
+    e[r - 1].reshape(ne, rows).sum(axis=0, out=out)
 
 
 def phi_batch(maps, edges, n, r):
@@ -75,22 +136,30 @@ def phi_batch(maps, edges, n, r):
         rows = block.shape[0]
         cells = block * rows + np.arange(rows)[:, None]
         hist = np.bincount(cells.ravel(), minlength=n * rows)
-        out[start : start + rows] = _phi_by_vertex(hist.reshape(n, rows), edges, r)
+        _phi_by_vertex(hist.reshape(n, rows), edges, r, out[start : start + rows])
     return out
 
 
 def phi_hist_batch(hists, edges, r):
-    """phi of each occupancy histogram row (nonnegative integer counts)."""
+    """phi of each occupancy histogram row (nonnegative integer counts).
+
+    Raises ``ValueError`` for an edge vertex outside [0, n), n being the
+    number of histogram columns.
+    """
     hists = np.ascontiguousarray(hists, dtype=np.int64)
     edges = np.ascontiguousarray(edges, dtype=np.int64)
-    nb = hists.shape[0]
+    nb, n = hists.shape
     if nb == 0 or edges.shape[0] == 0:
         return np.zeros(nb, dtype=np.int64)
-    step = _block_rows(hists.shape[1])
+    if edges.min() < 0 or edges.max() >= n:
+        raise ValueError("edge vertices must lie in [0, n)")
+    step = _block_rows(n)
     out = np.empty(nb, dtype=np.int64)
     for start in range(0, nb, step):
         block = hists[start : start + step]
-        out[start : start + len(block)] = _phi_by_vertex(block.T, edges, r)
+        hist = _buffer("hist", block.shape[::-1])
+        np.copyto(hist, block.T)  # vertex-major; take would copy a strided source
+        _phi_by_vertex(hist, edges, r, out[start : start + len(block)])
     return out
 
 

@@ -29,8 +29,10 @@ smallest normal float (e^-y itself once y > ~708) is built from logs with
 underflow.
 """
 
+import functools
 import math
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +54,7 @@ __all__ = [
 ]
 
 PMF_TAIL = 1e-15  # pmf tables stop once the mass left is below this
+_GUIDE_BUCKETS = 1 << 16  # buckets of uniforms in a Poisson inversion table
 CHI_SQUARE_SIGNIFICANCE = 1e-3
 CHI_SQUARE_MIN_EXPECTED = 5.0  # least expected draws per chi-square bin
 
@@ -89,14 +92,36 @@ def phi_statistics(
     if s < 1:
         raise ValueError("s must be positive")
     edges = np.array(default_matching(n, r).edges, dtype=np.int64)
+    buffers = threading.local()  # each worker thread's block buffers for this run
 
     def value_fn(gen, count):
-        maps = gen.integers(0, n, size=(count, m))
-        phis = _kernels.phi_batch(maps, edges, n, r)
+        def score(rows):
+            return _kernels.phi_batch(gen.integers(0, n, (rows, m)), edges, n, r)
+
+        phis = _phi_in_blocks(count, n, buffers, score)
         good = (phis >= 1) & (phis <= s)
         return np.stack([good, phis, phis > s, phis == 0], axis=1, dtype=np.float64)
 
     return PhiStatistics(*mc.run_chunked(value_fn, samples, seed, threads=threads))
+
+
+def _phi_in_blocks(count, n, buffers, score):
+    """phi of ``count`` samples, drawn and scored ``_kernels._block_rows(n)``
+    rows at a time by ``score(rows)``, the kernels keeping their block
+    buffers in ``buffers`` (``_kernels._buffers_kept``).
+
+    A block's draws continue the chunk's stream where the last block left
+    it (numpy keeps the spare half of a 64-bit output for the next 32-bit
+    draw in the bit generator), so they are the draws of one whole-chunk
+    call, and no chunk-sized map or histogram array is built.
+    """
+    step = _kernels._block_rows(n)
+    phis = np.empty(count, dtype=np.int64)
+    with _kernels._buffers_kept(buffers):
+        for start in range(0, count, step):
+            rows = min(step, count - start)
+            phis[start : start + rows] = score(rows)
+    return phis
 
 
 # --------------------------------------------------------------------------
@@ -124,19 +149,49 @@ def poisson_pmf_table(mu: float) -> np.ndarray:
     return np.array(pmf)
 
 
-def sample_poisson(gen: np.random.Generator, mu: float, size) -> np.ndarray:
-    """Poisson draws by inversion of the cumulative density.
+@functools.lru_cache(maxsize=8)
+def _inversion_table(mu: float):
+    """``(cdf, guide, split)`` for inverting the Poisson(mu) cdf.
 
-    The uniforms are drawn and inverted in blocks of ``_kernels._BLOCK_CELLS``
-    straight into the output: the stream and the draws are those of one
-    ``gen.random(size)`` call, without its full-size temporaries.
+    Bucket b holds the uniforms u with floor(u * 2^16) = b.  ``guide[b]`` is
+    the number of cdf values below b / 2^16, which is searchsorted(cdf, u)
+    for every u in the bucket unless a cdf value lies inside it; ``split``
+    marks those buckets.  The arrays are shared and read-only.
     """
     cdf = np.cumsum(poisson_pmf_table(mu))
+    guide = np.searchsorted(cdf, np.arange(_GUIDE_BUCKETS) / _GUIDE_BUCKETS)
+    split = np.zeros(_GUIDE_BUCKETS, dtype=bool)
+    split[(cdf[cdf < 1.0] * _GUIDE_BUCKETS).astype(np.int64)] = True
+    for table in (cdf, guide, split):
+        table.flags.writeable = False
+    return cdf, guide, split
+
+
+def sample_poisson(gen: np.random.Generator, mu: float, size) -> np.ndarray:
+    """Poisson draws by inversion of the cumulative density: a draw is
+    ``np.searchsorted(cdf, u)`` for a uniform double u.
+
+    The uniforms are drawn in blocks of ``_kernels._BLOCK_CELLS`` into a
+    scratch buffer (kept for later calls under ``_kernels._buffers_kept``)
+    and inverted straight into the output, so the stream and the draws are
+    those of one ``gen.random(size)`` call.  A draw is read from the bucket
+    table of ``_inversion_table``, exactly, as u * 2^16 is exact; only the
+    uniforms in a bucket that holds a cdf value fall back to
+    ``searchsorted``.
+    """
+    cdf, guide, split = _inversion_table(float(mu))
     out = np.empty(size, dtype=np.int64)
     flat = out.reshape(-1)
     for start in range(0, flat.size, _kernels._BLOCK_CELLS):
-        stop = min(start + _kernels._BLOCK_CELLS, flat.size)
-        flat[start:stop] = np.searchsorted(cdf, gen.random(stop - start))
+        count = min(_kernels._BLOCK_CELLS, flat.size - start)
+        u = gen.random(out=_kernels._buffer("uniforms", count, np.float64))
+        bucket = _kernels._buffer("buckets", count)
+        np.multiply(u, _GUIDE_BUCKETS, out=bucket, casting="unsafe")  # floor, as u >= 0
+        # buckets lie in range; mode="clip" writes to out directly, "raise" via a copy
+        draws = np.take(guide, bucket, out=flat[start : start + count], mode="clip")
+        inside = np.take(split, bucket, out=_kernels._buffer("inside", count, bool), mode="clip")
+        hits = np.flatnonzero(inside)
+        draws[hits] = np.searchsorted(cdf, u[hits])
     return out
 
 
@@ -166,10 +221,13 @@ def poisson_domination_check(
     exact = phi_statistics(r, n, m, default_goodness_bound(r), samples, seed, threads=threads)
     edges = np.array(default_matching(n, r).edges, dtype=np.int64)
     mu = m / n
+    buffers = threading.local()
 
     def poisson_fn(gen, count):
-        hists = sample_poisson(gen, mu, (count, n))
-        phis = _kernels.phi_hist_batch(hists, edges, r)
+        def score(rows):
+            return _kernels.phi_hist_batch(sample_poisson(gen, mu, (rows, n)), edges, r)
+
+        phis = _phi_in_blocks(count, n, buffers, score)
         return np.stack([phis == 0, phis], axis=1, dtype=np.float64)
 
     # Independent stream for the Poisson side.

@@ -127,6 +127,69 @@ def test_sample_poisson_blocks_match_one_draw():
     assert one.random() == blocked.random()
 
 
+class FixedUniforms:
+    """Stands in for a generator whose ``random(out=)`` yields ``u`` in order."""
+
+    def __init__(self, u):
+        self.u, self.pos = u, 0
+
+    def random(self, out):
+        out[:] = self.u[self.pos : self.pos + len(out)]
+        self.pos += len(out)
+        return out
+
+
+@pytest.mark.parametrize("mu", [0.0, 1e-12, 0.08, 1.3, 30.0, 700.0])
+def test_table_inversion_equals_searchsorted(mu):
+    # the hard uniforms: every cdf value and its neighbours, both sides of
+    # every bucket edge b / 2^16, and the ends of [0, 1)
+    cdf = np.cumsum(bd.poisson_pmf_table(mu))
+    edges = np.arange(1 << 16) / (1 << 16)
+    u = np.concatenate(
+        [
+            cdf,
+            np.nextafter(cdf, 0.0),
+            np.nextafter(cdf, 2.0),
+            edges,
+            np.nextafter(edges, -1.0),
+            np.nextafter(edges, 2.0),
+            [0.0, 1.0 - 2.0**-53],
+            mc.stream(23, 0).random(5000),
+        ]
+    )
+    u = u[(u >= 0.0) & (u < 1.0)]
+    got = bd.sample_poisson(FixedUniforms(u), mu, len(u))
+    assert np.array_equal(got, np.searchsorted(cdf, u))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("r, n, m", [(1, 12, 5), (2, 16, 6), (3, 18, 7)])
+def test_chunks_drawn_in_many_blocks_equal_whole_chunk_draws(monkeypatch, r, n, m, threads):
+    # small blocks: 37 rows, so both chunks (4096 and 904 samples) span many
+    # blocks and end in a ragged one; the estimates equal those of drawing
+    # and scoring each chunk at once
+    monkeypatch.setattr(bd._kernels, "_BLOCK_CELLS", 37 * n)
+    assert bd._kernels._block_rows(n) == 37
+    samples, seed, s = 5000, 3, 2
+    edges = np.array(bd.default_matching(n, r).edges, dtype=np.int64)
+    cdf = np.cumsum(bd.poisson_pmf_table(m / n))
+
+    def exact_side(gen, count):
+        phis = bd._kernels.phi_batch(gen.integers(0, n, size=(count, m)), edges, n, r)
+        return np.stack([(phis >= 1) & (phis <= s), phis, phis > s, phis == 0], axis=1)
+
+    def poisson_side(gen, count):
+        hists = np.searchsorted(cdf, gen.random((count, n)))
+        phis = bd._kernels.phi_hist_batch(hists, edges, r)
+        return np.stack([phis == 0, phis], axis=1)
+
+    want = mc.run_chunked(exact_side, samples, seed, threads=threads)
+    assert bd.phi_statistics(r, n, m, s, samples, seed, threads) == bd.PhiStatistics(*want)
+    want = [want[3], want[1]], mc.run_chunked(poisson_side, samples, seed + 1, threads=threads)
+    rows = bd.poisson_domination_check(r, n, m, samples, seed, threads)
+    assert ([row.lhs for row in rows], [row.rhs for row in rows]) == want
+
+
 def test_poisson_domination_small_case():
     rows = bd.poisson_domination_check(1, 50, 10, samples=20000, seed=1)
     names = [row.functional for row in rows]

@@ -74,6 +74,20 @@ def test_phi_batch_rejects_invalid_inputs(maps, edges):
         kn.phi_batch(np.array(maps), np.array(edges), 2, 1)
 
 
+@pytest.mark.parametrize("edges", [[[0, 2]], [[-1, 0]]], ids=["vertex-n", "negative"])
+def test_phi_hist_batch_rejects_edge_vertices_outside_the_histogram(edges):
+    with pytest.raises(ValueError):
+        kn.phi_hist_batch(np.ones((3, 2), dtype=np.int64), np.array(edges), 1)
+
+
+def test_phi_of_degree_zero_and_above_the_edge_size():
+    # e_0 = 1 per edge; no edge has an r-subset once r exceeds its size
+    maps = mc.stream(4, 0).integers(0, 8, size=(30, 5))
+    edges = np.arange(8, dtype=np.int64).reshape(2, 4)
+    assert kn.phi_batch(maps, edges, 8, 0).tolist() == [2] * 30
+    assert kn.phi_batch(maps, edges, 8, 5).tolist() == [0] * 30
+
+
 def test_phi_batch_empty_inputs():
     edges = np.zeros((0, 2), dtype=np.int64)
     maps = np.zeros((0, 3), dtype=np.int64)

@@ -55,6 +55,27 @@ def test_run_chunked_thread_invariance():
     assert a == b
 
 
+@pytest.mark.parametrize("high", [7, 600, 2**31 + 11, 2**32 - 1, 2**32, 2**32 + 1, 2**40 + 3])
+def test_integer_draws_in_blocks_equal_one_draw(high):
+    # a Monte-Carlo chunk draws its maps block by block: numpy keeps the
+    # spare 32-bit half of a 64-bit output in the bit generator, so blocks
+    # whose rows * m is odd still continue the whole-chunk draw exactly
+    m = 13
+    one, blocked = mc.stream(5, 3), mc.stream(5, 3)
+    whole = one.integers(0, high, size=(37, m))
+    blocks = [blocked.integers(0, high, size=(rows, m)) for rows in (5, 11, 1, 20)]
+    assert np.array_equal(np.concatenate(blocks), whole)
+    assert one.integers(0, high, 3).tolist() == blocked.integers(0, high, 3).tolist()
+
+
+def test_uniform_draws_into_blocks_equal_one_draw():
+    whole = mc.stream(6, 1).random(1001)
+    gen, buf = mc.stream(6, 1), np.empty(1001)
+    for start, stop in ((0, 333), (333, 334), (334, 1001)):
+        gen.random(out=buf[start:stop])
+    assert np.array_equal(buf, whole)
+
+
 def test_mc_estimate_validation():
     with pytest.raises(ValueError):
         mc.run_chunked(lambda gen, count: np.zeros(count), 0, seed=1)
