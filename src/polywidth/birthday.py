@@ -298,6 +298,30 @@ def _chi_square_bins(expected, samples):
     return low, binned
 
 
+def _binned_poisson_sums(mu_a, mu_b, samples, seed, low, bins):
+    """Counts of Y_a + Y_b, clipped to [low, low + bins - 1], over ``samples``
+    draws of Y_a ~ Poisson(mu_a) and then Y_b ~ Poisson(mu_b) from
+    ``mc.stream(seed, 0)``.
+
+    Y_b is drawn from a second copy of the stream advanced past the Y_a
+    uniforms (a Philox counter step is four 64-bit outputs, one per double),
+    so both sides are drawn, added and binned in lockstep blocks of
+    ``_kernels._BLOCK_CELLS`` with the values of two whole draws.
+    """
+    gen_a, gen_b = mc.stream(seed, 0), mc.stream(seed, 0)
+    gen_b.bit_generator.advance(samples // 4)
+    gen_b.random(samples % 4)
+    obs = np.zeros(bins, dtype=np.int64)
+    for start in range(0, samples, _kernels._BLOCK_CELLS):
+        count = min(_kernels._BLOCK_CELLS, samples - start)
+        draws = sample_poisson(gen_a, mu_a, count)
+        draws += sample_poisson(gen_b, mu_b, count)
+        np.clip(draws, low, low + bins - 1, out=draws)
+        draws -= low
+        obs += np.bincount(draws, minlength=bins)
+    return obs
+
+
 def poisson_sum_chisquare(mu_a: float, mu_b: float, samples=100000, seed=0) -> ChiSquareReport:
     """Goodness-of-fit of sampled Y_a + Y_b against a single Poisson(mu_a+mu_b)
     at significance ``CHI_SQUARE_SIGNIFICANCE``.
@@ -305,14 +329,11 @@ def poisson_sum_chisquare(mu_a: float, mu_b: float, samples=100000, seed=0) -> C
     Values whose expected count is below ``CHI_SQUARE_MIN_EXPECTED`` are
     lumped into the first or the last bin (``_chi_square_bins``).
     """
-    gen = mc.stream(seed, 0)
-    draws = sample_poisson(gen, mu_a, samples) + sample_poisson(gen, mu_b, samples)
     expected = poisson_pmf_table(mu_a + mu_b) * samples
     low, exp_binned = _chi_square_bins(expected, samples)
-    bins = len(exp_binned)
-    obs = np.bincount(np.clip(draws, low, low + bins - 1) - low, minlength=bins)
+    obs = _binned_poisson_sums(mu_a, mu_b, samples, seed, low, len(exp_binned))
     stat = float(((obs.astype(np.float64) - exp_binned) ** 2 / exp_binned).sum())
-    dof = bins - 1
+    dof = len(exp_binned) - 1
     p_value = _chi_square_tail(dof, stat)
     passed = p_value >= CHI_SQUARE_SIGNIFICANCE
     return ChiSquareReport(stat, dof, p_value, passed)

@@ -16,6 +16,7 @@ exceeded, 4 verification failure.
 import argparse
 import csv
 import json
+import os
 import sys
 
 from . import __version__
@@ -25,6 +26,10 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
 EXIT_VERIFY = 4
+
+# Thread counts of the BLAS and OpenMP pools numpy may start: pinned to 1
+# at --threads above 1, so worker threads do not each fan out into a pool.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _int_at_least(minimum):
@@ -132,7 +137,7 @@ def _run_matrix_verify(args):
     else:
         h = default_matching(n, r)
     lift = tensorlift.build_matrix_lift(h, m, r, args["s"], budget)
-    ok, witness = tensorlift.check_lift_identity(lift.f_ranks, lift.g_ranks, lift.cover_count, h, m)
+    ok, witness = tensorlift.check_lift_identity(lift.mask_counts, lift.cover_count, h)
     status = "OK" if ok else f"FAIL at x={witness}"
     pre = [f"identity: {status}, cover_count={lift.cover_count}"]
     row = {
@@ -542,6 +547,9 @@ def run(argv=None) -> int:
     if config:
         argv[1:1] = _config_flags(config)  # right after the subcommand
     args = vars(_build_parser().parse_args(argv))
+    if args["threads"] > 1:  # before a runner imports numpy; a caller's value is kept
+        for name in BLAS_THREAD_VARS:
+            os.environ.setdefault(name, "1")
     rows, code, pre_lines = COMMANDS[args["command"]][2](args)
     for line in pre_lines:
         print(line)

@@ -52,22 +52,28 @@ a vertex -> edge lookup, and for each order pi of S - f(P)
 the pairs against ``tests/oracles.complements_direct``, which tests the
 definition directly against every map.
 
-The report is computed from the kept pairs (f, g) of B; A is never
-assembled.  A = B + B^T is symmetric by construction, its diagonal is
-empty (g != f on the witness positions P, as shown above), and its entries
-are positive counts, so nothing cancels.  Hence:
+The report is streamed from the kept pairs (f, g) of B, one key per pair;
+neither A nor the pair list is ever held.  A = B + B^T is symmetric by
+construction, its diagonal is empty (g != f on the witness positions P, as
+shown above), and its entries are positive counts, so nothing cancels.
+``build_matrix_lift`` makes one pass over colour x block of ``_BLOCK``
+ranks, and adds each block's kept pairs into three accumulators:
 
-* row f of A sums to the number of kept pairs with first map f plus the
-  number with second map f;
-* A_fg != 0 exactly when (f, g) or (g, f) is kept, so nnz(A) is twice the
-  number of distinct unordered pairs {f, g}, parallel edges included;
-* <A x_tensor, x_tensor> = 2 * sum over kept pairs of x_tensor[f] *
-  x_tensor[g], and x_tensor[f] is the product of x over the vertices that
-  f hits an odd number of times.  With mask(f) that vertex set as a bit
-  mask, each pair adds 2 to the coefficient of mask(f) ^ mask(g).  The
-  identity holds on every sign vector exactly when these coefficients
-  equal 2 * cover_count at each edge mask and 0 elsewhere, since the
-  Walsh-Hadamard transform mapping coefficients to values is a bijection.
+* the row sums: row f of A sums to the number of kept pairs with first map
+  f plus the number with second map f;
+* the identity check's histogram: <A x_tensor, x_tensor> = 2 * sum over
+  kept pairs of x_tensor[f] * x_tensor[g], and x_tensor[f] is the product
+  of x over the vertices that f hits an odd number of times.  With mask(f)
+  that vertex set as a bit mask, each pair adds 2 to the coefficient of
+  mask(f) ^ mask(g).  The identity holds on every sign vector exactly when
+  these coefficients equal 2 * cover_count at each edge mask and 0
+  elsewhere, since the Walsh-Hadamard transform mapping coefficients to
+  values is a bijection;
+* one unordered key min(f, g) * dim + max(f, g) per pair: A_fg != 0
+  exactly when (f, g) or (g, f) is kept, so nnz(A) is twice the number of
+  distinct keys, parallel edges included.  The mirror (g, f) of a pair
+  may come from another block or colour, so the keys are sorted once,
+  in place, after the pass.
 """
 
 import itertools
@@ -99,7 +105,7 @@ DEFAULT_BUDGET = 10**6
 
 SIGN_ENUM_LIMIT = 16  # exhaustive sign-vector checks enumerate 2^n points
 
-_BLOCK = 1 << 15  # maps per enumerate_pairs call of build_matrix_lift
+_BLOCK = 1 << 12  # maps per enumerate_pairs call of build_matrix_lift
 
 
 def _check_lift_args(n: int, m: int, r: int, s: int):
@@ -186,11 +192,12 @@ def enumerate_pairs(matching: Hypergraph, m: int, s: int, ranks):
 
 @dataclass(frozen=True)
 class LiftResult:
-    """The kept pairs (f, g) of B over all colours, A = B + B^T, and the
-    report of A."""
+    """The report of A = B + B^T over all colours, streamed from the kept
+    pairs (f, g) of B without holding them: ``mask_counts[x]`` is the number
+    of kept pairs with mask(f) ^ mask(g) = x (module docstring), None when
+    n exceeds ``SIGN_ENUM_LIMIT``."""
 
-    f_ranks: np.ndarray
-    g_ranks: np.ndarray
+    mask_counts: np.ndarray | None
     n: int
     m: int
     r: int
@@ -203,15 +210,10 @@ class LiftResult:
     row_sum_bound: int
 
 
-def _distinct_unordered(f_ranks, g_ranks, dim: int) -> int:
-    """Number of distinct unordered pairs {f, g}: the keys min * dim + max
-    are built in one array, sorted in place and their runs counted."""
-    if not len(f_ranks):
+def _count_distinct(keys: np.ndarray) -> int:
+    """Number of distinct values of ``keys``, which it sorts in place."""
+    if not len(keys):
         return 0
-    keys = np.minimum(f_ranks, g_ranks)  # min * dim + max = min * (dim - 1) + f + g
-    keys *= dim - 1
-    keys += f_ranks
-    keys += g_ranks
     keys.sort()
     return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
 
@@ -220,9 +222,9 @@ def build_matrix_lift(
     h: Hypergraph, m: int, r: int, s: int = 0, budget: int = DEFAULT_BUDGET
 ) -> LiftResult:
     """The lift of a 2r-uniform hypergraph on [h.n] over maps [m] -> [h.n]
-    with goodness threshold s (0 means the default 200*4^r): the kept pairs
-    of B and its report.  Raises BudgetExceededError when h.n^m exceeds
-    ``budget``."""
+    with goodness threshold s (0 means the default 200*4^r) and its report,
+    in one pass over colour x rank block.  Raises BudgetExceededError when
+    h.n^m exceeds ``budget``."""
     n = h.n
     s = s or default_goodness_bound(r)
     _check_lift_args(n, m, r, s)
@@ -233,20 +235,30 @@ def build_matrix_lift(
         raise BudgetExceededError(f"n^m = {dim} exceeds the enumeration budget {budget}")
 
     coloring = greedy_edge_coloring(h)
-    empty = np.zeros(0, dtype=np.int64)
-    rows, cols = [empty], [empty]
+    row_sums = np.zeros(dim, dtype=np.int64)
+    masks = _parity_masks(m, n) if n <= SIGN_ENUM_LIMIT else None
+    mask_counts = None if masks is None else np.zeros(1 << n, dtype=np.int64)
+    keys = [np.zeros(0, dtype=np.int64)]
     cover_counts = []
     # edgeless input keeps no pair, but reports the default family's counts
     for class_edges in color_classes(h, coloring) or [()]:
         family = complete_to_maximal_matching(Hypergraph(n, class_edges), r)
         pairs = 0
         for start in range(0, dim, _BLOCK):
-            ranks = np.arange(start, min(start + _BLOCK, dim))
-            f_ranks, g_ranks, covers = enumerate_pairs(family, m, s, ranks)
-            pairs += len(f_ranks)
+            stop = min(start + _BLOCK, dim)
+            f, g, covers = enumerate_pairs(family, m, s, np.arange(start, stop))
+            pairs += len(f)
             keep = covers < len(class_edges)  # drop pairs covering completion padding
-            rows.append(f_ranks[keep])
-            cols.append(g_ranks[keep])
+            f, g = f[keep], g[keep]
+            row_sums[start:stop] += np.bincount(f - start, minlength=stop - start)
+            np.add.at(row_sums, g, 1)
+            if masks is not None:
+                mask_counts += np.bincount(masks[f] ^ masks[g], minlength=1 << n)
+            key = np.minimum(f, g)  # min * dim + max = min * (dim - 1) + f + g
+            key *= dim - 1
+            key += f
+            key += g
+            keys.append(key)
         if pairs % family.num_edges:
             raise RuntimeError("pair set size is not a multiple of the family size")
         cover_counts.append(pairs // family.num_edges)
@@ -254,15 +266,9 @@ def build_matrix_lift(
     if len(set(cover_counts)) != 1:
         raise RuntimeError("per-family cover counts differ across colors")
 
-    f_ranks = np.concatenate(rows)
-    del rows  # the per-block copies, before the second concatenation
-    g_ranks = np.concatenate(cols)
-    del cols
-    # Row sums and nnz of A = B + B^T from the pairs (module docstring).
-    row_sums = np.bincount(f_ranks, minlength=dim) + np.bincount(g_ranks, minlength=dim)
+    keys = np.concatenate(keys)
     return LiftResult(
-        f_ranks,
-        g_ranks,
+        mask_counts,
         n=n,
         m=m,
         r=r,
@@ -270,7 +276,7 @@ def build_matrix_lift(
         dim=dim,
         num_colors=coloring.num_colors,
         cover_count=cover_counts[0],
-        nnz=2 * _distinct_unordered(f_ranks, g_ranks, dim),
+        nnz=2 * _count_distinct(keys),
         max_row_sum=int(row_sums.max()),
         row_sum_bound=2 * h.max_degree * s**2 * math.factorial(r),
     )
@@ -293,27 +299,20 @@ def check_sign_cap(n: int):
         raise BudgetExceededError(f"sign enumeration capped at n = {SIGN_ENUM_LIMIT}")
 
 
-def check_lift_identity(f_ranks, g_ranks, cover_count: int, h: Hypergraph, m: int):
+def check_lift_identity(mask_counts, cover_count: int, h: Hypergraph):
     """Exhaustive exact check of the lift identity over all sign vectors,
-    for the kept pairs of the lift of h over maps [m] -> [h.n].
+    from the parity-mask histogram ``mask_counts`` of the kept pairs of the
+    lift of h (``LiftResult.mask_counts``).
 
     Both sides are multilinear in the signs, so they agree on all 2^n sign
-    vectors exactly when their Walsh coefficients agree: the histogram of
-    the occurrence-parity masks of the kept pairs (f, g) of B, looked up in
-    one table over all n^m ranks, against cover_count at each edge mask.
-    Only a nonzero difference is transformed (int64 Walsh-Hadamard), to find
-    the first failing sign vector.  Returns (ok, witness).
+    vectors exactly when their Walsh coefficients agree: the histogram
+    against cover_count at each edge mask and 0 elsewhere.  Only a nonzero
+    difference is transformed (int64 Walsh-Hadamard), to find the first
+    failing sign vector.  Returns (ok, witness).
     """
     n = h.n
     check_sign_cap(n)
-    size = 1 << n
-
-    masks = _parity_masks(m, n)
-    coeffs = np.zeros(size, dtype=np.int64)
-    for start in range(0, len(f_ranks), _BLOCK):  # per block: no full-length temporaries
-        stop = start + _BLOCK
-        pair_masks = masks[f_ranks[start:stop]] ^ masks[g_ranks[start:stop]]
-        coeffs += np.bincount(pair_masks, minlength=size)
+    coeffs = np.array(mask_counts, dtype=np.int64)
     for mask in h.edge_masks():
         coeffs[mask] -= cover_count
     if not coeffs.any():

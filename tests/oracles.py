@@ -2,7 +2,9 @@
 
 Everything here recomputes results from first principles (exhaustive
 enumeration, direct definitions), deliberately avoiding the library code
-paths under test.
+paths under test.  The exception is ``lift_pairs``, which rebuilds the
+pairs that the lift streams from the pair generator, itself checked
+against ``complements_direct``.
 """
 
 import itertools
@@ -13,7 +15,13 @@ import numpy as np
 
 from polywidth import mc
 from polywidth.errors import BudgetExceededError
-from polywidth.hypergraph import Hypergraph
+from polywidth.hypergraph import (
+    Hypergraph,
+    color_classes,
+    complete_to_maximal_matching,
+    greedy_edge_coloring,
+)
+from polywidth.tensorlift import enumerate_pairs
 
 
 def eval_poly_direct(edges, x):
@@ -75,6 +83,39 @@ def lift_matrix_dense(f_ranks, g_ranks, dim):
     np.add.at(a, (f_ranks, g_ranks), 1)
     np.add.at(a, (g_ranks, f_ranks), 1)
     return a
+
+
+def lift_pairs(h, m, r, s):
+    """The kept pairs (f, g) of B as two int64 arrays, which the lift streams
+    without keeping: colour by colour of h's first-fit colouring, the pairs
+    that ``enumerate_pairs`` generates over all n^m ranks for the colour's
+    completed family, less those covering completion padding.  It calls the
+    pair generator whole, where the lift calls it block by block;
+    ``test_enumerate_pairs_match_oracle`` checks the generator itself."""
+    empty = np.zeros(0, dtype=np.int64)
+    rows, cols = [empty], [empty]
+    for class_edges in color_classes(h, greedy_edge_coloring(h)):
+        family = complete_to_maximal_matching(Hypergraph(h.n, class_edges), r)
+        f_ranks, g_ranks, covers = enumerate_pairs(family, m, s, range(h.n**m))
+        keep = covers < len(class_edges)
+        rows.append(f_ranks[keep])
+        cols.append(g_ranks[keep])
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+def pair_mask_counts(f_ranks, g_ranks, n, m):
+    """Histogram over the 2^n vertex masks of mask(f) ^ mask(g), mask(f)
+    holding the vertices that map f hits an odd number of times (definition,
+    one pair and one digit at a time)."""
+    counts = np.zeros(1 << n, dtype=np.int64)
+    for pair in zip(f_ranks.tolist(), g_ranks.tolist()):
+        mask = 0
+        for rank in pair:
+            for _ in range(m):
+                rank, d = divmod(rank, n)
+                mask ^= 1 << d
+        counts[mask] += 1
+    return counts
 
 
 def phi_direct(f, edges, r):

@@ -86,10 +86,7 @@ def lift_results():
     assert len(instances) >= 20
     start = time.time()
     built = [(h, tl.build_matrix_lift(h, m, r)) for h, m, r in instances]
-    checks = [
-        tl.check_lift_identity(res.f_ranks, res.g_ranks, res.cover_count, h, res.m)
-        for h, res in built
-    ]
+    checks = [tl.check_lift_identity(res.mask_counts, res.cover_count, h) for h, res in built]
     elapsed = time.time() - start
     return built, checks, elapsed
 
@@ -127,8 +124,9 @@ def test_c03_sparsity_and_norm_bounds(lift_results):
                 f_ranks, g_ranks, _ = tl.enumerate_pairs(family, res.m, res.s, range(res.dim))
                 assert np.bincount(f_ranks).max() <= res.s * r_fact
                 assert np.bincount(g_ranks).max() <= res.s**2 * r_fact
-            if len(res.f_ranks):
-                a = oracles.lift_matrix_dense(res.f_ranks, res.g_ranks, res.dim)
+            f_ranks, g_ranks = oracles.lift_pairs(h, res.m, res.r, res.s)
+            if len(f_ranks):
+                a = oracles.lift_matrix_dense(f_ranks, g_ranks, res.dim)
                 max_row_sum = int(a.sum(axis=1).max())
                 bound = 2 * h.max_degree * res.s**2 * r_fact
                 assert max_row_sum <= bound
@@ -141,7 +139,7 @@ def test_lift_report_matches_dense_oracle(lift_results):
     parallel = 0
     for h, res in built:
         parallel += len(set(h.edges)) < h.num_edges
-        a = oracles.lift_matrix_dense(res.f_ranks, res.g_ranks, res.dim)
+        a = oracles.lift_matrix_dense(*oracles.lift_pairs(h, res.m, res.r, res.s), res.dim)
         assert res.nnz == np.count_nonzero(a), h
         assert res.max_row_sum == a.sum(axis=1).max(), h
     assert parallel == 2  # both parallel-edge instances are covered

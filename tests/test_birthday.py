@@ -222,6 +222,17 @@ def test_poisson_sum_chisquare_passes():
     assert rep.p_value >= 1e-3
 
 
+@pytest.mark.parametrize("samples", [7, 50_003])
+def test_binned_poisson_sums_equal_the_whole_draw(monkeypatch, samples):
+    # the whole-array draw: all of Y_a, then all of Y_b, from one stream;
+    # neither sample count is a multiple of the four doubles per Philox step
+    gen = mc.stream(9, 0)
+    draws = bd.sample_poisson(gen, 1.3, samples) + bd.sample_poisson(gen, 0.7, samples)
+    want = np.bincount(np.clip(draws, 1, 5) - 1, minlength=5)
+    monkeypatch.setattr(bd._kernels, "_BLOCK_CELLS", 1000)  # 51 lockstep blocks at 50,003
+    assert bd._binned_poisson_sums(1.3, 0.7, samples, 9, 1, 5).tolist() == want.tolist()
+
+
 @pytest.mark.parametrize("mu,samples", [(112.7, 1000), (40.0, 3000), (2.0, 50000), (2.0, 1000)])
 def test_chi_square_bins_each_expect_five_draws(mu, samples):
     # at mean 112.7 and 1000 draws a bin for 0 alone expected 1.1e-46 draws

@@ -8,7 +8,7 @@ import pytest
 
 import polywidth
 from polywidth import gwidth, hypergraph, randsets, tensorlift
-from polywidth.cli import COMMANDS, EXIT_BUDGET, EXIT_INVALID, EXIT_VERIFY, main
+from polywidth.cli import BLAS_THREAD_VARS, COMMANDS, EXIT_BUDGET, EXIT_INVALID, EXIT_VERIFY, main
 from polywidth.hypergraph import Hypergraph, save_hypergraph
 
 
@@ -69,6 +69,18 @@ def test_threads_do_not_change_bytes(capsys):
     _, one = run_cli(capsys, *base, "--threads", "1")
     _, eight = run_cli(capsys, *base, "--threads", "8")
     assert one == eight
+
+
+def test_blas_threads_pinned_only_above_one_thread(capsys, monkeypatch):
+    for name in BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    argv = ("ap-count", "--N", "7", "--k", "3", "--threads")
+    assert run_cli(capsys, *argv, "1")[0] == 0
+    assert [os.environ.get(name) for name in BLAS_THREAD_VARS] == [None] * 3
+    monkeypatch.setenv("OMP_NUM_THREADS", "4")  # the caller's value is kept
+    assert run_cli(capsys, *argv, "2")[0] == 0
+    assert {name: os.environ[name] for name in BLAS_THREAD_VARS} == {
+        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4", "MKL_NUM_THREADS": "1"}
 
 
 def test_gw_estimate_threads_byte_identical(capsys):

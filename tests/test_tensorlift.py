@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from polywidth.hypergraph import (
     Hypergraph,
     color_classes,
     complete_to_maximal_matching,
+    default_matching,
     greedy_edge_coloring,
     load_hypergraph,
 )
@@ -34,7 +36,7 @@ def phi(maps, matching, r):
 def verify(h, m, r):
     """Build the lift of h and check its identity: (ok, the LiftResult)."""
     res = tl.build_matrix_lift(h, m, r)
-    ok, _ = tl.check_lift_identity(res.f_ranks, res.g_ranks, res.cover_count, h, m)
+    ok, _ = tl.check_lift_identity(res.mask_counts, res.cover_count, h)
     return ok, res
 
 
@@ -238,9 +240,8 @@ def test_verify_rejects_large_n_before_building(monkeypatch):
     with pytest.raises(BudgetExceededError):
         tl.check_sign_cap(tl.SIGN_ENUM_LIMIT + 1)
     h = Hypergraph(tl.SIGN_ENUM_LIMIT + 1, [(0, 1)])
-    empty = np.zeros(0, dtype=np.int64)
     with pytest.raises(BudgetExceededError):
-        tl.check_lift_identity(empty, empty, 1, h, 1)
+        tl.check_lift_identity(None, 1, h)  # a lift past the cap has no mask histogram
 
 
 def test_budget_guard():
@@ -255,24 +256,27 @@ def M4_big():
 def test_lift_worked_example():
     res = tl.build_matrix_lift(M4, 2, 1)
     assert res.cover_count == 16
-    a = oracles.lift_matrix_dense(res.f_ranks, res.g_ranks, 16)
+    f_ranks, g_ranks = oracles.lift_pairs(M4, 2, 1, res.s)
+    a = oracles.lift_matrix_dense(f_ranks, g_ranks, 16)
     assert (a == a.T).all() and (a >= 0).all()
     assert not a.diagonal().any()
     # identity over all 16 sign vectors, against the direct quadratic form
     for bits in itertools.product((1, -1), repeat=4):
         y = oracles.tensor_power_vector(bits, 2)
-        lhs = oracles.quadratic_form_direct(res.f_ranks, res.g_ranks, y)
+        lhs = oracles.quadratic_form_direct(f_ranks, g_ranks, y)
         assert lhs == 2 * 16 * poly.evaluate(M4, bits) == int(y @ a @ y)
     # the specific cancellation point
     bits = (1, 1, 1, -1)
     y = oracles.tensor_power_vector(bits, 2)
-    assert oracles.quadratic_form_direct(res.f_ranks, res.g_ranks, y) == 0
+    assert oracles.quadratic_form_direct(f_ranks, g_ranks, y) == 0
 
 
 def test_lift_all_ones_total():
     res = tl.build_matrix_lift(M4, 2, 1)
-    a = oracles.lift_matrix_dense(res.f_ranks, res.g_ranks, 16)
-    assert a.sum() == 2 * len(res.f_ranks) == 2 * res.cover_count * M4.num_edges
+    f_ranks, g_ranks = oracles.lift_pairs(M4, 2, 1, res.s)
+    a = oracles.lift_matrix_dense(f_ranks, g_ranks, 16)
+    assert a.sum() == 2 * len(f_ranks) == 2 * res.cover_count * M4.num_edges
+    assert res.mask_counts.sum() == len(f_ranks)
 
 
 def _first_copy_nnz(h, m, r, s):
@@ -299,29 +303,99 @@ def test_parallel_edge_nnz_counts_the_pairs_of_every_copy():
     # sort-free count undercounts: 12 against the dense oracle's 16.
     h = Hypergraph(9, [(0, 1), (2, 3), (0, 1), (3, 8)])
     res = tl.build_matrix_lift(h, 2, 1, 1)
-    a = oracles.lift_matrix_dense(res.f_ranks, res.g_ranks, 81)
+    a = oracles.lift_matrix_dense(*oracles.lift_pairs(h, 2, 1, 1), 81)
     assert res.nnz == np.count_nonzero(a) == 16
-    assert tl.check_lift_identity(res.f_ranks, res.g_ranks, res.cover_count, h, 2)[0]
+    assert tl.check_lift_identity(res.mask_counts, res.cover_count, h)[0]
     assert _first_copy_nnz(h, 2, 1, 1) == 12
+
+
+K8 = load_hypergraph(Path(__file__).parents[1] / "perfbench" / "data" / "k8.hg")
+
+# (h, m, r, s): a matching, a path, parallel edges in colour classes whose
+# families differ, r = 2, and the 7-colour K_8
+STREAMED_CASES = [
+    (M4, 2, 1, S1),
+    (Hypergraph(5, [(0, 1), (1, 2), (3, 4)]), 3, 1, S1),
+    (Hypergraph(9, [(0, 1), (2, 3), (0, 1), (3, 8)]), 2, 1, 1),
+    (Hypergraph(6, [(0, 1, 2, 3), (2, 3, 4, 5)]), 3, 2, tl.default_goodness_bound(2)),
+    (K8, 3, 1, S1),
+]
+
+
+def _report(res):
+    """The fields of a LiftResult, the mask histogram as a list."""
+    return (res.mask_counts.tolist(), res.dim, res.num_colors, res.cover_count, res.nnz,
+            res.max_row_sum, res.row_sum_bound)
+
+
+@pytest.mark.parametrize("h, m, r, s", STREAMED_CASES)
+def test_mask_counts_match_the_pair_oracle(h, m, r, s):
+    res = tl.build_matrix_lift(h, m, r, s)
+    f_ranks, g_ranks = oracles.lift_pairs(h, m, r, s)
+    assert len(f_ranks) == res.cover_count * h.num_edges
+    assert res.mask_counts.tolist() == oracles.pair_mask_counts(f_ranks, g_ranks, h.n, m).tolist()
+
+
+@pytest.mark.parametrize("h, m, r, s", STREAMED_CASES)
+def test_many_blocks_report_equals_one_block(monkeypatch, h, m, r, s):
+    # Blocks of 7 ranks, which divide no n^m here: (f, g) and (g, f) are
+    # generated in different blocks, and their one key is counted once.
+    whole = tl.build_matrix_lift(h, m, r, s)
+    assert whole.dim <= tl._BLOCK  # one block
+    monkeypatch.setattr(tl, "_BLOCK", 7)
+    blocks = tl.build_matrix_lift(h, m, r, s)
+    assert _report(blocks) == _report(whole)
+    f_ranks, g_ranks = oracles.lift_pairs(h, m, r, s)
+    pairs = set(zip(f_ranks.tolist(), g_ranks.tolist()))
+    assert any((g, f) in pairs and f // 7 != g // 7 for f, g in pairs)
+    a = oracles.lift_matrix_dense(f_ranks, g_ranks, whole.dim)
+    assert blocks.nnz == np.count_nonzero(a)
+    assert blocks.max_row_sum == a.sum(axis=1).max()
+
+
+def test_lift_past_the_sign_cap_has_no_mask_histogram():
+    # 2^17 sign vectors are past the cap: the report streams without the
+    # histogram, and the check refuses before reading it
+    h = Hypergraph(tl.SIGN_ENUM_LIMIT + 1, [(0, 1)])
+    res = tl.build_matrix_lift(h, 1, 1)
+    assert res.mask_counts is None
+    assert (res.cover_count, res.nnz, res.max_row_sum) == (2, 2, 2)  # (0, 1) and (1, 0)
+    with pytest.raises(BudgetExceededError):
+        tl.check_lift_identity(res.mask_counts, res.cover_count, h)
+
+
+def test_lift_build_keeps_no_pair_arrays():
+    # n = 8, m = 5: 40,960 kept pairs over 32,768 ranks in 8 blocks.  Holding
+    # the pair arrays, their block copies and a sort key, the build peaked at
+    # 11.1 MiB; streamed, with one key per pair, at about 3.5 MiB.
+    h = default_matching(8, 1)
+    tracemalloc.start()
+    try:
+        res = tl.build_matrix_lift(h, 5, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.nnz == 163840
+    assert peak < 5 * 2**20
 
 
 def test_wht_check_agrees_with_direct_oracle():
     res = tl.build_matrix_lift(M4, 2, 1)
-    ok, witness = tl.check_lift_identity(res.f_ranks, res.g_ranks, res.cover_count, M4, 2)
+    ok, witness = tl.check_lift_identity(res.mask_counts, res.cover_count, M4)
     assert ok and witness is None
     # sanity: the WHT path detects a wrong constant
-    ok_bad, witness_bad = tl.check_lift_identity(
-        res.f_ranks, res.g_ranks, res.cover_count + 1, M4, 2
-    )
+    ok_bad, witness_bad = tl.check_lift_identity(res.mask_counts, res.cover_count + 1, M4)
     assert not ok_bad and witness_bad is not None
 
 
 def test_perturbed_matrix_fails_with_witness():
     res = tl.build_matrix_lift(M4, 2, 1)
+    f_ranks, g_ranks = oracles.lift_pairs(M4, 2, 1, res.s)
     # duplicate one pair: A gains 1 at (f, g) and at (g, f)
-    f_ranks = np.append(res.f_ranks, res.f_ranks[0])
-    g_ranks = np.append(res.g_ranks, res.g_ranks[0])
-    ok, witness = tl.check_lift_identity(f_ranks, g_ranks, res.cover_count, M4, 2)
+    f_ranks = np.append(f_ranks, f_ranks[0])
+    g_ranks = np.append(g_ranks, g_ranks[0])
+    mask_counts = oracles.pair_mask_counts(f_ranks, g_ranks, 4, 2)
+    ok, witness = tl.check_lift_identity(mask_counts, res.cover_count, M4)
     assert not ok
     assert witness is not None and set(witness) <= {-1, 1}
     # the witness really separates the two sides
@@ -348,7 +422,9 @@ def _first_failing_sign_vector(h, m, f_ranks, g_ranks, cover_count):
 )
 def test_check_witness_is_the_first_failing_sign_vector(h):
     res = tl.build_matrix_lift(h, 2, 1)
-    f, g, cover = res.f_ranks, res.g_ranks, res.cover_count
+    f, g = oracles.lift_pairs(h, 2, 1, res.s)
+    cover = res.cover_count
+    assert (oracles.pair_mask_counts(f, g, h.n, 2) == res.mask_counts).all()
     gen = np.random.default_rng(7)
     cases = [(f, g, cover), (f, g, cover + 1), (f[1:], g[1:], cover),
              (np.append(f, f[0]), np.append(g, g[0]), cover)]
@@ -359,7 +435,8 @@ def test_check_witness_is_the_first_failing_sign_vector(h):
     verdicts = []
     for f_ranks, g_ranks, cover_count in cases:
         want = _first_failing_sign_vector(h, 2, f_ranks, g_ranks, cover_count)
-        ok, witness = tl.check_lift_identity(f_ranks, g_ranks, cover_count, h, 2)
+        mask_counts = oracles.pair_mask_counts(f_ranks, g_ranks, h.n, 2)
+        ok, witness = tl.check_lift_identity(mask_counts, cover_count, h)
         assert (ok, witness) == (want is None, want)
         verdicts.append(ok)
     assert verdicts[0] and not any(verdicts[1:4])  # intact lift, then 3 sure failures
@@ -370,8 +447,7 @@ def test_verify_assembles_no_matrix(monkeypatch):
         raise AssertionError("a sparse matrix was assembled")
 
     monkeypatch.setattr(SparseMatrix, "from_entries", assemble)
-    k8 = load_hypergraph(Path(__file__).parents[1] / "perfbench" / "data" / "k8.hg")
-    for h, m in [(M4, 2), (k8, 4), (Hypergraph(4, [(0, 1), (0, 1), (2, 3)]), 2)]:
+    for h, m in [(M4, 2), (K8, 4), (Hypergraph(4, [(0, 1), (0, 1), (2, 3)]), 2)]:
         ok, _ = verify(h, m, 1)
         assert ok, h
 
@@ -423,10 +499,9 @@ def test_row_sums_within_degree_bound():
 
 def test_empty_hypergraph_lift():
     res = tl.build_matrix_lift(Hypergraph(4, ()), 2, 1)
-    assert len(res.f_ranks) == res.nnz == res.max_row_sum == 0
-    ok, _ = tl.check_lift_identity(
-        res.f_ranks, res.g_ranks, res.cover_count, Hypergraph(4, ()), 2
-    )
+    assert res.mask_counts.tolist() == [0] * 16
+    assert res.nnz == res.max_row_sum == 0
+    ok, _ = tl.check_lift_identity(res.mask_counts, res.cover_count, Hypergraph(4, ()))
     assert ok
 
 
