@@ -27,8 +27,9 @@ EXIT_INVALID = 2
 EXIT_BUDGET = 3
 EXIT_VERIFY = 4
 
-# Thread counts of the BLAS and OpenMP pools numpy may start: pinned to 1
-# at --threads above 1, so worker threads do not each fan out into a pool.
+# Thread counts of the BLAS and OpenMP pools numpy may start: pinned to 1 at
+# every --threads value, so worker threads do not each fan out into a pool
+# and a single-thread run does not wait on one.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -547,9 +548,8 @@ def run(argv=None) -> int:
     if config:
         argv[1:1] = _config_flags(config)  # right after the subcommand
     args = vars(_build_parser().parse_args(argv))
-    if args["threads"] > 1:  # before a runner imports numpy; a caller's value is kept
-        for name in BLAS_THREAD_VARS:
-            os.environ.setdefault(name, "1")
+    for name in BLAS_THREAD_VARS:  # before a runner imports numpy; a caller's value is kept
+        os.environ.setdefault(name, "1")
     rows, code, pre_lines = COMMANDS[args["command"]][2](args)
     for line in pre_lines:
         print(line)

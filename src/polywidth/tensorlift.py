@@ -52,28 +52,47 @@ a vertex -> edge lookup, and for each order pi of S - f(P)
 the pairs against ``tests/oracles.complements_direct``, which tests the
 definition directly against every map.
 
-The report is streamed from the kept pairs (f, g) of B, one key per pair;
-neither A nor the pair list is ever held.  A = B + B^T is symmetric by
-construction, its diagonal is empty (g != f on the witness positions P, as
-shown above), and its entries are positive counts, so nothing cancels.
-``build_matrix_lift`` makes one pass over colour x block of ``_BLOCK``
-ranks, and adds each block's kept pairs into three accumulators:
+The report is streamed from the kept pairs (f, g) of B; neither A nor the
+pair list is ever held.  A = B + B^T is symmetric by construction, its
+diagonal is empty (g != f on the witness positions P, as shown above), and
+its entries are positive counts, so nothing cancels.  ``build_matrix_lift``
+makes one pass over colour x block of ``_BLOCK`` ranks, in rank order, and
+keeps, besides the row sums, one goodness table per colour (a bool per
+map).  Row f of A sums to the number of kept pairs with first map f plus
+the number with second map f.  Three facts stream the rest.
 
-* the row sums: row f of A sums to the number of kept pairs with first map
-  f plus the number with second map f;
-* the identity check's histogram: <A x_tensor, x_tensor> = 2 * sum over
-  kept pairs of x_tensor[f] * x_tensor[g], and x_tensor[f] is the product
-  of x over the vertices that f hits an odd number of times.  With mask(f)
-  that vertex set as a bit mask, each pair adds 2 to the coefficient of
-  mask(f) ^ mask(g).  The identity holds on every sign vector exactly when
-  these coefficients equal 2 * cover_count at each edge mask and 0
-  elsewhere, since the Walsh-Hadamard transform mapping coefficients to
-  values is a bijection;
-* one unordered key min(f, g) * dim + max(f, g) per pair: A_fg != 0
-  exactly when (f, g) or (g, f) is kept, so nnz(A) is twice the number of
-  distinct keys, parallel edges included.  The mirror (g, f) of a pair
-  may come from another block or colour, so the keys are sorted once,
-  in place, after the pass.
+* Goodness comes from the pairs.  A good map f has exactly r! * phi(f) >= 1
+  complements (one per r-set P mapped injectively into a family edge S,
+  and order of S - f(P)), and a map that is not good has none.  So a
+  block's good maps are the first maps of its pairs before the padding
+  filter.  Complementarity with witness P and edge S depends only on
+  (f, g) and on S lying in the family, so within a colour (f, g) is a pair
+  exactly when (g, f) is, and the mirror (g, f) of a kept (f, g) is kept
+  exactly when g is good.
+
+* nnz needs no sort.  A_fg != 0 exactly when (f, g) or (g, f) is kept in
+  some colour, so nnz(A) is twice the number of such unordered pairs
+  {f, g}.  The pair fixes its edge S = f(P) | g(P), so it is kept in a
+  colour only if S is an original edge there, and in two colours only for
+  parallel copies of S.  Each {f, g} is counted in the first colour that
+  keeps it, once: at the kept (f, g) with g > f, or with g not good.  Ranks
+  run in order, so good[g] is known whenever g < f.  A kept (f, g) is
+  skipped when an earlier colour holds S as an original edge and f or g is
+  good there, since that colour counted it.  A colour's goodness table is
+  kept only while a later colour holds a copy of one of its edges.
+
+* The identity check's histogram needs no per-map table.
+  <A x_tensor, x_tensor> = 2 * sum over kept pairs of
+  x_tensor[f] * x_tensor[g], and x_tensor[f] is the product of x over the
+  vertices that f hits an odd number of times.  With mask(f) that vertex
+  set as a bit mask, each pair adds 2 to the coefficient of
+  mask(f) ^ mask(g).  f and g differ exactly on P, where their 2r values
+  are the distinct vertices of S, so mask(f) ^ mask(g) = mask(S): the
+  histogram is the number of kept pairs covering each edge, added at the
+  edge masks.  The identity holds on every sign vector exactly when these
+  coefficients equal 2 * cover_count at each edge mask and 0 elsewhere,
+  since the Walsh-Hadamard transform mapping coefficients to values is a
+  bijection.
 """
 
 import itertools
@@ -105,7 +124,7 @@ DEFAULT_BUDGET = 10**6
 
 SIGN_ENUM_LIMIT = 16  # exhaustive sign-vector checks enumerate 2^n points
 
-_BLOCK = 1 << 12  # maps per enumerate_pairs call of build_matrix_lift
+_BLOCK = 1 << 10  # maps per enumerate_pairs call of build_matrix_lift
 
 
 def _check_lift_args(n: int, m: int, r: int, s: int):
@@ -170,23 +189,29 @@ def enumerate_pairs(matching: Hypergraph, m: int, s: int, ranks):
 
     edge_of = np.full(n, -1, dtype=np.int64)  # vertex -> matching edge
     edge_of[edges] = np.arange(len(edges), dtype=np.int64)[:, None]
-    powers = n ** np.arange(m, dtype=np.int64)
-    out = [(np.zeros(0, dtype=np.int64),) * 3]
-    for positions in itertools.combinations(range(m), r):
-        positions = list(positions)
-        image = digits[:, positions]  # f(P)
-        covered = edge_of[image[:, 0]]
-        keep = (covered >= 0) & (edge_of[image] == covered[:, None]).all(axis=1)
-        for a, b in itertools.combinations(range(r), 2):
+    # every r-set P of positions at once: row q * len(ranks) + i holds f(P)
+    # for the q-th r-set and the i-th good map
+    sets = np.array(list(itertools.combinations(range(m), r)), dtype=np.int64)
+    image = digits[:, sets].transpose(1, 0, 2).reshape(-1, r)
+    covered = edge_of[image[:, 0]]
+    keep = covered >= 0
+    for a in range(1, r):  # f(P) in one edge, on r distinct vertices
+        keep &= edge_of[image[:, a]] == covered
+        for b in range(a):
             keep &= image[:, a] != image[:, b]
-        rows = np.flatnonzero(keep)
-        image, covered = image[rows], covered[rows]
-        members = edges[covered]
-        rest = members[(members[:, :, None] != image[:, None, :]).all(axis=2)].reshape(-1, r)
-        f = ranks[rows]
-        base = f - image @ powers[positions]
-        for order in itertools.permutations(range(r)):
-            out.append((f, base + rest[:, order] @ powers[positions], covered))
+    rows = np.flatnonzero(keep)
+    image, covered = image[rows], covered[rows]
+    set_index, map_index = np.divmod(rows, max(len(ranks), 1))
+    weights = (n ** sets)[set_index]  # n^i at the positions P
+    members = edges[covered]
+    outside = members != image[:, :1]
+    for a in range(1, r):
+        outside &= members != image[:, a : a + 1]
+    rest = members[outside].reshape(-1, r)  # S - f(P), in increasing order
+    f = ranks[map_index]
+    base = f - np.einsum("ij,ij->i", image, weights)
+    out = [(f, base + np.einsum("ij,ij->i", rest[:, order], weights), covered)
+           for order in itertools.permutations(range(r))]
     return tuple(np.concatenate(column) for column in zip(*out))
 
 
@@ -194,8 +219,9 @@ def enumerate_pairs(matching: Hypergraph, m: int, s: int, ranks):
 class LiftResult:
     """The report of A = B + B^T over all colours, streamed from the kept
     pairs (f, g) of B without holding them: ``mask_counts[x]`` is the number
-    of kept pairs with mask(f) ^ mask(g) = x (module docstring), None when
-    n exceeds ``SIGN_ENUM_LIMIT``."""
+    of kept pairs with mask(f) ^ mask(g) = x, that is the number covering
+    an edge with vertex mask x (module docstring), None when n exceeds
+    ``SIGN_ENUM_LIMIT``."""
 
     mask_counts: np.ndarray | None
     n: int
@@ -210,12 +236,33 @@ class LiftResult:
     row_sum_bound: int
 
 
-def _count_distinct(keys: np.ndarray) -> int:
-    """Number of distinct values of ``keys``, which it sorts in place."""
-    if not len(keys):
-        return 0
-    keys.sort()
-    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
+def _earlier_copies(classes) -> list:
+    """For each colour c, the (c', held) with c' < c whose class shares an
+    edge with c's: held[k] is True when c's k-th edge is one of colour c'."""
+    holders = {}
+    for c, edges in enumerate(classes):
+        for e in edges:
+            holders.setdefault(e, []).append(c)
+    out = []
+    for c, edges in enumerate(classes):
+        earlier = sorted({c2 for e in edges for c2 in holders[e] if c2 < c})
+        out.append([(c2, np.array([c2 in holders[e] for e in edges])) for c2 in earlier])
+    return out
+
+
+def _keep_freed_block_pages():
+    """Have glibc keep the pages that blocks free for the next block.
+
+    glibc returns free memory at the top of its heap to the system once it
+    exceeds a trim threshold: 128 KiB, until freeing a mapped chunk raises
+    it to twice that chunk's size.  A block's temporaries take about
+    0.5 MiB, so depending on the heap's layout every block could map its
+    pages afresh: at n^m = 10^6, 80,000-117,000 minor faults and about 0.2 s
+    against 6,000.  Freeing one untouched 1 MiB array, which is mapped and
+    never resident, raises the threshold to 2 MiB; other allocators lose
+    nothing by it.
+    """
+    np.empty(1 << 17, dtype=np.int64)
 
 
 def build_matrix_lift(
@@ -234,39 +281,49 @@ def build_matrix_lift(
     if dim > budget:
         raise BudgetExceededError(f"n^m = {dim} exceeds the enumeration budget {budget}")
 
+    _keep_freed_block_pages()
     coloring = greedy_edge_coloring(h)
-    row_sums = np.zeros(dim, dtype=np.int64)
-    masks = _parity_masks(m, n) if n <= SIGN_ENUM_LIMIT else None
-    mask_counts = None if masks is None else np.zeros(1 << n, dtype=np.int64)
-    keys = [np.zeros(0, dtype=np.int64)]
-    cover_counts = []
     # edgeless input keeps no pair, but reports the default family's counts
-    for class_edges in color_classes(h, coloring) or [()]:
+    classes = color_classes(h, coloring) or [()]
+    copies = _earlier_copies(classes)
+    last_use = {c2: c for c, held in enumerate(copies) for c2, _ in held}
+    goods = {}  # goodness tables of earlier colours that a later one reads
+    row_sums = np.zeros(dim, dtype=np.int64)
+    mask_counts = np.zeros(1 << n, dtype=np.int64) if n <= SIGN_ENUM_LIMIT else None
+    nnz = 0
+    cover_counts = []
+    for c, class_edges in enumerate(classes):
         family = complete_to_maximal_matching(Hypergraph(n, class_edges), r)
+        good = np.zeros(dim, dtype=bool)
+        covered = np.zeros(len(class_edges), dtype=np.int64)
         pairs = 0
         for start in range(0, dim, _BLOCK):
             stop = min(start + _BLOCK, dim)
             f, g, covers = enumerate_pairs(family, m, s, np.arange(start, stop))
             pairs += len(f)
+            good[start:stop] = np.bincount(f - start, minlength=stop - start) > 0
             keep = covers < len(class_edges)  # drop pairs covering completion padding
-            f, g = f[keep], g[keep]
+            f, g, covers = f[keep], g[keep], covers[keep]
             row_sums[start:stop] += np.bincount(f - start, minlength=stop - start)
             np.add.at(row_sums, g, 1)
-            if masks is not None:
-                mask_counts += np.bincount(masks[f] ^ masks[g], minlength=1 << n)
-            key = np.minimum(f, g)  # min * dim + max = min * (dim - 1) + f + g
-            key *= dim - 1
-            key += f
-            key += g
-            keys.append(key)
+            covered += np.bincount(covers, minlength=len(class_edges))
+            counted = (g > f) | ~good[g]  # g < f: good[g] is already known
+            for c2, held in copies[c]:  # counted in c2 if f or g is good there
+                counted &= ~(held[covers] & (goods[c2][f] | goods[c2][g]))
+            nnz += 2 * int(np.count_nonzero(counted))
+            del f, g, covers, keep, counted  # two blocks' arrays are never live at once
         if pairs % family.num_edges:
             raise RuntimeError("pair set size is not a multiple of the family size")
         cover_counts.append(pairs // family.num_edges)
+        if mask_counts is not None:
+            for edge, count in zip(class_edges, covered.tolist()):
+                mask_counts[sum(1 << v for v in edge)] += count
+        goods[c] = good
+        goods = {c2: table for c2, table in goods.items() if last_use.get(c2, -1) > c}
 
     if len(set(cover_counts)) != 1:
         raise RuntimeError("per-family cover counts differ across colors")
 
-    keys = np.concatenate(keys)
     return LiftResult(
         mask_counts,
         n=n,
@@ -276,21 +333,10 @@ def build_matrix_lift(
         dim=dim,
         num_colors=coloring.num_colors,
         cover_count=cover_counts[0],
-        nnz=2 * _count_distinct(keys),
+        nnz=nnz,
         max_row_sum=int(row_sums.max()),
         row_sum_bound=2 * h.max_degree * s**2 * math.factorial(r),
     )
-
-
-def _parity_masks(m: int, n: int) -> np.ndarray:
-    """Occurrence-parity vertex mask of every rank 0..n^m-1: the XOR of
-    1 << f(i) over the digits of the map, one digit position at a time
-    (rank q*n + d has the mask of rank q with bit d flipped)."""
-    bits = np.left_shift(1, np.arange(n, dtype=np.int64))
-    masks = np.zeros(1, dtype=np.int64)
-    for _ in range(m):
-        masks = (masks[:, None] ^ bits).ravel()
-    return masks
 
 
 def check_sign_cap(n: int):

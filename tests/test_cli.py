@@ -71,14 +71,15 @@ def test_threads_do_not_change_bytes(capsys):
     assert one == eight
 
 
-def test_blas_threads_pinned_only_above_one_thread(capsys, monkeypatch):
-    for name in BLAS_THREAD_VARS:
-        monkeypatch.delenv(name, raising=False)
+def test_blas_threads_pinned_at_every_thread_count(capsys, monkeypatch):
     argv = ("ap-count", "--N", "7", "--k", "3", "--threads")
-    assert run_cli(capsys, *argv, "1")[0] == 0
-    assert [os.environ.get(name) for name in BLAS_THREAD_VARS] == [None] * 3
+    for threads in ("1", "2"):
+        for name in BLAS_THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
+        assert run_cli(capsys, *argv, threads)[0] == 0
+        assert [os.environ.get(name) for name in BLAS_THREAD_VARS] == ["1"] * 3
     monkeypatch.setenv("OMP_NUM_THREADS", "4")  # the caller's value is kept
-    assert run_cli(capsys, *argv, "2")[0] == 0
+    assert run_cli(capsys, *argv, "1")[0] == 0
     assert {name: os.environ[name] for name in BLAS_THREAD_VARS} == {
         "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4", "MKL_NUM_THREADS": "1"}
 

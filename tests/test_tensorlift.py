@@ -51,16 +51,6 @@ def test_map_rank_roundtrip(n, m, data):
     assert ((digits >= 0) & (digits < n)).all()
 
 
-@pytest.mark.parametrize("n,m", [(2, 1), (3, 4), (4, 3), (7, 2), (5, 5)])
-def test_parity_masks_by_definition(n, m):
-    # bit v of the mask of f is set when f hits v an odd number of times
-    want = []
-    for rank in range(n**m):
-        digits = [(rank // n**i) % n for i in range(m)]
-        want.append(sum(1 << v for v in range(n) if digits.count(v) % 2))
-    assert tl._parity_masks(m, n).tolist() == want
-
-
 def test_half_cover_count_single_coordinate():
     # r=1, f=(1,3): exactly one coordinate lands in {1,2}
     assert phi([(1, 3)], Hypergraph(4, [(1, 2)]), 1) == [1]
@@ -152,6 +142,59 @@ def test_enumerate_pairs_match_oracle(n, m, s, edges):
     assert sorted(zip(*(a.tolist() for a in pairs))) == sorted(expected)
 
 
+def _rank_digits(rank, n, m):
+    return [(rank // n**i) % n for i in range(m)]
+
+
+@pytest.mark.parametrize(
+    "matching, m, s",
+    [
+        (Hypergraph(5, [(0, 1), (2, 3)]), 3, 2),  # phi up to 3
+        (Hypergraph(5, [(0, 1), (2, 3)]), 4, 3),  # rejects phi = 4
+        (Hypergraph(8, [(0, 1, 2, 3), (4, 5, 6, 7)]), 3, 2),
+        (Hypergraph(6, [(0, 1, 2, 3)]), 4, 5),
+        (Hypergraph(7, [(0, 1, 2, 3, 4, 5)]), 3, 1),
+        (Hypergraph(6, [(0, 1, 2, 3, 4, 5)]), 4, 2),  # phi up to 4
+    ],
+)
+def test_pairs_per_map_are_r_factorial_phi(matching, m, s):
+    # the lift reads goodness off the pairs: a map has r! * phi(f) >= 1 pairs
+    # when it is good, and none otherwise
+    n, r = matching.n, len(matching.edges[0]) // 2
+    f_ranks, _, _ = tl.enumerate_pairs(matching, m, s, range(n**m))
+    counts = np.bincount(f_ranks, minlength=n**m).tolist()
+    scores = [oracles.phi_direct(_rank_digits(rank, n, m), matching.edges, r)
+              for rank in range(n**m)]
+    want = [math.factorial(r) * p if 1 <= p <= s else 0 for p in scores]
+    assert counts == want
+    assert any(want) and not all(want)  # good maps and rejected ones
+
+
+@pytest.mark.parametrize(
+    "matching, m",
+    [
+        (Hypergraph(5, [(0, 1), (2, 3)]), 3),
+        (Hypergraph(8, [(0, 1, 2, 3), (4, 5, 6, 7)]), 3),
+        (Hypergraph(6, [(0, 1, 2, 3, 4, 5)]), 4),
+    ],
+)
+def test_pair_masks_are_the_covered_edge_masks(matching, m):
+    # the identity histogram adds the kept pairs at their edge masks:
+    # mask(f) ^ mask(g) = mask(S), bit v of mask(f) set when f hits v an odd
+    # number of times
+    n, r = matching.n, len(matching.edges[0]) // 2
+
+    def mask(rank):
+        digits = _rank_digits(rank, n, m)
+        return sum(1 << v for v in range(n) if digits.count(v) % 2)
+
+    pairs = tl.enumerate_pairs(matching, m, math.comb(m, r), range(n**m))
+    triples = list(zip(*(a.tolist() for a in pairs)))
+    assert triples
+    edge_masks = matching.edge_masks()
+    assert all(mask(f) ^ mask(g) == edge_masks[cover] for f, g, cover in triples)
+
+
 @pytest.mark.parametrize(
     "matching, m, cuts",
     [
@@ -232,10 +275,9 @@ def test_pair_cover_product_identity():
 
 def test_verify_rejects_large_n_before_building(monkeypatch):
     def build(*args):
-        raise AssertionError("the lift or the parity table was built")
+        raise AssertionError("the lift was built")
 
     monkeypatch.setattr(tl, "build_matrix_lift", build)
-    monkeypatch.setattr(tl, "_parity_masks", build)
     tl.check_sign_cap(tl.SIGN_ENUM_LIMIT)
     with pytest.raises(BudgetExceededError):
         tl.check_sign_cap(tl.SIGN_ENUM_LIMIT + 1)
@@ -280,9 +322,9 @@ def test_lift_all_ones_total():
 
 
 def _first_copy_nnz(h, m, r, s):
-    """The sort-free nnz: a kept pair counts once if g is good against its
-    colour's family and twice if not, and only at the first copy of its
-    covered edge."""
+    """A simpler sort-free nnz that ignores goodness in earlier colours: a
+    kept pair counts once if g is good against its colour's family and
+    twice if not, and only at the first copy of its covered edge."""
     total, seen = 0, set()
     for class_edges in color_classes(h, greedy_edge_coloring(h)):
         family = complete_to_maximal_matching(Hypergraph(h.n, class_edges), r)
@@ -299,8 +341,10 @@ def _first_copy_nnz(h, m, r, s):
 
 def test_parallel_edge_nnz_counts_the_pairs_of_every_copy():
     # The copies of the parallel edge (0, 1) sit in colour classes whose
-    # completed families differ, so goodness differs per colour, and the
-    # sort-free count undercounts: 12 against the dense oracle's 16.
+    # completed families differ, so goodness differs per colour, and a count
+    # made only at the first copy undercounts: 12 against the dense oracle's
+    # 16.  The lift skips a later copy's pair only where f or g is good in
+    # the earlier colour.
     h = Hypergraph(9, [(0, 1), (2, 3), (0, 1), (3, 8)])
     res = tl.build_matrix_lift(h, 2, 1, 1)
     a = oracles.lift_matrix_dense(*oracles.lift_pairs(h, 2, 1, 1), 81)
@@ -339,7 +383,7 @@ def test_mask_counts_match_the_pair_oracle(h, m, r, s):
 @pytest.mark.parametrize("h, m, r, s", STREAMED_CASES)
 def test_many_blocks_report_equals_one_block(monkeypatch, h, m, r, s):
     # Blocks of 7 ranks, which divide no n^m here: (f, g) and (g, f) are
-    # generated in different blocks, and their one key is counted once.
+    # generated in different blocks, and the pair is counted once.
     whole = tl.build_matrix_lift(h, m, r, s)
     assert whole.dim <= tl._BLOCK  # one block
     monkeypatch.setattr(tl, "_BLOCK", 7)
@@ -351,6 +395,76 @@ def test_many_blocks_report_equals_one_block(monkeypatch, h, m, r, s):
     a = oracles.lift_matrix_dense(f_ranks, g_ranks, whole.dim)
     assert blocks.nnz == np.count_nonzero(a)
     assert blocks.max_row_sum == a.sum(axis=1).max()
+
+
+def _random_multi_hypergraph(gen, r):
+    """A small 2r-uniform hypergraph whose edges repeat: 1-3 random edges,
+    each 1-3 times, in random order."""
+    n = int(gen.integers(2 * r, (6, 7, 8)[r - 1]))
+    drawn = [tuple(gen.choice(n, 2 * r, replace=False).tolist())
+             for _ in range(int(gen.integers(1, 4)))]
+    edges = [e for e in drawn for _ in range(int(gen.integers(1, 4)))]
+    gen.shuffle(edges)
+    return Hypergraph(n, edges)
+
+
+def _earlier_goodness_splits(h, m, r, s):
+    """Kept pairs (f, g) whose covered edge is an original edge of an earlier
+    colour in which exactly one of f and g is good (by the phi kernel)."""
+    classes = color_classes(h, greedy_edge_coloring(h))
+    maps = tl._digits(range(h.n**m), m, h.n)
+    goods, splits = [], 0
+    for class_edges in classes:
+        family = complete_to_maximal_matching(Hypergraph(h.n, class_edges), r)
+        f_ranks, g_ranks, covers = tl.enumerate_pairs(family, m, s, range(h.n**m))
+        for f, g, cover in zip(f_ranks.tolist(), g_ranks.tolist(), covers.tolist()):
+            if cover < len(class_edges):
+                splits += any(family.edges[cover] in earlier and good[f] != good[g]
+                              for earlier, good in goods)
+        scores = np.array(phi(maps, family, r))
+        goods.append((set(class_edges), (scores >= 1) & (scores <= s)))
+    return splits
+
+
+def test_nnz_and_mask_counts_on_random_multi_hypergraphs(monkeypatch):
+    # Parallel copies of an edge sit in colours whose families differ, so a
+    # pair may be good at f and not at g in an earlier colour; blocks of 7
+    # ranks split pairs from their mirrors.  nnz(A) is twice the number of
+    # distinct unordered kept pairs.
+    monkeypatch.setattr(tl, "_BLOCK", 7)
+    gen = np.random.default_rng(2029)
+    splits = 0
+    for case in range(100):
+        r = (1, 1, 2, 2, 3)[case % 5]
+        h = _random_multi_hypergraph(gen, r)
+        m = int(gen.integers(r, 4))  # n^m <= 343
+        s = (1, 2, 3, 5, 0)[int(gen.integers(5))] or tl.default_goodness_bound(r)
+        res = tl.build_matrix_lift(h, m, r, s)
+        f_ranks, g_ranks = oracles.lift_pairs(h, m, r, s)
+        unordered = set(zip(np.minimum(f_ranks, g_ranks).tolist(),
+                            np.maximum(f_ranks, g_ranks).tolist()))
+        assert res.nnz == 2 * len(unordered), (h, m, r, s)
+        assert res.mask_counts.tolist() == oracles.pair_mask_counts(
+            f_ranks, g_ranks, h.n, m).tolist()
+        splits += _earlier_goodness_splits(h, m, r, s)
+    assert splits
+
+
+def test_nnz_skips_a_copy_whose_pair_was_counted_at_its_mirror(monkeypatch):
+    # The copies of (0, 1, 2, 3) sit in families that differ in their other
+    # edge, (4, 5, 6, 8) against the padding (4, 5, 6, 7).  At m = 5 a map can
+    # send two positions into that edge and one more into (0, 1, 2, 3), so
+    # some kept (f, g) of the second colour has f not good and g good in the
+    # first: the first colour counted the pair at its mirror (g, f), and a
+    # skip that read only good[f] there would give 234,240.
+    monkeypatch.setattr(tl, "_BLOCK", 1000)  # 9^5 ranks: the last block is short
+    h = Hypergraph(9, [(0, 1, 2, 3), (4, 5, 6, 8), (0, 1, 2, 3)])
+    res = tl.build_matrix_lift(h, 5, 2, 3)
+    f_ranks, g_ranks = oracles.lift_pairs(h, 5, 2, 3)
+    unordered = set(zip(np.minimum(f_ranks, g_ranks).tolist(),
+                        np.maximum(f_ranks, g_ranks).tolist()))
+    assert res.nnz == 2 * len(unordered) == 225600
+    assert tl.check_lift_identity(res.mask_counts, res.cover_count, h)[0]
 
 
 def test_lift_past_the_sign_cap_has_no_mask_histogram():
@@ -365,9 +479,12 @@ def test_lift_past_the_sign_cap_has_no_mask_histogram():
 
 
 def test_lift_build_keeps_no_pair_arrays():
-    # n = 8, m = 5: 40,960 kept pairs over 32,768 ranks in 8 blocks.  Holding
-    # the pair arrays, their block copies and a sort key, the build peaked at
-    # 11.1 MiB; streamed, with one key per pair, at about 3.5 MiB.
+    # n = 8, m = 5: 40,960 kept pairs over 32,768 ranks in 32 blocks.
+    # Holding the pair arrays, their block copies and a sort key, the build
+    # peaked at 11.1 MiB; streamed with one sort key per pair and a parity
+    # mask per map, at about 3.5 MiB; with neither, at about 1.0 MiB: the
+    # untouched 1 MiB array that _keep_freed_block_pages frees first, then
+    # about 0.8 MiB of row sums, goodness table and block temporaries.
     h = default_matching(8, 1)
     tracemalloc.start()
     try:
@@ -376,7 +493,7 @@ def test_lift_build_keeps_no_pair_arrays():
     finally:
         tracemalloc.stop()
     assert res.nnz == 163840
-    assert peak < 5 * 2**20
+    assert peak < 1.5 * 2**20
 
 
 def test_wht_check_agrees_with_direct_oracle():
