@@ -7,23 +7,22 @@ multiset (edges whose vertex sets coincide stay as parallel edges, so twice
 the polynomial of the hypergraph equals the ordered progression count).
 
 The module runs on Python ints and loads no numpy: a subset of Z/NZ is an
-int mask with bit x set for each member x, progressions are counted by
-shifting and AND-ing that mask, and the affine maps of the 2-transitivity
-check are drawn from ``mc.PhiloxStream``.
+int mask with bit x set for each member x, and both structural checks
+compare multisets of such masks exactly, with no sampling.
 """
 
 import math
+from collections import Counter
 
-from . import mc
 from .hypergraph import Hypergraph
 
 __all__ = [
     "progressions",
     "ap_hypergraph",
     "fixed_difference_hypergraph",
-    "ordered_ap_count",
     "pair_incidence_profile",
     "two_transitivity_check",
+    "doubled_polynomial_check",
     "gradient_hypergraphs",
 ]
 
@@ -68,31 +67,6 @@ def fixed_difference_hypergraph(N: int, k: int, y: int) -> Hypergraph:
     return Hypergraph(N, progressions(N, k, [y]))
 
 
-def ordered_ap_count(bits, k: int) -> int:
-    """Ordered count: pairs (a, b), b != 0, with the whole progression
-    a, a+b, ..., a+(k-1)b inside the subset whose 0/1 (or truthy) entries
-    are ``bits``.
-
-    On the int mask S of the subset, with R_j the rotation of S that has
-    bit x set iff x + j (mod N) lies in S, the count is the sum over
-    d = 1..N-1 of popcount(S & R_d & R_2d & ... & R_(k-1)d).
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    N = len(bits)
-    S = sum(1 << x for x, b in enumerate(bits) if b)
-    full = (1 << N) - 1
-    rotated = [((S >> j) | (S << (N - j))) & full for j in range(N)]  # R_j
-    total = 0
-    for d in range(1, N):
-        # a term repeated at composite N only repeats an AND
-        inside = S
-        for t in range(1, k):
-            inside &= rotated[t * d % N]
-        total += inside.bit_count()
-    return total
-
-
 def pair_incidence_profile(h: Hypergraph):
     """Edge counts per unordered vertex pair: (max count, dict of counts)."""
     table = {}
@@ -104,41 +78,45 @@ def pair_incidence_profile(h: Hypergraph):
     return (max(table.values()) if table else 0), table
 
 
-def two_transitivity_check(h: Hypergraph, trials: int, seed: int) -> bool:
-    """Random affine maps x -> scale*x + shift of Z/NZ (N = h.n, prime)
-    must map the edges of the uniform hypergraph h to edges.  Returns True
-    iff all trials pass (an edgeless h passes vacuously).
+def two_transitivity_check(h: Hypergraph) -> bool:
+    """Whether every affine map x -> s*x + t of Z/NZ (N = h.n prime, s != 0)
+    maps the edge multiset of h onto itself, parallel edges counted.
 
-    Each trial draws scale = 1 + integers(N - 1), then shift = integers(N),
-    from ``mc.PhiloxStream(seed, 0)``: a uniform one of the N(N-1) affine
-    bijections.  They act sharply 2-transitively, so this is also the map
-    that sends a fixed vertex pair onto a uniform pair of distinct
-    vertices.  The trial maps vertex x to the bit of its image and an edge
-    to the OR of its vertices' bits, and looks that mask up among the edge
-    masks.  A map drawn again is not checked again.
+    The maps that keep h form a subgroup of the affine group, which
+    x -> x + 1 and x -> g*x for a primitive root g generate, so those two
+    decide.  (The affine maps act sharply 2-transitively, hence the name.)
     """
     N = h.n
     if not _is_prime(N):
         raise ValueError("N must be prime")
-    if not h.is_uniform():
-        raise ValueError("hypergraph must be uniform")
-    edge_masks = set(h.edge_masks())
-    columns = list(zip(*h.edges))  # column t holds vertex t of every edge
-    draws = mc.PhiloxStream(seed, 0)
-    kept = set()  # (scale, shift) of the maps x -> scale*x + shift that passed
-    for _ in range(trials):
-        scale = 1 + draws.integers(N - 1, 1)[0]
-        shift = draws.integers(N, 1)[0]
-        if (scale, shift) in kept:
-            continue
-        bit = [1 << ((scale * x + shift) % N) for x in range(N)]
-        # the map is a bijection, so the bits of an edge are distinct and
-        # their sum is their OR
-        images = map(sum, zip(*(map(bit.__getitem__, col) for col in columns)))
-        if not edge_masks.issuperset(images):
-            return False
-        kept.add((scale, shift))
-    return True
+    factors = [p for p in range(2, N) if (N - 1) % p == 0 and _is_prime(p)]
+    g = next(g for g in range(1, N) if all(pow(g, (N - 1) // p, N) != 1 for p in factors))
+    masks = h.edge_masks()
+    counts = Counter(masks)
+    # a bijection keeps the multiset iff each edge has as many copies as its image
+    return all(
+        counts[sum(1 << (s * x + t) % N for x in e)] == counts[m]
+        for s, t in ((1, 1), (g, 0))
+        for m, e in zip(masks, h.edges)
+    )
+
+
+def doubled_polynomial_check(h: Hypergraph, k: int) -> bool:
+    """Whether twice the polynomial of h equals the ordered k-progression
+    count of Z/NZ (N = h.n) on every subset.
+
+    Both are multilinear, so they agree iff their coefficients do: the masks
+    of the N(N-1) ordered progressions (a, b), b != 0, built here from (a, b)
+    rather than by ``progressions``, must be twice the edge-mask multiset.
+    """
+    N = h.n
+    counts = Counter(h.edge_masks())
+    excess = counts + counts  # less each ordered mask, it must end all zero
+    full = (1 << N) - 1
+    for b in range(1, N):
+        start = sum({1 << t * b % N for t in range(k)})  # a repeated term once
+        excess.subtract(((start << a) | (start >> (N - a))) & full for a in range(N))
+    return not any(excess.values())
 
 
 def gradient_hypergraphs(h: Hypergraph):

@@ -2,13 +2,16 @@
 
 Everything here recomputes results from first principles (exhaustive
 enumeration, direct definitions), deliberately avoiding the library code
-paths under test.  The exception is ``lift_pairs``, which rebuilds the
+paths under test.  The exceptions are ``lift_pairs``, which rebuilds the
 pairs that the lift streams from the pair generator, itself checked
-against ``complements_direct``.
+against ``complements_direct``, and ``ordered_ap_count``, a shift-and
+count for tests that count many subsets, itself checked against
+``ordered_ap_count_direct``.
 """
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -223,13 +226,40 @@ def ordered_ap_count_direct(bits, k):
     return count
 
 
-def edge_preserving_direct(edges, N, a, b, c, d):
-    """Whether the affine map of Z/NZ sending a -> c and b -> d (a != b)
-    sends every edge onto an edge."""
-    scale = ((d - c) * pow(b - a, -1, N)) % N
-    mapped = {v: (c + scale * (v - a)) % N for v in range(N)}
-    edge_sets = set(edges)
-    return all(tuple(sorted(mapped[v] for v in e)) in edge_sets for e in edges)
+def ordered_ap_count(bits, k):
+    """Ordered count: pairs (a, b), b != 0, with the whole progression
+    a, a+b, ..., a+(k-1)b inside the subset whose 0/1 (or truthy) entries
+    are ``bits``.
+
+    On the int mask S of the subset, with R_j the rotation of S that has
+    bit x set iff x + j (mod N) lies in S, the count is the sum over
+    d = 1..N-1 of popcount(S & R_d & R_2d & ... & R_(k-1)d).
+    """
+    if k < 1:
+        raise ValueError("k must be positive")
+    N = len(bits)
+    S = sum(1 << x for x, b in enumerate(bits) if b)
+    full = (1 << N) - 1
+    rotated = [((S >> j) | (S << (N - j))) & full for j in range(N)]  # R_j
+    total = 0
+    for d in range(1, N):
+        # a term repeated at composite N only repeats an AND
+        inside = S
+        for t in range(1, k):
+            inside &= rotated[t * d % N]
+        total += inside.bit_count()
+    return total
+
+
+def affine_maps_keep_direct(edges, N):
+    """Whether each of the N(N-1) affine maps x -> s*x + t of Z/NZ (prime N,
+    s != 0) sends the edge multiset onto itself, parallel edges counted."""
+    want = Counter(tuple(sorted(e)) for e in edges)
+    return all(
+        Counter(tuple(sorted((s * v + t) % N for v in e)) for e in edges) == want
+        for s in range(1, N)
+        for t in range(N)
+    )
 
 
 def random_hypergraph(rng, n_max=10, d_max=4, max_edges=12):

@@ -17,7 +17,12 @@ from polywidth import gwidth as gw
 from polywidth import mc, poly
 from polywidth import randsets as rs
 from polywidth import tensorlift as tl
-from polywidth.aps import ap_hypergraph, ordered_ap_count, pair_incidence_profile, two_transitivity_check
+from polywidth.aps import (
+    ap_hypergraph,
+    doubled_polynomial_check,
+    pair_incidence_profile,
+    two_transitivity_check,
+)
 from polywidth.cli import main as cli_main
 from polywidth.hypergraph import (
     Hypergraph,
@@ -223,8 +228,9 @@ def test_c09_ap_structure():
                 assert len(table) == N * (N - 1) // 2
                 for _ in range(100):
                     bits = (gen.random(N) < 0.5).astype(np.uint8)
-                    assert 2 * poly.evaluate(h, bits) == ordered_ap_count(bits, k)
-                assert two_transitivity_check(h, 100, seed=N * 10 + k)
+                    assert 2 * poly.evaluate(h, bits) == oracles.ordered_ap_count(bits, k)
+                assert doubled_polynomial_check(h, k)
+                assert two_transitivity_check(h)
 
 
 def test_c10_upper_tail_desk_scale():

@@ -1,14 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import oracles
+from oracles import ordered_ap_count
 from polywidth import mc, poly
 from polywidth.aps import (
     ap_hypergraph,
+    doubled_polynomial_check,
     fixed_difference_hypergraph,
     gradient_hypergraphs,
-    ordered_ap_count,
     pair_incidence_profile,
+    progressions,
     two_transitivity_check,
 )
 from polywidth.hypergraph import Hypergraph
@@ -152,18 +156,18 @@ def test_expected_ordered_count_mc_cross_check():
 
 
 def test_two_transitivity():
-    assert two_transitivity_check(ap_hypergraph(7, 3), 100, seed=1)
-    assert two_transitivity_check(ap_hypergraph(11, 4), 50, seed=2)
+    assert two_transitivity_check(ap_hypergraph(7, 3))
+    assert two_transitivity_check(ap_hypergraph(11, 4))
     with pytest.raises(ValueError, match="prime"):
-        two_transitivity_check(Hypergraph(9, [(0, 1, 2)]), 10, seed=1)
+        two_transitivity_check(Hypergraph(9, [(0, 1, 2)]))
 
 
 @pytest.mark.parametrize("N", PRIMES_TO_31)
 def test_two_transitivity_maps_each_drawn_pair_onto_the_other(N):
-    # two_transitivity_check draws a map x -> scale*x + shift, which sends
-    # the pair (0, 1) onto (shift, scale + shift).  These image pairs are the
-    # N(N-1) ordered pairs of distinct vertices, each once, so a uniform map
-    # is the map onto a uniform pair: the maps act sharply 2-transitively
+    # the map x -> scale*x + shift sends the pair (0, 1) onto
+    # (shift, scale + shift).  These image pairs are the N(N-1) ordered
+    # pairs of distinct vertices, each once: the affine maps act sharply
+    # 2-transitively, and oracles.affine_maps_keep_direct visits each once
     images = [(shift, (scale + shift) % N) for scale in range(1, N) for shift in range(N)]
     assert len(set(images)) == len(images) == N * (N - 1)
     assert all(c != d for c, d in images)
@@ -206,8 +210,8 @@ def test_ordered_ap_count_takes_lists_and_arrays():
 @pytest.mark.parametrize("N", [3, 5, 7, 11, 13, 17, 19, 23])
 def test_every_affine_map_keeps_the_progression_edges(N):
     # x -> a x + b (a != 0) sends a progression to one of the same length,
-    # so transitive_ok holds whatever maps ap-structure draws.  Checked on
-    # all N(N-1) maps: scale the edge masks by a, then rotate them by b
+    # so transitive_ok holds on every valid input.  Checked on all N(N-1)
+    # maps: scale the edge masks by a, then rotate them by b
     full = (1 << N) - 1
     for k in range(3, min(N, 7) + 1):
         h = ap_hypergraph(N, k)
@@ -222,32 +226,27 @@ def test_every_affine_map_keeps_the_progression_edges(N):
     "N,k", [(N, k) for N in (3, 5, 7, 11, 13) for k in range(3, min(N, 7) + 1)]
 )
 def test_doubled_polynomial_equals_ordered_count_on_every_subset(N, k):
-    # each edge is a progression and its reversal, so lambda_ok holds
-    # whatever subsets ap-structure draws.  Checked on all 2^N subsets
+    # each edge is a progression and its reversal, so lambda_ok holds on
+    # every valid input.  Checked on all 2^N subsets
     h = ap_hypergraph(N, k)
     for S in range(1 << N):
         bits = [S >> x & 1 for x in range(N)]
         assert 2 * poly.evaluate(h, bits) == ordered_ap_count(bits, k), S
 
 
-def _transitivity_direct(edges, N, trials, seed):
-    """two_transitivity_check replayed map by map with the direct oracle."""
-    gen = mc.stream(seed, 0)
-    for _ in range(trials):
-        scale = int(gen.integers(1, N))
-        shift = int(gen.integers(0, N))
-        # the map x -> scale*x + shift sends 0 to shift and 1 to scale + shift
-        if not oracles.edge_preserving_direct(edges, N, 0, 1, shift, (scale + shift) % N):
-            return False
-    return True
-
-
 @pytest.mark.parametrize("N", PRIMES_TO_31)
 def test_two_transitivity_matches_direct(N):
+    assert oracles.affine_maps_keep_direct(ap_hypergraph(N, 3).edges, N) is True
     for k in range(3, min(N, 7) + 1):
+        assert two_transitivity_check(ap_hypergraph(N, k)) is True
+
+
+@pytest.mark.parametrize("N", [3, 5, 7, 11, 13])
+def test_both_checks_hold_on_every_small_ap_hypergraph(N):
+    for k in range(3, N + 1):
         h = ap_hypergraph(N, k)
-        assert two_transitivity_check(h, 20, seed=N + k) is True
-        assert _transitivity_direct(h.edges, N, 20, N + k)
+        assert two_transitivity_check(h) is True, k
+        assert doubled_polynomial_check(h, k) is True, k
 
 
 def _perturbed(N, k):
@@ -264,8 +263,8 @@ def _perturbed(N, k):
 @pytest.mark.parametrize("N,k", [(7, 3), (11, 4), (13, 6), (31, 5)])
 def test_two_transitivity_rejects_a_perturbed_edge(N, k):
     h = _perturbed(N, k)
-    assert two_transitivity_check(h, 100, seed=3) is False
-    assert _transitivity_direct(h.edges, N, 100, 3) is False
+    assert two_transitivity_check(h) is False
+    assert oracles.affine_maps_keep_direct(h.edges, N) is False
 
 
 def _power_differences(N, k, e):
@@ -276,26 +275,75 @@ def _power_differences(N, k, e):
 
 
 @pytest.mark.parametrize(
-    "h",
-    [_power_differences(7, 3, 3), _power_differences(13, 3, 2), _power_differences(13, 4, 2),
-     _power_differences(31, 5, 3),
-     # the edges {0, v}: kept by the maps that fix 0, so t matters as well as s
-     Hypergraph(5, [(0, v) for v in range(1, 5)]), Hypergraph(7, [(0, v) for v in range(1, 7)])],
-    ids=["7-3-cubes", "13-3-squares", "13-4-squares", "31-5-cubes", "5-star", "7-star"],
+    "h,kept",
+    [
+        # every difference an e-th power, or (N = 3 mod 4) one of y, -y a
+        # square: each progression is there, so every map keeps them
+        (_power_differences(5, 3, 3), True), (_power_differences(7, 3, 2), True),
+        (_power_differences(11, 3, 2), True), (_power_differences(11, 4, 3), True),
+        # a proper subgroup of differences closed under y -> -y: the maps
+        # whose scale s lies outside it break them
+        (_power_differences(5, 3, 2), False), (_power_differences(7, 3, 3), False),
+        (_power_differences(11, 3, 5), False), (_power_differences(13, 3, 2), False),
+        (_power_differences(13, 4, 2), False), (_power_differences(13, 3, 3), False),
+        (_power_differences(31, 5, 3), False),
+        # the edges {0, v}: kept by the maps that fix 0, broken by a shift
+        (Hypergraph(5, [(0, v) for v in range(1, 5)]), False),
+        (Hypergraph(7, [(0, v) for v in range(1, 7)]), False),
+    ],
+    ids=["5-3-cubes", "7-3-squares", "11-3-squares", "11-4-cubes", "5-3-squares",
+         "7-3-cubes", "11-3-fifths", "13-3-squares", "13-4-squares", "13-3-cubes",
+         "31-5-cubes", "5-star", "7-star"],
 )
-def test_two_transitivity_fails_at_the_trial_of_the_direct_replay(h):
-    # some maps pass and some fail: the check passes for exactly the trial
-    # counts before the first map that fails in the numpy replay
-    for seed in range(8):
-        got = [two_transitivity_check(h, t, seed) for t in range(1, 25)]
-        assert got == [_transitivity_direct(h.edges, h.n, t, seed) for t in range(1, 25)]
+def test_two_transitivity_matches_every_affine_map(h, kept):
+    # the two generating maps decide what all N(N-1) maps do
+    assert oracles.affine_maps_keep_direct(h.edges, h.n) is kept
+    assert two_transitivity_check(h) is kept
+
+
+def test_two_transitivity_counts_parallel_edges():
+    # {A, A, B} with x -> x + 1 swapping A = {0} and B = {1}: the image
+    # {B, B, A} holds the same edges but not as often
+    h = Hypergraph(2, [(0,), (0,), (1,)])
+    assert oracles.affine_maps_keep_direct(h.edges, 2) is False
+    assert two_transitivity_check(h) is False
+    # every pair of Z/5Z is one orbit: kept once or twice each, not with one
+    # pair doubled
+    pairs = list(itertools.combinations(range(5), 2))
+    assert two_transitivity_check(Hypergraph(5, pairs)) is True
+    assert two_transitivity_check(Hypergraph(5, pairs * 2)) is True
+    assert two_transitivity_check(Hypergraph(5, pairs + pairs[:1])) is False
 
 
 def test_two_transitivity_on_edgeless_and_non_uniform_hypergraphs():
     # every edge of an edgeless hypergraph maps onto an edge, vacuously
-    assert two_transitivity_check(Hypergraph(7, []), 10, seed=1) is True
-    with pytest.raises(ValueError, match="hypergraph must be uniform"):
-        two_transitivity_check(Hypergraph(7, [(0, 1), (0, 1, 2)]), 10, seed=1)
+    assert two_transitivity_check(Hypergraph(7, [])) is True
+    # edges of several sizes: each size class must be kept on its own
+    complete = list(itertools.combinations(range(7), 2)) + [tuple(range(7))]
+    for edges, kept in (([(0, 1), (0, 1, 2)], False), (complete, True)):
+        assert oracles.affine_maps_keep_direct(edges, 7) is kept
+        assert two_transitivity_check(Hypergraph(7, edges)) is kept
+
+
+def _lambda_edges(N, k):
+    """ap_hypergraph's edges for prime N; for odd composite N the same
+    progressions, each with its repeated terms kept once."""
+    if N in PRIMES_TO_31:
+        return list(ap_hypergraph(N, k).edges)
+    return [set(row) for row in progressions(N, k, range(1, (N - 1) // 2 + 1))]
+
+
+@pytest.mark.parametrize("N,k", [(5, 3), (7, 4), (9, 3), (9, 4), (11, 5)])
+def test_doubled_polynomial_check_rejects_a_dropped_or_duplicated_edge(N, k):
+    # against 2 * polynomial = ordered count on all 2^N subsets
+    edges = _lambda_edges(N, k)
+    for variant, want in ((edges, True), (edges[1:], False), (edges + edges[:1], False)):
+        h = Hypergraph(N, variant)
+        assert doubled_polynomial_check(h, k) is want
+        assert all(
+            2 * poly.evaluate(h, bits) == ordered_ap_count(bits, k)
+            for bits in itertools.product((0, 1), repeat=N)
+        ) is want
 
 
 def test_squaring_map_is_not_edge_preserving():

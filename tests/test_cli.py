@@ -405,25 +405,33 @@ def test_ap_structure_runs(capsys):
     assert out.splitlines()[1].endswith("true")
 
 
-def test_ap_structure_checks_the_rows_of_the_numpy_draw(capsys, monkeypatch):
-    # lambda_ok is true on every subset, so the report cannot show which
-    # subsets were drawn: record them as they are counted
-    from polywidth import aps, mc
-
-    seen = []
-    count = aps.ordered_ap_count
-
-    def recorded(bits, k):
-        seen.append(bits)
-        return count(bits, k)
-
-    monkeypatch.setattr(aps, "ordered_ap_count", recorded)
-    for N, trials, seed in ((7, 20, 0), (13, 5, 12345), (31, 3, 2**40 + 3)):
-        seen.clear()
-        code, _ = run_cli(capsys, "ap-structure", "--N", str(N), "--k", "3",
-                          "--trials", str(trials), "--seed", str(seed))
-        assert code == 0
-        assert seen == (mc.stream(seed, 0).random((trials, N)) < 0.5).tolist()
+def test_ap_structure_reports_ignore_trials_and_seed():
+    # both checks are exact: --trials and --seed change no computed byte,
+    # and the run draws nothing and evaluates no polynomial
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "from polywidth.cli import main\n"
+        "runs = []\n"
+        "for trials, seed in ((1, 7), (100, 7), (5000, 7), (100, 0), (100, 2**40 + 3)):\n"
+        "    out = io.StringIO()\n"
+        "    argv = ['ap-structure', '--N', '31', '--k', '5', '--trials', str(trials),\n"
+        "            '--seed', str(seed)]\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        runs.append([main(argv), out.getvalue()])\n"
+        "loaded = [m for m in ('numpy', 'polywidth.mc', 'polywidth.poly') if m in sys.modules]\n"
+        "print(json.dumps([runs, loaded]))\n"
+    )
+    done = _run_python(probe)
+    assert done.returncode == 0, done.stderr
+    runs, loaded = json.loads(done.stdout)
+    assert loaded == []
+    assert [code for code, _ in runs] == [0] * 5
+    reports = [out for _, out in runs]
+    assert reports[0] == reports[1] == reports[2]
+    header = "N,k,edges,edges_ok,degree_ok,pair_ok,lambda_ok,transitive_ok,all_ok\n"
+    row = "31,5,465,true,true,true,true,true,true\n"
+    for seed, report in zip((7, 0, 2**40 + 3), reports[2:]):
+        assert report == f"{header}{row}# seed={seed} version={polywidth.__version__}\n"
 
 
 def test_intersective_random_model(capsys):
@@ -718,7 +726,7 @@ AP_RUNS = [
 
 
 def test_ap_commands_run_without_numpy(capsys):
-    # subsets and affine maps come from mc.PhiloxStream
+    # aps counts and checks on Python ints and draws nothing
     _runs_without_numpy(capsys, AP_RUNS)
 
 
