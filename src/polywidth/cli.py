@@ -130,7 +130,7 @@ def _run_matrix_verify(args):
 
     n, m, r = args["n"], args["m"], args["r"]
     budget = tensorlift.DEFAULT_BUDGET if args["budget"] is None else args["budget"]
-    tensorlift.check_sign_cap(n)  # before any hypergraph is built or read
+    tensorlift.check_budget(n, m, budget)  # before any hypergraph is built or read
     if args["hypergraph"]:
         h = load_hypergraph(args["hypergraph"])
         if h.n != n:
@@ -490,7 +490,8 @@ COMMANDS = {
 }
 
 
-def _build_parser():
+def _build_parser(argv):
+    chosen = next((token for token in argv if token in COMMANDS), None)
     parser = argparse.ArgumentParser(
         prog="polywidth",
         description="Experiments on hypergraph polynomials over the hypercube: "
@@ -502,8 +503,9 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, opts, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text, description=help_text, allow_abbrev=False)
-        for flag, kwargs in opts + COMMON_OPTS:
-            p.add_argument(f"--{flag}", **kwargs)
+        if name == chosen:
+            for flag, kwargs in opts + COMMON_OPTS:
+                p.add_argument(f"--{flag}", **kwargs)
     return parser
 
 
@@ -541,7 +543,7 @@ def run(argv=None) -> int:
     config = pre.parse_known_args(argv)[0].config
     if config:
         argv[1:1] = _config_flags(config)  # right after the subcommand
-    args = vars(_build_parser().parse_args(argv))
+    args = vars(_build_parser(argv).parse_args(argv))
     for name in BLAS_THREAD_VARS:  # before a runner imports numpy; a caller's value is kept
         os.environ.setdefault(name, "1")
     rows, code, pre_lines = COMMANDS[args["command"]][2](args)

@@ -81,22 +81,23 @@ the number with second map f.  Three facts stream the rest.
   good there, since that colour counted it.  A colour's goodness table is
   kept only while a later colour holds a copy of one of its edges.
 
-* The identity check's histogram needs no per-map table.
+* The identity check needs no per-map table.
   <A x_tensor, x_tensor> = 2 * sum over kept pairs of
   x_tensor[f] * x_tensor[g], and x_tensor[f] is the product of x over the
   vertices that f hits an odd number of times.  With mask(f) that vertex
   set as a bit mask, each pair adds 2 to the coefficient of
   mask(f) ^ mask(g).  f and g differ exactly on P, where their 2r values
-  are the distinct vertices of S, so mask(f) ^ mask(g) = mask(S): the
-  histogram is the number of kept pairs covering each edge, added at the
-  edge masks.  The identity holds on every sign vector exactly when these
-  coefficients equal 2 * cover_count at each edge mask and 0 elsewhere,
-  since the Walsh-Hadamard transform mapping coefficients to values is a
-  bijection.
+  are the distinct vertices of S, so mask(f) ^ mask(g) = mask(S).  The
+  identity holds exactly when each edge mask counts cover_count kept pairs
+  per edge copy: setting x_j to +1 and to -1 gives the sum and the
+  difference of a multilinear polynomial's two cofactors in x_j, so by
+  induction it is zero on every sign vector only when all its
+  coefficients are.
 """
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,13 +117,11 @@ __all__ = [
     "default_goodness_bound",
     "enumerate_pairs",
     "build_matrix_lift",
-    "check_sign_cap",
+    "check_budget",
     "check_lift_identity",
 ]
 
 DEFAULT_BUDGET = 10**6
-
-SIGN_ENUM_LIMIT = 16  # exhaustive sign-vector checks enumerate 2^n points
 
 _BLOCK = 1 << 10  # maps per enumerate_pairs call of build_matrix_lift
 
@@ -218,12 +217,10 @@ def enumerate_pairs(matching: Hypergraph, m: int, s: int, ranks):
 @dataclass(frozen=True)
 class LiftResult:
     """The report of A = B + B^T over all colours, streamed from the kept
-    pairs (f, g) of B without holding them: ``mask_counts[x]`` is the number
-    of kept pairs with mask(f) ^ mask(g) = x, that is the number covering
-    an edge with vertex mask x (module docstring), None when n exceeds
-    ``SIGN_ENUM_LIMIT``."""
+    pairs (f, g) of B without holding them: ``mask_counts`` maps each edge
+    mask x to the number of kept pairs covering it, mask(f) ^ mask(g) = x."""
 
-    mask_counts: np.ndarray | None
+    mask_counts: Counter
     n: int
     m: int
     r: int
@@ -277,9 +274,7 @@ def build_matrix_lift(
     _check_lift_args(n, m, r, s)
     if h.edges and not h.is_uniform(2 * r):
         raise ValueError(f"hypergraph must be {2 * r}-uniform")
-    dim = n**m
-    if dim > budget:
-        raise BudgetExceededError(f"n^m = {dim} exceeds the enumeration budget {budget}")
+    dim = check_budget(n, m, budget)
 
     _keep_freed_block_pages()
     coloring = greedy_edge_coloring(h)
@@ -289,7 +284,7 @@ def build_matrix_lift(
     last_use = {c2: c for c, held in enumerate(copies) for c2, _ in held}
     goods = {}  # goodness tables of earlier colours that a later one reads
     row_sums = np.zeros(dim, dtype=np.int64)
-    mask_counts = np.zeros(1 << n, dtype=np.int64) if n <= SIGN_ENUM_LIMIT else None
+    mask_counts = Counter()
     nnz = 0
     cover_counts = []
     for c, class_edges in enumerate(classes):
@@ -315,9 +310,8 @@ def build_matrix_lift(
         if pairs % family.num_edges:
             raise RuntimeError("pair set size is not a multiple of the family size")
         cover_counts.append(pairs // family.num_edges)
-        if mask_counts is not None:
-            for edge, count in zip(class_edges, covered.tolist()):
-                mask_counts[sum(1 << v for v in edge)] += count
+        for edge, count in zip(class_edges, covered.tolist()):
+            mask_counts[sum(1 << v for v in edge)] += count
         goods[c] = good
         goods = {c2: table for c2, table in goods.items() if last_use.get(c2, -1) > c}
 
@@ -339,30 +333,33 @@ def build_matrix_lift(
     )
 
 
-def check_sign_cap(n: int):
-    """Raise BudgetExceededError when 2^n sign vectors are too many to check."""
-    if n > SIGN_ENUM_LIMIT:
-        raise BudgetExceededError(f"sign enumeration capped at n = {SIGN_ENUM_LIMIT}")
+def check_budget(n: int, m: int, budget: int) -> int:
+    """n^m, or BudgetExceededError past ``budget`` (with no huge power)."""
+    if m * (n.bit_length() - 1) < budget.bit_length() and n**m <= budget:
+        return n**m
+    raise BudgetExceededError(f"n^m = {n}^{m} exceeds the enumeration budget {budget}")
 
 
 def check_lift_identity(mask_counts, cover_count: int, h: Hypergraph):
-    """Exhaustive exact check of the lift identity over all sign vectors,
-    from the parity-mask histogram ``mask_counts`` of the kept pairs of the
-    lift of h (``LiftResult.mask_counts``).
-
-    Both sides are multilinear in the signs, so they agree on all 2^n sign
-    vectors exactly when their Walsh coefficients agree: the histogram
-    against cover_count at each edge mask and 0 elsewhere.  Only a nonzero
-    difference is transformed (int64 Walsh-Hadamard), to find the first
-    failing sign vector.  Returns (ok, witness).
-    """
-    n = h.n
-    check_sign_cap(n)
-    coeffs = np.array(mask_counts, dtype=np.int64)
+    """(ok, witness): the lift identity on all 2^n sign vectors, from the
+    per-edge-mask pair counts of h's lift (``LiftResult.mask_counts``).
+    The halved difference of the two sides has these counts less cover_count
+    per edge copy as coefficients.  If one is nonzero, the first failing sign
+    vector (bit j of its index means x_j = -1) sets x_j = +1, from the highest
+    j down, while the difference so restricted stays a nonzero polynomial."""
+    coeffs = Counter(mask_counts)
     for mask in h.edge_masks():
         coeffs[mask] -= cover_count
-    if not coeffs.any():
+    if not any(coeffs.values()):
         return True, None
-    x = int(np.argmax(_kernels.wht_inplace(coeffs) != 0))
-    witness = tuple(-1 if (x >> j) & 1 else 1 for j in range(n))
-    return False, witness
+    witness = [1] * h.n
+    while max(coeffs):  # the highest variable x_j left
+        j = max(coeffs).bit_length() - 1
+        for sign in (1, -1):  # -1 only where +1 leaves the zero polynomial
+            restricted = Counter()
+            for mask, c in coeffs.items():
+                restricted[mask & ~(1 << j)] += sign * c if mask >> j & 1 else c
+            if any(restricted.values()):
+                break
+        witness[j], coeffs = sign, restricted
+    return False, tuple(witness)

@@ -107,10 +107,10 @@ def lift_pairs(h, m, r, s):
 
 
 def pair_mask_counts(f_ranks, g_ranks, n, m):
-    """Histogram over the 2^n vertex masks of mask(f) ^ mask(g), mask(f)
-    holding the vertices that map f hits an odd number of times (definition,
-    one pair and one digit at a time)."""
-    counts = np.zeros(1 << n, dtype=np.int64)
+    """Counter of mask(f) ^ mask(g) over the pairs, mask(f) holding the
+    vertices that map f hits an odd number of times (definition, one pair
+    and one digit at a time): a mapping of the masks that occur."""
+    counts = Counter()
     for pair in zip(f_ranks.tolist(), g_ranks.tolist()):
         mask = 0
         for rank in pair:

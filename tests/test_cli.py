@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -8,7 +9,15 @@ import pytest
 
 import polywidth
 from polywidth import gwidth, hypergraph, randsets, tensorlift
-from polywidth.cli import BLAS_THREAD_VARS, COMMANDS, EXIT_BUDGET, EXIT_INVALID, EXIT_VERIFY, main
+from polywidth.cli import (
+    BLAS_THREAD_VARS,
+    COMMANDS,
+    COMMON_OPTS,
+    EXIT_BUDGET,
+    EXIT_INVALID,
+    EXIT_VERIFY,
+    main,
+)
 from polywidth.hypergraph import Hypergraph, save_hypergraph
 
 
@@ -244,17 +253,40 @@ def test_budget_exit_code(capsys):
     assert code == EXIT_BUDGET
 
 
-def test_matrix_verify_checks_sign_cap_before_building(capsys, monkeypatch):
+def test_matrix_verify_checks_budget_before_building(capsys, monkeypatch, tmp_path):
     def refuse(*args):
-        raise AssertionError("the default matching or the lift was built")
+        raise AssertionError("a hypergraph or the lift was built or read")
 
     monkeypatch.setattr(hypergraph, "default_matching", refuse)
+    monkeypatch.setattr(hypergraph, "load_hypergraph", refuse)
     monkeypatch.setattr(tensorlift, "build_matrix_lift", refuse)
-    code = main(["matrix-verify", "--n", "17", "--m", "1", "--r", "1"])
-    captured = capsys.readouterr()
-    assert code == EXIT_BUDGET
-    assert captured.out == ""
-    assert captured.err == "error: sign enumeration capped at n = 16\n"
+    bad = tmp_path / "bad.txt"
+    bad.write_text("not a hypergraph\n")
+    # the last two exited 2 before: on the 5001-digit n^m in the message,
+    # and on the bad file read before the budget check
+    for argv, power, budget in [
+        (["--n", "2000000", "--m", "1", "--r", "1"], "2000000^1", 10**6),
+        (["--n", "10", "--m", "5000", "--r", "1"], "10^5000", 10**6),
+        (["--n", "10", "--m", "3", "--r", "1", "--budget", "999", "--hypergraph", str(bad)],
+         "10^3", 999),
+    ]:
+        code = main(["matrix-verify", *argv])
+        captured = capsys.readouterr()
+        assert code == EXIT_BUDGET
+        assert captured.out == ""
+        assert captured.err == f"error: n^m = {power} exceeds the enumeration budget {budget}\n"
+
+
+@pytest.mark.parametrize("n, m, row", [
+    (18, 3, "18,3,1,800,5832,1,1944,17496,6,1280000,true"),
+    (24, 4, "24,4,1,800,331776,1,110592,1327104,8,1280000,true"),
+])
+def test_matrix_verify_answers_past_n_16(capsys, n, m, row):
+    code, out = run_cli(capsys, "matrix-verify", "--n", str(n), "--m", str(m), "--r", "1")
+    assert code == 0
+    assert out.splitlines()[:3] == [f"identity: OK, cover_count={row.split(',')[6]}",
+                                    "n,m,r,s,dim,num_colors,cover_count,nnz,max_row_sum,"
+                                    "row_sum_bound,identity_ok", row]
 
 
 def test_overflow_exits_invalid(capsys):
@@ -512,6 +544,40 @@ def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
     assert main(["birthday", "--help"]) == 0
+
+
+def _full_parser():
+    """The front end's parser with every subcommand's flags added."""
+    parser = argparse.ArgumentParser(
+        prog="polywidth",
+        description="Experiments on hypergraph polynomials over the hypercube: "
+        "tensor-power lifts, birthday-paradox statistics, Gaussian widths, and "
+        "arithmetic progressions in Z/NZ.",
+        allow_abbrev=False,
+    )
+    parser.add_argument("--version", action="version", version=f"polywidth {polywidth.__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, opts, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, description=help_text, allow_abbrev=False)
+        for flag, kwargs in opts + COMMON_OPTS:
+            p.add_argument(f"--{flag}", **kwargs)
+    return parser
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], *([name, "--help"] for name in COMMANDS),
+    ["birthday", "--r", "2", "--n", "600", "--bogus", "1"],
+])
+def test_help_and_usage_equal_those_of_the_full_parser(capsys, argv):
+    # the front end adds only the chosen subcommand's flags
+    code = main(argv)
+    got = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        _full_parser().parse_args(argv)
+    want = capsys.readouterr()
+    assert code == exc.value.code == (2 if "--bogus" in argv else 0)
+    assert (got.out, got.err) == (want.out, want.err)
+    assert (want.out if code == 0 else want.err).startswith("usage: polywidth")
 
 
 def test_intersective_tiny_alpha_witness_is_one_element(capsys):

@@ -273,22 +273,19 @@ def test_pair_cover_product_identity():
             assert lhs == rhs
 
 
-def test_verify_rejects_large_n_before_building(monkeypatch):
-    def build(*args):
-        raise AssertionError("the lift was built")
-
-    monkeypatch.setattr(tl, "build_matrix_lift", build)
-    tl.check_sign_cap(tl.SIGN_ENUM_LIMIT)
-    with pytest.raises(BudgetExceededError):
-        tl.check_sign_cap(tl.SIGN_ENUM_LIMIT + 1)
-    h = Hypergraph(tl.SIGN_ENUM_LIMIT + 1, [(0, 1)])
-    with pytest.raises(BudgetExceededError):
-        tl.check_lift_identity(None, 1, h)  # a lift past the cap has no mask histogram
-
-
 def test_budget_guard():
     with pytest.raises(BudgetExceededError):
         tl.build_matrix_lift(M4_big(), 3, 1, budget=999)
+
+
+def test_budget_check_computes_no_huge_power():
+    assert tl.check_budget(10, 6, tl.DEFAULT_BUDGET) == 10**6
+    assert tl.check_budget(1, 10**12, 1) == 1
+    assert tl.check_budget(3, 40, 3**40) == 3**40
+    for n, m, budget in [(10, 6, 10**6 - 1), (3, 40, 3**40 - 1), (2, 10**12, 10**6),
+                         (2000000, 1, 10**6), (16, 10**15, 2**64)]:
+        with pytest.raises(BudgetExceededError, match=rf"n\^m = {n}\^{m} exceeds"):
+            tl.check_budget(n, m, budget)
 
 
 def M4_big():
@@ -318,7 +315,7 @@ def test_lift_all_ones_total():
     f_ranks, g_ranks = oracles.lift_pairs(M4, 2, 1, res.s)
     a = oracles.lift_matrix_dense(f_ranks, g_ranks, 16)
     assert a.sum() == 2 * len(f_ranks) == 2 * res.cover_count * M4.num_edges
-    assert res.mask_counts.sum() == len(f_ranks)
+    assert sum(res.mask_counts.values()) == len(f_ranks)
 
 
 def _first_copy_nnz(h, m, r, s):
@@ -367,8 +364,8 @@ STREAMED_CASES = [
 
 
 def _report(res):
-    """The fields of a LiftResult, the mask histogram as a list."""
-    return (res.mask_counts.tolist(), res.dim, res.num_colors, res.cover_count, res.nnz,
+    """The fields of a LiftResult."""
+    return (res.mask_counts, res.dim, res.num_colors, res.cover_count, res.nnz,
             res.max_row_sum, res.row_sum_bound)
 
 
@@ -377,7 +374,7 @@ def test_mask_counts_match_the_pair_oracle(h, m, r, s):
     res = tl.build_matrix_lift(h, m, r, s)
     f_ranks, g_ranks = oracles.lift_pairs(h, m, r, s)
     assert len(f_ranks) == res.cover_count * h.num_edges
-    assert res.mask_counts.tolist() == oracles.pair_mask_counts(f_ranks, g_ranks, h.n, m).tolist()
+    assert res.mask_counts == oracles.pair_mask_counts(f_ranks, g_ranks, h.n, m)
 
 
 @pytest.mark.parametrize("h, m, r, s", STREAMED_CASES)
@@ -444,8 +441,7 @@ def test_nnz_and_mask_counts_on_random_multi_hypergraphs(monkeypatch):
         unordered = set(zip(np.minimum(f_ranks, g_ranks).tolist(),
                             np.maximum(f_ranks, g_ranks).tolist()))
         assert res.nnz == 2 * len(unordered), (h, m, r, s)
-        assert res.mask_counts.tolist() == oracles.pair_mask_counts(
-            f_ranks, g_ranks, h.n, m).tolist()
+        assert res.mask_counts == oracles.pair_mask_counts(f_ranks, g_ranks, h.n, m)
         splits += _earlier_goodness_splits(h, m, r, s)
     assert splits
 
@@ -467,15 +463,61 @@ def test_nnz_skips_a_copy_whose_pair_was_counted_at_its_mirror(monkeypatch):
     assert tl.check_lift_identity(res.mask_counts, res.cover_count, h)[0]
 
 
-def test_lift_past_the_sign_cap_has_no_mask_histogram():
-    # 2^17 sign vectors are past the cap: the report streams without the
-    # histogram, and the check refuses before reading it
-    h = Hypergraph(tl.SIGN_ENUM_LIMIT + 1, [(0, 1)])
-    res = tl.build_matrix_lift(h, 1, 1)
-    assert res.mask_counts is None
-    assert (res.cover_count, res.nnz, res.max_row_sum) == (2, 2, 2)  # (0, 1) and (1, 0)
-    with pytest.raises(BudgetExceededError):
-        tl.check_lift_identity(res.mask_counts, res.cover_count, h)
+def test_lift_at_n_18_answers():
+    # 2^18 sign vectors: the verdict comes from the 9 edge-mask counts
+    h = default_matching(18, 1)
+    res = tl.build_matrix_lift(h, 3, 1)
+    assert (res.n, res.dim, res.num_colors, res.cover_count, res.nnz, res.max_row_sum) == (
+        18, 5832, 1, 1944, 17496, 6)
+    assert tl.check_lift_identity(res.mask_counts, res.cover_count, h) == (True, None)
+    assert res.mask_counts == dict.fromkeys(h.edge_masks(), res.cover_count)
+
+
+def test_mask_counts_at_n_18_match_the_pair_oracle():
+    h = Hypergraph(18, [(0, 17), (3, 9), (9, 12), (0, 17)])
+    res = tl.build_matrix_lift(h, 3, 1)
+    f_ranks, g_ranks = oracles.lift_pairs(h, 3, 1, res.s)
+    assert res.mask_counts == oracles.pair_mask_counts(f_ranks, g_ranks, h.n, 3)
+    assert tl.check_lift_identity(res.mask_counts, res.cover_count, h)[0]
+
+
+def _wht_witness(mask_counts, cover_count, h):
+    """The first failing sign vector by transforming the dense 2^n
+    difference of coefficients to values, or None."""
+    diff = np.zeros(1 << h.n, dtype=np.int64)
+    for mask, count in mask_counts.items():
+        diff[mask] += count
+    for mask in h.edge_masks():
+        diff[mask] -= cover_count
+    values = kernels.wht_inplace(diff)
+    if not values.any():
+        return None
+    x = int(np.argmax(values != 0))
+    return tuple(-1 if (x >> j) & 1 else 1 for j in range(h.n))
+
+
+@pytest.mark.parametrize("n", [17, 18])
+def test_witness_past_n_16_is_the_first_nonzero_of_the_transform(n):
+    h = Hypergraph(n, [(0, n - 1), (2, 5), (5, n - 2), (0, n - 1)])
+    res = tl.build_matrix_lift(h, 2, 1)
+    cover = res.cover_count
+    gen = np.random.default_rng(n)
+    cases = [(res.mask_counts, cover), (res.mask_counts, cover + 1)]
+    for _ in range(12):
+        counts = res.mask_counts.copy()
+        # a product of (1 + x_j) or (1 - x_j) over a few variables vanishes
+        # off one sign pattern of them, so the witness must set each one
+        bits = gen.choice(n, int(gen.integers(1, 5)), replace=False).tolist()
+        signs = gen.choice((-1, 1), len(bits)).tolist()
+        for subset in itertools.product((0, 1), repeat=len(bits)):
+            mask = sum(b << j for b, j in zip(subset, bits))
+            counts[mask] += math.prod(s for b, s in zip(subset, signs) if b)
+        if gen.integers(2):  # and a second, independent change
+            counts[int(gen.integers(1 << n))] += int(gen.choice((-1, 1)))
+        cases.append((counts, cover))
+    for counts, cover_count in cases:
+        want = _wht_witness(counts, cover_count, h)
+        assert tl.check_lift_identity(counts, cover_count, h) == (want is None, want)
 
 
 def test_lift_build_keeps_no_pair_arrays():
@@ -541,7 +583,7 @@ def test_check_witness_is_the_first_failing_sign_vector(h):
     res = tl.build_matrix_lift(h, 2, 1)
     f, g = oracles.lift_pairs(h, 2, 1, res.s)
     cover = res.cover_count
-    assert (oracles.pair_mask_counts(f, g, h.n, 2) == res.mask_counts).all()
+    assert oracles.pair_mask_counts(f, g, h.n, 2) == res.mask_counts
     gen = np.random.default_rng(7)
     cases = [(f, g, cover), (f, g, cover + 1), (f[1:], g[1:], cover),
              (np.append(f, f[0]), np.append(g, g[0]), cover)]
@@ -616,7 +658,7 @@ def test_row_sums_within_degree_bound():
 
 def test_empty_hypergraph_lift():
     res = tl.build_matrix_lift(Hypergraph(4, ()), 2, 1)
-    assert res.mask_counts.tolist() == [0] * 16
+    assert not res.mask_counts
     assert res.nnz == res.max_row_sum == 0
     ok, _ = tl.check_lift_identity(res.mask_counts, res.cover_count, Hypergraph(4, ()))
     assert ok
