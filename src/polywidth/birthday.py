@@ -32,7 +32,6 @@ underflow.
 import functools
 import math
 import sys
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,23 +91,22 @@ def phi_statistics(
     if s < 1:
         raise ValueError("s must be positive")
     edges = np.array(default_matching(n, r).edges, dtype=np.int64)
-    buffers = threading.local()  # each worker thread's block buffers for this run
 
     def value_fn(gen, count):
         def score(rows):
             return _kernels.phi_batch(gen.integers(0, n, (rows, m)), edges, n, r)
 
-        phis = _phi_in_blocks(count, n, buffers, score)
+        phis = _phi_in_blocks(count, n, score)
         good = (phis >= 1) & (phis <= s)
         return np.stack([good, phis, phis > s, phis == 0], axis=1, dtype=np.float64)
 
     return PhiStatistics(*mc.run_chunked(value_fn, samples, seed, threads=threads))
 
 
-def _phi_in_blocks(count, n, buffers, score):
+def _phi_in_blocks(count, n, score):
     """phi of ``count`` samples, drawn and scored ``_kernels._block_rows(n)``
-    rows at a time by ``score(rows)``, the kernels keeping their block
-    buffers in ``buffers`` (``_kernels._buffers_kept``).
+    rows at a time by ``score(rows)``, each block in fresh arrays whose
+    pages the next block reuses (the page policy of ``_kernels``).
 
     A block's draws continue the chunk's stream where the last block left
     it (numpy keeps the spare half of a 64-bit output for the next 32-bit
@@ -117,10 +115,9 @@ def _phi_in_blocks(count, n, buffers, score):
     """
     step = _kernels._block_rows(n)
     phis = np.empty(count, dtype=np.int64)
-    with _kernels._buffers_kept(buffers):
-        for start in range(0, count, step):
-            rows = min(step, count - start)
-            phis[start : start + rows] = score(rows)
+    for start in range(0, count, step):
+        rows = min(step, count - start)
+        phis[start : start + rows] = score(rows)
     return phis
 
 
@@ -172,8 +169,8 @@ def sample_poisson(gen: np.random.Generator, mu: float, size) -> np.ndarray:
     ``np.searchsorted(cdf, u)`` for a uniform double u.
 
     The uniforms are drawn in blocks of ``_kernels._BLOCK_CELLS`` into a
-    scratch buffer (kept for later calls under ``_kernels._buffers_kept``)
-    and inverted straight into the output, so the stream and the draws are
+    fresh array (``_kernels`` keeps its pages for the next block) and
+    inverted straight into the output, so the stream and the draws are
     those of one ``gen.random(size)`` call.  A draw is read from the bucket
     table of ``_inversion_table``, exactly, as u * 2^16 is exact; only the
     uniforms in a bucket that holds a cdf value fall back to
@@ -184,13 +181,12 @@ def sample_poisson(gen: np.random.Generator, mu: float, size) -> np.ndarray:
     flat = out.reshape(-1)
     for start in range(0, flat.size, _kernels._BLOCK_CELLS):
         count = min(_kernels._BLOCK_CELLS, flat.size - start)
-        u = gen.random(out=_kernels._buffer("uniforms", count, np.float64))
-        bucket = _kernels._buffer("buckets", count)
+        u = gen.random(out=np.empty(count))
+        bucket = np.empty(count, dtype=np.int64)
         np.multiply(u, _GUIDE_BUCKETS, out=bucket, casting="unsafe")  # floor, as u >= 0
         # buckets lie in range; mode="clip" writes to out directly, "raise" via a copy
         draws = np.take(guide, bucket, out=flat[start : start + count], mode="clip")
-        inside = np.take(split, bucket, out=_kernels._buffer("inside", count, bool), mode="clip")
-        hits = np.flatnonzero(inside)
+        hits = np.flatnonzero(np.take(split, bucket, mode="clip"))
         draws[hits] = np.searchsorted(cdf, u[hits])
     return out
 
@@ -221,13 +217,12 @@ def poisson_domination_check(
     exact = phi_statistics(r, n, m, default_goodness_bound(r), samples, seed, threads=threads)
     edges = np.array(default_matching(n, r).edges, dtype=np.int64)
     mu = m / n
-    buffers = threading.local()
 
     def poisson_fn(gen, count):
         def score(rows):
             return _kernels.phi_hist_batch(sample_poisson(gen, mu, (rows, n)), edges, r)
 
-        phis = _phi_in_blocks(count, n, buffers, score)
+        phis = _phi_in_blocks(count, n, score)
         return np.stack([phis == 0, phis], axis=1, dtype=np.float64)
 
     # Independent stream for the Poisson side.

@@ -20,7 +20,7 @@ import os
 import sys
 
 from . import __version__
-from .errors import BudgetExceededError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, check_budget
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -125,12 +125,12 @@ def _run_gw_estimate(args):
 
 
 def _run_matrix_verify(args):
+    n, m, r = args["n"], args["m"], args["r"]
+    budget = DEFAULT_BUDGET if args["budget"] is None else args["budget"]
+    check_budget(n, m, budget)  # before numpy loads or any hypergraph is built or read
     from . import tensorlift
     from .hypergraph import default_matching, load_hypergraph
 
-    n, m, r = args["n"], args["m"], args["r"]
-    budget = tensorlift.DEFAULT_BUDGET if args["budget"] is None else args["budget"]
-    tensorlift.check_budget(n, m, budget)  # before any hypergraph is built or read
     if args["hypergraph"]:
         h = load_hypergraph(args["hypergraph"])
         if h.n != n:

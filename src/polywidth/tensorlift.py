@@ -103,7 +103,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import BudgetExceededError
+from .errors import DEFAULT_BUDGET, check_budget
 from .hypergraph import (
     Hypergraph,
     color_classes,
@@ -120,8 +120,6 @@ __all__ = [
     "check_budget",
     "check_lift_identity",
 ]
-
-DEFAULT_BUDGET = 10**6
 
 _BLOCK = 1 << 10  # maps per enumerate_pairs call of build_matrix_lift
 
@@ -247,21 +245,6 @@ def _earlier_copies(classes) -> list:
     return out
 
 
-def _keep_freed_block_pages():
-    """Have glibc keep the pages that blocks free for the next block.
-
-    glibc returns free memory at the top of its heap to the system once it
-    exceeds a trim threshold: 128 KiB, until freeing a mapped chunk raises
-    it to twice that chunk's size.  A block's temporaries take about
-    0.5 MiB, so depending on the heap's layout every block could map its
-    pages afresh: at n^m = 10^6, 80,000-117,000 minor faults and about 0.2 s
-    against 6,000.  Freeing one untouched 1 MiB array, which is mapped and
-    never resident, raises the threshold to 2 MiB; other allocators lose
-    nothing by it.
-    """
-    np.empty(1 << 17, dtype=np.int64)
-
-
 def build_matrix_lift(
     h: Hypergraph, m: int, r: int, s: int = 0, budget: int = DEFAULT_BUDGET
 ) -> LiftResult:
@@ -276,7 +259,6 @@ def build_matrix_lift(
         raise ValueError(f"hypergraph must be {2 * r}-uniform")
     dim = check_budget(n, m, budget)
 
-    _keep_freed_block_pages()
     coloring = greedy_edge_coloring(h)
     # edgeless input keeps no pair, but reports the default family's counts
     classes = color_classes(h, coloring) or [()]
@@ -331,13 +313,6 @@ def build_matrix_lift(
         max_row_sum=int(row_sums.max()),
         row_sum_bound=2 * h.max_degree * s**2 * math.factorial(r),
     )
-
-
-def check_budget(n: int, m: int, budget: int) -> int:
-    """n^m, or BudgetExceededError past ``budget`` (with no huge power)."""
-    if m * (n.bit_length() - 1) < budget.bit_length() and n**m <= budget:
-        return n**m
-    raise BudgetExceededError(f"n^m = {n}^{m} exceeds the enumeration budget {budget}")
 
 
 def check_lift_identity(mask_counts, cover_count: int, h: Hypergraph):

@@ -277,6 +277,20 @@ def test_matrix_verify_checks_budget_before_building(capsys, monkeypatch, tmp_pa
         assert captured.err == f"error: n^m = {power} exceeds the enumeration budget {budget}\n"
 
 
+def test_matrix_verify_refuses_the_budget_without_numpy():
+    # the n^m check comes before tensorlift, and with it numpy, is imported
+    probe = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from polywidth.cli import main\n"
+        "raise SystemExit(main(['matrix-verify', '--n', '2000000', '--m', '1', '--r', '1']))\n"
+    )
+    done = _run_python(probe)
+    assert done.returncode == EXIT_BUDGET
+    assert done.stdout == ""
+    assert done.stderr == "error: n^m = 2000000^1 exceeds the enumeration budget 1000000\n"
+
+
 @pytest.mark.parametrize("n, m, row", [
     (18, 3, "18,3,1,800,5832,1,1944,17496,6,1280000,true"),
     (24, 4, "24,4,1,800,331776,1,110592,1327104,8,1280000,true"),

@@ -1,9 +1,16 @@
-"""Each numpy kernel agrees exactly with an independent first-principles oracle."""
+"""Each numpy kernel agrees exactly with an independent first-principles
+oracle, and block loops reuse the pages their blocks free."""
+
+import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import oracles
+import polywidth
 from polywidth import _kernels as kn
 from polywidth import mc
 from polywidth.aps import ap_hypergraph
@@ -158,3 +165,34 @@ def test_wht_validates_inputs():
         kn.wht_inplace(np.zeros(3, dtype=np.int64))
     with pytest.raises(ValueError):
         kn.wht_inplace(np.zeros(4, dtype=np.float64))
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the page policy is glibc's")
+@pytest.mark.parametrize(
+    "setup, call",
+    [
+        ("from polywidth.birthday import default_map_length, phi_statistics",
+         "phi_statistics(2, 20000, default_map_length(2, 20000), 3200, 1024, 0, 1)"),
+        ("from polywidth.birthday import default_map_length, poisson_domination_check",
+         "poisson_domination_check(2, 4000, default_map_length(2, 4000), 1024, 0, 1)"),
+        ("from polywidth.hypergraph import default_matching\n"
+         "from polywidth.tensorlift import build_matrix_lift",
+         "build_matrix_lift(default_matching(12, 1), 5, 1)"),
+    ],
+    ids=["phi_statistics", "poisson_domination_check", "lift-12^5"],
+)
+def test_block_loops_reuse_freed_pages(setup, call):
+    # Under the page policy of _kernels these calls take 600-750 minor faults
+    # in a fresh process; without it glibc maps each block's 0.5 MiB
+    # temporaries afresh, and they took about 89,000, 58,000 and 20,000.
+    probe = (
+        f"import resource\n{setup}\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        f"{call}\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    src = os.path.dirname(os.path.dirname(polywidth.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 10_000

@@ -524,9 +524,8 @@ def test_lift_build_keeps_no_pair_arrays():
     # n = 8, m = 5: 40,960 kept pairs over 32,768 ranks in 32 blocks.
     # Holding the pair arrays, their block copies and a sort key, the build
     # peaked at 11.1 MiB; streamed with one sort key per pair and a parity
-    # mask per map, at about 3.5 MiB; with neither, at about 1.0 MiB: the
-    # untouched 1 MiB array that _keep_freed_block_pages frees first, then
-    # about 0.8 MiB of row sums, goodness table and block temporaries.
+    # mask per map, at about 3.5 MiB; with neither, at about 0.95 MiB of
+    # row sums, goodness table and block temporaries.
     h = default_matching(8, 1)
     tracemalloc.start()
     try:
