@@ -20,8 +20,8 @@ bounds its spectral norm.
 
 Maps f are encoded as ranks in [0, n^m), little-endian base n: digit i of
 the rank is f(i).  The lift works on arrays of ranks only: each block of
-ranks is decoded to digit rows once, scored for goodness by the phi
-kernel, and the complements of its good rows are generated as ranks.
+ranks is decoded to digit rows once, scored by counting its candidate
+rows, and the complements of its good rows are generated as ranks.
 
 Complements are generated, never tested.  g complements f when exactly one
 r-set I of positions (the witness) has f(I) | g(I) equal to a family edge
@@ -44,7 +44,9 @@ complement with witness P and no other:
 
 So complements come from rank arithmetic alone.  For each r-set P, the
 rows whose f(P) is r distinct vertices of one family edge S are found with
-a vertex -> edge lookup, and for each order pi of S - f(P)
+a vertex -> edge lookup.  f has phi(f) such rows, as e_r of its counts on
+S counts the P with f injective on P and f(P) inside S, and the rows of
+maps with phi > s are dropped.  For each order pi of S - f(P) in a kept row
 
     rank(g) = rank(f) - sum_{i in P} f(i) * n^i + sum_{i in P} pi_i * n^i.
 
@@ -62,8 +64,7 @@ map).  Row f of A sums to the number of kept pairs with first map f plus
 the number with second map f.  Three facts stream the rest.
 
 * Goodness comes from the pairs.  A good map f has exactly r! * phi(f) >= 1
-  complements (one per r-set P mapped injectively into a family edge S,
-  and order of S - f(P)), and a map that is not good has none.  So a
+  complements (r! per row), and a map that is not good has none.  So a
   block's good maps are the first maps of its pairs before the padding
   filter.  Complementarity with witness P and edge S depends only on
   (f, g) and on S lying in the family, so within a colour (f, g) is a pair
@@ -102,7 +103,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels  # imported for its side effect: the page policy of the block loop
 from .errors import DEFAULT_BUDGET, check_budget
 from .hypergraph import (
     Hypergraph,
@@ -141,15 +142,6 @@ def _check_lift_args(n: int, m: int, r: int, s: int):
         raise ValueError("s must be positive")
 
 
-def _matching_r(matching: Hypergraph) -> int:
-    if not matching.edges:
-        raise ValueError("matching has no edges")
-    size = len(matching.edges[0])
-    if size % 2 or not matching.is_uniform(size) or not matching.is_matching():
-        raise ValueError("expected a matching of even-size edges")
-    return size // 2
-
-
 def _digits(ranks, m: int, n: int) -> np.ndarray:
     """The (len(ranks), m) array of map digits: column i holds f(i)."""
     rem = np.asarray(ranks, dtype=np.int64)
@@ -165,29 +157,34 @@ def enumerate_pairs(matching: Hypergraph, m: int, s: int, ranks):
     complementing f, for maps [m] -> [matching.n]; r is half the matching's
     edge size.
 
-    The maps of ``ranks`` are decoded once and scored by the phi kernel,
-    and the complements of the good ones are generated by the rank formula
+    The maps of ``ranks`` are decoded once into candidate rows (r-set P,
+    edge S), phi(f) of them for a map f, which score its goodness, and the
+    complements in the good maps' rows are generated by the rank formula
     of the module docstring, so the cost is linear in len(ranks) plus the
     output size.  Raises ValueError for a rank outside [0, n^m).
     """
     n = matching.n
-    r = _matching_r(matching)
+    if not matching.edges:
+        raise ValueError("matching has no edges")
+    try:
+        edges = np.array(matching.edges, dtype=np.int64)
+    except ValueError:  # edges of mixed sizes
+        edges = None
+    if edges is None or edges.shape[1] % 2 or np.bincount(edges.ravel()).max() > 1:
+        raise ValueError("expected a matching of even-size edges")
+    r = edges.shape[1] // 2
     _check_lift_args(n, m, r, s)
     ranks = np.asarray(ranks, dtype=np.int64)
     if n**m > 1 << 63:
         raise ValueError("n^m must fit in int64 ranks")
     if ranks.size and (ranks.min() < 0 or int(ranks.max()) >= n**m):
         raise ValueError("ranks must lie in [0, n^m)")
-    edges = np.array(matching.edges, dtype=np.int64)
     digits = _digits(ranks, m, n)
-    scores = _kernels.phi_batch(digits, edges, n, r)
-    good = (scores >= 1) & (scores <= s)
-    ranks, digits = ranks[good], digits[good]
 
     edge_of = np.full(n, -1, dtype=np.int64)  # vertex -> matching edge
     edge_of[edges] = np.arange(len(edges), dtype=np.int64)[:, None]
     # every r-set P of positions at once: row q * len(ranks) + i holds f(P)
-    # for the q-th r-set and the i-th good map
+    # for the q-th r-set and the i-th map
     sets = np.array(list(itertools.combinations(range(m), r)), dtype=np.int64)
     image = digits[:, sets].transpose(1, 0, 2).reshape(-1, r)
     covered = edge_of[image[:, 0]]
@@ -196,6 +193,8 @@ def enumerate_pairs(matching: Hypergraph, m: int, s: int, ranks):
         keep &= edge_of[image[:, a]] == covered
         for b in range(a):
             keep &= image[:, a] != image[:, b]
+    keep = keep.reshape(len(sets), len(ranks))
+    keep &= np.count_nonzero(keep, axis=0) <= s  # f's phi(f) rows kept if phi(f) <= s
     rows = np.flatnonzero(keep)
     image, covered = image[rows], covered[rows]
     set_index, map_index = np.divmod(rows, max(len(ranks), 1))
@@ -292,8 +291,8 @@ def build_matrix_lift(
         if pairs % family.num_edges:
             raise RuntimeError("pair set size is not a multiple of the family size")
         cover_counts.append(pairs // family.num_edges)
-        for edge, count in zip(class_edges, covered.tolist()):
-            mask_counts[sum(1 << v for v in edge)] += count
+        for mask, count in zip(family.edge_masks()[: len(class_edges)], covered.tolist()):
+            mask_counts[mask] += count
         goods[c] = good
         goods = {c2: table for c2, table in goods.items() if last_use.get(c2, -1) > c}
 

@@ -170,6 +170,32 @@ def test_pairs_per_map_are_r_factorial_phi(matching, m, s):
     assert any(want) and not all(want)  # good maps and rejected ones
 
 
+@pytest.mark.parametrize("r, n, m", [(1, 7, 5), (2, 9, 5), (3, 13, 6)])
+@pytest.mark.parametrize("s", [1, 2, 3, 0])
+def test_first_maps_are_the_maps_the_phi_kernel_scores_good(r, n, m, s):
+    # enumerate_pairs scores goodness from its candidate rows; the phi kernel
+    # is the oracle.  A random matching leaves vertex free[-1] uncovered, so
+    # the constant map there has phi = 0, and a map running through one
+    # edge's vertices has phi >= 5.  No map has phi above the default
+    # threshold (s = 0) while n^m fits in int64 ranks.
+    rng = np.random.default_rng(1000 * r + s)
+    free = rng.permutation(n).tolist()
+    matching = Hypergraph(n, [free[i : i + 2 * r] for i in range(0, n - 2 * r, 2 * r)])
+    s = s or tl.default_goodness_bound(r)
+    through_edge = [matching.edges[0][i % (2 * r)] for i in range(m)]
+    constant = free[-1] * (n**m - 1) // (n - 1)
+    ranks = np.union1d(rng.choice(n**m, 500, replace=False),
+                       [constant, sum(v * n**i for i, v in enumerate(through_edge))])
+    scores = np.array(phi(tl._digits(ranks, m, n), matching, r))
+    f_ranks, _, _ = tl.enumerate_pairs(matching, m, s, ranks)
+    firsts, counts = np.unique(f_ranks, return_counts=True)
+    good = (scores >= 1) & (scores <= s)
+    assert firsts.tolist() == ranks[good].tolist()
+    assert counts.tolist() == (math.factorial(r) * scores[good]).tolist()
+    assert (scores == 0).any() and good.any()
+    assert (scores > s).any() == (s <= 3)
+
+
 @pytest.mark.parametrize(
     "matching, m",
     [
@@ -695,8 +721,13 @@ def test_lift_params_validation():
         tl.enumerate_pairs(Hypergraph(4, [(0, 1, 2, 3)]), 1, S1, range(4))
     with pytest.raises(ValueError, match="s must be positive"):
         tl.enumerate_pairs(M4, 2, 0, range(4**2))
-    with pytest.raises(ValueError, match="expected a matching"):
-        tl.enumerate_pairs(Hypergraph(3, [(0, 1), (1, 2)]), 2, S1, range(3**2))
+    with pytest.raises(ValueError, match="matching has no edges"):
+        tl.enumerate_pairs(Hypergraph(4, ()), 2, S1, range(4**2))
+    # overlapping edges, an odd edge size, mixed edge sizes, overlapping 4-sets
+    for edges in [[(0, 1), (1, 2)], [(0, 1, 2)], [(0, 1), (2, 3, 4, 5)],
+                  [(0, 1, 2, 3), (2, 3, 4, 5)]]:
+        with pytest.raises(ValueError, match="expected a matching of even-size edges"):
+            tl.enumerate_pairs(Hypergraph(6, edges), 2, S1, range(6**2))
     # 2^64 maps: a complement's rank could wrap, whichever ranks are asked for
     with pytest.raises(ValueError, match=r"n\^m must fit in int64"):
         tl.enumerate_pairs(Hypergraph(2, [(0, 1)]), 64, S1, [0])
