@@ -2,21 +2,25 @@
 
 All kernels are exact integer computations apart from ``coo_matvec``.
 
-The batch kernels work through their rows in blocks whose widest temporary
-takes about 512 KiB, the bytes of ``_BLOCK_CELLS`` int64 cells, so the
-temporaries of a block stay in cache: int64 cells for ``phi_batch`` and
-``phi_hist_batch``, bool cells for ``contained_edges_batch``.  A whole
-4096-sample chunk at once would cost 20 MiB per int64 temporary at n = 600,
-and every pass over such an array would run at memory speed; blocks also
-keep the working set small when chunks run on several threads.  Blocking
-changes no arithmetic, so results are the same for any block size.
+A kernel scores all the rows it is given in one pass.  Callers hand it one
+block at a time, sized by ``_block_rows`` so that the block's widest
+temporary takes about 512 KiB, the bytes of ``_BLOCK_CELLS`` int64 cells,
+and stays in cache: int64 cells for ``phi_batch`` and ``phi_hist_batch``,
+bool cells for ``contained_edges_batch``.  A whole 4096-sample chunk at
+once would cost 20 MiB per int64 temporary at n = 600, and every pass over
+such an array would run at memory speed; blocks also keep the working set
+small when chunks run on several threads.  Blocking changes no arithmetic,
+so results are the same for any block size.
 
-The birthday and Poisson Monte Carlo (``birthday``) draws its input one
-block at a time as well, so a kernel call there takes a single block of a
-chunk, and the tensor-power lift (``tensorlift``) streams its ranks in
-blocks.  Every block allocates its temporaries afresh with ``np.empty``;
-the page policy below, set once at import, keeps the pages a block frees
-in the heap for the next block instead of mapping them anew.
+``_in_blocks`` is the one block loop of per-sample Monte Carlo: it draws
+and scores a chunk block by block (``birthday`` for phi and its Poisson
+domination, ``randsets`` for the upper tail), so no chunk-sized input
+array is built.  The image enumeration and scoring of ``gwidth`` take
+their blocks from ``_block_rows`` too, and the tensor-power lift
+(``tensorlift``) streams its ranks in blocks of its own.  Every block loop
+follows the page policy below: each block allocates its temporaries afresh
+with ``np.empty``, and the policy, set once at import, keeps the pages a
+block frees in the heap for the next block instead of mapping them anew.
 """
 
 import numpy as np
@@ -42,6 +46,23 @@ def _block_rows(cells, itemsize=8):
     return max(1, _BLOCK_CELLS * 8 // (cells * itemsize))
 
 
+def _in_blocks(count, cells, score, itemsize=8):
+    """The int64 values of ``count`` samples, drawn and scored by
+    ``score(rows)`` in blocks of ``_block_rows(cells, itemsize)`` rows.
+
+    A block's draws continue the chunk's stream where the last block left
+    it (numpy keeps the spare half of a 64-bit output for the next 32-bit
+    draw in the bit generator), so they are the draws of one whole-chunk
+    call.
+    """
+    step = _block_rows(cells, itemsize)
+    out = np.empty(count, dtype=np.int64)
+    for start in range(0, count, step):
+        rows = min(step, count - start)
+        out[start : start + rows] = score(rows)
+    return out
+
+
 # --------------------------------------------------------------------------
 # phi over batches of maps / histograms.
 #
@@ -49,8 +70,8 @@ def _block_rows(cells, itemsize=8):
 # where e_r is the elementary symmetric polynomial of degree r in the 2r
 # per-vertex occurrence counts.
 #
-# Both kernels bring a block of rows to one vertex-major histogram, a row
-# per vertex and a column per input row: phi_batch counts its maps with one
+# Both kernels bring their rows to one vertex-major histogram, a row per
+# vertex and a column per input row: phi_batch counts its maps with one
 # bincount of v*rows + row, phi_hist_batch copies its histograms transposed.
 # Gathering the edge vertices position by position gives (2r, |M|*rows)
 # counts, so the e_r recurrence runs over 2r contiguous rows.
@@ -106,14 +127,10 @@ def phi_batch(maps, edges, n, r):
         raise ValueError("edge vertices must lie in [0, n)")
     if np.bincount(edges.ravel(), minlength=n).max() > 1:
         raise ValueError("edges must be disjoint")
-    step = _block_rows(n)
+    cells = maps * nb + np.arange(nb)[:, None]
+    hist = np.bincount(cells.ravel(), minlength=n * nb)
     out = np.empty(nb, dtype=np.int64)
-    for start in range(0, nb, step):
-        block = maps[start : start + step]
-        rows = block.shape[0]
-        cells = block * rows + np.arange(rows)[:, None]
-        hist = np.bincount(cells.ravel(), minlength=n * rows)
-        _phi_by_vertex(hist.reshape(n, rows), edges, r, out[start : start + rows])
+    _phi_by_vertex(hist.reshape(n, nb), edges, r, out)
     return out
 
 
@@ -130,12 +147,9 @@ def phi_hist_batch(hists, edges, r):
         return np.zeros(nb, dtype=np.int64)
     if edges.min() < 0 or edges.max() >= n:
         raise ValueError("edge vertices must lie in [0, n)")
-    step = _block_rows(n)
+    hist = np.ascontiguousarray(hists.T)  # vertex-major; take would copy a strided source
     out = np.empty(nb, dtype=np.int64)
-    for start in range(0, nb, step):
-        block = hists[start : start + step]
-        hist = np.ascontiguousarray(block.T)  # vertex-major; take would copy a strided source
-        _phi_by_vertex(hist, edges, r, out[start : start + len(block)])
+    _phi_by_vertex(hist, edges, r, out)
     return out
 
 
@@ -150,15 +164,11 @@ def contained_edges_batch(bits, edges):
     nb = bits.shape[0]
     if nb == 0 or edges.shape[0] == 0:
         return np.zeros(nb, dtype=np.int64)
-    step = _block_rows(edges.shape[0], itemsize=1)  # (edges, rows) bool temporary
-    out = np.empty(nb, dtype=np.int64)
-    for start in range(0, nb, step):
-        by_vertex = np.ascontiguousarray(bits[start : start + step].T, dtype=bool)
-        inside = by_vertex[edges[:, 0]]  # one row per edge, one column per input row
-        for i in range(1, edges.shape[1]):
-            inside &= by_vertex[edges[:, i]]
-        out[start : start + by_vertex.shape[1]] = np.count_nonzero(inside, axis=0)
-    return out
+    by_vertex = np.ascontiguousarray(bits.T, dtype=bool)
+    inside = by_vertex[edges[:, 0]]  # one row per edge, one column per input row
+    for i in range(1, edges.shape[1]):
+        inside &= by_vertex[edges[:, i]]
+    return np.count_nonzero(inside, axis=0)
 
 
 # --------------------------------------------------------------------------

@@ -96,29 +96,11 @@ def phi_statistics(
         def score(rows):
             return _kernels.phi_batch(gen.integers(0, n, (rows, m)), edges, n, r)
 
-        phis = _phi_in_blocks(count, n, score)
+        phis = _kernels._in_blocks(count, n, score)
         good = (phis >= 1) & (phis <= s)
         return np.stack([good, phis, phis > s, phis == 0], axis=1, dtype=np.float64)
 
     return PhiStatistics(*mc.run_chunked(value_fn, samples, seed, threads=threads))
-
-
-def _phi_in_blocks(count, n, score):
-    """phi of ``count`` samples, drawn and scored ``_kernels._block_rows(n)``
-    rows at a time by ``score(rows)``, each block in fresh arrays whose
-    pages the next block reuses (the page policy of ``_kernels``).
-
-    A block's draws continue the chunk's stream where the last block left
-    it (numpy keeps the spare half of a 64-bit output for the next 32-bit
-    draw in the bit generator), so they are the draws of one whole-chunk
-    call, and no chunk-sized map or histogram array is built.
-    """
-    step = _kernels._block_rows(n)
-    phis = np.empty(count, dtype=np.int64)
-    for start in range(0, count, step):
-        rows = min(step, count - start)
-        phis[start : start + rows] = score(rows)
-    return phis
 
 
 # --------------------------------------------------------------------------
@@ -168,26 +150,21 @@ def sample_poisson(gen: np.random.Generator, mu: float, size) -> np.ndarray:
     """Poisson draws by inversion of the cumulative density: a draw is
     ``np.searchsorted(cdf, u)`` for a uniform double u.
 
-    The uniforms are drawn in blocks of ``_kernels._BLOCK_CELLS`` into a
-    fresh array (``_kernels`` keeps its pages for the next block) and
-    inverted straight into the output, so the stream and the draws are
-    those of one ``gen.random(size)`` call.  A draw is read from the bucket
-    table of ``_inversion_table``, exactly, as u * 2^16 is exact; only the
-    uniforms in a bucket that holds a cdf value fall back to
-    ``searchsorted``.
+    The uniforms are drawn into a fresh array and inverted straight into
+    the output, so the stream and the draws are those of one
+    ``gen.random(size)`` call.  A draw is read from the bucket table of
+    ``_inversion_table``, exactly, as u * 2^16 is exact; only the uniforms
+    in a bucket that holds a cdf value fall back to ``searchsorted``.
     """
     cdf, guide, split = _inversion_table(float(mu))
     out = np.empty(size, dtype=np.int64)
-    flat = out.reshape(-1)
-    for start in range(0, flat.size, _kernels._BLOCK_CELLS):
-        count = min(_kernels._BLOCK_CELLS, flat.size - start)
-        u = gen.random(out=np.empty(count))
-        bucket = np.empty(count, dtype=np.int64)
-        np.multiply(u, _GUIDE_BUCKETS, out=bucket, casting="unsafe")  # floor, as u >= 0
-        # buckets lie in range; mode="clip" writes to out directly, "raise" via a copy
-        draws = np.take(guide, bucket, out=flat[start : start + count], mode="clip")
-        hits = np.flatnonzero(np.take(split, bucket, mode="clip"))
-        draws[hits] = np.searchsorted(cdf, u[hits])
+    u = gen.random(out=np.empty(out.size))
+    bucket = np.empty(out.size, dtype=np.int64)
+    np.multiply(u, _GUIDE_BUCKETS, out=bucket, casting="unsafe")  # floor, as u >= 0
+    # buckets lie in range; mode="clip" writes to out directly, "raise" via a copy
+    draws = np.take(guide, bucket, out=out.reshape(-1), mode="clip")
+    hits = np.flatnonzero(np.take(split, bucket, mode="clip"))
+    draws[hits] = np.searchsorted(cdf, u[hits])
     return out
 
 
@@ -222,7 +199,7 @@ def poisson_domination_check(
         def score(rows):
             return _kernels.phi_hist_batch(sample_poisson(gen, mu, (rows, n)), edges, r)
 
-        phis = _phi_in_blocks(count, n, score)
+        phis = _kernels._in_blocks(count, n, score)
         return np.stack([phis == 0, phis], axis=1, dtype=np.float64)
 
     # Independent stream for the Poisson side.
@@ -301,14 +278,15 @@ def _binned_poisson_sums(mu_a, mu_b, samples, seed, low, bins):
     Y_b is drawn from a second copy of the stream advanced past the Y_a
     uniforms (a Philox counter step is four 64-bit outputs, one per double),
     so both sides are drawn, added and binned in lockstep blocks of
-    ``_kernels._BLOCK_CELLS`` with the values of two whole draws.
+    ``_kernels._block_rows(1)`` draws with the values of two whole draws.
     """
     gen_a, gen_b = mc.stream(seed, 0), mc.stream(seed, 0)
     gen_b.bit_generator.advance(samples // 4)
     gen_b.random(samples % 4)
     obs = np.zeros(bins, dtype=np.int64)
-    for start in range(0, samples, _kernels._BLOCK_CELLS):
-        count = min(_kernels._BLOCK_CELLS, samples - start)
+    step = _kernels._block_rows(1)
+    for start in range(0, samples, step):
+        count = min(step, samples - start)
         draws = sample_poisson(gen_a, mu_a, count)
         draws += sample_poisson(gen_b, mu_b, count)
         np.clip(draws, low, low + bins - 1, out=draws)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import mc
+from . import _kernels, mc
 from .errors import BudgetExceededError
 from .hypergraph import Hypergraph
 from .sparse import SparseMatrix
@@ -35,10 +35,6 @@ __all__ = [
 ]
 
 ENUM_BITS_LIMIT = 24
-_BLOCK_BITS = 12
-# rows per float block when gw_estimate scores a chunk of 1024 directions:
-# the (rows, 1024) float64 product takes 2 MiB per thread (32 MiB at 2^12)
-_SCORE_BITS = 8
 POWER_TOL = 1e-9  # relative change of the Rayleigh quotient that stops spectral_norm
 POWER_MAX_ITERS = 10000
 
@@ -90,15 +86,15 @@ def _columns(pm: PolyMap) -> np.ndarray:
     top = pm.n - 1
     masks = [[sum(1 << (top - v) for v in e) for e in h.edges] for h in pm.components]
     total = 1 << pm.n
-    step = 1 << min(_BLOCK_BITS, pm.n)
+    step = _kernels._block_rows(1)
     out = np.empty((total, pm.k), dtype=dtype)
     for start in range(0, total, step):
-        idx = np.arange(start, start + step, dtype=np.int64)
+        idx = np.arange(start, min(start + step, total), dtype=np.int64)
         for c, component in enumerate(masks):
-            col = np.zeros(step, dtype=np.int64)
+            col = np.zeros(len(idx), dtype=np.int64)
             for mask in component:
                 col += (idx & mask) == mask
-            out[start : start + step, c] = col
+            out[start : start + len(idx), c] = col
     return out
 
 
@@ -119,11 +115,11 @@ def gw_estimate(pm: PolyMap, samples: int, seed: int, threads: int = 1) -> mc.Mc
     """Monte-Carlo Gaussian width of the image of ``pm``: average of the exact
     maximum over the image of <p, g> for independent standard Gaussian g."""
     points = _points(pm)
-    step = 1 << _SCORE_BITS
 
     def value_fn(gen, count):
         g_mat = mc.normals(gen, (pm.k, count))
         best = np.full(count, -np.inf)
+        step = _kernels._block_rows(count)  # points per (step, count) float64 product
         for start in range(0, len(points), step):
             block = points[start : start + step].astype(np.float64)
             np.maximum(best, (block @ g_mat).max(axis=0), out=best)

@@ -77,8 +77,11 @@ def upper_tail_mc(
     need = min(num_aps + 1, math.ceil((1 + Fraction(delta)) * expected))
 
     def value_fn(gen, count):
-        bits = (gen.random((count, N)) < p).astype(np.uint8)
-        hits = _kernels.contained_edges_batch(bits, edges)
+        def score(rows):
+            return _kernels.contained_edges_batch(gen.random((rows, N)) < p, edges)
+
+        # one byte per progression and sample: the kernel's (edges, rows) bool temporary
+        hits = _kernels._in_blocks(count, len(edges), score, itemsize=1)
         return (hits >= need).astype(np.float64)
 
     est = mc.run_chunked(value_fn, samples, seed, threads=threads)[0]

@@ -116,15 +116,16 @@ def test_sample_poisson_moments():
 
 
 def test_sample_poisson_blocks_match_one_draw():
-    # block-by-block inversion consumes the stream like one gen.random(size) call
-    size = (3, bd._kernels._BLOCK_CELLS // 2 + 1)  # crosses two block boundaries
+    # one call equals searchsorted over one gen.random(size) draw and
+    # leaves the stream where that draw would
+    size = (3, 1001)
     cdf = np.cumsum(bd.poisson_pmf_table(1.7))
-    one, blocked = mc.stream(9, 0), mc.stream(9, 0)
+    one, inverted = mc.stream(9, 0), mc.stream(9, 0)
     want = np.searchsorted(cdf, one.random(size))
-    got = bd.sample_poisson(blocked, 1.7, size)
+    got = bd.sample_poisson(inverted, 1.7, size)
     assert got.dtype == np.int64 and got.shape == size
     assert np.array_equal(got, want)
-    assert one.random() == blocked.random()
+    assert one.random() == inverted.random()
 
 
 class FixedUniforms:

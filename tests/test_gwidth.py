@@ -81,9 +81,22 @@ def test_gw_estimate_matches_full_image_maximum():
 
 def test_gw_estimate_max_spans_score_blocks():
     pm = matching_map(12, 5, 3)
-    # more distinct points than one scoring block holds
-    assert len(gw._points(pm)) > 1 << gw._SCORE_BITS
+    # more distinct points than one scoring block of 1024 directions holds
+    assert len(gw._points(pm)) > gw._kernels._block_rows(1024)
     check_full_image_maximum(pm, 2500, 13)
+
+
+@pytest.mark.parametrize(
+    "pm", [matching_map(12, 5, 3), gw.identity_map(13)], ids=["matchings", "identity"]
+)
+def test_small_ragged_blocks_give_the_same_estimate(monkeypatch, pm):
+    # image blocks of 5000 rows, the last one ragged; score blocks of 4
+    # points for the two chunks of 1024 directions and 11 for the last 452
+    image, want = gw._columns(pm), gw.gw_estimate(pm, 2500, 14)
+    monkeypatch.setattr(gw._kernels, "_BLOCK_CELLS", 5000)
+    assert [gw._kernels._block_rows(c) for c in (1, 1024, 452)] == [5000, 4, 11]
+    assert np.array_equal(gw._columns(pm), image)
+    assert gw.gw_estimate(pm, 2500, 14) == want
 
 
 def test_exact_inner_zero_map():

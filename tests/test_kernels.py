@@ -13,7 +13,6 @@ import oracles
 import polywidth
 from polywidth import _kernels as kn
 from polywidth import mc
-from polywidth.aps import ap_hypergraph
 
 
 def test_phi_batch_paths_agree():
@@ -44,14 +43,10 @@ def matching_with_unmatched(n, r, num_edges, seed):
 
 
 @pytest.mark.parametrize("r, n, m, num_edges", [(1, 11, 7, 4), (2, 13, 8, 2), (3, 14, 8, 2)])
-@pytest.mark.parametrize("block_cells", [1, 80], ids=["one-row", "ragged"])
-def test_phi_kernels_blocked(monkeypatch, r, n, m, num_edges, block_cells):
-    monkeypatch.setattr(kn, "_BLOCK_CELLS", block_cells)
+def test_phi_kernels_with_unmatched_vertices(r, n, m, num_edges):
     gen = mc.stream(10 + r, 0)
     edges = matching_with_unmatched(n, r, num_edges, r)
     rows = 37
-    if block_cells > 1:  # both kernels take blocks of _block_rows(n) rows
-        assert 1 < kn._block_rows(n) < rows and rows % kn._block_rows(n)
     maps = gen.integers(0, n, size=(rows, m))
     expected = [oracles.phi_direct(f.tolist(), edges.tolist(), r) for f in maps]
     assert kn.phi_batch(maps, edges, n, r).tolist() == expected
@@ -109,15 +104,6 @@ def test_contained_edges_paths_agree():
     bits = (gen.random((100, 13)) < 0.5).astype(np.uint8)
     edges = gen.integers(0, 13, size=(40, 3)).astype(np.int64)
     expected = [oracles.contained_edges_direct(b.tolist(), edges.tolist()) for b in bits]
-    assert kn.contained_edges_batch(bits, edges).tolist() == expected
-
-
-def test_contained_edges_chunk_in_blocks_equals_per_row_count():
-    # N = 61, k = 3: 1830 progressions, so a 4096-row chunk takes 15 row blocks
-    edges = np.array(ap_hypergraph(61, 3).edges, dtype=np.int64)
-    bits = (mc.stream(4, 0).random((4096, 61)) < 0.3).astype(np.uint8)
-    assert kn._block_rows(len(edges), itemsize=1) < len(bits)
-    expected = [int(row.astype(bool)[edges].all(axis=1).sum()) for row in bits]
     assert kn.contained_edges_batch(bits, edges).tolist() == expected
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from polywidth import mc, randsets as rs
+from polywidth import _kernels, mc, randsets as rs
+from polywidth.aps import ap_hypergraph
 from polywidth.errors import BudgetExceededError
 
 
@@ -75,6 +76,25 @@ def test_exact_upper_tail_underflowing_expectation_needs_a_progression():
     assert oracles.exact_upper_tail_probability(7, 3, 1e-110, 1.0) == 0.0
     res = rs.upper_tail_mc(7, 3, 1e-110, 1.0, 1000)
     assert res.estimate.mean == 0.0
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_upper_tail_chunks_drawn_in_many_blocks_equal_whole_chunk_draws(monkeypatch, threads):
+    # small blocks: 37 rows of the 78 progressions of Z/13Z, so both chunks
+    # (4096 and 904 samples) span many blocks and end in a ragged one; the
+    # estimate equals that of drawing and counting each chunk at once
+    edges = np.array(ap_hypergraph(13, 3).edges)
+    monkeypatch.setattr(_kernels, "_BLOCK_CELLS", 361)
+    assert _kernels._block_rows(len(edges), itemsize=1) == 37
+    need = 15  # ceil(1.5 * 78 / 8)
+
+    def whole_chunk(gen, count):
+        hits = (gen.random((count, 13)) < 0.5)[:, edges].all(axis=2).sum(axis=1)
+        return (hits >= need).astype(np.float64)
+
+    want = mc.run_chunked(whole_chunk, 5000, 3, threads=threads)[0]
+    assert 0.0 < want.mean < 1.0
+    assert rs.upper_tail_mc(13, 3, 0.5, 0.5, 5000, 3, threads).estimate == want
 
 
 def test_reference_rate_value():
