@@ -42,23 +42,50 @@ def matching_with_unmatched(n, r, num_edges, seed):
     return perm[: num_edges * 2 * r].reshape(num_edges, 2 * r).astype(np.int64)
 
 
+def scored_in_blocks(batch, kernel, cells):
+    """``kernel`` over the rows of ``batch``, handed to it block by block
+    by the Monte-Carlo block loop ``_in_blocks``."""
+    done = 0
+
+    def score(rows):
+        nonlocal done
+        done += rows
+        return kernel(batch[done - rows : done])
+
+    return kn._in_blocks(len(batch), cells, score)
+
+
 @pytest.mark.parametrize("r, n, m, num_edges", [(1, 11, 7, 4), (2, 13, 8, 2), (3, 14, 8, 2)])
-def test_phi_kernels_with_unmatched_vertices(r, n, m, num_edges):
+@pytest.mark.parametrize("block_cells", [1, 80], ids=["one-row", "ragged"])
+def test_phi_kernels_blocked(monkeypatch, r, n, m, num_edges, block_cells):
+    monkeypatch.setattr(kn, "_BLOCK_CELLS", block_cells)
     gen = mc.stream(10 + r, 0)
     edges = matching_with_unmatched(n, r, num_edges, r)
     rows = 37
+    if block_cells > 1:  # the phi loops take blocks of _block_rows(n) rows
+        assert 1 < kn._block_rows(n) < rows and rows % kn._block_rows(n)
+
+    def phi_maps(batch):
+        return scored_in_blocks(batch, lambda b: kn.phi_batch(b, edges, n, r), n)
+
+    def phi_hists(batch):
+        return scored_in_blocks(batch, lambda b: kn.phi_hist_batch(b, edges, r), n)
+
     maps = gen.integers(0, n, size=(rows, m))
     expected = [oracles.phi_direct(f.tolist(), edges.tolist(), r) for f in maps]
     assert kn.phi_batch(maps, edges, n, r).tolist() == expected
+    assert phi_maps(maps).tolist() == expected
     # phi reads a map only through its occupancy histogram
     occupancy = np.stack([np.bincount(f, minlength=n) for f in maps])
     assert kn.phi_hist_batch(occupancy, edges, r).tolist() == expected
+    assert phi_hists(occupancy).tolist() == expected
     hists = gen.integers(0, 3, size=(rows, n))
     expected = [
         oracles.phi_direct(np.repeat(np.arange(n), h).tolist(), edges.tolist(), r)
         for h in hists
     ]
     assert kn.phi_hist_batch(hists, edges, r).tolist() == expected
+    assert phi_hists(hists).tolist() == expected
 
 
 @pytest.mark.parametrize(
