@@ -14,8 +14,6 @@ exceeded, 4 verification failure.
 """
 
 import argparse
-import csv
-import json
 import os
 import sys
 
@@ -70,11 +68,15 @@ def _jsonable(value):
 def _emit(rows, args, stream):
     fieldnames = list(rows[0])
     if args["format"] == "csv":
+        import csv
+
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(fieldnames)
         writer.writerows([_fmt(row[f]) for f in fieldnames] for row in rows)
         stream.write(f"# seed={args['seed']} version={__version__}\n")
     else:
+        import json
+
         doc = {
             "command": args["command"],
             "rows": [{f: _jsonable(row[f]) for f in fieldnames} for row in rows],
@@ -491,6 +493,13 @@ COMMANDS = {
 
 
 def _build_parser(argv):
+    """The parser of ``argv``, with the flags of its subcommand only.
+
+    When ``argv`` starts with a subcommand and asks for no help, only that
+    subparser is registered; naming every subcommand in the metavar keeps
+    the top usage line of its errors.  Any other ``argv`` may print the
+    top help or an invalid-choice error, which list every subcommand.
+    """
     chosen = next((token for token in argv if token in COMMANDS), None)
     parser = argparse.ArgumentParser(
         prog="polywidth",
@@ -500,8 +509,11 @@ def _build_parser(argv):
         allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"polywidth {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, opts, _) in COMMANDS.items():
+    alone = argv[:1] == [chosen] and "-h" not in argv and "--help" not in argv
+    metavar = "{" + ",".join(COMMANDS) + "}" if alone else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in [chosen] if alone else COMMANDS:
+        help_text, opts, _ = COMMANDS[name]
         p = sub.add_parser(name, help=help_text, description=help_text, allow_abbrev=False)
         if name == chosen:
             for flag, kwargs in opts + COMMON_OPTS:
@@ -511,6 +523,8 @@ def _build_parser(argv):
 
 def _config_flags(path):
     """The flags a config file supplies, as ``--key=value`` tokens."""
+    import json
+
     with open(path) as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):

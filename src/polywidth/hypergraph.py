@@ -8,7 +8,7 @@ default goodness threshold of maps against it), and padding to a uniform
 edge size without raising the maximum degree.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "Hypergraph",
@@ -24,12 +24,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Hypergraph:
-    n: int
-    edges: tuple
+class Hypergraph(namedtuple("Hypergraph", "n edges")):
+    __slots__ = ()
 
-    def __init__(self, n, edges):
+    def __new__(cls, n, edges):
         if n < 1:
             raise ValueError("vertex count must be positive")
         canon = []
@@ -42,8 +40,7 @@ class Hypergraph:
             if e[0] < 0 or e[-1] >= n:
                 raise ValueError(f"edge {e} has a vertex outside [0, {n})")
             canon.append(e)
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "edges", tuple(canon))
+        return super().__new__(cls, int(n), tuple(canon))
 
     @property
     def num_edges(self) -> int:
@@ -86,12 +83,10 @@ class Hypergraph:
         return True
 
 
-@dataclass(frozen=True)
-class EdgeColoring:
+class EdgeColoring(namedtuple("EdgeColoring", "colors num_colors")):
     """Color index per edge (parallel to Hypergraph.edges); proper, first-fit."""
 
-    colors: tuple
-    num_colors: int
+    __slots__ = ()
 
 
 def greedy_edge_coloring(h: Hypergraph) -> EdgeColoring:

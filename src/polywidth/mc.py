@@ -15,7 +15,7 @@ for the same key, at about 2 us per 64-bit output, so a caller that needs a
 few draws per trial need not load numpy.
 
 Importing this module loads neither numpy (it is imported inside ``stream``,
-``normals`` and ``run_chunked``) nor the thread pool (imported only when
+``normals`` and ``run_chunked``) nor ``threading`` (imported only when
 ``run_chunked`` has more than one chunk for more than one thread), so
 commands that use neither do not pay for them.
 """
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 CHUNK_SAMPLES = 4096
 
@@ -39,12 +39,10 @@ _PHILOX_W1 = 0xBB67AE8584CAA73B
 _PHILOX_ROUNDS = 10
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(namedtuple("McEstimate", "mean std_error")):
     """Mean and standard error of a Monte-Carlo run."""
 
-    mean: float
-    std_error: float
+    __slots__ = ()
 
     @classmethod
     def from_sums(cls, total: float, total_sq: float, samples: int) -> McEstimate:
@@ -175,15 +173,35 @@ def run_chunked(value_fn, samples, seed, threads=1, chunk=CHUNK_SAMPLES) -> list
             raise RuntimeError("value_fn returned a wrong number of samples")
         return vals.sum(axis=0), np.square(vals).sum(axis=0)
 
-    indices = range(len(counts))
-    workers = min(threads or 1, len(counts))
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    # Each thread takes the next chunk index from one shared iterator, and
+    # stops at its first failing chunk.  Every chunk below a failing one was
+    # taken before it and runs to the end, so the lowest failing chunk is
+    # always among the errors, and its exception is raised.
+    partials = [None] * len(counts)
+    errors = {}
+    todo = iter(range(len(counts)))
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(work, indices))
-    else:
-        partials = [work(i) for i in indices]
+    def drain():
+        for i in todo:
+            try:
+                partials[i] = work(i)
+            except BaseException as exc:
+                errors[i] = exc
+                return
+
+    workers = min(threads or 1, len(counts))
+    helpers = []
+    if workers > 1:
+        import threading
+
+        helpers = [threading.Thread(target=drain) for _ in range(workers - 1)]
+    for t in helpers:
+        t.start()
+    drain()  # the calling thread drains too
+    for t in helpers:
+        t.join()
+    if errors:
+        raise errors[min(errors)]
 
     # Ordered merge: identical result for any thread count.
     total = np.zeros_like(partials[0][0])

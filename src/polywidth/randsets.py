@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import BudgetExceededError
 
@@ -36,11 +36,13 @@ __all__ = [
 SEARCH_NODE_BUDGET = 10**7
 
 
-@dataclass(frozen=True)
-class UpperTailResult:
-    estimate: mc.McEstimate
-    reference_rate: float
-    rule_of_three_bound: float | None  # set when no hits were observed
+class UpperTailResult(
+    namedtuple("UpperTailResult", "estimate reference_rate rule_of_three_bound")
+):
+    """An ``mc.McEstimate``, the reference rate, and the rule-of-three bound
+    (set when no hits were observed, else None)."""
+
+    __slots__ = ()
 
 
 def reference_tail_rate(N: int, k: int, p: float, delta: float) -> float:
@@ -96,11 +98,11 @@ def upper_tail_mc(
 # Intersectivity.
 
 
-@dataclass(frozen=True)
-class IntersectivityResult:
-    intersective: bool
-    witness: tuple[int, ...] | None  # 0/1 per residue
-    exact: bool
+class IntersectivityResult(namedtuple("IntersectivityResult", "intersective witness exact")):
+    """The answer, the witness (a 0/1 tuple per residue, or None), and
+    whether the answer is exact."""
+
+    __slots__ = ()
 
 
 def _ap_masks(N: int, ell: int, diffs) -> list[int]:

@@ -581,17 +581,30 @@ def _full_parser():
 @pytest.mark.parametrize("argv", [
     ["--help"], *([name, "--help"] for name in COMMANDS),
     ["birthday", "--r", "2", "--n", "600", "--bogus", "1"],
+    [], ["--version"], ["foo"], ["foo", "intersective"],
+    ["intersective", "--N", "5"], ["intersective", "--N", "5", "bogus"],
+    ["--bogus", "intersective", "--N", "5", "--ell", "1", "--alpha", "0.5", "--diffs", "1"],
+    ["intersective", "--N", "22", "--ell", "2", "--alpha", "0.5", "--diffs", "1", "extra"],
+    ["intersective", "--config", "CONFIG"], ["--config", "CONFIG", "intersective"],
 ])
-def test_help_and_usage_equal_those_of_the_full_parser(capsys, argv):
-    # the front end adds only the chosen subcommand's flags
+def test_help_and_usage_equal_those_of_the_full_parser(capsys, tmp_path, argv):
+    # the front end adds only the chosen subcommand's flags, and registers
+    # only its subparser when argv starts with it and asks for no help
+    config = tmp_path / "run.cfg"
+    config.write_text("N=5\n")
+    argv = [str(config) if token == "CONFIG" else token for token in argv]
     code = main(argv)
     got = capsys.readouterr()
+    # the config flags go right after the subcommand
+    expanded = argv[:1] + ["--N=5"] + argv[1:] if "--config" in argv else argv
     with pytest.raises(SystemExit) as exc:
-        _full_parser().parse_args(argv)
+        _full_parser().parse_args(expanded)
     want = capsys.readouterr()
-    assert code == exc.value.code == (2 if "--bogus" in argv else 0)
+    ok = {"-h", "--help", "--version"} & set(argv)
+    assert code == exc.value.code == (0 if ok else 2)
     assert (got.out, got.err) == (want.out, want.err)
-    assert (want.out if code == 0 else want.err).startswith("usage: polywidth")
+    if argv != ["--version"]:
+        assert (want.out if ok else want.err).startswith("usage: polywidth")
 
 
 def test_intersective_tiny_alpha_witness_is_one_element(capsys):
@@ -684,51 +697,69 @@ def test_cli_import_leaves_numpy_unloaded():
 
 
 def test_version_loads_no_dataclasses_or_inspect():
+    # nor the report writers, json and csv, which the probe does not import either
     probe = (
         "import contextlib, io, sys\n"
         "from polywidth.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = main(['--version'])\n"
-        "print('dataclasses' in sys.modules, 'inspect' in sys.modules, code)\n"
+        "print(*(m in sys.modules for m in ('dataclasses', 'inspect', 'json', 'csv')), code)\n"
     )
     done = _run_python(probe)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", "False", "0"]
+    assert done.stdout.split() == ["False", "False", "False", "False", "0"]
 
 
 SEARCH_UNUSED = [f"polywidth.{m}" for m in ("birthday", "gwidth", "sparse", "tensorlift")]
+# the search commands run without numpy, dataclasses and inspect (which numpy loads)
+NUMPY_FREE = ["numpy", "dataclasses", "inspect"]
 BIRTHDAY_UNUSED = [f"polywidth.{m}" for m in ("tensorlift", "gwidth", "sparse", "randsets", "aps")]
+# more than one chunk at --threads 2 starts a worker thread, without the pool
+POOL = ["concurrent.futures", "logging"]
 
 
 @pytest.mark.parametrize(
     "argv,unused",
     [
         (["intersective", "--N", "10", "--ell", "2", "--alpha", "0.5", "--diffs", "1,2"],
-         SEARCH_UNUSED + ["polywidth.aps", "polywidth.mc", "polywidth._kernels",
-                          "numpy.random", "concurrent.futures"]),
+         SEARCH_UNUSED + NUMPY_FREE + ["polywidth.aps", "polywidth.mc", "polywidth._kernels",
+                                       "concurrent.futures"]),
         (["intersective", "--N", "10", "--ell", "1", "--alpha", "0.5", "--p", "0.3",
           "--trials", "2"],
-         SEARCH_UNUSED + ["polywidth._kernels", "polywidth.aps", "numpy.random",
-                          "concurrent.futures"]),
+         SEARCH_UNUSED + NUMPY_FREE + ["polywidth._kernels", "polywidth.aps",
+                                       "concurrent.futures"]),
+        (["intersective", "--N", "10", "--ell", "1", "--alpha", "0.5", "--k-draws", "3",
+          "--trials", "2"],
+         SEARCH_UNUSED + NUMPY_FREE + ["polywidth._kernels", "polywidth.aps",
+                                       "concurrent.futures"]),
         (["ap-structure", "--N", "7", "--k", "3", "--trials", "5"],
-         SEARCH_UNUSED + ["polywidth._kernels", "numpy.random", "concurrent.futures"]),
+         SEARCH_UNUSED + NUMPY_FREE + ["polywidth._kernels", "concurrent.futures"]),
+        (["ap-count", "--N", "7", "--k", "3"],
+         SEARCH_UNUSED + NUMPY_FREE + ["polywidth._kernels", "polywidth.mc"]),
         (["matrix-verify", "--n", "6", "--m", "2", "--r", "1"],
          ["polywidth.mc", "polywidth.randsets", "numpy.random"]),
         (["birthday", "--r", "1", "--n", "20", "--samples", "100"], BIRTHDAY_UNUSED),
         (["poisson-check", "--r", "1", "--n", "20", "--samples", "100"], BIRTHDAY_UNUSED),
+        (["birthday", "--r", "1", "--n", "20", "--samples", "5000", "--threads", "2"],
+         BIRTHDAY_UNUSED + POOL),
+        (["upper-tail", "--N", "7", "--k", "3", "--p", "0.5", "--delta", "1",
+          "--samples", "5000", "--threads", "2"], POOL),
+        (["gw-estimate", "--n", "6", "--samples", "2000", "--threads", "2"], POOL),
         # 12 samples fill one chunk, so there is nothing for a second thread
         (["tj-ratio", "--N", "256", "--k", "64", "--samples", "12", "--threads", "2"],
-         ["concurrent.futures"]),
+         POOL),
     ],
-    ids=["intersective-diffs", "intersective-random", "ap-structure", "matrix-verify",
-         "birthday", "poisson-check", "tj-ratio-one-chunk"],
+    ids=["intersective-diffs", "intersective-random", "intersective-draws", "ap-structure",
+         "ap-count", "matrix-verify", "birthday", "poisson-check", "birthday-threads",
+         "upper-tail-threads", "gw-estimate-threads", "tj-ratio-one-chunk"],
 )
 def test_subcommand_loads_only_its_layers(argv, unused):
-    # modules the command loads beyond numpy's own import (numpy < 2 loads
-    # numpy.random there)
+    # modules the command loads; a command that uses numpy counts them from
+    # after numpy's own import (numpy < 2 loads numpy.random there)
+    preload = "" if "numpy" in unused else "import numpy\n"
     probe = (
         "import contextlib, io, json, sys\n"
-        "import numpy\n"
+        f"{preload}"
         "before = set(sys.modules)\n"
         "from polywidth.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import oracles
 from polywidth import poly
 from polywidth.hypergraph import (
+    EdgeColoring,
     Hypergraph,
     color_classes,
     complete_to_maximal_matching,
@@ -25,6 +26,24 @@ def test_construction_canonicalizes_and_validates():
         Hypergraph(3, [(1, 1)])
     with pytest.raises(ValueError):
         Hypergraph(3, [()])
+
+
+def test_records_are_immutable_and_compare_by_fields():
+    h = Hypergraph(4, [(1, 0), (2, 3)])
+    assert (h.n, h.edges) == (4, ((0, 1), (2, 3)))
+    assert repr(h) == "Hypergraph(n=4, edges=((0, 1), (2, 3)))"
+    assert h == Hypergraph(4, [(0, 1), (3, 2)]) and h != Hypergraph(5, h.edges)
+    assert hash(h) == hash(Hypergraph(4, h.edges)) == hash((4, ((0, 1), (2, 3))))
+    coloring = greedy_edge_coloring(h)
+    assert (coloring.colors, coloring.num_colors) == ((0, 0), 1)
+    assert repr(coloring) == "EdgeColoring(colors=(0, 0), num_colors=1)"
+    assert coloring == EdgeColoring((0, 0), 1) and coloring != EdgeColoring((0, 1), 2)
+    assert hash(coloring) == hash(((0, 0), 1))
+    for record, field in ((h, "n"), (h, "edges"), (coloring, "num_colors")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 1)
+        with pytest.raises(AttributeError):
+            record.other = 1
 
 
 def test_edge_masks_set_one_bit_per_vertex():

@@ -1,4 +1,6 @@
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -46,13 +48,61 @@ def test_run_chunked_matches_direct_statistics():
 
 
 def test_run_chunked_thread_invariance():
+    # 3000 samples in chunks of 512 make 6 chunks: fewer, as many and more
+    # threads than chunks give the estimates of one thread, bit for bit
     def value_fn(gen, count):
         return np.stack([gen.random(count), gen.random(count) ** 2], axis=1)
 
-    a = mc.run_chunked(value_fn, 3000, seed=5, threads=1)
-    b = mc.run_chunked(value_fn, 3000, seed=5, threads=8)
+    a = mc.run_chunked(value_fn, 3000, seed=5, threads=1, chunk=512)
     assert len(a) == 2
-    assert a == b
+    for threads in (2, 6, 8):
+        assert mc.run_chunked(value_fn, 3000, seed=5, threads=threads, chunk=512) == a
+
+
+def test_run_chunked_threads_run_every_chunk_once():
+    # more threads than cores, switching every microsecond: a chunk index
+    # taken twice or lost from the shared iterator shows in ``seen``
+    seen = []
+
+    def value_fn(gen, count):
+        seen.append(int(gen.bit_generator.state["state"]["key"][1]))
+        return gen.random(count)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = mc.run_chunked(value_fn, 400 * 8, seed=4, threads=8, chunk=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(seen) == list(range(400))
+    assert threaded == mc.run_chunked(value_fn, 400 * 8, seed=4, chunk=8)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_run_chunked_raises_the_lowest_failing_chunk(threads):
+    # chunk 1 fails after chunk 3 has failed on another thread
+    def value_fn(gen, count):
+        index = int(gen.bit_generator.state["state"]["key"][1])  # the key is (seed, chunk)
+        if index == 1:
+            time.sleep(0.05)
+        if index in (1, 3):
+            raise ValueError(f"chunk {index}")
+        return gen.random(count)
+
+    with pytest.raises(ValueError, match="^chunk 1$"):
+        mc.run_chunked(value_fn, 5 * 64, seed=2, threads=threads, chunk=64)
+
+
+def test_mc_estimate_is_an_immutable_record():
+    est = mc.McEstimate(0.25, 0.125)
+    assert (est.mean, est.std_error) == (0.25, 0.125)
+    assert repr(est) == "McEstimate(mean=0.25, std_error=0.125)"
+    assert est == mc.McEstimate(0.25, 0.125) and est != mc.McEstimate(0.25, 0.5)
+    assert hash(est) == hash((0.25, 0.125))
+    with pytest.raises(AttributeError):
+        est.mean = 1.0
+    with pytest.raises(AttributeError):
+        est.other = 1.0
 
 
 @pytest.mark.parametrize("high", [7, 600, 2**31 + 11, 2**32 - 1, 2**32, 2**32 + 1, 2**40 + 3])

@@ -21,6 +21,31 @@ def test_params_validation():
             rs.upper_tail_mc(N, k, 0.5, 1.0, 10)
 
 
+def test_results_are_immutable_and_compare_by_fields():
+    res = rs.intersectivity_check(5, 1, 0.4, [1])
+    assert (res.intersective, res.witness, res.exact) == (False, (1, 0, 1, 0, 0), True)
+    assert repr(res) == (
+        "IntersectivityResult(intersective=False, witness=(1, 0, 1, 0, 0), exact=True)"
+    )
+    assert res == rs.IntersectivityResult(False, (1, 0, 1, 0, 0), True)
+    assert res != rs.IntersectivityResult(True, None, True)
+    assert hash(res) == hash((False, (1, 0, 1, 0, 0), True))
+    tail = rs.UpperTailResult(mc.McEstimate(0.0, 0.0), 0.5, 0.25)
+    assert (tail.estimate.mean, tail.reference_rate, tail.rule_of_three_bound) == (0.0, 0.5, 0.25)
+    assert repr(tail) == (
+        "UpperTailResult(estimate=McEstimate(mean=0.0, std_error=0.0), "
+        "reference_rate=0.5, rule_of_three_bound=0.25)"
+    )
+    assert tail == rs.UpperTailResult(mc.McEstimate(0.0, 0.0), 0.5, 0.25)
+    assert tail != rs.UpperTailResult(mc.McEstimate(0.0, 0.0), 0.5, None)
+    assert hash(tail) == hash(((0.0, 0.0), 0.5, 0.25))
+    for record, field in ((res, "intersective"), (tail, "rule_of_three_bound")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.other = 1
+
+
 @pytest.mark.parametrize("N", [4, 9, 12, 15, 20, 22, 13, 31])
 def test_ap_masks_match_direct(N):
     # composite N: progressions whose difference shares a factor with N
