@@ -32,7 +32,7 @@ underflow.
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -68,12 +68,12 @@ def default_map_length(r: int, n: int) -> int:
     return int(growth_constant(r) * n ** (1.0 - 1.0 / r))
 
 
-@dataclass(frozen=True)
-class PhiStatistics:
-    good_probability: mc.McEstimate
-    mean_phi: mc.McEstimate
-    tail_probability: mc.McEstimate  # Pr[phi > s]
-    zero_probability: mc.McEstimate  # Pr[phi = 0]
+class PhiStatistics(
+    namedtuple("PhiStatistics", "good_probability mean_phi tail_probability zero_probability")
+):
+    """Estimates of Pr[s-good], E[phi], Pr[phi > s] and Pr[phi = 0]."""
+
+    __slots__ = ()
 
 
 def phi_statistics(
@@ -168,14 +168,11 @@ def sample_poisson(gen: np.random.Generator, mu: float, size) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class DominationRow:
-    functional: str
-    lhs: mc.McEstimate  # E[Phi(exact histogram)]
-    rhs: mc.McEstimate  # E[Phi(independent Poisson bins)]
-    margin: float  # lhs.mean - 2*rhs.mean
-    tolerance: float  # 3 * combined SE
-    holds: bool
+class DominationRow(namedtuple("DominationRow", "functional lhs rhs margin tolerance holds")):
+    """lhs = E[Phi(exact histogram)], rhs = E[Phi(independent Poisson bins)],
+    margin = lhs.mean - 2*rhs.mean, tolerance = 3 * combined SE."""
+
+    __slots__ = ()
 
 
 def poisson_domination_check(
@@ -232,12 +229,8 @@ def _chi_square_tail(dof: int, x: float) -> float:
     return tail
 
 
-@dataclass(frozen=True)
-class ChiSquareReport:
-    statistic: float
-    dof: int
-    p_value: float
-    passed: bool
+class ChiSquareReport(namedtuple("ChiSquareReport", "statistic dof p_value passed")):
+    __slots__ = ()
 
 
 def _chi_square_bins(expected, samples):

@@ -11,7 +11,7 @@ never a heuristic, and the outer expectation is seeded Monte Carlo.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -39,20 +39,19 @@ POWER_TOL = 1e-9  # relative change of the Rayleigh quotient that stops spectral
 POWER_MAX_ITERS = 10000
 
 
-@dataclass(frozen=True)
-class PolyMap:
+class PolyMap(namedtuple("PolyMap", "components")):
     """Polynomial map R^n -> R^k with hypergraph-polynomial coordinates."""
 
-    components: tuple
+    __slots__ = ()
 
-    def __init__(self, components):
+    def __new__(cls, components):
         components = tuple(components)
         if not components:
             raise ValueError("need at least one component")
         n = components[0].n
         if any(h.n != n for h in components):
             raise ValueError("components must share the vertex count")
-        object.__setattr__(self, "components", components)
+        return super().__new__(cls, components)
 
     @property
     def n(self) -> int:
@@ -132,12 +131,13 @@ def gw_estimate(pm: PolyMap, samples: int, seed: int, threads: int = 1) -> mc.Mc
 # Spectral norms.
 
 
-@dataclass(frozen=True)
-class SpectralNormEstimate:
-    value: float  # lower-biased power-iteration estimate
-    upper_bound: float  # sqrt(max abs row sum * max abs col sum)
-    converged: bool
-    iterations: int
+class SpectralNormEstimate(
+    namedtuple("SpectralNormEstimate", "value upper_bound converged iterations")
+):
+    """value: lower-biased power-iteration estimate; upper_bound:
+    sqrt(max abs row sum * max abs col sum)."""
+
+    __slots__ = ()
 
 
 def spectral_norm(a: SparseMatrix) -> SpectralNormEstimate:
@@ -183,11 +183,10 @@ def gaussian_series_norm(dense: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(np.asarray(dense, dtype=np.float64))).max())
 
 
-@dataclass(frozen=True)
-class TjResult:
-    lhs: mc.McEstimate  # E || sum_i g_i A_i ||
-    rhs: float  # sqrt(log N) * sqrt(sum ||A_i||^2)
-    ratio: float
+class TjResult(namedtuple("TjResult", "lhs rhs ratio")):
+    """lhs = E || sum_i g_i A_i ||, rhs = sqrt(log N) * sqrt(sum ||A_i||^2)."""
+
+    __slots__ = ()
 
 
 def tj_ratio_experiment(matrices, samples: int, seed: int, threads: int = 1) -> TjResult:

@@ -173,21 +173,23 @@ def run_chunked(value_fn, samples, seed, threads=1, chunk=CHUNK_SAMPLES) -> list
             raise RuntimeError("value_fn returned a wrong number of samples")
         return vals.sum(axis=0), np.square(vals).sum(axis=0)
 
-    # Each thread takes the next chunk index from one shared iterator, and
-    # stops at its first failing chunk.  Every chunk below a failing one was
-    # taken before it and runs to the end, so the lowest failing chunk is
-    # always among the errors, and its exception is raised.
+    # Each thread takes the next chunk index from one shared iterator until
+    # some chunk has failed; a chunk already taken runs to the end.  Every
+    # chunk below a failing one was taken before it, so the lowest failing
+    # chunk is always among the errors, and its exception is raised.
     partials = [None] * len(counts)
     errors = {}
     todo = iter(range(len(counts)))
 
     def drain():
-        for i in todo:
+        while not errors:
+            i = next(todo, None)
+            if i is None:
+                return
             try:
                 partials[i] = work(i)
             except BaseException as exc:
                 errors[i] = exc
-                return
 
     workers = min(threads or 1, len(counts))
     helpers = []

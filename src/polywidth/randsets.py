@@ -2,8 +2,8 @@
 checking.
 
 Upper-tail estimation is plain (unweighted) Monte Carlo; runs with zero
-observed hits report the rule-of-three 3/samples upper confidence bound
-instead of a point estimate.
+observed hits also carry the rule-of-three 3/samples upper confidence
+bound, which ``upper-tail`` reports in place of the standard error.
 
 Intersectivity is decided exactly for every N >= 1 by a depth-first search
 over int bitmasks (Python ints, so of any width) for a progression-free

@@ -5,7 +5,7 @@ merge by summing values and zero sums are dropped.  Only construction and
 the two matrix-vector products that power iteration needs are provided.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -14,12 +14,13 @@ from . import _kernels
 __all__ = ["SparseMatrix"]
 
 
-@dataclass(frozen=True, eq=False)
-class SparseMatrix:
-    dim: int
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
+class SparseMatrix(namedtuple("SparseMatrix", "dim rows cols vals")):
+    """A ``dim`` x ``dim`` matrix as int64 COO arrays ``rows``, ``cols`` and
+    ``vals``.  Equal and hashed by identity, as comparing the arrays would
+    compare them element by element."""
+
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     @classmethod
     def from_entries(cls, dim, rows, cols, vals=None):

@@ -98,8 +98,7 @@ the number with second map f.  Three facts stream the rest.
 
 import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 import numpy as np
 
@@ -211,23 +210,18 @@ def enumerate_pairs(matching: Hypergraph, m: int, s: int, ranks):
     return tuple(np.concatenate(column) for column in zip(*out))
 
 
-@dataclass(frozen=True)
-class LiftResult:
+class LiftResult(
+    namedtuple(
+        "LiftResult",
+        "mask_counts n m r s dim num_colors cover_count nnz max_row_sum row_sum_bound",
+    )
+):
     """The report of A = B + B^T over all colours, streamed from the kept
-    pairs (f, g) of B without holding them: ``mask_counts`` maps each edge
-    mask x to the number of kept pairs covering it, mask(f) ^ mask(g) = x."""
+    pairs (f, g) of B without holding them: ``mask_counts`` is a Counter
+    mapping each edge mask x to the number of kept pairs covering it,
+    mask(f) ^ mask(g) = x."""
 
-    mask_counts: Counter
-    n: int
-    m: int
-    r: int
-    s: int
-    dim: int
-    num_colors: int
-    cover_count: int
-    nnz: int
-    max_row_sum: int
-    row_sum_bound: int
+    __slots__ = ()
 
 
 def _earlier_copies(classes) -> list:

@@ -44,6 +44,43 @@ def test_param_validation():
         bd.phi_statistics(1, 4, 2, 1, samples=0)
 
 
+def test_records_are_immutable_and_compare_by_fields():
+    est, zero = mc.McEstimate(0.5, 0.25), mc.McEstimate(0.0, 0.0)
+    stats = bd.PhiStatistics(est, mc.McEstimate(2.0, 0.5), zero, est)
+    assert (stats.good_probability, stats.mean_phi.mean, stats.tail_probability,
+            stats.zero_probability) == (est, 2.0, zero, est)
+    assert repr(stats) == (
+        "PhiStatistics(good_probability=McEstimate(mean=0.5, std_error=0.25), "
+        "mean_phi=McEstimate(mean=2.0, std_error=0.5), "
+        "tail_probability=McEstimate(mean=0.0, std_error=0.0), "
+        "zero_probability=McEstimate(mean=0.5, std_error=0.25))"
+    )
+    assert stats == bd.PhiStatistics(est, mc.McEstimate(2.0, 0.5), zero, est)
+    assert stats != bd.PhiStatistics(est, est, zero, est)
+    assert hash(stats) == hash(((0.5, 0.25), (2.0, 0.5), (0.0, 0.0), (0.5, 0.25)))
+    row = bd.DominationRow("psi", est, zero, 0.5, 0.75, True)
+    assert (row.functional, row.lhs, row.rhs, row.margin, row.tolerance, row.holds) == (
+        "psi", est, zero, 0.5, 0.75, True)
+    assert repr(row) == (
+        "DominationRow(functional='psi', lhs=McEstimate(mean=0.5, std_error=0.25), "
+        "rhs=McEstimate(mean=0.0, std_error=0.0), margin=0.5, tolerance=0.75, holds=True)"
+    )
+    assert row == bd.DominationRow("psi", est, zero, 0.5, 0.75, True)
+    assert row != bd.DominationRow("chi", est, zero, 0.5, 0.75, True)
+    assert hash(row) == hash(("psi", (0.5, 0.25), (0.0, 0.0), 0.5, 0.75, True))
+    report = bd.ChiSquareReport(3.5, 4, 0.5, True)
+    assert (report.statistic, report.dof, report.p_value, report.passed) == (3.5, 4, 0.5, True)
+    assert repr(report) == "ChiSquareReport(statistic=3.5, dof=4, p_value=0.5, passed=True)"
+    assert report == bd.ChiSquareReport(3.5, 4, 0.5, True)
+    assert report != bd.ChiSquareReport(3.5, 4, 1e-4, False)
+    assert hash(report) == hash((3.5, 4, 0.5, True))
+    for record, field in ((stats, "mean_phi"), (row, "holds"), (report, "p_value")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.other = 1
+
+
 def test_phi_constant_case_is_exact():
     # r=1, n=4, m=2, full matching: both coordinates land in the union, phi == 2
     st = bd.phi_statistics(1, 4, 2, 800, samples=500, seed=3)

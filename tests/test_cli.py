@@ -711,9 +711,11 @@ def test_version_loads_no_dataclasses_or_inspect():
 
 
 SEARCH_UNUSED = [f"polywidth.{m}" for m in ("birthday", "gwidth", "sparse", "tensorlift")]
-# the search commands run without numpy, dataclasses and inspect (which numpy loads)
+# no command loads dataclasses; the search commands run without numpy and
+# inspect (which numpy loads) too
 NUMPY_FREE = ["numpy", "dataclasses", "inspect"]
 BIRTHDAY_UNUSED = [f"polywidth.{m}" for m in ("tensorlift", "gwidth", "sparse", "randsets", "aps")]
+BIRTHDAY_UNUSED += ["dataclasses"]
 # more than one chunk at --threads 2 starts a worker thread, without the pool
 POOL = ["concurrent.futures", "logging"]
 
@@ -737,21 +739,24 @@ POOL = ["concurrent.futures", "logging"]
         (["ap-count", "--N", "7", "--k", "3"],
          SEARCH_UNUSED + NUMPY_FREE + ["polywidth._kernels", "polywidth.mc"]),
         (["matrix-verify", "--n", "6", "--m", "2", "--r", "1"],
-         ["polywidth.mc", "polywidth.randsets", "numpy.random"]),
+         ["polywidth.mc", "polywidth.randsets", "numpy.random", "dataclasses"]),
         (["birthday", "--r", "1", "--n", "20", "--samples", "100"], BIRTHDAY_UNUSED),
         (["poisson-check", "--r", "1", "--n", "20", "--samples", "100"], BIRTHDAY_UNUSED),
         (["birthday", "--r", "1", "--n", "20", "--samples", "5000", "--threads", "2"],
          BIRTHDAY_UNUSED + POOL),
         (["upper-tail", "--N", "7", "--k", "3", "--p", "0.5", "--delta", "1",
-          "--samples", "5000", "--threads", "2"], POOL),
-        (["gw-estimate", "--n", "6", "--samples", "2000", "--threads", "2"], POOL),
+          "--samples", "5000", "--threads", "2"], POOL + ["dataclasses"]),
+        (["gw-estimate", "--n", "6", "--samples", "2000", "--threads", "2"],
+         POOL + ["dataclasses"]),
         # 12 samples fill one chunk, so there is nothing for a second thread
         (["tj-ratio", "--N", "256", "--k", "64", "--samples", "12", "--threads", "2"],
-         POOL),
+         POOL + ["dataclasses"]),
+        (["bound-eval", "--n", "16", "--k", "4", "--d", "2", "--t", "1"],
+         ["dataclasses", "polywidth.birthday", "polywidth.tensorlift"]),
     ],
     ids=["intersective-diffs", "intersective-random", "intersective-draws", "ap-structure",
          "ap-count", "matrix-verify", "birthday", "poisson-check", "birthday-threads",
-         "upper-tail-threads", "gw-estimate-threads", "tj-ratio-one-chunk"],
+         "upper-tail-threads", "gw-estimate-threads", "tj-ratio-one-chunk", "bound-eval"],
 )
 def test_subcommand_loads_only_its_layers(argv, unused):
     # modules the command loads; a command that uses numpy counts them from

@@ -99,6 +99,65 @@ def test_small_ragged_blocks_give_the_same_estimate(monkeypatch, pm):
     assert gw.gw_estimate(pm, 2500, 14) == want
 
 
+def test_records_are_immutable_and_compare_by_fields():
+    comps = (Hypergraph(2, [(0,)]), Hypergraph(2, [(0, 1)]))
+    pm = gw.PolyMap(iter(comps))
+    assert (pm.components, pm.n, pm.k, pm.degree, pm.multiplicity) == (comps, 2, 2, 2, 1)
+    assert repr(pm) == (
+        "PolyMap(components=(Hypergraph(n=2, edges=((0,),)), Hypergraph(n=2, edges=((0, 1),))))"
+    )
+    assert pm == gw.PolyMap(list(comps)) and pm != gw.PolyMap(comps[:1])
+    assert hash(pm) == hash(gw.PolyMap(comps)) == hash((comps,))
+    norm = gw.SpectralNormEstimate(1.0, 2.0, True, 3)
+    assert (norm.value, norm.upper_bound, norm.converged, norm.iterations) == (1.0, 2.0, True, 3)
+    assert repr(norm) == (
+        "SpectralNormEstimate(value=1.0, upper_bound=2.0, converged=True, iterations=3)"
+    )
+    assert norm == gw.SpectralNormEstimate(1.0, 2.0, True, 3)
+    assert norm != gw.SpectralNormEstimate(1.0, 2.0, False, 3)
+    assert hash(norm) == hash((1.0, 2.0, True, 3))
+    tj = gw.TjResult(mc.McEstimate(0.5, 0.25), 2.0, 0.25)
+    assert (tj.lhs.mean, tj.rhs, tj.ratio) == (0.5, 2.0, 0.25)
+    assert repr(tj) == "TjResult(lhs=McEstimate(mean=0.5, std_error=0.25), rhs=2.0, ratio=0.25)"
+    assert tj == gw.TjResult(mc.McEstimate(0.5, 0.25), 2.0, 0.25)
+    assert tj != gw.TjResult(mc.McEstimate(0.5, 0.25), 4.0, 0.125)
+    assert hash(tj) == hash(((0.5, 0.25), 2.0, 0.25))
+    for record, field in ((pm, "components"), (norm, "iterations"), (tj, "ratio")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.other = 1
+
+
+def test_polymap_needs_components_with_one_vertex_count():
+    with pytest.raises(ValueError, match="at least one component"):
+        gw.PolyMap([])
+    with pytest.raises(ValueError, match="share the vertex count"):
+        gw.PolyMap([Hypergraph(2, [(0,)]), Hypergraph(3, [(0,)])])
+
+
+def test_sparse_matrix_is_an_immutable_record_equal_only_to_itself():
+    a = SparseMatrix.from_entries(2, [1, 0, 0], [0, 1, 1])
+    assert (a.dim, a.rows.tolist(), a.cols.tolist(), a.vals.tolist(), a.nnz) == (
+        2, [0, 1], [1, 0], [2, 1], 2)
+    assert repr(a) == (
+        "SparseMatrix(dim=2, rows=array([0, 1]), cols=array([1, 0]), vals=array([2, 1]))"
+    )
+    # identity equality: comparing the arrays field by field would raise
+    b = SparseMatrix(*a)
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert hash(a) == hash(a) == object.__hash__(a) and len({a, b}) == 2
+    for field in ("dim", "vals"):
+        with pytest.raises(AttributeError):
+            setattr(a, field, None)
+    with pytest.raises(AttributeError):
+        a.other = 1
+    # the methods that perfbench/traced.py wraps in vars(SparseMatrix)
+    assert isinstance(vars(SparseMatrix)["from_entries"], classmethod)
+    assert {"matvec", "rmatvec"} <= vars(SparseMatrix).keys()
+
+
 def test_exact_inner_zero_map():
     # the image of an edgeless component is the single point 0
     est = gw.gw_estimate(gw.PolyMap([Hypergraph(3, ())]), 3000, seed=2)

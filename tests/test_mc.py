@@ -93,6 +93,29 @@ def test_run_chunked_raises_the_lowest_failing_chunk(threads):
         mc.run_chunked(value_fn, 5 * 64, seed=2, threads=threads, chunk=64)
 
 
+@pytest.mark.parametrize("threads", [1, 2, 3, 8])
+def test_run_chunked_stops_drawing_after_a_failed_chunk(threads):
+    # 50 chunks, of which chunk 0 fails, switching every microsecond: each
+    # thread finishes the chunk it has begun and takes no other
+    calls = []
+
+    def value_fn(gen, count):
+        calls.append(int(gen.bit_generator.state["state"]["key"][1]))
+        if calls[-1] == 0:
+            raise ValueError("chunk 0")
+        time.sleep(0.01)
+        return gen.random(count)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with pytest.raises(ValueError, match="^chunk 0$"):
+            mc.run_chunked(value_fn, 50 * 64, seed=2, threads=threads, chunk=64)
+    finally:
+        sys.setswitchinterval(interval)
+    assert 0 in calls and len(calls) <= threads
+
+
 def test_mc_estimate_is_an_immutable_record():
     est = mc.McEstimate(0.25, 0.125)
     assert (est.mean, est.std_error) == (0.25, 0.125)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -387,6 +388,24 @@ STREAMED_CASES = [
     (Hypergraph(6, [(0, 1, 2, 3), (2, 3, 4, 5)]), 3, 2, tl.default_goodness_bound(2)),
     (K8, 3, 1, S1),
 ]
+
+
+def test_lift_result_is_an_immutable_record():
+    fields = (Counter({0b11: 2}), 2, 1, 1, S1, 2, 1, 1, 2, 1, 2)
+    res = tl.LiftResult(*fields)
+    assert (res.mask_counts, res.n, res.s, res.num_colors, res.row_sum_bound) == (
+        Counter({3: 2}), 2, S1, 1, 2)
+    assert repr(res) == (
+        "LiftResult(mask_counts=Counter({3: 2}), n=2, m=1, r=1, s=800, dim=2, num_colors=1, "
+        "cover_count=1, nnz=2, max_row_sum=1, row_sum_bound=2)"
+    )
+    assert res == tl.LiftResult(*fields) and res != tl.LiftResult(Counter(), *fields[1:])
+    with pytest.raises(TypeError):  # mask_counts, a Counter, is unhashable
+        hash(res)
+    with pytest.raises(AttributeError):
+        res.nnz = 0
+    with pytest.raises(AttributeError):
+        res.other = 1
 
 
 def _report(res):
