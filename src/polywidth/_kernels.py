@@ -2,14 +2,25 @@
 
 All kernels are exact integer computations apart from ``coo_matvec``.
 
-A kernel scores all the rows it is given in one pass.  Callers hand it one
-block at a time, sized by ``_block_rows`` so that the block's widest
-temporary takes about 512 KiB, the bytes of ``_BLOCK_CELLS`` int64 cells,
-and stays in cache: int64 cells for ``phi_batch`` and ``phi_hist_batch``,
-bool cells for ``contained_edges_batch``.  A whole 4096-sample chunk at
-once would cost 20 MiB per int64 temporary at n = 600, and every pass over
-such an array would run at memory speed; blocks also keep the working set
-small when chunks run on several threads.  Blocking changes no arithmetic,
+A kernel scores all the rows it is given in one pass, in as few numpy calls
+as it can: fewer calls per block also means fewer handoffs of the
+interpreter lock when chunks run on several threads (``phi_batch`` checks
+its edges and builds its vertex table once per run, in ``_first_bins``).
+The phi kernels count map values or gather histogram cells straight into
+edge-slot order, a row per edge vertex, so the e_r recurrence reads
+contiguous rows;
+``contained_edges_batch`` sums its bool cells as bytes into the narrowest
+unsigned dtype that holds the edge count, where ``count_nonzero`` would
+widen every cell to intp first.
+
+Callers hand a kernel one block at a time, sized by ``_block_rows`` so that
+the block's widest temporary takes about 512 KiB, the bytes of
+``_BLOCK_CELLS`` int64 cells, and stays in cache: int64 cells for
+``phi_batch`` and ``phi_hist_batch``, bool cells for
+``contained_edges_batch``.  A whole 4096-sample chunk at once would cost
+20 MiB per int64 temporary at n = 600, and every pass over such an array
+would run at memory speed; blocks also keep the working set small when
+chunks run on several threads.  Blocking changes no arithmetic,
 so results are the same for any block size.
 
 ``_in_blocks`` is the one block loop of per-sample Monte Carlo: it draws
@@ -22,6 +33,8 @@ follows the page policy below: each block allocates its temporaries afresh
 with ``np.empty``, and the policy, set once at import, keeps the pages a
 block frees in the heap for the next block instead of mapping them anew.
 """
+
+import functools
 
 import numpy as np
 
@@ -70,28 +83,27 @@ def _in_blocks(count, cells, score, itemsize=8):
 # where e_r is the elementary symmetric polynomial of degree r in the 2r
 # per-vertex occurrence counts.
 #
-# Both kernels bring their rows to one vertex-major histogram, a row per
-# vertex and a column per input row: phi_batch counts its maps with one
-# bincount of v*rows + row, phi_hist_batch copies its histograms transposed.
-# Gathering the edge vertices position by position gives (2r, |M|*rows)
-# counts, so the e_r recurrence runs over 2r contiguous rows.
+# Both kernels bring their rows to the counts of the edge vertices in slot
+# order, a row per edge slot and a column per input row, slot p*|M| + i
+# holding vertex edges[i, p] (the order of edges.T.ravel()).  phi_batch
+# counts its maps straight into the slots with one bincount of
+# slot[v]*rows + row, every unmatched vertex sharing one extra slot that is
+# dropped; phi_hist_batch gathers the slot vertices of its histograms.  The
+# (2r, |M|*rows) counts let the e_r recurrence run over 2r contiguous rows.
 
 
-def _phi_by_vertex(hist, edges, r, out):
-    """Write phi of each column of the vertex-major histogram ``hist``
-    (n, rows) to ``out``; every edge vertex must lie in [0, n)."""
-    ne, width = edges.shape
+def _phi_by_slot(counts, ne, r, out):
+    """Write phi of each column of the slot-order ``counts`` (width*ne, rows)
+    of ``ne`` edges to ``out``."""
+    width = counts.shape[0] // ne
     if not 1 <= r <= width:  # e_0 = 1, and no edge has more than width vertices
         out[:] = ne if r == 0 else 0
         return
-    rows = hist.shape[1]
-    cells = ne * rows
-    counts = np.empty((width * ne, rows), dtype=np.int64)
-    # mode="clip" writes to out directly, mode="raise" via a copy
-    np.take(hist, edges.T.ravel(), axis=0, out=counts, mode="clip")
     if r == 1:  # e_1 is the sum of the counts
         counts.sum(axis=0, out=out)
         return
+    rows = counts.shape[1]
+    cells = ne * rows
     counts = counts.reshape(width, cells)
     # e[j - 1] is e_j of the counts seen so far (e_0 = 1 is left implicit);
     # e_j is updated only while it can still reach e_r, i.e. j >= r - (width - 1 - v)
@@ -110,6 +122,28 @@ def _phi_by_vertex(hist, edges, r, out):
     e[r - 1].reshape(ne, rows).sum(axis=0, out=out)
 
 
+@functools.lru_cache(maxsize=8)
+def _first_bins(edge_bytes, shape, n, rows):
+    """First bin, slot * rows, of each vertex of [0, n) in phi_batch's
+    bincount over ``rows`` maps, the int64 edges being given by their bytes
+    and ``shape``; every unmatched vertex gets the dropped slot, edges.size.
+
+    Every block of a run has the same edges and all but its last the same
+    rows, so the table is built and the edges checked once per run.  The
+    table is read-only, as it is shared.  Raises ``ValueError`` for edges
+    that are not disjoint vertex sets of [0, n).
+    """
+    edges = np.frombuffer(edge_bytes, dtype=np.int64).reshape(shape)
+    if edges.min() < 0 or edges.max() >= n:
+        raise ValueError("edge vertices must lie in [0, n)")
+    if np.bincount(edges.ravel(), minlength=n).max() > 1:
+        raise ValueError("edges must be disjoint")
+    first_bin = np.full(n, edges.size * rows, dtype=np.int64)
+    first_bin[edges.T.ravel()] = np.arange(0, edges.size * rows, rows)
+    first_bin.flags.writeable = False
+    return first_bin
+
+
 def phi_batch(maps, edges, n, r):
     """phi of each row of ``maps`` (values in [0, n)) against matching ``edges``.
 
@@ -118,19 +152,18 @@ def phi_batch(maps, edges, n, r):
     """
     maps = np.ascontiguousarray(maps, dtype=np.int64)
     edges = np.ascontiguousarray(edges, dtype=np.int64)
-    if maps.size and (maps.min() < 0 or maps.max() >= n):
+    # one pass: a negative value reads as 2^64 + value unsigned
+    if maps.size and maps.view(np.uint64).max() >= n:
         raise ValueError("map values must lie in [0, n)")
     nb = maps.shape[0]
     if nb == 0 or edges.shape[0] == 0:
         return np.zeros(nb, dtype=np.int64)
-    if edges.min() < 0 or edges.max() >= n:
-        raise ValueError("edge vertices must lie in [0, n)")
-    if np.bincount(edges.ravel(), minlength=n).max() > 1:
-        raise ValueError("edges must be disjoint")
-    cells = maps * nb + np.arange(nb)[:, None]
-    hist = np.bincount(cells.ravel(), minlength=n * nb)
+    slots = edges.size
+    cells = _first_bins(edges.tobytes(), edges.shape, n, nb)[maps]
+    cells += np.arange(nb)[:, None]
+    counts = np.bincount(cells.ravel(), minlength=(slots + 1) * nb)
     out = np.empty(nb, dtype=np.int64)
-    _phi_by_vertex(hist.reshape(n, nb), edges, r, out)
+    _phi_by_slot(counts[: slots * nb].reshape(slots, nb), edges.shape[0], r, out)
     return out
 
 
@@ -148,8 +181,11 @@ def phi_hist_batch(hists, edges, r):
     if edges.min() < 0 or edges.max() >= n:
         raise ValueError("edge vertices must lie in [0, n)")
     hist = np.ascontiguousarray(hists.T)  # vertex-major; take would copy a strided source
+    counts = np.empty((edges.size, nb), dtype=np.int64)
+    # mode="clip" writes to out directly, mode="raise" via a copy
+    np.take(hist, edges.T.ravel(), axis=0, out=counts, mode="clip")
     out = np.empty(nb, dtype=np.int64)
-    _phi_by_vertex(hist, edges, r, out)
+    _phi_by_slot(counts, edges.shape[0], r, out)
     return out
 
 
@@ -158,7 +194,10 @@ def phi_hist_batch(hists, edges, r):
 
 
 def contained_edges_batch(bits, edges):
-    """Per row of ``bits``: number of ``edges`` whose vertices are all nonzero."""
+    """Per row of ``bits``: number of ``edges`` whose vertices are all nonzero.
+
+    The counts come in the narrowest unsigned dtype that holds len(edges).
+    """
     bits = np.asarray(bits)
     edges = np.ascontiguousarray(edges, dtype=np.int64)
     nb = bits.shape[0]
@@ -168,7 +207,8 @@ def contained_edges_batch(bits, edges):
     inside = by_vertex[edges[:, 0]]  # one row per edge, one column per input row
     for i in range(1, edges.shape[1]):
         inside &= by_vertex[edges[:, i]]
-    return np.count_nonzero(inside, axis=0)
+    # count_nonzero would widen every cell to intp before summing
+    return np.add.reduce(inside.view(np.uint8), axis=0, dtype=np.min_scalar_type(len(edges)))
 
 
 # --------------------------------------------------------------------------

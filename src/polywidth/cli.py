@@ -96,7 +96,7 @@ DEFAULT_MATCHINGS = 8  # components of the matchings map when --k is not given
 
 def _run_gw_estimate(args):
     from . import gwidth
-    from .hypergraph import Hypergraph
+    from .hypergraph import Hypergraph, width_bound
 
     n, samples = args["n"], args["samples"]
     if args["map"] == "identity":
@@ -109,7 +109,7 @@ def _run_gw_estimate(args):
         k = args["k"] or DEFAULT_MATCHINGS
         matchings = gwidth.random_matchings(n, k, args["seed"] + 1)
         pmap = gwidth.PolyMap(Hypergraph(n, pairs.tolist()) for pairs in matchings)
-    bound = gwidth.width_bound(pmap.n, pmap.k, max(pmap.degree, 1), max(pmap.multiplicity, 1))
+    bound = width_bound(pmap.n, pmap.k, max(pmap.degree, 1), max(pmap.multiplicity, 1))
     est = gwidth.gw_estimate(pmap, samples, args["seed"], threads=args["threads"])
     row = {
         "n": pmap.n,
@@ -353,9 +353,9 @@ def _run_intersective(args):
 
 
 def _run_bound_eval(args):
-    from . import gwidth
+    from .hypergraph import width_bound
 
-    value = gwidth.width_bound(args["n"], args["k"], args["d"], args["t"])
+    value = width_bound(args["n"], args["k"], args["d"], args["t"])
     row = {"n": args["n"], "k": args["k"], "d": args["d"], "t": args["t"], "bound": value}
     return [row], EXIT_OK, [f"bound={_fmt(value)}"]
 
@@ -480,7 +480,7 @@ COMMANDS = {
     ),
     "bound-eval": (
         "Evaluate the width bound n*t*sqrt(k*n^(1-1/ceil(d/2))*log n) "
-        "(gwidth.width_bound)",
+        "(hypergraph.width_bound)",
         (
             ("n", dict(type=int, required=True, help="hypercube dimension")),
             ("k", dict(type=int, required=True, help="component count")),

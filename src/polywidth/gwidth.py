@@ -5,9 +5,13 @@ the inner product with a standard Gaussian vector.  Here the sets are images
 of the Boolean hypercube under a polynomial map whose coordinates are
 hypergraph polynomials.  The supremum depends only on the set of points, so
 the image is built once by exhaustive enumeration (hypercube dimension
-capped at 24) and reduced to its distinct points in lexicographic order;
-each Monte-Carlo direction then takes the exact maximum over those rows,
-never a heuristic, and the outer expectation is seeded Monte Carlo.
+capped at 24) and reduced to its distinct points in lexicographic order:
+each point is enumerated as one integer key whose digits are its
+coordinates, the keys are sorted and deduplicated, and only the distinct
+keys are decoded into rows.  Each Monte-Carlo direction then takes the
+exact maximum over those rows, never a heuristic, and the outer
+expectation is seeded Monte Carlo.  The closed-form width bound lives in
+``hypergraph``, so that evaluating it loads no numpy.
 """
 
 import math
@@ -17,7 +21,7 @@ import numpy as np
 
 from . import _kernels, mc
 from .errors import BudgetExceededError
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, width_bound
 from .sparse import SparseMatrix
 
 __all__ = [
@@ -70,44 +74,66 @@ class PolyMap(namedtuple("PolyMap", "components")):
         return max(h.max_degree for h in self.components)
 
 
-def _columns(pm: PolyMap) -> np.ndarray:
-    """The image of the hypercube, row i being psi of the point with
-    x_j = (i >> (n-1-j)) & 1.
-
-    Entries are big-endian unsigned integers of the narrowest width that
-    holds every component's edge count, so comparing rows as raw bytes
-    compares them lexicographically.  Vertex 0 is the most significant bit
-    of i, so the image of the identity map arrives already sorted and the
-    sort in ``_points`` does less work; ``_points`` returns the same rows
-    for any order.
-    """
-    dtype = np.min_scalar_type(max(h.num_edges for h in pm.components)).newbyteorder(">")
-    top = pm.n - 1
-    masks = [[sum(1 << (top - v) for v in e) for e in h.edges] for h in pm.components]
-    total = 1 << pm.n
-    step = _kernels._block_rows(1)
-    out = np.empty((total, pm.k), dtype=dtype)
-    for start in range(0, total, step):
-        idx = np.arange(start, min(start + step, total), dtype=np.int64)
-        for c, component in enumerate(masks):
-            col = np.zeros(len(idx), dtype=np.int64)
-            for mask in component:
-                col += (idx & mask) == mask
-            out[start : start + len(idx), c] = col
-    return out
-
-
 def _points(pm: PolyMap) -> np.ndarray:
     """The distinct points of the image of {0,1}^n as rows, in lexicographic
-    order, by exhaustive enumeration."""
+    order, by exhaustive enumeration.
+
+    Point i is psi of x_j = (i >> (n-1-j)) & 1 and is enumerated as one
+    integer key, its coordinates as big-endian digits of radix
+    (num_edges + 1), so that key order is lexicographic order.  Keys take
+    the narrowest unsigned dtype that holds them; before a digit would
+    overflow uint64, the keys so far are re-ranked into dense
+    order-preserving ranks (fewer than 2^n), and the next digits extend the
+    ranks.  The keys are sorted in place, the first of each run is kept, and
+    the rows are decoded from the kept keys block by block, a rank going
+    back through the distinct keys it was taken from.
+    """
     if pm.n > ENUM_BITS_LIMIT:
         raise BudgetExceededError(f"hypercube enumeration capped at n = {ENUM_BITS_LIMIT}")
-    image = _columns(pm)
-    rows = image.view(np.dtype((np.void, image.strides[0]))).ravel()
-    rows.sort()  # in place: byte order is lexicographic order
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = rows[1:] != rows[:-1]
-    return rows[first].view(image.dtype).reshape(-1, pm.k)
+    top = pm.n - 1
+    masks = [[sum(1 << (top - v) for v in e) for e in h.edges] for h in pm.components]
+    radices = [len(component) + 1 for component in masks]
+    total = 1 << pm.n
+    step = _kernels._block_rows(1)
+    # (first, stop, sorted distinct keys that the keys of components
+    # first..stop-1 extend as ranks, or None) per group of components
+    groups, ranked, keys, first = [], None, None, 0
+    while first < pm.k:
+        bound = 1 if ranked is None else len(ranked)
+        stop = first
+        # ranks stay below 2^24 and radices below 2^40 (no edge tuple is that
+        # long), so every group takes at least one component
+        while stop < pm.k and bound * radices[stop] < 1 << 64:
+            bound *= radices[stop]
+            stop += 1
+        dtype = np.min_scalar_type(bound)  # holds every key and every radix
+        keys = np.zeros(total, dtype=dtype) if ranked is None else keys.astype(dtype)
+        for start in range(0, total, step):
+            idx = np.arange(start, min(start + step, total), dtype=np.int64)
+            block = keys[start : start + len(idx)]
+            for component, radix in zip(masks[first:stop], radices[first:stop]):
+                block *= radix
+                for mask in component:
+                    block += (idx & mask) == mask
+        groups.append((first, stop, ranked))
+        if stop < pm.k:
+            ranked, keys = np.unique(keys, return_inverse=True)
+        first = stop
+    keys.sort()  # in place: key order is lexicographic order
+    keep = np.empty(total, dtype=bool)
+    keep[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    keys = keys[keep]
+    out = np.empty((len(keys), pm.k), dtype=np.min_scalar_type(max(radices) - 1))
+    for start in range(0, len(keys), step):
+        block = keys[start : start + step]  # decoded in place
+        rows = out[start : start + len(block)]
+        for first, stop, ranked in reversed(groups):
+            for c in range(stop - 1, first - 1, -1):
+                np.divmod(block, radices[c], out=(block, rows[:, c]))
+            if ranked is not None:
+                block = ranked[block]
+    return out
 
 
 def gw_estimate(pm: PolyMap, samples: int, seed: int, threads: int = 1) -> mc.McEstimate:
@@ -120,8 +146,9 @@ def gw_estimate(pm: PolyMap, samples: int, seed: int, threads: int = 1) -> mc.Mc
         best = np.full(count, -np.inf)
         step = _kernels._block_rows(count)  # points per (step, count) float64 product
         for start in range(0, len(points), step):
-            block = points[start : start + step].astype(np.float64)
-            np.maximum(best, (block @ g_mat).max(axis=0), out=best)
+            # one expression, so a block's floats are freed before the next one's
+            scores = points[start : start + step].astype(np.float64) @ g_mat
+            np.maximum(best, scores.max(axis=0), out=best)
         return best
 
     return mc.run_chunked(value_fn, samples, seed, threads=threads, chunk=1024)[0]
@@ -223,19 +250,6 @@ def tj_ratio_experiment(matrices, samples: int, seed: int, threads: int = 1) -> 
     lhs = mc.run_chunked(value_fn, samples, seed, threads=threads, chunk=256)[0]
     ratio = lhs.mean / rhs if rhs > 0 else 0.0
     return TjResult(lhs, rhs, ratio)
-
-
-def width_bound(n: int, k: int, d: int, t: int) -> float:
-    """The width bound n * t * sqrt(k * n^(1 - 1/ceil(d/2)) * log n).
-
-    Constant factor one: consumers compare shapes and ratios, not levels.
-    """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if k < 1 or d < 1 or t < 0:
-        raise ValueError("need k >= 1, d >= 1, t >= 0")
-    exponent = 1.0 - 1.0 / math.ceil(d / 2)
-    return n * t * math.sqrt(k * n**exponent * math.log(n))
 
 
 def random_matchings(dim: int, k: int, seed: int):

@@ -4,10 +4,12 @@ Vertices are 0..n-1; an edge is a strictly increasing tuple of distinct
 vertices and the edge list keeps insertion order (parallel edges allowed).
 Provides degree queries, first-fit edge coloring into matchings, greedy
 completion of a matching to a maximal one (the default matching, with the
-default goodness threshold of maps against it), and padding to a uniform
-edge size without raising the maximum degree.
+default goodness threshold of maps against it), padding to a uniform edge
+size without raising the maximum degree, and the closed-form width bound of
+a polynomial map with hypergraph coordinates.
 """
 
+import math
 from collections import namedtuple
 
 __all__ = [
@@ -18,6 +20,7 @@ __all__ = [
     "complete_to_maximal_matching",
     "default_matching",
     "default_goodness_bound",
+    "width_bound",
     "homogenize",
     "save_hypergraph",
     "load_hypergraph",
@@ -150,6 +153,19 @@ def default_matching(n: int, r: int) -> Hypergraph:
 def default_goodness_bound(r: int) -> int:
     """Default goodness threshold 200 * 4^r for maps against a 2r-matching."""
     return 200 * 4**r
+
+
+def width_bound(n: int, k: int, d: int, t: int) -> float:
+    """The width bound n * t * sqrt(k * n^(1 - 1/ceil(d/2)) * log n).
+
+    Constant factor one: consumers compare shapes and ratios, not levels.
+    """
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    if k < 1 or d < 1 or t < 0:
+        raise ValueError("need k >= 1, d >= 1, t >= 0")
+    exponent = 1.0 - 1.0 / math.ceil(d / 2)
+    return n * t * math.sqrt(k * n**exponent * math.log(n))
 
 
 def homogenize(h: Hypergraph, d: int):

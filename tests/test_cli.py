@@ -752,7 +752,8 @@ POOL = ["concurrent.futures", "logging"]
         (["tj-ratio", "--N", "256", "--k", "64", "--samples", "12", "--threads", "2"],
          POOL + ["dataclasses"]),
         (["bound-eval", "--n", "16", "--k", "4", "--d", "2", "--t", "1"],
-         ["dataclasses", "polywidth.birthday", "polywidth.tensorlift"]),
+         NUMPY_FREE + [f"polywidth.{m}" for m in ("gwidth", "mc", "_kernels", "sparse",
+                                                  "birthday", "tensorlift")]),
     ],
     ids=["intersective-diffs", "intersective-random", "intersective-draws", "ap-structure",
          "ap-count", "matrix-verify", "birthday", "poisson-check", "birthday-threads",
@@ -844,6 +845,14 @@ AP_RUNS = [
 def test_ap_commands_run_without_numpy(capsys):
     # aps counts and checks on Python ints and draws nothing
     _runs_without_numpy(capsys, AP_RUNS)
+
+
+def test_bound_eval_runs_without_numpy(capsys):
+    # the bound is a closed form in math, kept in hypergraph
+    _runs_without_numpy(capsys, [
+        ["bound-eval", "--n", "16", "--k", "4", "--d", "2", "--t", "1", "--format", fmt]
+        for fmt in ("csv", "json")
+    ])
 
 
 def test_matrix_verify_budget_defaults_to_the_tensorlift_cap(capsys):

@@ -23,6 +23,17 @@ def subsets_map(n, sizes):
     return [Hypergraph(n, edges), Hypergraph(n, [(0,)])]
 
 
+def overflowing_map(n, k, num_edges, seed):
+    """k components of ``num_edges`` random edges of sizes 1 to 3 on [n]; at
+    k = 18 and 12 edges their radix product 13^18 passes 2^64."""
+    subsets = [e for size in (1, 2, 3) for e in itertools.combinations(range(n), size)]
+    gen = mc.stream(seed, 0)
+    return [
+        Hypergraph(n, [subsets[i] for i in gen.choice(len(subsets), num_edges, replace=False)])
+        for _ in range(k)
+    ]
+
+
 @pytest.mark.parametrize(
     "components",
     [
@@ -30,8 +41,9 @@ def subsets_map(n, sizes):
         matching_map(8, 3, 4).components,
         [Hypergraph(6, [(0, 1), (2, 3, 4)]), Hypergraph(6, ()), Hypergraph(6, [(5,)])],
         subsets_map(12, (2, 3)),
+        overflowing_map(6, 18, 12, 5),
     ],
-    ids=["identity", "matchings", "edgeless-component", "uint16"],
+    ids=["identity", "matchings", "edgeless-component", "uint16", "re-ranked"],
 )
 def test_points_are_the_sorted_distinct_image(components):
     points = gw._points(gw.PolyMap(components))
@@ -39,11 +51,29 @@ def test_points_are_the_sorted_distinct_image(components):
     assert [tuple(p) for p in points.tolist()] == oracles.hypercube_image_direct(components)
 
 
-def test_identity_image_rows_come_out_sorted():
-    # _columns makes vertex 0 the most significant bit of the row index,
-    # so the identity map's 2^n distinct rows need no reordering
-    rows = gw._columns(gw.identity_map(8)).tolist()
-    assert len(rows) == 256 and rows == sorted(rows)
+def test_re_ranked_map_passes_the_uint64_keys():
+    assert math.prod(h.num_edges + 1 for h in overflowing_map(6, 18, 12, 5)) > 2**64
+
+
+@pytest.mark.parametrize(
+    "components",
+    [
+        gw.identity_map(13).components,
+        matching_map(12, 5, 3).components,
+        [Hypergraph(11, [(0, 1), (2, 3, 4)]), Hypergraph(11, ()), Hypergraph(11, [(5,), (10,)])],
+        overflowing_map(11, 18, 12, 6),
+    ],
+    ids=["identity", "matchings", "edgeless-component", "re-ranked"],
+)
+def test_points_in_small_ragged_blocks(monkeypatch, components):
+    # key and decode blocks of 5000 rows, the last one ragged
+    pm = gw.PolyMap(components)
+    want = gw._points(pm)
+    monkeypatch.setattr(gw._kernels, "_BLOCK_CELLS", 5000)
+    assert gw._kernels._block_rows(1) == 5000 and 2**pm.n % 5000
+    points = gw._points(pm)
+    assert points.dtype == want.dtype and np.array_equal(points, want)
+    assert [tuple(p) for p in points.tolist()] == oracles.hypercube_image_direct(components)
 
 
 def reference_estimate(seed, samples, k, statistic):
@@ -90,12 +120,11 @@ def test_gw_estimate_max_spans_score_blocks():
     "pm", [matching_map(12, 5, 3), gw.identity_map(13)], ids=["matchings", "identity"]
 )
 def test_small_ragged_blocks_give_the_same_estimate(monkeypatch, pm):
-    # image blocks of 5000 rows, the last one ragged; score blocks of 4
-    # points for the two chunks of 1024 directions and 11 for the last 452
-    image, want = gw._columns(pm), gw.gw_estimate(pm, 2500, 14)
+    # score blocks of 4 points for the two chunks of 1024 directions and 11
+    # for the last 452 (test_points_in_small_ragged_blocks checks the image)
+    want = gw.gw_estimate(pm, 2500, 14)
     monkeypatch.setattr(gw._kernels, "_BLOCK_CELLS", 5000)
     assert [gw._kernels._block_rows(c) for c in (1, 1024, 452)] == [5000, 4, 11]
-    assert np.array_equal(gw._columns(pm), image)
     assert gw.gw_estimate(pm, 2500, 14) == want
 
 

@@ -117,6 +117,35 @@ def test_phi_of_degree_zero_and_above_the_edge_size():
     assert kn.phi_batch(maps, edges, 8, 5).tolist() == [0] * 30
 
 
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_phi_batch_against_edges_of_width_two(r):
+    # r = 0 and r above the width 2, with vertices 6 to 9 left unmatched
+    maps = mc.stream(7, 0).integers(0, 10, size=(40, 4))
+    edges = np.array([[0, 3], [5, 1], [2, 4]], dtype=np.int64)
+    expected = [oracles.phi_direct(f.tolist(), edges.tolist(), r) for f in maps]
+    assert kn.phi_batch(maps, edges, 10, r).tolist() == expected
+
+
+def test_phi_batch_follows_edges_of_the_same_shape():
+    # the vertex table is cached by the edges' bytes, never by their shape
+    maps = mc.stream(11, 0).integers(0, 9, size=(20, 6))
+    for edges in ([[0, 1], [2, 3]], [[4, 5], [6, 7]], [[0, 1], [2, 3]], [[8, 0], [2, 3]]):
+        expected = [oracles.phi_direct(f.tolist(), edges, 1) for f in maps]
+        assert kn.phi_batch(maps, np.array(edges), 9, 1).tolist() == expected
+    with pytest.raises(ValueError):
+        kn.phi_batch(maps, np.array([[0, 1], [1, 3]]), 9, 1)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_phi_batch_of_maps_onto_unmatched_vertices(r):
+    # every value lands in the slot that phi_batch drops
+    edges = np.array([[0, 1, 2, 3], [4, 5, 6, 7]], dtype=np.int64)
+    maps = mc.stream(8, 0).integers(8, 12, size=(25, 6))
+    expected = [oracles.phi_direct(f.tolist(), edges.tolist(), r) for f in maps]
+    assert expected == [0] * 25
+    assert kn.phi_batch(maps, edges, 12, r).tolist() == expected
+
+
 def test_phi_batch_empty_inputs():
     edges = np.zeros((0, 2), dtype=np.int64)
     maps = np.zeros((0, 3), dtype=np.int64)
@@ -141,6 +170,19 @@ def test_contained_edges_bool_input_and_repeated_vertex():
     expected = [oracles.contained_edges_direct(b.tolist(), edges.tolist()) for b in bits]
     assert kn.contained_edges_batch(bits, edges).tolist() == expected
     assert kn.contained_edges_batch(bits.astype(np.uint8), edges).tolist() == expected
+
+
+@pytest.mark.parametrize("num_edges", [255, 256, 65535, 65536])
+def test_contained_edges_exact_at_the_count_dtype_boundaries(num_edges):
+    # the counts' dtype holds num_edges: uint8 up to 255, uint16 up to 65,535
+    gen = mc.stream(9, 0)
+    bits = np.vstack([np.ones((2, 12), dtype=bool), gen.random((3, 12)) < 0.8])
+    bits[1, 11] = False
+    edges = gen.integers(0, 11, size=(num_edges, 2))
+    edges[0] = (3, 11)
+    expected = [oracles.contained_edges_direct(b.tolist(), edges.tolist()) for b in bits]
+    assert expected[:2] == [num_edges, num_edges - 1]
+    assert kn.contained_edges_batch(bits, edges).tolist() == expected
 
 
 def test_coo_matvec_paths_agree():
