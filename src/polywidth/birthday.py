@@ -41,7 +41,6 @@ from .hypergraph import default_goodness_bound, default_matching
 
 __all__ = [
     "default_map_length",
-    "default_matching",
     "phi_statistics",
     "PhiStatistics",
     "poisson_pmf_table",
@@ -55,6 +54,7 @@ __all__ = [
 PMF_TAIL = 1e-15  # pmf tables stop once the mass left is below this
 _GUIDE_BUCKETS = 1 << 16  # buckets of uniforms in a Poisson inversion table
 CHI_SQUARE_SIGNIFICANCE = 1e-3
+CHI_SQUARE_MEANS = (1.3, 0.7)  # the Poisson means of poisson-check's chi-square row
 CHI_SQUARE_MIN_EXPECTED = 5.0  # least expected draws per chi-square bin
 
 

@@ -6,11 +6,11 @@ of the Boolean hypercube under a polynomial map whose coordinates are
 hypergraph polynomials.  The supremum depends only on the set of points, so
 the image is built once by exhaustive enumeration (hypercube dimension
 capped at 24) and reduced to its distinct points in lexicographic order:
-each point is enumerated as one integer key whose digits are its
-coordinates, the keys are sorted and deduplicated, and only the distinct
-keys are decoded into rows.  Each Monte-Carlo direction then takes the
-exact maximum over those rows, never a heuristic, and the outer
-expectation is seeded Monte Carlo.  The closed-form width bound lives in
+hypercube point i, with x_v = (i >> v) & 1 as in ``Hypergraph.edge_masks``,
+is enumerated as one integer key whose digits are its coordinates, the keys
+are sorted and deduplicated, and only the distinct keys are decoded into
+rows.  Each Monte-Carlo direction then takes the exact maximum over those
+rows, never a heuristic, and the outer expectation is seeded Monte Carlo.  The closed-form width bound lives in
 ``hypergraph``, so that evaluating it loads no numpy.
 """
 
@@ -21,8 +21,7 @@ import numpy as np
 
 from . import _kernels, mc
 from .errors import BudgetExceededError
-from .hypergraph import Hypergraph, width_bound
-from .sparse import SparseMatrix
+from .hypergraph import Hypergraph
 
 __all__ = [
     "PolyMap",
@@ -32,7 +31,6 @@ __all__ = [
     "spectral_norm",
     "gaussian_series_norm",
     "tj_ratio_experiment",
-    "width_bound",
     "random_matchings",
     "random_matching_matrices",
     "identity_map",
@@ -78,20 +76,20 @@ def _points(pm: PolyMap) -> np.ndarray:
     """The distinct points of the image of {0,1}^n as rows, in lexicographic
     order, by exhaustive enumeration.
 
-    Point i is psi of x_j = (i >> (n-1-j)) & 1 and is enumerated as one
-    integer key, its coordinates as big-endian digits of radix
-    (num_edges + 1), so that key order is lexicographic order.  Keys take
-    the narrowest unsigned dtype that holds them; before a digit would
-    overflow uint64, the keys so far are re-ranked into dense
-    order-preserving ranks (fewer than 2^n), and the next digits extend the
-    ranks.  The keys are sorted in place, the first of each run is kept, and
-    the rows are decoded from the kept keys block by block, a rank going
-    back through the distinct keys it was taken from.
+    Point i is psi of x_v = (i >> v) & 1, the bit order of
+    ``Hypergraph.edge_masks``, and is enumerated as one integer key, its
+    coordinates as big-endian digits of radix (num_edges + 1), so that key
+    order is lexicographic order.  Keys take the narrowest unsigned dtype
+    that holds them; before a digit would overflow uint64, the keys so far
+    are re-ranked into dense order-preserving ranks (fewer than 2^n), and
+    the next digits extend the ranks.  The keys are sorted in place, the
+    first of each run is kept, and the rows are decoded from the kept keys
+    block by block, a rank going back through the distinct keys it was
+    taken from.
     """
     if pm.n > ENUM_BITS_LIMIT:
         raise BudgetExceededError(f"hypercube enumeration capped at n = {ENUM_BITS_LIMIT}")
-    top = pm.n - 1
-    masks = [[sum(1 << (top - v) for v in e) for e in h.edges] for h in pm.components]
+    masks = [h.edge_masks() for h in pm.components]
     radices = [len(component) + 1 for component in masks]
     total = 1 << pm.n
     step = _kernels._block_rows(1)
@@ -144,7 +142,8 @@ def gw_estimate(pm: PolyMap, samples: int, seed: int, threads: int = 1) -> mc.Mc
     def value_fn(gen, count):
         g_mat = mc.normals(gen, (pm.k, count))
         best = np.full(count, -np.inf)
-        step = _kernels._block_rows(count)  # points per (step, count) float64 product
+        # points per block, sized by the wider of its (step, count) product and (step, k) copy
+        step = _kernels._block_rows(max(count, pm.k))
         for start in range(0, len(points), step):
             # one expression, so a block's floats are freed before the next one's
             scores = points[start : start + step].astype(np.float64) @ g_mat
@@ -167,8 +166,8 @@ class SpectralNormEstimate(
     __slots__ = ()
 
 
-def spectral_norm(a: SparseMatrix) -> SpectralNormEstimate:
-    """Largest singular value via power iteration on the Gram operator.
+def spectral_norm(a) -> SpectralNormEstimate:
+    """Largest singular value of a SparseMatrix, by power iteration on the Gram operator.
 
     Deterministic all-ones start; convergence when successive Rayleigh
     quotients differ by less than ``POWER_TOL`` relatively, within
@@ -263,6 +262,8 @@ def random_matchings(dim: int, k: int, seed: int):
 def random_matching_matrices(dim: int, k: int, seed: int):
     """Adjacency matrices of ``random_matchings(dim, k, seed)`` (unit norm):
     each pair (u, v) is an entry at (u, v) and at (v, u)."""
+    from .sparse import SparseMatrix
+
     return [
         SparseMatrix.from_entries(dim, pairs.ravel(), pairs[:, ::-1].ravel())
         for pairs in random_matchings(dim, k, seed)

@@ -114,10 +114,8 @@ from .hypergraph import (
 
 __all__ = [
     "LiftResult",
-    "default_goodness_bound",
     "enumerate_pairs",
     "build_matrix_lift",
-    "check_budget",
     "check_lift_identity",
 ]
 

@@ -28,6 +28,7 @@ from polywidth.hypergraph import (
     Hypergraph,
     color_classes,
     complete_to_maximal_matching,
+    default_goodness_bound,
     greedy_edge_coloring,
     homogenize,
 )
@@ -164,8 +165,8 @@ def test_c04_birthday_good_probability(birthday_runs):
     runs, elapsed = birthday_runs
     with criterion(4, "s-good probability at least one half"):
         # the runs use the default m and s
-        assert (bd.default_map_length(2, 600), bd.default_goodness_bound(2)) == (139, 3200)
-        assert (bd.default_map_length(1, 100), bd.default_goodness_bound(1)) == (16, 800)
+        assert (bd.default_map_length(2, 600), default_goodness_bound(2)) == (139, 3200)
+        assert (bd.default_map_length(1, 100), default_goodness_bound(1)) == (16, 800)
         for r, st in runs.items():
             est = st.good_probability
             assert est.mean >= 0.5 - 3 * est.std_error, (r, est)

@@ -6,21 +6,22 @@ from scipy import stats as scipy_stats
 
 from polywidth import birthday as bd
 from polywidth import mc
+from polywidth.hypergraph import default_goodness_bound, default_matching
 
 
 def test_default_constants_r1():
     assert bd.growth_constant(1) == pytest.approx(6 * math.e)
-    assert bd.default_goodness_bound(1) == 800
+    assert default_goodness_bound(1) == 800
 
 
 def test_default_constants_r2():
     assert bd.growth_constant(2) == pytest.approx(math.sqrt(12 * math.e))
-    assert bd.default_goodness_bound(2) == 3200
+    assert default_goodness_bound(2) == 3200
 
 
 def test_threshold_ratio_is_four():
     for r in range(2, 7):
-        assert bd.default_goodness_bound(r) == 4 * bd.default_goodness_bound(r - 1)
+        assert default_goodness_bound(r) == 4 * default_goodness_bound(r - 1)
 
 
 def test_default_m_values():
@@ -100,7 +101,7 @@ def test_mean_phi_linear_in_matching_size():
     # of the default matching scored on the same uniform maps
     maps = mc.stream(9, 0).integers(0, 8, size=(20000, 3))
     for size in (1, 2, 3, 4):
-        edges = np.array(bd.default_matching(8, 1).edges[:size], dtype=np.int64)
+        edges = np.array(default_matching(8, 1).edges[:size], dtype=np.int64)
         phis = bd._kernels.phi_batch(maps, edges, 8, 1)
         se = phis.std(ddof=1) / math.sqrt(len(phis))
         assert abs(phis.mean() - 3 * 2 * size / 8) <= 3 * se + 1e-12, size
@@ -209,7 +210,7 @@ def test_chunks_drawn_in_many_blocks_equal_whole_chunk_draws(monkeypatch, r, n, 
     monkeypatch.setattr(bd._kernels, "_BLOCK_CELLS", 37 * n)
     assert bd._kernels._block_rows(n) == 37
     samples, seed, s = 5000, 3, 2
-    edges = np.array(bd.default_matching(n, r).edges, dtype=np.int64)
+    edges = np.array(default_matching(n, r).edges, dtype=np.int64)
     cdf = np.cumsum(bd.poisson_pmf_table(m / n))
 
     def exact_side(gen, count):
@@ -245,7 +246,7 @@ def test_poisson_domination_exact_side_is_the_phi_pass(threads):
     assert psi.lhs == st.zero_probability
     assert chi.lhs == st.mean_phi
     assert 0.0 < psi.lhs.mean < 1.0 and chi.lhs.std_error > 0.0
-    edges = np.array(bd.default_matching(60, 2).edges, dtype=np.int64)
+    edges = np.array(default_matching(60, 2).edges, dtype=np.int64)
 
     def two_columns(gen, count):
         phis = bd._kernels.phi_batch(gen.integers(0, 60, size=(count, 20)), edges, 60, 2)

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import polywidth
-from polywidth import gwidth, hypergraph, randsets, tensorlift
+from polywidth import birthday, errors, gwidth, hypergraph, randsets, tensorlift
 from polywidth.cli import (
     BLAS_THREAD_VARS,
     COMMANDS,
@@ -391,9 +391,9 @@ def test_poisson_check_rejects_single_bin_chi_square(capsys):
     assert row.split(",")[2] == "1"  # dof
 
 
-@pytest.mark.parametrize("flags", [("--mu-a", "112"), ("--m", "1120")], ids=" ".join)
+@pytest.mark.parametrize("flags", [("--m", "1120")], ids=" ".join)
 def test_poisson_check_runs_at_large_means(capsys, flags):
-    # Poisson means 112.7 (chi-square side) and 112 (domination side, m/n)
+    # Poisson mean 112 on the domination side (m/n)
     code, out = run_cli(
         capsys, "poisson-check", "--r", "1", "--n", "10", "--samples", "1000", *flags
     )
@@ -401,13 +401,32 @@ def test_poisson_check_runs_at_large_means(capsys, flags):
     assert out.splitlines()[0] == "check,lhs,rhs,value,threshold,passed"
 
 
-@pytest.mark.parametrize("flags", [("--mu-b", "inf"), ("--mu-a", "nan")], ids=" ".join)
-def test_poisson_check_rejects_nonfinite_means(capsys, flags):
-    code = main(["poisson-check", "--r", "1", "--n", "10", "--samples", "1000", *flags])
+def test_poisson_check_reports_a_failed_chi_square_row_and_exits_0(capsys):
+    # a 10^-3 test fails about one seed in a thousand with a correct sampler
+    code, out = run_cli(capsys, "poisson-check", "--r", "1", "--n", "200", "--seed", "1011")
+    assert code == 0
+    assert "sum_chisquare,30.7247199693,9,0.000329996056946,0.001,false" in out.splitlines()
+
+
+def test_poisson_check_exits_4_on_a_failed_domination_row(capsys, monkeypatch):
+    check = birthday.poisson_domination_check
+
+    def psi_fails(*args):
+        rows = check(*args)
+        return (rows[0]._replace(holds=False),) + rows[1:]
+
+    monkeypatch.setattr(birthday, "poisson_domination_check", psi_fails)
+    code, out = run_cli(capsys, "poisson-check", "--r", "1", "--n", "20", "--samples", "2000")
+    assert code == EXIT_VERIFY
+    assert out.splitlines()[1].endswith(",false")
+
+
+def test_poisson_check_has_no_mean_flags(capsys):
+    # the chi-square row runs at the means 1.3 and 0.7 (birthday.CHI_SQUARE_MEANS)
+    code = main(["poisson-check", "--r", "1", "--n", "10", "--mu-a", "1.3"])
     out, err = capsys.readouterr()
     assert code == EXIT_INVALID
-    assert out == ""
-    assert err.startswith("error: Poisson mean")  # not a "single chi-square bin"
+    assert out == "" and "unrecognized arguments: --mu-a 1.3" in err
 
 
 @pytest.mark.parametrize("delta", ["nan", "inf"])
@@ -747,7 +766,7 @@ POOL = ["concurrent.futures", "logging"]
         (["upper-tail", "--N", "7", "--k", "3", "--p", "0.5", "--delta", "1",
           "--samples", "5000", "--threads", "2"], POOL + ["dataclasses"]),
         (["gw-estimate", "--n", "6", "--samples", "2000", "--threads", "2"],
-         POOL + ["dataclasses"]),
+         POOL + ["dataclasses", "polywidth.sparse"]),
         # 12 samples fill one chunk, so there is nothing for a second thread
         (["tj-ratio", "--N", "256", "--k", "64", "--samples", "12", "--threads", "2"],
          POOL + ["dataclasses"]),
@@ -858,7 +877,7 @@ def test_bound_eval_runs_without_numpy(capsys):
 def test_matrix_verify_budget_defaults_to_the_tensorlift_cap(capsys):
     code = main(["matrix-verify", "--n", "10", "--m", "7", "--r", "1"])
     assert code == EXIT_BUDGET
-    assert capsys.readouterr().err.endswith(f"budget {tensorlift.DEFAULT_BUDGET}\n")
+    assert capsys.readouterr().err.endswith(f"budget {errors.DEFAULT_BUDGET}\n")
 
 
 def test_every_subcommand_runs_without_scipy():

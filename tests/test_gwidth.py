@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import oracles
 from polywidth import gwidth as gw
 from polywidth import mc
 from polywidth.errors import BudgetExceededError
-from polywidth.hypergraph import Hypergraph
+from polywidth.hypergraph import Hypergraph, width_bound
 from polywidth.sparse import SparseMatrix
 
 
@@ -126,6 +127,23 @@ def test_small_ragged_blocks_give_the_same_estimate(monkeypatch, pm):
     monkeypatch.setattr(gw._kernels, "_BLOCK_CELLS", 5000)
     assert [gw._kernels._block_rows(c) for c in (1, 1024, 452)] == [5000, 4, 11]
     assert gw.gw_estimate(pm, 2500, 14) == want
+
+
+def test_score_blocks_are_sized_by_their_widest_temporary():
+    # one direction over the 2^16 points of the identity at n = 16 (a 1 MiB
+    # image): a block's (step, k) float64 copy of its points, not its
+    # (step, 1) product, sets the block size.  Sized by the product alone,
+    # one block copied the whole image to 8 MiB of floats and the run
+    # peaked at 9.5 MiB; sized by the copy, at 2.3 MiB.
+    pm = gw.identity_map(16)
+    tracemalloc.start()
+    try:
+        est = gw.gw_estimate(pm, 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.mean == pytest.approx(np.maximum(mc.normals(mc.stream(0, 0), (16, 1)), 0).sum())
+    assert peak < 3 * 2**20
 
 
 def test_records_are_immutable_and_compare_by_fields():
@@ -317,15 +335,15 @@ def test_tj_dimension_mismatch():
 
 
 def test_width_bound_ceiling_and_value():
-    assert gw.width_bound(16, 4, 1, 1) == gw.width_bound(16, 4, 2, 1)
-    assert gw.width_bound(16, 4, 2, 1) == pytest.approx(53.28349511409265)
+    assert width_bound(16, 4, 1, 1) == width_bound(16, 4, 2, 1)
+    assert width_bound(16, 4, 2, 1) == pytest.approx(53.28349511409265)
 
 
 def test_width_bound_monotone():
-    base = gw.width_bound(16, 4, 3, 2)
-    assert gw.width_bound(32, 4, 3, 2) >= base
-    assert gw.width_bound(16, 8, 3, 2) >= base
-    assert gw.width_bound(16, 4, 3, 3) >= base
+    base = width_bound(16, 4, 3, 2)
+    assert width_bound(32, 4, 3, 2) >= base
+    assert width_bound(16, 8, 3, 2) >= base
+    assert width_bound(16, 4, 3, 3) >= base
 
 
 def test_fitted_constant_does_not_grow_over_ladder():
@@ -333,7 +351,7 @@ def test_fitted_constant_does_not_grow_over_ladder():
     for n in (4, 8, 16):
         pm = matching_map(n, 4, 2)
         est = gw.gw_estimate(pm, 3000, seed=11)
-        ratios.append(est.mean / gw.width_bound(n, 4, 2, 1))
+        ratios.append(est.mean / width_bound(n, 4, 2, 1))
     assert ratios[1] <= ratios[0] * 1.05
     assert ratios[2] <= ratios[1] * 1.05
 

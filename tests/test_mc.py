@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 import time
 
 import numpy as np
@@ -96,13 +97,18 @@ def test_run_chunked_raises_the_lowest_failing_chunk(threads):
 @pytest.mark.parametrize("threads", [1, 2, 3, 8])
 def test_run_chunked_stops_drawing_after_a_failed_chunk(threads):
     # 50 chunks, of which chunk 0 fails, switching every microsecond: each
-    # thread finishes the chunk it has begun and takes no other
+    # thread finishes the chunk it has begun and takes no other.  However
+    # late the thread that took chunk 0 runs, the other chunks end only
+    # 10 ms after it starts to fail.
     calls = []
+    failing = threading.Event()
 
     def value_fn(gen, count):
         calls.append(int(gen.bit_generator.state["state"]["key"][1]))
         if calls[-1] == 0:
+            failing.set()
             raise ValueError("chunk 0")
+        failing.wait(timeout=10)
         time.sleep(0.01)
         return gen.random(count)
 

@@ -13,11 +13,12 @@ import oracles
 from polywidth import _kernels as kernels
 from polywidth import poly
 from polywidth import tensorlift as tl
-from polywidth.errors import BudgetExceededError
+from polywidth.errors import DEFAULT_BUDGET, BudgetExceededError, check_budget
 from polywidth.hypergraph import (
     Hypergraph,
     color_classes,
     complete_to_maximal_matching,
+    default_goodness_bound,
     default_matching,
     greedy_edge_coloring,
     load_hypergraph,
@@ -25,7 +26,7 @@ from polywidth.hypergraph import (
 from polywidth.sparse import SparseMatrix
 
 M4 = Hypergraph(4, [(0, 1), (2, 3)])
-S1 = tl.default_goodness_bound(1)  # the default threshold at r = 1
+S1 = default_goodness_bound(1)  # the default threshold at r = 1
 
 
 def phi(maps, matching, r):
@@ -182,7 +183,7 @@ def test_first_maps_are_the_maps_the_phi_kernel_scores_good(r, n, m, s):
     rng = np.random.default_rng(1000 * r + s)
     free = rng.permutation(n).tolist()
     matching = Hypergraph(n, [free[i : i + 2 * r] for i in range(0, n - 2 * r, 2 * r)])
-    s = s or tl.default_goodness_bound(r)
+    s = s or default_goodness_bound(r)
     through_edge = [matching.edges[0][i % (2 * r)] for i in range(m)]
     constant = free[-1] * (n**m - 1) // (n - 1)
     ranks = np.union1d(rng.choice(n**m, 500, replace=False),
@@ -306,13 +307,13 @@ def test_budget_guard():
 
 
 def test_budget_check_computes_no_huge_power():
-    assert tl.check_budget(10, 6, tl.DEFAULT_BUDGET) == 10**6
-    assert tl.check_budget(1, 10**12, 1) == 1
-    assert tl.check_budget(3, 40, 3**40) == 3**40
+    assert check_budget(10, 6, DEFAULT_BUDGET) == 10**6
+    assert check_budget(1, 10**12, 1) == 1
+    assert check_budget(3, 40, 3**40) == 3**40
     for n, m, budget in [(10, 6, 10**6 - 1), (3, 40, 3**40 - 1), (2, 10**12, 10**6),
                          (2000000, 1, 10**6), (16, 10**15, 2**64)]:
         with pytest.raises(BudgetExceededError, match=rf"n\^m = {n}\^{m} exceeds"):
-            tl.check_budget(n, m, budget)
+            check_budget(n, m, budget)
 
 
 def M4_big():
@@ -385,7 +386,7 @@ STREAMED_CASES = [
     (M4, 2, 1, S1),
     (Hypergraph(5, [(0, 1), (1, 2), (3, 4)]), 3, 1, S1),
     (Hypergraph(9, [(0, 1), (2, 3), (0, 1), (3, 8)]), 2, 1, 1),
-    (Hypergraph(6, [(0, 1, 2, 3), (2, 3, 4, 5)]), 3, 2, tl.default_goodness_bound(2)),
+    (Hypergraph(6, [(0, 1, 2, 3), (2, 3, 4, 5)]), 3, 2, default_goodness_bound(2)),
     (K8, 3, 1, S1),
 ]
 
@@ -480,7 +481,7 @@ def test_nnz_and_mask_counts_on_random_multi_hypergraphs(monkeypatch):
         r = (1, 1, 2, 2, 3)[case % 5]
         h = _random_multi_hypergraph(gen, r)
         m = int(gen.integers(r, 4))  # n^m <= 343
-        s = (1, 2, 3, 5, 0)[int(gen.integers(5))] or tl.default_goodness_bound(r)
+        s = (1, 2, 3, 5, 0)[int(gen.integers(5))] or default_goodness_bound(r)
         res = tl.build_matrix_lift(h, m, r, s)
         f_ranks, g_ranks = oracles.lift_pairs(h, m, r, s)
         unordered = set(zip(np.minimum(f_ranks, g_ranks).tolist(),
