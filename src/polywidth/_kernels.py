@@ -6,32 +6,28 @@ A kernel scores all the rows it is given in one pass, in as few numpy calls
 as it can: fewer calls per block also means fewer handoffs of the
 interpreter lock when chunks run on several threads (``phi_batch`` checks
 its edges and builds its vertex table once per run, in ``_first_bins``).
-The phi kernels count map values or gather histogram cells straight into
-edge-slot order, a row per edge vertex, so the e_r recurrence reads
-contiguous rows;
-``contained_edges_batch`` sums its bool cells as bytes into the narrowest
-unsigned dtype that holds the edge count, where ``count_nonzero`` would
-widen every cell to intp first.
+The phi kernels read r from their matching of 2r-sets and work in
+edge-slot order (the phi section below); ``contained_edges_batch`` sums
+its bool cells as bytes into the narrowest unsigned dtype that holds the
+edge count, where ``count_nonzero`` would widen every cell to intp first.
 
-Callers hand a kernel one block at a time, sized by ``_block_rows`` so that
-the block's widest temporary takes about 512 KiB, the bytes of
-``_BLOCK_CELLS`` int64 cells, and stays in cache: int64 cells for
-``phi_batch`` and ``phi_hist_batch``, bool cells for
-``contained_edges_batch``.  A whole 4096-sample chunk at once would cost
-20 MiB per int64 temporary at n = 600, and every pass over such an array
-would run at memory speed; blocks also keep the working set small when
-chunks run on several threads.  Blocking changes no arithmetic,
-so results are the same for any block size.
+Callers hand a kernel one block at a time, sized by ``_block_rows`` for
+the caller's widest row (max(n, m) for phi: its blocks draw (rows, m) maps
+over n bins) so that the block's widest temporary takes about 512 KiB, the
+bytes of ``_BLOCK_CELLS`` int64 cells, and stays in cache and small when
+chunks run on several threads.  Blocking changes no arithmetic, so results
+are the same for any block size.
 
-``_in_blocks`` is the one block loop of per-sample Monte Carlo: it draws
-and scores a chunk block by block (``birthday`` for phi and its Poisson
-domination, ``randsets`` for the upper tail), so no chunk-sized input
-array is built.  The image enumeration and scoring of ``gwidth`` take
-their blocks from ``_block_rows`` too, and the tensor-power lift
-(``tensorlift``) streams its ranks in blocks of its own.  Every block loop
-follows the page policy below: each block allocates its temporaries afresh
-with ``np.empty``, and the policy, set once at import, keeps the pages a
-block frees in the heap for the next block instead of mapping them anew.
+``_in_blocks`` is the one block loop of per-sample Monte Carlo (``birthday``
+for phi and its Poisson domination, ``randsets`` for the upper tail), so no
+chunk-sized input array is built; ``gwidth`` takes its blocks from
+``_block_rows`` too.  The tensor-power lift keeps blocks of 2^10 ranks of
+its own: blocks of ``_block_rows(C(m, r) r)`` ranks pass the 1 MiB mmap
+threshold of the page policy below, and ``matrix-verify --n 10 --m 6 --r 1``
+took 0.56-0.65 s at 46 MiB with them against 0.38-0.40 s at 37 MiB (2-core
+VM, wait4 of the child).  Every block loop allocates its temporaries afresh
+with ``np.empty``, and the page policy, set once at import, keeps the pages
+a block frees in the heap for the next block instead of mapping them anew.
 """
 
 import functools
@@ -92,26 +88,23 @@ def _in_blocks(count, cells, score, itemsize=8):
 # (2r, |M|*rows) counts let the e_r recurrence run over 2r contiguous rows.
 
 
-def _phi_by_slot(counts, ne, r, out):
+def _phi_by_slot(counts, ne, out):
     """Write phi of each column of the slot-order ``counts`` (width*ne, rows)
-    of ``ne`` edges to ``out``."""
+    of ``ne`` edges of even width 2r to ``out``."""
     width = counts.shape[0] // ne
-    if not 1 <= r <= width:  # e_0 = 1, and no edge has more than width vertices
-        out[:] = ne if r == 0 else 0
-        return
+    r = width // 2
     if r == 1:  # e_1 is the sum of the counts
         counts.sum(axis=0, out=out)
         return
     rows = counts.shape[1]
     cells = ne * rows
     counts = counts.reshape(width, cells)
-    # e[j - 1] is e_j of the counts seen so far (e_0 = 1 is left implicit);
-    # e_j is updated only while it can still reach e_r, i.e. j >= r - (width - 1 - v)
+    # e[j - 1] is e_j of the counts so far (e_0 = 1 implicit), updated while e_r is in reach
     e = np.empty((r, cells), dtype=np.int64)
     product = np.empty(cells, dtype=np.int64)
     np.copyto(e[0], counts[0])
     for v in range(1, width):
-        for j in range(min(r, v + 1), max(1, r - width + 1 + v) - 1, -1):
+        for j in range(min(r, v + 1), max(1, v + 1 - r) - 1, -1):
             if j == 1:
                 e[0] += counts[v]
             elif j == v + 1:
@@ -131,9 +124,11 @@ def _first_bins(edge_bytes, shape, n, rows):
     Every block of a run has the same edges and all but its last the same
     rows, so the table is built and the edges checked once per run.  The
     table is read-only, as it is shared.  Raises ``ValueError`` for edges
-    that are not disjoint vertex sets of [0, n).
+    that are not disjoint vertex sets of [0, n) of one even size.
     """
     edges = np.frombuffer(edge_bytes, dtype=np.int64).reshape(shape)
+    if shape[1] == 0 or shape[1] % 2:
+        raise ValueError("expected a matching of even-size edges")
     if edges.min() < 0 or edges.max() >= n:
         raise ValueError("edge vertices must lie in [0, n)")
     if np.bincount(edges.ravel(), minlength=n).max() > 1:
@@ -144,11 +139,11 @@ def _first_bins(edge_bytes, shape, n, rows):
     return first_bin
 
 
-def phi_batch(maps, edges, n, r):
-    """phi of each row of ``maps`` (values in [0, n)) against matching ``edges``.
+def phi_batch(maps, edges, n):
+    """phi of each row of ``maps`` (values in [0, n)) against 2r-set ``edges``.
 
     Raises ``ValueError`` for a map value outside [0, n) and for edges
-    that are not disjoint vertex sets of [0, n).
+    that are not disjoint vertex sets of [0, n) of one even size.
     """
     maps = np.ascontiguousarray(maps, dtype=np.int64)
     edges = np.ascontiguousarray(edges, dtype=np.int64)
@@ -163,21 +158,23 @@ def phi_batch(maps, edges, n, r):
     cells += np.arange(nb)[:, None]
     counts = np.bincount(cells.ravel(), minlength=(slots + 1) * nb)
     out = np.empty(nb, dtype=np.int64)
-    _phi_by_slot(counts[: slots * nb].reshape(slots, nb), edges.shape[0], r, out)
+    _phi_by_slot(counts[: slots * nb].reshape(slots, nb), edges.shape[0], out)
     return out
 
 
-def phi_hist_batch(hists, edges, r):
-    """phi of each occupancy histogram row (nonnegative integer counts).
+def phi_hist_batch(hists, edges):
+    """phi of each occupancy histogram row (nonnegative counts) against 2r-set ``edges``.
 
-    Raises ``ValueError`` for an edge vertex outside [0, n), n being the
-    number of histogram columns.
+    Raises ``ValueError`` for edges of odd or zero size and for an edge
+    vertex outside [0, n), n being the number of histogram columns.
     """
     hists = np.ascontiguousarray(hists, dtype=np.int64)
     edges = np.ascontiguousarray(edges, dtype=np.int64)
     nb, n = hists.shape
     if nb == 0 or edges.shape[0] == 0:
         return np.zeros(nb, dtype=np.int64)
+    if edges.shape[1] == 0 or edges.shape[1] % 2:
+        raise ValueError("expected a matching of even-size edges")
     if edges.min() < 0 or edges.max() >= n:
         raise ValueError("edge vertices must lie in [0, n)")
     hist = np.ascontiguousarray(hists.T)  # vertex-major; take would copy a strided source
@@ -185,7 +182,7 @@ def phi_hist_batch(hists, edges, r):
     # mode="clip" writes to out directly, mode="raise" via a copy
     np.take(hist, edges.T.ravel(), axis=0, out=counts, mode="clip")
     out = np.empty(nb, dtype=np.int64)
-    _phi_by_slot(counts, edges.shape[0], r, out)
+    _phi_by_slot(counts, edges.shape[0], out)
     return out
 
 

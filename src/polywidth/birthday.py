@@ -76,12 +76,8 @@ class PhiStatistics(
     __slots__ = ()
 
 
-def phi_statistics(
-    r: int, n: int, m: int, s: int, samples=10000, seed=0, threads=1
-) -> PhiStatistics:
-    """One sampling pass of uniform maps [m] -> [n], scored against the
-    default matching of 2r-sets, returning Pr[s-good], E[phi], Pr[phi > s]
-    and Pr[phi = 0].  Needs r >= 1, n >= 2r, m >= 1 and s >= 1."""
+def _check_phi_args(r: int, n: int, m: int, s: int):
+    """Raise ValueError unless r >= 1, n >= 2r, m >= 1 and s >= 1."""
     if r < 1:
         raise ValueError("r must be positive")
     if n < 2 * r:
@@ -90,13 +86,22 @@ def phi_statistics(
         raise ValueError("m must be positive")
     if s < 1:
         raise ValueError("s must be positive")
+
+
+def phi_statistics(
+    r: int, n: int, m: int, s: int, samples=10000, seed=0, threads=1
+) -> PhiStatistics:
+    """One sampling pass of uniform maps [m] -> [n], scored against the
+    default matching of 2r-sets, returning Pr[s-good], E[phi], Pr[phi > s]
+    and Pr[phi = 0].  Needs r >= 1, n >= 2r, m >= 1 and s >= 1."""
+    _check_phi_args(r, n, m, s)
     edges = np.array(default_matching(n, r).edges, dtype=np.int64)
 
     def value_fn(gen, count):
         def score(rows):
-            return _kernels.phi_batch(gen.integers(0, n, (rows, m)), edges, n, r)
+            return _kernels.phi_batch(gen.integers(0, n, (rows, m)), edges, n)
 
-        phis = _kernels._in_blocks(count, n, score)
+        phis = _kernels._in_blocks(count, max(n, m), score)
         good = (phis >= 1) & (phis <= s)
         return np.stack([good, phis, phis > s, phis == 0], axis=1, dtype=np.float64)
 
@@ -183,18 +188,23 @@ def poisson_domination_check(
     X is the exact occupancy histogram of a uniform random map [m] -> [n];
     Y has independent Poisson(m/n) bins.  Phi is either the indicator that
     phi vanishes ("psi") or phi itself ("chi").  The exact side is the
-    ``phi_statistics`` pass of the same seed, which also checks the
-    arguments; neither functional depends on its threshold s.  The
-    inequality is declared to hold when lhs <= 2*rhs + 3*(combined standard
-    error).
+    ``phi_statistics`` pass of the same seed; neither functional depends on
+    its threshold s.  The inequality is declared to hold when
+    lhs <= 2*rhs + 3*(combined standard error).
+
+    The arguments and the Poisson mean m/n (``poisson_pmf_table``) are
+    checked before either side samples.
     """
-    exact = phi_statistics(r, n, m, default_goodness_bound(r), samples, seed, threads=threads)
-    edges = np.array(default_matching(n, r).edges, dtype=np.int64)
+    s = default_goodness_bound(r)
+    _check_phi_args(r, n, m, s)
     mu = m / n
+    _inversion_table(mu)
+    exact = phi_statistics(r, n, m, s, samples, seed, threads=threads)
+    edges = np.array(default_matching(n, r).edges, dtype=np.int64)
 
     def poisson_fn(gen, count):
         def score(rows):
-            return _kernels.phi_hist_batch(sample_poisson(gen, mu, (rows, n)), edges, r)
+            return _kernels.phi_hist_batch(sample_poisson(gen, mu, (rows, n)), edges)
 
         phis = _kernels._in_blocks(count, n, score)
         return np.stack([phis == 0, phis], axis=1, dtype=np.float64)

@@ -128,9 +128,14 @@ def _difference_masks(N: int, ell: int, d: int) -> tuple[int, ...]:
 
 
 def _required_size(N: int, alpha: float) -> int:
-    # ceil(alpha*N) with a nudge against float representation of alpha*N;
-    # a set of density alpha > 0 has at least one element
-    return min(N, max(1, math.ceil(alpha * N - 1e-9)))
+    """ceil(alpha * N) for 0 < alpha <= 1, and at least 1 (a set of density
+    alpha > 0 is nonempty), computed in integers for the shortest decimal
+    that reads back as alpha (its repr: 0.4 is 4/10, not the binary value
+    just above it)."""
+    digits, _, exponent = repr(float(alpha)).partition("e")
+    whole, _, fraction = digits.partition(".")
+    scale = 10 ** (len(fraction) - int(exponent or 0))  # alpha = int(whole + fraction) / scale
+    return max(1, -(-int(whole + fraction) * N // scale))
 
 
 def _first_witness(N: int, q: int, ap_masks) -> int | None:

@@ -293,7 +293,7 @@ def exact_upper_tail_probability(N, k, p, delta):
 
 def naive_intersective(N, ell, alpha, diffs):
     """Check every subset of size >= ceil(alpha N) against the definition."""
-    q = min(N, max(1, math.ceil(alpha * N - 1e-9)))
+    q = min(N, max(1, math.ceil(Fraction(repr(alpha)) * N)))  # the decimal alpha, exactly
     aps = set()
     for d in diffs:
         d %= N
@@ -312,7 +312,7 @@ def naive_intersective(N, ell, alpha, diffs):
 def first_witness_direct(N, ell, alpha, diffs):
     """Lexicographically first ceil(alpha N)-subset containing no progression
     (as a sorted tuple), or None: a plain scan of every subset of that size."""
-    q = min(N, max(1, math.ceil(alpha * N - 1e-9)))
+    q = min(N, max(1, math.ceil(Fraction(repr(alpha)) * N)))  # the decimal alpha, exactly
     aps = []
     for d in diffs:
         for x in range(N):

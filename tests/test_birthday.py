@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,7 +103,7 @@ def test_mean_phi_linear_in_matching_size():
     maps = mc.stream(9, 0).integers(0, 8, size=(20000, 3))
     for size in (1, 2, 3, 4):
         edges = np.array(default_matching(8, 1).edges[:size], dtype=np.int64)
-        phis = bd._kernels.phi_batch(maps, edges, 8, 1)
+        phis = bd._kernels.phi_batch(maps, edges, 8)
         se = phis.std(ddof=1) / math.sqrt(len(phis))
         assert abs(phis.mean() - 3 * 2 * size / 8) <= 3 * se + 1e-12, size
 
@@ -214,12 +215,12 @@ def test_chunks_drawn_in_many_blocks_equal_whole_chunk_draws(monkeypatch, r, n, 
     cdf = np.cumsum(bd.poisson_pmf_table(m / n))
 
     def exact_side(gen, count):
-        phis = bd._kernels.phi_batch(gen.integers(0, n, size=(count, m)), edges, n, r)
+        phis = bd._kernels.phi_batch(gen.integers(0, n, size=(count, m)), edges, n)
         return np.stack([(phis >= 1) & (phis <= s), phis, phis > s, phis == 0], axis=1)
 
     def poisson_side(gen, count):
         hists = np.searchsorted(cdf, gen.random((count, n)))
-        phis = bd._kernels.phi_hist_batch(hists, edges, r)
+        phis = bd._kernels.phi_hist_batch(hists, edges)
         return np.stack([phis == 0, phis], axis=1)
 
     want = mc.run_chunked(exact_side, samples, seed, threads=threads)
@@ -227,6 +228,21 @@ def test_chunks_drawn_in_many_blocks_equal_whole_chunk_draws(monkeypatch, r, n, 
     want = [want[3], want[1]], mc.run_chunked(poisson_side, samples, seed + 1, threads=threads)
     rows = bd.poisson_domination_check(r, n, m, samples, seed, threads)
     assert ([row.lhs for row in rows], [row.rhs for row in rows]) == want
+
+
+def test_phi_blocks_are_sized_by_the_map_length():
+    # at m = 2000 > n = 20 a block's (rows, m) map draw and its gather of
+    # first bins are the widest temporaries; blocks sized by n alone held
+    # 100 MiB of them, sized by max(n, m) 1.1 MiB
+    tracemalloc.start()
+    try:
+        st = bd.phi_statistics(1, 20, 2000, 800, 4096, 0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # every vertex is matched at r = 1 and n even, so phi counts all m values
+    assert (st.mean_phi.mean, st.mean_phi.std_error) == (2000.0, 0.0)
+    assert peak < 4 * 2**20
 
 
 def test_poisson_domination_small_case():
@@ -249,7 +265,7 @@ def test_poisson_domination_exact_side_is_the_phi_pass(threads):
     edges = np.array(default_matching(60, 2).edges, dtype=np.int64)
 
     def two_columns(gen, count):
-        phis = bd._kernels.phi_batch(gen.integers(0, 60, size=(count, 20)), edges, 60, 2)
+        phis = bd._kernels.phi_batch(gen.integers(0, 60, size=(count, 20)), edges, 60)
         return np.stack([phis == 0, phis], axis=1)
 
     assert [psi.lhs, chi.lhs] == mc.run_chunked(two_columns, 9000, 13, threads=threads)

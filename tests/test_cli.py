@@ -323,6 +323,18 @@ def test_gw_estimate_checks_the_bound_before_sampling(capsys, monkeypatch):
     assert captured.err == "error: n must be at least 2\n"
 
 
+def test_poisson_check_checks_the_mean_before_sampling(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Monte Carlo ran")
+
+    monkeypatch.setattr(birthday, "phi_statistics", refuse)
+    code = main(["poisson-check", "--r", "1", "--n", "2", "--m", "2000"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INVALID
+    assert captured.out == ""
+    assert captured.err.startswith("error: Poisson mean 1000.0 is not in [0, ~708.4]")
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
@@ -730,6 +742,7 @@ def test_version_loads_no_dataclasses_or_inspect():
 
 
 SEARCH_UNUSED = [f"polywidth.{m}" for m in ("birthday", "gwidth", "sparse", "tensorlift")]
+SEARCH_UNUSED += ["fractions", "decimal"]  # the density threshold is computed in ints
 # no command loads dataclasses; the search commands run without numpy and
 # inspect (which numpy loads) too
 NUMPY_FREE = ["numpy", "dataclasses", "inspect"]

@@ -20,7 +20,7 @@ def test_phi_batch_paths_agree():
     maps = gen.integers(0, 30, size=(200, 9))
     edges = np.arange(28, dtype=np.int64).reshape(7, 4)
     expected = [oracles.phi_direct(f.tolist(), edges.tolist(), 2) for f in maps]
-    assert kn.phi_batch(maps, edges, 30, 2).tolist() == expected
+    assert kn.phi_batch(maps, edges, 30).tolist() == expected
 
 
 def test_phi_hist_batch_paths_agree():
@@ -32,7 +32,7 @@ def test_phi_hist_batch_paths_agree():
         oracles.phi_direct(np.repeat(np.arange(20), h).tolist(), edges.tolist(), 1)
         for h in hists
     ]
-    assert kn.phi_hist_batch(hists, edges, 1).tolist() == expected
+    assert kn.phi_hist_batch(hists, edges).tolist() == expected
 
 
 def matching_with_unmatched(n, r, num_edges, seed):
@@ -66,25 +66,25 @@ def test_phi_kernels_blocked(monkeypatch, r, n, m, num_edges, block_cells):
         assert 1 < kn._block_rows(n) < rows and rows % kn._block_rows(n)
 
     def phi_maps(batch):
-        return scored_in_blocks(batch, lambda b: kn.phi_batch(b, edges, n, r), n)
+        return scored_in_blocks(batch, lambda b: kn.phi_batch(b, edges, n), n)
 
     def phi_hists(batch):
-        return scored_in_blocks(batch, lambda b: kn.phi_hist_batch(b, edges, r), n)
+        return scored_in_blocks(batch, lambda b: kn.phi_hist_batch(b, edges), n)
 
     maps = gen.integers(0, n, size=(rows, m))
     expected = [oracles.phi_direct(f.tolist(), edges.tolist(), r) for f in maps]
-    assert kn.phi_batch(maps, edges, n, r).tolist() == expected
+    assert kn.phi_batch(maps, edges, n).tolist() == expected
     assert phi_maps(maps).tolist() == expected
     # phi reads a map only through its occupancy histogram
     occupancy = np.stack([np.bincount(f, minlength=n) for f in maps])
-    assert kn.phi_hist_batch(occupancy, edges, r).tolist() == expected
+    assert kn.phi_hist_batch(occupancy, edges).tolist() == expected
     assert phi_hists(occupancy).tolist() == expected
     hists = gen.integers(0, 3, size=(rows, n))
     expected = [
         oracles.phi_direct(np.repeat(np.arange(n), h).tolist(), edges.tolist(), r)
         for h in hists
     ]
-    assert kn.phi_hist_batch(hists, edges, r).tolist() == expected
+    assert kn.phi_hist_batch(hists, edges).tolist() == expected
     assert phi_hists(hists).tolist() == expected
 
 
@@ -95,35 +95,37 @@ def test_phi_kernels_blocked(monkeypatch, r, n, m, num_edges, block_cells):
         ([[0, -1]], [[0, 1]]),
         ([[0, 1]], [[0, 2]]),
         ([[0, 1]], [[0, 1], [1, 0]]),
+        ([[0, 1]], [[0]]),
+        ([[0, 1]], np.zeros((1, 0), dtype=np.int64)),
     ],
-    ids=["value-n", "negative-value", "edge-vertex-n", "shared-vertex"],
+    ids=["value-n", "negative-value", "edge-vertex-n", "shared-vertex", "odd-width", "no-width"],
 )
 def test_phi_batch_rejects_invalid_inputs(maps, edges):
     with pytest.raises(ValueError):
-        kn.phi_batch(np.array(maps), np.array(edges), 2, 1)
+        kn.phi_batch(np.array(maps), np.array(edges), 2)
 
 
-@pytest.mark.parametrize("edges", [[[0, 2]], [[-1, 0]]], ids=["vertex-n", "negative"])
-def test_phi_hist_batch_rejects_edge_vertices_outside_the_histogram(edges):
-    with pytest.raises(ValueError):
-        kn.phi_hist_batch(np.ones((3, 2), dtype=np.int64), np.array(edges), 1)
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([[0, 2]], "must lie in"),
+        ([[-1, 0]], "must lie in"),
+        ([[0]], "even-size edges"),
+        (np.zeros((1, 0), dtype=np.int64), "even-size edges"),
+    ],
+    ids=["vertex-n", "negative", "odd-width", "no-width"],
+)
+def test_phi_hist_batch_rejects_edge_vertices_outside_the_histogram(edges, message):
+    with pytest.raises(ValueError, match=message):
+        kn.phi_hist_batch(np.ones((3, 2), dtype=np.int64), np.array(edges))
 
 
-def test_phi_of_degree_zero_and_above_the_edge_size():
-    # e_0 = 1 per edge; no edge has an r-subset once r exceeds its size
-    maps = mc.stream(4, 0).integers(0, 8, size=(30, 5))
-    edges = np.arange(8, dtype=np.int64).reshape(2, 4)
-    assert kn.phi_batch(maps, edges, 8, 0).tolist() == [2] * 30
-    assert kn.phi_batch(maps, edges, 8, 5).tolist() == [0] * 30
-
-
-@pytest.mark.parametrize("r", [0, 1, 2, 3])
-def test_phi_batch_against_edges_of_width_two(r):
-    # r = 0 and r above the width 2, with vertices 6 to 9 left unmatched
+def test_phi_batch_against_edges_of_width_two():
+    # vertices 6 to 9 left unmatched
     maps = mc.stream(7, 0).integers(0, 10, size=(40, 4))
     edges = np.array([[0, 3], [5, 1], [2, 4]], dtype=np.int64)
-    expected = [oracles.phi_direct(f.tolist(), edges.tolist(), r) for f in maps]
-    assert kn.phi_batch(maps, edges, 10, r).tolist() == expected
+    expected = [oracles.phi_direct(f.tolist(), edges.tolist(), 1) for f in maps]
+    assert kn.phi_batch(maps, edges, 10).tolist() == expected
 
 
 def test_phi_batch_follows_edges_of_the_same_shape():
@@ -131,27 +133,27 @@ def test_phi_batch_follows_edges_of_the_same_shape():
     maps = mc.stream(11, 0).integers(0, 9, size=(20, 6))
     for edges in ([[0, 1], [2, 3]], [[4, 5], [6, 7]], [[0, 1], [2, 3]], [[8, 0], [2, 3]]):
         expected = [oracles.phi_direct(f.tolist(), edges, 1) for f in maps]
-        assert kn.phi_batch(maps, np.array(edges), 9, 1).tolist() == expected
+        assert kn.phi_batch(maps, np.array(edges), 9).tolist() == expected
     with pytest.raises(ValueError):
-        kn.phi_batch(maps, np.array([[0, 1], [1, 3]]), 9, 1)
+        kn.phi_batch(maps, np.array([[0, 1], [1, 3]]), 9)
 
 
 @pytest.mark.parametrize("r", [1, 2])
 def test_phi_batch_of_maps_onto_unmatched_vertices(r):
     # every value lands in the slot that phi_batch drops
-    edges = np.array([[0, 1, 2, 3], [4, 5, 6, 7]], dtype=np.int64)
+    edges = np.arange(8, dtype=np.int64).reshape(-1, 2 * r)
     maps = mc.stream(8, 0).integers(8, 12, size=(25, 6))
     expected = [oracles.phi_direct(f.tolist(), edges.tolist(), r) for f in maps]
     assert expected == [0] * 25
-    assert kn.phi_batch(maps, edges, 12, r).tolist() == expected
+    assert kn.phi_batch(maps, edges, 12).tolist() == expected
 
 
 def test_phi_batch_empty_inputs():
     edges = np.zeros((0, 2), dtype=np.int64)
     maps = np.zeros((0, 3), dtype=np.int64)
-    assert kn.phi_batch(maps, np.arange(4).reshape(2, 2), 5, 1).shape == (0,)
+    assert kn.phi_batch(maps, np.arange(4).reshape(2, 2), 5).shape == (0,)
     assert np.array_equal(
-        kn.phi_batch(np.ones((3, 2), dtype=np.int64), edges, 5, 1), np.zeros(3, dtype=np.int64)
+        kn.phi_batch(np.ones((3, 2), dtype=np.int64), edges, 5), np.zeros(3, dtype=np.int64)
     )
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -156,12 +157,34 @@ def test_intersective_worked_example():
 
 
 def test_intersective_tiny_alpha_needs_one_element():
-    # alpha * N = 2.2e-11 rounds to 0 under the float nudge, but a set of
-    # density alpha > 0 is nonempty: the witness is {0}, not the empty set
+    # alpha * N = 2.2e-11, but a set of density alpha > 0 is nonempty: the
+    # witness is {0}, not the empty set
     res = rs.intersectivity_check(22, 2, 1e-12, [1, 2])
     assert not res.intersective
     assert res.witness == (1,) + (0,) * 21
     assert oracles.first_witness_direct(22, 2, 1e-12, [1, 2]) == (0,)
+
+
+def test_intersective_threshold_is_the_ceiling_of_the_decimal_density():
+    # alpha * N = 10.00000000098: a float nudge of 1e-9 searched 10-subsets
+    # and answered false with a 10-member witness, but a set of this density
+    # has 11 members and no 11-subset of Z/22Z avoids these progressions
+    res = rs.intersectivity_check(22, 2, 0.45454545459, [1, 2, 3])
+    assert res.intersective and res.exact and res.witness is None
+    assert oracles.first_witness_direct(22, 2, 0.45454545459, [1, 2, 3]) is None
+    # the decimal 0.4 is 4/10, not the binary value just above it
+    cases = [(22, 0.5), (22, 0.4), (20, 0.5), (30, 0.1), (22, 1e-12), (10, 0.4), (22, 1.0)]
+    assert [rs._required_size(N, alpha) for N, alpha in cases] == [11, 9, 10, 3, 1, 4, 22]
+
+
+def test_required_size_is_the_exact_ceiling():
+    gen = mc.stream(41, 0)
+    alphas = [5e-324, 1e-12, 0.1 + 0.2, 1 / 3, 2 / 3, 0.45454545459]
+    alphas += [float(a) for a in gen.random(200)] + [round(float(a), 3) for a in gen.random(200)]
+    for alpha in alphas:
+        for N in (1, 7, 22, 1000, 10**20):
+            expected = min(N, max(1, math.ceil(Fraction(repr(alpha)) * N)))
+            assert rs._required_size(N, alpha) == expected, (N, alpha)
 
 
 def test_intersective_matches_naive_oracle():

@@ -29,10 +29,10 @@ M4 = Hypergraph(4, [(0, 1), (2, 3)])
 S1 = default_goodness_bound(1)  # the default threshold at r = 1
 
 
-def phi(maps, matching, r):
+def phi(maps, matching):
     """Goodness scores of map tuples against a matching, by the phi kernel."""
     maps = np.array(maps, dtype=np.int64).reshape(len(maps), -1)
-    return kernels.phi_batch(maps, np.array(matching.edges), matching.n, r).tolist()
+    return kernels.phi_batch(maps, np.array(matching.edges), matching.n).tolist()
 
 
 def verify(h, m, r):
@@ -55,26 +55,26 @@ def test_map_rank_roundtrip(n, m, data):
 
 def test_half_cover_count_single_coordinate():
     # r=1, f=(1,3): exactly one coordinate lands in {1,2}
-    assert phi([(1, 3)], Hypergraph(4, [(1, 2)]), 1) == [1]
+    assert phi([(1, 3)], Hypergraph(4, [(1, 2)])) == [1]
 
 
 def test_half_cover_count_r2():
     # r=2, f=(1,2,5): only the position pair mapping to {1,2} half-covers
-    assert phi([(1, 2, 5)], Hypergraph(6, [(1, 2, 3, 4)]), 2) == [1]
+    assert phi([(1, 2, 5)], Hypergraph(6, [(1, 2, 3, 4)])) == [1]
 
 
 def test_half_cover_count_disjoint_is_zero():
-    assert phi([(4, 4, 4)], Hypergraph(5, [(0, 1)]), 1) == [0]
+    assert phi([(4, 4, 4)], Hypergraph(5, [(0, 1)])) == [0]
 
 
 def test_goodness_score_counts_all_coordinates():
     # both coordinates always land in the union of M4's edges
-    assert phi(list(itertools.product(range(4), repeat=2)), M4, 1) == [2] * 16
+    assert phi(list(itertools.product(range(4), repeat=2)), M4) == [2] * 16
 
 
 def test_goodness_score_outside_union_is_zero():
     m = Hypergraph(4, [(0, 1)])
-    assert phi([(2, 3)], m, 1) == [0]
+    assert phi([(2, 3)], m) == [0]
     f_ranks, _, _ = tl.enumerate_pairs(m, 2, S1, range(4**2))
     assert 2 + 3 * 4 not in f_ranks  # (2, 3) is not good
 
@@ -83,7 +83,7 @@ def test_goodness_invariant_under_matching_permutation():
     # swapping the two blocks of M4 preserves the score
     perm = {0: 2, 1: 3, 2: 0, 3: 1}
     maps = list(itertools.product(range(4), repeat=2))
-    assert phi(maps, M4, 1) == phi([tuple(perm[v] for v in f) for f in maps], M4, 1)
+    assert phi(maps, M4) == phi([tuple(perm[v] for v in f) for f in maps], M4)
 
 
 def complements(f, matching):
@@ -188,7 +188,7 @@ def test_first_maps_are_the_maps_the_phi_kernel_scores_good(r, n, m, s):
     constant = free[-1] * (n**m - 1) // (n - 1)
     ranks = np.union1d(rng.choice(n**m, 500, replace=False),
                        [constant, sum(v * n**i for i, v in enumerate(through_edge))])
-    scores = np.array(phi(tl._digits(ranks, m, n), matching, r))
+    scores = np.array(phi(tl._digits(ranks, m, n), matching))
     f_ranks, _, _ = tl.enumerate_pairs(matching, m, s, ranks)
     firsts, counts = np.unique(f_ranks, return_counts=True)
     good = (scores >= 1) & (scores <= s)
@@ -278,7 +278,7 @@ def test_equal_cover_exact():
 
 def test_every_complement_is_s_squared_good():
     _, g_ranks, _ = tl.enumerate_pairs(M4, 2, S1, range(4**2))
-    scores = np.array(phi(tl._digits(g_ranks, 2, 4), M4, 1))
+    scores = np.array(phi(tl._digits(g_ranks, 2, 4), M4))
     assert ((scores >= 1) & (scores <= S1**2)).all()
 
 
@@ -355,7 +355,7 @@ def _first_copy_nnz(h, m, r, s):
         family = complete_to_maximal_matching(Hypergraph(h.n, class_edges), r)
         f_ranks, g_ranks, covers = tl.enumerate_pairs(family, m, s, range(h.n**m))
         g_digits = tl._digits(g_ranks, m, h.n)
-        scores = phi(g_digits, family, r)
+        scores = phi(g_digits, family)
         for cover, score in zip(covers.tolist(), scores):
             edge = family.edges[cover]
             if cover < len(class_edges) and edge not in seen:
@@ -464,7 +464,7 @@ def _earlier_goodness_splits(h, m, r, s):
             if cover < len(class_edges):
                 splits += any(family.edges[cover] in earlier and good[f] != good[g]
                               for earlier, good in goods)
-        scores = np.array(phi(maps, family, r))
+        scores = np.array(phi(maps, family))
         goods.append((set(class_edges), (scores >= 1) & (scores <= s)))
     return splits
 
