@@ -11,12 +11,12 @@ edge-slot order (the phi section below); ``contained_edges_batch`` sums
 its bool cells as bytes into the narrowest unsigned dtype that holds the
 edge count, where ``count_nonzero`` would widen every cell to intp first.
 
-Callers hand a kernel one block at a time, sized by ``_block_rows`` for
-the caller's widest row (max(n, m) for phi: its blocks draw (rows, m) maps
-over n bins) so that the block's widest temporary takes about 512 KiB, the
-bytes of ``_BLOCK_CELLS`` int64 cells, and stays in cache and small when
-chunks run on several threads.  Blocking changes no arithmetic, so results
-are the same for any block size.
+Callers hand a kernel one block at a time, sized by ``_block_rows`` from
+the bytes of the caller's widest row (8 max(n, m) for phi: its blocks draw
+(rows, m) int64 maps over n bins) so that the block takes about 512 KiB,
+``_BLOCK_BYTES``, and stays in cache and small when chunks run on several
+threads.  Blocking changes no arithmetic, so results are the same for any
+block size.
 
 ``_in_blocks`` is the one block loop of per-sample Monte Carlo (``birthday``
 for phi and its Poisson domination, ``randsets`` for the upper tail), so no
@@ -26,15 +26,19 @@ its own: blocks of ``_block_rows(C(m, r) r)`` ranks pass the 1 MiB mmap
 threshold of the page policy below, and ``matrix-verify --n 10 --m 6 --r 1``
 took 0.56-0.65 s at 46 MiB with them against 0.38-0.40 s at 37 MiB (2-core
 VM, wait4 of the child).  Every block loop allocates its temporaries afresh
-with ``np.empty``, and the page policy, set once at import, keeps the pages
-a block frees in the heap for the next block instead of mapping them anew.
+with ``np.empty``, and the page policy keeps the pages a block frees in the
+heap for the next block instead of mapping them anew.  It is set at import
+for 1 MiB and widened by ``_block_rows`` for any wider row:
+``poisson-check --r 2 --n 200000 --samples 1500 --threads 1``, whose
+one-row blocks take 1.6 MB, ran in 5.4-6.4 s with 15,000 minor faults
+against 9.6-10.9 s and 2.85 million without (wait4, 2-core Xeon).
 """
 
 import functools
 
 import numpy as np
 
-_BLOCK_CELLS = 1 << 16  # int64 cells per row block
+_BLOCK_BYTES = 1 << 19  # bytes of a row block
 
 # The page policy of every block loop.  glibc maps each request of 128 KiB
 # or more on its own and returns free memory at the top of its heap to the
@@ -46,25 +50,31 @@ _BLOCK_CELLS = 1 << 16  # int64 cells per row block
 # 110,000 against 1,000 (glibc 2.36).  Freeing one untouched 1 MiB array,
 # mapped and never resident, raises the two thresholds to 1 and 2 MiB for
 # the whole process, its threads included; other allocators lose nothing.
-np.empty(1 << 17, dtype=np.int64)
+_policy_bytes = 1 << 20  # the mmap threshold the policy has set
+np.empty(_policy_bytes, dtype=np.uint8)
 
 
-def _block_rows(cells, itemsize=8):
-    """Rows per block when each row takes ``cells`` cells of ``itemsize``
-    bytes, a block holding as many bytes as ``_BLOCK_CELLS`` int64 cells."""
-    return max(1, _BLOCK_CELLS * 8 // (cells * itemsize))
+def _block_rows(row_bytes):
+    """Rows per block when each row takes ``row_bytes`` bytes, a block
+    holding about ``_BLOCK_BYTES``.  A row wider than the page policy's
+    threshold first frees an untouched array of twice its bytes."""
+    global _policy_bytes
+    if row_bytes > _policy_bytes:
+        _policy_bytes = 2 * row_bytes
+        np.empty(_policy_bytes, dtype=np.uint8)
+    return max(1, _BLOCK_BYTES // row_bytes)
 
 
-def _in_blocks(count, cells, score, itemsize=8):
+def _in_blocks(count, row_bytes, score):
     """The int64 values of ``count`` samples, drawn and scored by
-    ``score(rows)`` in blocks of ``_block_rows(cells, itemsize)`` rows.
+    ``score(rows)`` in blocks of ``_block_rows(row_bytes)`` rows.
 
     A block's draws continue the chunk's stream where the last block left
     it (numpy keeps the spare half of a 64-bit output for the next 32-bit
     draw in the bit generator), so they are the draws of one whole-chunk
     call.
     """
-    step = _block_rows(cells, itemsize)
+    step = _block_rows(row_bytes)
     out = np.empty(count, dtype=np.int64)
     for start in range(0, count, step):
         rows = min(step, count - start)

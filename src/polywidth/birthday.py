@@ -37,7 +37,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import _kernels, mc
-from .hypergraph import default_goodness_bound, default_matching
+from .hypergraph import _check_goodness_args, default_goodness_bound, default_matching
 
 __all__ = [
     "default_map_length",
@@ -76,16 +76,16 @@ class PhiStatistics(
     __slots__ = ()
 
 
-def _check_phi_args(r: int, n: int, m: int, s: int):
-    """Raise ValueError unless r >= 1, n >= 2r, m >= 1 and s >= 1."""
-    if r < 1:
-        raise ValueError("r must be positive")
-    if n < 2 * r:
-        raise ValueError("n must be at least 2r")
-    if m < 1:
-        raise ValueError("m must be positive")
-    if s < 1:
-        raise ValueError("s must be positive")
+def _phi_pass(score, cells, s, samples, seed, threads) -> PhiStatistics:
+    """``PhiStatistics`` of ``samples`` values of phi, ``score(gen, rows)``
+    drawing and scoring a block of rows of ``cells`` int64 cells."""
+
+    def value_fn(gen, count):
+        phis = _kernels._in_blocks(count, 8 * cells, lambda rows: score(gen, rows))
+        good = (phis >= 1) & (phis <= s)
+        return np.stack([good, phis, phis > s, phis == 0], axis=1, dtype=np.float64)
+
+    return PhiStatistics(*mc.run_chunked(value_fn, samples, seed, threads=threads))
 
 
 def phi_statistics(
@@ -94,18 +94,15 @@ def phi_statistics(
     """One sampling pass of uniform maps [m] -> [n], scored against the
     default matching of 2r-sets, returning Pr[s-good], E[phi], Pr[phi > s]
     and Pr[phi = 0].  Needs r >= 1, n >= 2r, m >= 1 and s >= 1."""
-    _check_phi_args(r, n, m, s)
+    _check_goodness_args(r, n, s)
+    if m < 1:
+        raise ValueError("m must be positive")
     edges = np.array(default_matching(n, r).edges, dtype=np.int64)
 
-    def value_fn(gen, count):
-        def score(rows):
-            return _kernels.phi_batch(gen.integers(0, n, (rows, m)), edges, n)
+    def score(gen, rows):  # a block draws (rows, m) maps over n bins
+        return _kernels.phi_batch(gen.integers(0, n, (rows, m)), edges, n)
 
-        phis = _kernels._in_blocks(count, max(n, m), score)
-        good = (phis >= 1) & (phis <= s)
-        return np.stack([good, phis, phis > s, phis == 0], axis=1, dtype=np.float64)
-
-    return PhiStatistics(*mc.run_chunked(value_fn, samples, seed, threads=threads))
+    return _phi_pass(score, max(n, m), s, samples, seed, threads)
 
 
 # --------------------------------------------------------------------------
@@ -188,32 +185,34 @@ def poisson_domination_check(
     X is the exact occupancy histogram of a uniform random map [m] -> [n];
     Y has independent Poisson(m/n) bins.  Phi is either the indicator that
     phi vanishes ("psi") or phi itself ("chi").  The exact side is the
-    ``phi_statistics`` pass of the same seed; neither functional depends on
-    its threshold s.  The inequality is declared to hold when
-    lhs <= 2*rhs + 3*(combined standard error).
+    ``phi_statistics`` pass of the same seed, the Poisson side the same pass
+    over Poisson histograms; neither functional depends on its threshold s.
+    The inequality is declared to hold when lhs <= 2*rhs + 3*(combined
+    standard error).
 
     The arguments and the Poisson mean m/n (``poisson_pmf_table``) are
     checked before either side samples.
     """
     s = default_goodness_bound(r)
-    _check_phi_args(r, n, m, s)
+    _check_goodness_args(r, n, s)
+    if m < 1:
+        raise ValueError("m must be positive")
     mu = m / n
     _inversion_table(mu)
     exact = phi_statistics(r, n, m, s, samples, seed, threads=threads)
     edges = np.array(default_matching(n, r).edges, dtype=np.int64)
 
-    def poisson_fn(gen, count):
-        def score(rows):
-            return _kernels.phi_hist_batch(sample_poisson(gen, mu, (rows, n)), edges)
-
-        phis = _kernels._in_blocks(count, n, score)
-        return np.stack([phis == 0, phis], axis=1, dtype=np.float64)
+    def score(gen, rows):
+        return _kernels.phi_hist_batch(sample_poisson(gen, mu, (rows, n)), edges)
 
     # Independent stream for the Poisson side.
-    poisson = mc.run_chunked(poisson_fn, samples, seed + 1, threads=threads)
+    poisson = _phi_pass(score, n, s, samples, seed + 1, threads)
 
     rows = []
-    for name, lhs, rhs in zip(("psi", "chi"), (exact.zero_probability, exact.mean_phi), poisson):
+    for name, lhs, rhs in (
+        ("psi", exact.zero_probability, poisson.zero_probability),
+        ("chi", exact.mean_phi, poisson.mean_phi),
+    ):
         margin = lhs.mean - 2.0 * rhs.mean
         tol = 3.0 * math.hypot(lhs.std_error, 2.0 * rhs.std_error)
         rows.append(DominationRow(name, lhs, rhs, margin, tol, margin <= tol))
@@ -281,13 +280,13 @@ def _binned_poisson_sums(mu_a, mu_b, samples, seed, low, bins):
     Y_b is drawn from a second copy of the stream advanced past the Y_a
     uniforms (a Philox counter step is four 64-bit outputs, one per double),
     so both sides are drawn, added and binned in lockstep blocks of
-    ``_kernels._block_rows(1)`` draws with the values of two whole draws.
+    ``_kernels._block_rows(8)`` draws with the values of two whole draws.
     """
     gen_a, gen_b = mc.stream(seed, 0), mc.stream(seed, 0)
     gen_b.bit_generator.advance(samples // 4)
     gen_b.random(samples % 4)
     obs = np.zeros(bins, dtype=np.int64)
-    step = _kernels._block_rows(1)
+    step = _kernels._block_rows(8)
     for start in range(0, samples, step):
         count = min(step, samples - start)
         draws = sample_poisson(gen_a, mu_a, count)

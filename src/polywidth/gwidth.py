@@ -92,7 +92,7 @@ def _points(pm: PolyMap) -> np.ndarray:
     masks = [h.edge_masks() for h in pm.components]
     radices = [len(component) + 1 for component in masks]
     total = 1 << pm.n
-    step = _kernels._block_rows(1)
+    step = _kernels._block_rows(8)  # an int64 rank per point
     # (first, stop, sorted distinct keys that the keys of components
     # first..stop-1 extend as ranks, or None) per group of components
     groups, ranked, keys, first = [], None, None, 0
@@ -143,7 +143,7 @@ def gw_estimate(pm: PolyMap, samples: int, seed: int, threads: int = 1) -> mc.Mc
         g_mat = mc.normals(gen, (pm.k, count))
         best = np.full(count, -np.inf)
         # points per block, sized by the wider of its (step, count) product and (step, k) copy
-        step = _kernels._block_rows(max(count, pm.k))
+        step = _kernels._block_rows(8 * max(count, pm.k))
         for start in range(0, len(points), step):
             # one expression, so a block's floats are freed before the next one's
             scores = points[start : start + step].astype(np.float64) @ g_mat

@@ -76,15 +76,6 @@ class Hypergraph(namedtuple("Hypergraph", "n edges")):
             return False
         return d is None or sizes == {d}
 
-    def is_matching(self) -> bool:
-        seen = set()
-        for e in self.edges:
-            for v in e:
-                if v in seen:
-                    return False
-                seen.add(v)
-        return True
-
 
 class EdgeColoring(namedtuple("EdgeColoring", "colors num_colors")):
     """Color index per edge (parallel to Hypergraph.edges); proper, first-fit."""
@@ -133,7 +124,7 @@ def complete_to_maximal_matching(m: Hypergraph, r: int) -> Hypergraph:
     if r < 1:
         raise ValueError("r must be positive")
     size = 2 * r
-    if not m.is_matching():
+    if m.max_degree > 1:
         raise ValueError("input must be a matching")
     if any(len(e) != size for e in m.edges):
         raise ValueError(f"all edges must have size {size}")
@@ -153,6 +144,16 @@ def default_matching(n: int, r: int) -> Hypergraph:
 def default_goodness_bound(r: int) -> int:
     """Default goodness threshold 200 * 4^r for maps against a 2r-matching."""
     return 200 * 4**r
+
+
+def _check_goodness_args(r: int, n: int, s: int):
+    """Raise ValueError unless r >= 1, n >= 2r and s >= 1; callers check m."""
+    if r < 1:
+        raise ValueError("r must be positive")
+    if n < 2 * r:
+        raise ValueError("n must be at least 2r")
+    if s < 1:
+        raise ValueError("s must be positive")
 
 
 def width_bound(n: int, k: int, d: int, t: int) -> float:

@@ -116,8 +116,6 @@ class PhiloxStream:
             raise ValueError("high must lie in [1, 2^32]")
         if high == 1:
             return [0] * count
-        if high == 1 << 32:
-            return [self._next32() for _ in range(count)]
         # Lemire's multiply-shift with rejection, as numpy draws it
         threshold = (1 << 32) % high
         out = []

@@ -83,7 +83,7 @@ def upper_tail_mc(
             return _kernels.contained_edges_batch(gen.random((rows, N)) < p, edges)
 
         # one byte per progression and sample: the kernel's (edges, rows) bool temporary
-        hits = _kernels._in_blocks(count, len(edges), score, itemsize=1)
+        hits = _kernels._in_blocks(count, len(edges), score)
         return (hits >= need).astype(np.float64)
 
     est = mc.run_chunked(value_fn, samples, seed, threads=threads)[0]

@@ -106,6 +106,7 @@ from . import _kernels  # imported for its side effect: the page policy of the b
 from .errors import DEFAULT_BUDGET, check_budget
 from .hypergraph import (
     Hypergraph,
+    _check_goodness_args,
     color_classes,
     complete_to_maximal_matching,
     default_goodness_bound,
@@ -120,23 +121,6 @@ __all__ = [
 ]
 
 _BLOCK = 1 << 10  # maps per enumerate_pairs call of build_matrix_lift
-
-
-def _check_lift_args(n: int, m: int, r: int, s: int):
-    """Raise ValueError unless r >= 1, n >= 2r, m >= r and s >= 1.
-
-    The construction is exact for any such arguments; the asymptotic
-    choices m ~ C_r n^(1-1/r) and s = 200*4^r only matter for the
-    probability bounds exercised in :mod:`polywidth.birthday`.
-    """
-    if r < 1:
-        raise ValueError("r must be positive")
-    if n < 2 * r:
-        raise ValueError("n must be at least 2r")
-    if m < r:
-        raise ValueError("m must be at least r")
-    if s < 1:
-        raise ValueError("s must be positive")
 
 
 def _digits(ranks, m: int, n: int) -> np.ndarray:
@@ -170,7 +154,9 @@ def enumerate_pairs(matching: Hypergraph, m: int, s: int, ranks):
     if edges is None or edges.shape[1] % 2 or np.bincount(edges.ravel()).max() > 1:
         raise ValueError("expected a matching of even-size edges")
     r = edges.shape[1] // 2
-    _check_lift_args(n, m, r, s)
+    _check_goodness_args(r, n, s)
+    if m < r:
+        raise ValueError("m must be at least r")
     ranks = np.asarray(ranks, dtype=np.int64)
     if n**m > 1 << 63:
         raise ValueError("n^m must fit in int64 ranks")
@@ -242,10 +228,14 @@ def build_matrix_lift(
     """The lift of a 2r-uniform hypergraph on [h.n] over maps [m] -> [h.n]
     with goodness threshold s (0 means the default 200*4^r) and its report,
     in one pass over colour x rank block.  Raises BudgetExceededError when
-    h.n^m exceeds ``budget``."""
+    h.n^m exceeds ``budget``.  The construction is exact for any r >= 1,
+    n >= 2r, m >= r and s >= 1; the asymptotic choices m ~ C_r n^(1-1/r) and
+    s = 200*4^r only matter for the probability bounds of ``birthday``."""
     n = h.n
     s = s or default_goodness_bound(r)
-    _check_lift_args(n, m, r, s)
+    _check_goodness_args(r, n, s)
+    if m < r:
+        raise ValueError("m must be at least r")
     if h.edges and not h.is_uniform(2 * r):
         raise ValueError(f"hypergraph must be {2 * r}-uniform")
     dim = check_budget(n, m, budget)

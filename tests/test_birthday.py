@@ -208,8 +208,8 @@ def test_chunks_drawn_in_many_blocks_equal_whole_chunk_draws(monkeypatch, r, n, 
     # small blocks: 37 rows, so both chunks (4096 and 904 samples) span many
     # blocks and end in a ragged one; the estimates equal those of drawing
     # and scoring each chunk at once
-    monkeypatch.setattr(bd._kernels, "_BLOCK_CELLS", 37 * n)
-    assert bd._kernels._block_rows(n) == 37
+    monkeypatch.setattr(bd._kernels, "_BLOCK_BYTES", 8 * 37 * n)
+    assert bd._kernels._block_rows(8 * n) == 37
     samples, seed, s = 5000, 3, 2
     edges = np.array(default_matching(n, r).edges, dtype=np.int64)
     cdf = np.cumsum(bd.poisson_pmf_table(m / n))
@@ -284,7 +284,7 @@ def test_binned_poisson_sums_equal_the_whole_draw(monkeypatch, samples):
     gen = mc.stream(9, 0)
     draws = bd.sample_poisson(gen, 1.3, samples) + bd.sample_poisson(gen, 0.7, samples)
     want = np.bincount(np.clip(draws, 1, 5) - 1, minlength=5)
-    monkeypatch.setattr(bd._kernels, "_BLOCK_CELLS", 1000)  # 51 lockstep blocks at 50,003
+    monkeypatch.setattr(bd._kernels, "_BLOCK_BYTES", 8000)  # 51 lockstep blocks at 50,003
     assert bd._binned_poisson_sums(1.3, 0.7, samples, 9, 1, 5).tolist() == want.tolist()
 
 

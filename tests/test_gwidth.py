@@ -70,8 +70,8 @@ def test_points_in_small_ragged_blocks(monkeypatch, components):
     # key and decode blocks of 5000 rows, the last one ragged
     pm = gw.PolyMap(components)
     want = gw._points(pm)
-    monkeypatch.setattr(gw._kernels, "_BLOCK_CELLS", 5000)
-    assert gw._kernels._block_rows(1) == 5000 and 2**pm.n % 5000
+    monkeypatch.setattr(gw._kernels, "_BLOCK_BYTES", 8 * 5000)
+    assert gw._kernels._block_rows(8) == 5000 and 2**pm.n % 5000
     points = gw._points(pm)
     assert points.dtype == want.dtype and np.array_equal(points, want)
     assert [tuple(p) for p in points.tolist()] == oracles.hypercube_image_direct(components)
@@ -113,7 +113,7 @@ def test_gw_estimate_matches_full_image_maximum():
 def test_gw_estimate_max_spans_score_blocks():
     pm = matching_map(12, 5, 3)
     # more distinct points than one scoring block of 1024 directions holds
-    assert len(gw._points(pm)) > gw._kernels._block_rows(1024)
+    assert len(gw._points(pm)) > gw._kernels._block_rows(8 * 1024)
     check_full_image_maximum(pm, 2500, 13)
 
 
@@ -124,8 +124,8 @@ def test_small_ragged_blocks_give_the_same_estimate(monkeypatch, pm):
     # score blocks of 4 points for the two chunks of 1024 directions and 11
     # for the last 452 (test_points_in_small_ragged_blocks checks the image)
     want = gw.gw_estimate(pm, 2500, 14)
-    monkeypatch.setattr(gw._kernels, "_BLOCK_CELLS", 5000)
-    assert [gw._kernels._block_rows(c) for c in (1, 1024, 452)] == [5000, 4, 11]
+    monkeypatch.setattr(gw._kernels, "_BLOCK_BYTES", 8 * 5000)
+    assert [gw._kernels._block_rows(8 * c) for c in (1, 1024, 452)] == [5000, 4, 11]
     assert gw.gw_estimate(pm, 2500, 14) == want
 
 

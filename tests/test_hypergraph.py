@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from polywidth import poly
+from polywidth import birthday, poly, tensorlift
 from polywidth.hypergraph import (
     EdgeColoring,
     Hypergraph,
     color_classes,
     complete_to_maximal_matching,
+    default_matching,
     greedy_edge_coloring,
     homogenize,
     load_hypergraph,
@@ -107,7 +108,7 @@ def test_greedy_coloring_valid_and_bounded(seed):
         d = h.max_edge_size
         assert h.max_degree <= c.num_colors <= d * (h.max_degree - 1) + 1
         classes = color_classes(h, c)
-        assert all(Hypergraph(h.n, g).is_matching() for g in classes if g)
+        assert all(Hypergraph(h.n, g).max_degree <= 1 for g in classes if g)
         assert sorted(e for g in classes for e in g) == sorted(h.edges)
 
 
@@ -145,7 +146,7 @@ def test_complete_matching_is_maximal(seed, r):
         edges.append(tuple(sorted(verts[: 2 * r])))
         verts = verts[2 * r :]
     m = complete_to_maximal_matching(Hypergraph(n, edges), r)
-    assert m.is_matching()
+    assert m.max_degree <= 1
     used = {v for e in m.edges for v in e}
     assert n - len(used) < 2 * r  # no further 2r-set fits
     assert m.num_edges >= (n - 2 * r * len(edges)) // (2 * r) + len(edges)
@@ -206,3 +207,34 @@ def test_load_rejects_unsorted(tmp_path):
     path.write_text("3 1\n2 1\n")
     with pytest.raises(ValueError):
         load_hypergraph(path)
+
+
+GOODNESS_CALLS = {  # every caller of the one check of (r, n, s), each with a valid m
+    "phi_statistics": lambda r, n, s: birthday.phi_statistics(r, n, 3, s, samples=10),
+    "poisson_domination_check": lambda r, n, s: birthday.poisson_domination_check(r, n, 3, 10),
+    "build_matrix_lift": lambda r, n, s: tensorlift.build_matrix_lift(Hypergraph(n, ()), 3, r, s),
+    "enumerate_pairs": lambda r, n, s: tensorlift.enumerate_pairs(
+        default_matching(n, r), 3, s, [0]
+    ),
+}
+
+
+# enumerate_pairs reads r from a matching, which has n >= 2r, and the
+# domination check takes the default s
+@pytest.mark.parametrize(
+    "call, r, n, s, message",
+    [
+        ("phi_statistics", 0, 10, 1, "r must be positive"),
+        ("poisson_domination_check", 0, 10, 1, "r must be positive"),
+        ("build_matrix_lift", 0, 10, 1, "r must be positive"),
+        ("phi_statistics", 2, 3, 1, "n must be at least 2r"),
+        ("poisson_domination_check", 2, 3, 1, "n must be at least 2r"),
+        ("build_matrix_lift", 2, 3, 1, "n must be at least 2r"),
+        ("phi_statistics", 1, 4, -1, "s must be positive"),
+        ("build_matrix_lift", 1, 4, -1, "s must be positive"),
+        ("enumerate_pairs", 1, 4, -1, "s must be positive"),
+    ],
+)
+def test_goodness_arguments_are_checked_alike(call, r, n, s, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GOODNESS_CALLS[call](r, n, s)

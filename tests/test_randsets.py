@@ -110,8 +110,8 @@ def test_upper_tail_chunks_drawn_in_many_blocks_equal_whole_chunk_draws(monkeypa
     # (4096 and 904 samples) span many blocks and end in a ragged one; the
     # estimate equals that of drawing and counting each chunk at once
     edges = np.array(ap_hypergraph(13, 3).edges)
-    monkeypatch.setattr(_kernels, "_BLOCK_CELLS", 361)
-    assert _kernels._block_rows(len(edges), itemsize=1) == 37
+    monkeypatch.setattr(_kernels, "_BLOCK_BYTES", 361 * 8)
+    assert _kernels._block_rows(len(edges)) == 37
     need = 15  # ceil(1.5 * 78 / 8)
 
     def whole_chunk(gen, count):
